@@ -8,6 +8,15 @@ feature index, then the lower threshold, then the earlier-created leaf,
 and the single generator is consumed in a fixed order (bag draw, then
 feature draw, each round). This keeps fits reproducible bit-for-bit and
 checkable against brute-force oracles.
+
+Split search uses the column blocks of the exact greedy algorithm in
+XGBoost (Chen & Guestrin 2016, arXiv:1603.02754). Each fit sorts every
+feature once. Each round filters those orders down to the bagged rows
+and drawn features, and every leaf carries a (features, rows) block
+whose row ``i`` lists the leaf's rows sorted by the ``i``-th drawn
+feature. A split divides the block with a boolean mask, which keeps
+every order, so no node sorts anything. Equal feature values therefore
+accumulate in row-index order in the gradient sums.
 """
 
 from __future__ import annotations
@@ -188,86 +197,79 @@ class _Candidate:
     feature: int
     threshold: float
     left_rows: np.ndarray
-    right_rows: np.ndarray
 
 
 @dataclass(eq=False)
 class _Leaf:
-    rows: np.ndarray
+    block: np.ndarray
     node: TreeNode
     order: int
     best: "_Candidate | None"
+
+
+def _filter_block(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Rows of ``block`` whose id is marked in ``keep``, each feature's order kept.
+
+    Every row of a block lists the same row set, so each keeps the same
+    count and the flat result reshapes exactly.
+    """
+    return block[keep[block]].reshape(len(block), -1)
 
 
 def _best_split(
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    rows: np.ndarray,
+    block: np.ndarray,
     features: np.ndarray,
     l2: float,
     min_data: int,
 ) -> _Candidate | None:
-    """Exact best split of ``rows``; None when no split has positive gain.
+    """Exact best split of a leaf; None when no split has positive gain.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; both children must keep at least ``min_data`` rows. Ties break
-    toward the lower feature index, then the lower threshold. Gains must
-    clear ``GAIN_NOISE_REL`` times the parent score, which rejects
-    true-zero gains inflated by cancellation noise.
+    ``block`` is the leaf's (len(features), m) column block: row ``i``
+    lists the leaf's row ids sorted by feature ``features[i]``, with equal
+    values in row-index order for blocks cut from the per-fit presort.
+    All features are scored in one vectorised pass over cumulative
+    gradient sums, so no sort happens here. Candidate thresholds are
+    midpoints between consecutive distinct sorted values; both children
+    must keep at least ``min_data`` rows. Ties break toward the lower
+    feature index, then the lower threshold. Gains must clear
+    ``GAIN_NOISE_REL`` times the parent score, which rejects true-zero
+    gains inflated by cancellation noise.
     """
-    m = len(rows)
+    m = block.shape[1]
     if m < 2 * min_data:
         return None
-    g_rows = g[rows]
-    h_rows = h[rows]
-    g_total = float(g_rows.sum())
-    h_total = float(h_rows.sum())
+    g_total = float(g[block[0]].sum())
+    h_total = float(h[block[0]].sum())
     parent_score = g_total * g_total / (h_total + l2)
 
-    best_gain = GAIN_NOISE_REL * abs(parent_score)
-    best_feature = -1
-    best_cut = -1
-    for f in features:
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        cuts = np.nonzero(xs[:-1] != xs[1:])[0]
-        cuts = cuts[(cuts + 1 >= min_data) & (m - cuts - 1 >= min_data)]
-        if len(cuts) == 0:
-            continue
-        g_cum = np.cumsum(g_rows[order])
-        h_cum = np.cumsum(h_rows[order])
-        g_left = g_cum[cuts]
-        h_left = h_cum[cuts]
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        gains = 0.5 * (
-            g_left * g_left / (h_left + l2)
-            + g_right * g_right / (h_right + l2)
-            - parent_score
-        )
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_feature = int(f)
-            best_cut = int(cuts[k])
-    if best_feature < 0:
+    # Cut c sends sorted positions 0..c left; lo..hi-1 are the cuts that
+    # leave at least min_data rows on each side.
+    lo, hi = min_data - 1, m - min_data
+    xs = X[block, features[:, None]]
+    g_left = np.cumsum(g[block], axis=1)[:, lo:hi]
+    h_left = np.cumsum(h[block], axis=1)[:, lo:hi]
+    g_right = g_total - g_left
+    h_right = h_total - h_left
+    gains = 0.5 * (
+        g_left * g_left / (h_left + l2)
+        + g_right * g_right / (h_right + l2)
+        - parent_score
+    )
+    gains[xs[:, lo:hi] == xs[:, lo + 1 : hi + 1]] = -np.inf
+    cuts = np.argmax(gains, axis=1)
+    best = gains[np.arange(len(features)), cuts]
+    pos = int(np.argmax(best))
+    if not best[pos] > GAIN_NOISE_REL * abs(parent_score):
         return None
-
-    x = X[rows, best_feature]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    threshold = (xs[best_cut] + xs[best_cut + 1]) / 2.0
-    rows_sorted = rows[order]
+    cut = lo + int(cuts[pos])
     return _Candidate(
-        gain=best_gain,
-        feature=best_feature,
-        threshold=float(threshold),
-        left_rows=rows_sorted[: best_cut + 1],
-        right_rows=rows_sorted[best_cut + 1 :],
+        gain=float(best[pos]),
+        feature=int(features[pos]),
+        threshold=float((xs[pos, cut] + xs[pos, cut + 1]) / 2.0),
+        left_rows=block[pos, : cut + 1],
     )
 
 
@@ -275,18 +277,21 @@ def _grow_tree(
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    bag: np.ndarray,
+    block: np.ndarray,
     features: np.ndarray,
     config: MetaLearnerConfig,
 ) -> TreeNode | None:
-    """Grow one tree leaf-wise; None when even the root has no positive-gain split."""
+    """Grow one tree leaf-wise from the root's column block.
+
+    Returns None when even the root has no positive-gain split.
+    """
     l2 = config.l2_leaf_regularization
     root = TreeNode()
     first = _Leaf(
-        rows=bag,
+        block=block,
         node=root,
         order=0,
-        best=_best_split(X, g, h, bag, features, l2, config.min_data_in_leaf),
+        best=_best_split(X, g, h, block, features, l2, config.min_data_in_leaf),
     )
     if first.best is None:
         return None
@@ -303,19 +308,26 @@ def _grow_tree(
         leaf.node.left = TreeNode()
         leaf.node.right = TreeNode()
         leaves.remove(leaf)
-        for rows, child in ((cand.left_rows, leaf.node.left), (cand.right_rows, leaf.node.right)):
+        goes_left = np.zeros(len(X), dtype=bool)
+        goes_left[cand.left_rows] = True
+        for child_block, child in (
+            (_filter_block(leaf.block, goes_left), leaf.node.left),
+            (_filter_block(leaf.block, ~goes_left), leaf.node.right),
+        ):
             leaves.append(
                 _Leaf(
-                    rows=rows,
+                    block=child_block,
                     node=child,
                     order=next_order,
-                    best=_best_split(X, g, h, rows, features, l2, config.min_data_in_leaf),
+                    best=_best_split(
+                        X, g, h, child_block, features, l2, config.min_data_in_leaf
+                    ),
                 )
             )
             next_order += 1
     for leaf in leaves:
-        g_sum = float(g[leaf.rows].sum())
-        h_sum = float(h[leaf.rows].sum())
+        g_sum = float(g[leaf.block[0]].sum())
+        h_sum = float(h[leaf.block[0]].sum())
         leaf.node.value = -g_sum / (h_sum + l2) * config.learning_rate
     return root
 
@@ -372,11 +384,15 @@ def gbdt_fit(
     rng = np.random.default_rng(config.seed & _SEED_MASK)
     trees: list[TreeNode] = []
     losses = [_logloss(raw, y)]
-    bag = np.arange(n)
+    # Column blocks: row ids sorted by each feature, equal values in
+    # row-index order. Sorted once per fit; each round filters them.
+    presorted = np.argsort(X, axis=0, kind="stable").T
+    in_bag = np.ones(n, dtype=bool)
     for round_index in range(config.num_rounds):
         if config.bagging_fraction < 1 and round_index % config.bagging_freq == 0:
             k = math.ceil(config.bagging_fraction * n)
-            bag = np.sort(rng.choice(n, size=k, replace=False))
+            in_bag = np.zeros(n, dtype=bool)
+            in_bag[rng.choice(n, size=k, replace=False)] = True
         if config.feature_fraction < 1:
             kf = math.ceil(config.feature_fraction * d)
             features_used = np.sort(rng.choice(d, size=kf, replace=False))
@@ -385,7 +401,8 @@ def gbdt_fit(
         p = np.clip(_sigmoid_array(raw), PROB_EPS, 1.0 - PROB_EPS)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(X, g, h, bag, features_used, config)
+        block = _filter_block(presorted[features_used], in_bag)
+        tree = _grow_tree(X, g, h, block, features_used, config)
         if tree is not None:
             trees.append(tree)
             raw += _tree_values(tree, X)

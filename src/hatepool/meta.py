@@ -1,8 +1,12 @@
 """Two-head boosted-tree meta-learner over four-model probability features.
 
-One booster is fit per class (Hate and Neutral) on the same 8-dimensional
-features with the same hyperparameters and seed; prediction compares the
-two sigmoid head scores, breaking exact ties toward Neutral.
+One booster is fit, for Hate, on the 8-dimensional features. The Neutral
+head is its exact negation (negated base score and leaf values, same tree
+shapes and thresholds): under logistic loss with a shared seed, a booster
+fit to ``1 - y`` mirrors the Hate head, so a second fit would only repeat
+the first. Prediction compares the two sigmoid head scores, breaking exact
+ties toward Neutral; model files with independently fit heads still load
+and score through both.
 """
 
 from __future__ import annotations
@@ -49,10 +53,11 @@ def train_meta(
     config: MetaLearnerConfig | None = None,
     feature_order: Sequence[str] | None = None,
 ) -> MetaLearnerModel:
-    """Fit both heads on (n, 8) features and canonical gold labels.
+    """Fit the Hate head on (n, 8) features and canonical gold labels.
 
-    ``golds`` must contain both classes; single-class supervision makes the
-    comparison of heads meaningless and is refused.
+    The Neutral head is the Hate head negated. ``golds`` must contain both
+    classes; single-class supervision makes the comparison of heads
+    meaningless and is refused.
     """
     config = config or MetaLearnerConfig()
     X = np.asarray(features, dtype=np.float64)
@@ -76,9 +81,36 @@ def train_meta(
         if len(order) != FEATURE_COUNT:
             raise ValueError(f"feature_order must name {FEATURE_COUNT} features, got {len(order)}")
     hate_head = gbdt_fit(X, y_hate, config)
-    neutral_head = gbdt_fit(X, 1.0 - y_hate, config)
     return MetaLearnerModel(
-        hate_head=hate_head, neutral_head=neutral_head, config=config, feature_order=order
+        hate_head=hate_head,
+        neutral_head=_negated(hate_head),
+        config=config,
+        feature_order=order,
+    )
+
+
+def _negated_tree(node: TreeNode) -> TreeNode:
+    if node.is_leaf:
+        return TreeNode(value=-node.value)
+    return TreeNode(
+        feature_index=node.feature_index,
+        threshold=node.threshold,
+        left=_negated_tree(node.left),
+        right=_negated_tree(node.right),
+    )
+
+
+def _negated(head: BoostedTrees) -> BoostedTrees:
+    """The complementary head, whose raw score is exactly ``-raw`` of ``head``.
+
+    Its loss on the complementary labels equals the head's own, so the loss
+    curve is shared.
+    """
+    return BoostedTrees(
+        base_score=-head.base_score,
+        trees=[_negated_tree(tree) for tree in head.trees],
+        config=head.config,
+        train_logloss=list(head.train_logloss),
     )
 
 
@@ -130,6 +162,7 @@ def model_to_dict(model: MetaLearnerModel) -> dict:
             [tree.to_dict() for tree in model.hate_head.trees],
             [tree.to_dict() for tree in model.neutral_head.trees],
         ],
+        "train_logloss": list(model.hate_head.train_logloss),
     }
 
 
@@ -142,15 +175,19 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
     tree_lists = payload["trees"]
     if len(base_scores) != 2 or len(tree_lists) != 2:
         raise ValueError("model file must carry exactly two heads")
+    # Files written before the loss curve was saved have no train_logloss.
+    losses = [float(v) for v in payload.get("train_logloss", [])]
     hate_head = BoostedTrees(
         base_score=float(base_scores[0]),
         trees=[TreeNode.from_dict(t) for t in tree_lists[0]],
         config=config,
+        train_logloss=losses,
     )
     neutral_head = BoostedTrees(
         base_score=float(base_scores[1]),
         trees=[TreeNode.from_dict(t) for t in tree_lists[1]],
         config=config,
+        train_logloss=list(losses),
     )
     return MetaLearnerModel(
         hate_head=hate_head,

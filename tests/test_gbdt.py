@@ -13,7 +13,13 @@ from hatepool import (
     logistic_gradients,
     split_gain,
 )
-from hatepool.gbdt import PROB_EPS, clamp_probability, gbdt_predict_proba_many
+from hatepool.gbdt import (
+    PROB_EPS,
+    _best_split,
+    _filter_block,
+    clamp_probability,
+    gbdt_predict_proba_many,
+)
 
 import gbdt_oracle
 
@@ -162,6 +168,56 @@ class TestSplitOracle:
             achieved = gbdt_oracle.gain_of_partition(g, h, left)
             assert achieved == pytest.approx(oracle_gain, abs=1e-9)
             assert (root.feature_index, root.threshold) == oracle_key
+
+    def test_leaf_split_matches_brute_force_on_row_subsets(self):
+        # A non-root leaf: a random row subset listed out of index order,
+        # a drawn feature subset, integer-grid features with heavy ties,
+        # l2 > 0, and min_data at 1, at the largest value that still allows
+        # a split, and one above it.
+        rng = np.random.default_rng(43)
+        unique_winners = 0
+        for _ in range(300):
+            n = int(rng.integers(8, 90))
+            d = int(rng.integers(1, 6))
+            X = rng.integers(0, 4, size=(n, d)).astype(float)
+            g = rng.uniform(-1.0, 1.0, n)
+            h = rng.uniform(0.05, 0.25, n)
+            rows = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+            features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            m = len(rows)
+            min_data = int(rng.choice([1, m // 2, m // 2 + 1]))
+            l2 = float(rng.uniform(0.1, 2.0))
+            block = rows[np.argsort(X[rows][:, features], axis=0, kind="stable")].T
+            cand = _best_split(X, g, h, block, features, l2, min_data)
+            Xs, gs, hs = X[rows][:, features], g[rows], h[rows]
+            oracle_gain, oracle_key = gbdt_oracle.best_split(Xs, gs, hs, min_data, l2)
+            if cand is None:
+                assert oracle_gain <= 1e-9
+                continue
+            assert cand.gain == pytest.approx(oracle_gain, rel=1e-9, abs=1e-12)
+            left = X[rows, cand.feature] <= cand.threshold
+            assert sorted(cand.left_rows) == sorted(rows[left])
+            # The gain is symmetric in the children, so another key giving
+            # the same two children ties the oracle's up to summation order.
+            oracle_left = Xs[:, oracle_key[0]] <= oracle_key[1]
+            same_children = [
+                (int(features[j]), thr)
+                for _, j, thr in gbdt_oracle.all_candidate_gains(Xs, gs, hs, min_data, l2)
+                if np.array_equal(Xs[:, j] <= thr, oracle_left)
+                or np.array_equal(Xs[:, j] > thr, oracle_left)
+            ]
+            assert (cand.feature, cand.threshold) in same_children
+            unique_winners += len(same_children) == 1
+            goes_left = np.zeros(n, dtype=bool)
+            goes_left[cand.left_rows] = True
+            for child, child_rows in (
+                (_filter_block(block, goes_left), rows[left]),
+                (_filter_block(block, ~goes_left), rows[~left]),
+            ):
+                for i, f in enumerate(features):
+                    assert sorted(child[i]) == sorted(child_rows)
+                    assert np.all(np.diff(X[child[i], f]) >= 0)
+        assert unique_winners >= 100
 
     def test_min_data_in_leaf_respected_everywhere(self):
         rng = np.random.default_rng(7)

@@ -11,6 +11,8 @@ from hatepool import (
     train_meta,
     train_meta_on_vectors,
 )
+import hatepool.meta
+from hatepool.gbdt import gbdt_predict_proba
 from hatepool.meta import model_from_dict, model_to_dict, predict_meta_many
 
 from conftest import make_vector, random_vectors
@@ -43,6 +45,35 @@ class TestTrainMeta:
         assert model.hate_head.base_score == pytest.approx(-model.neutral_head.base_score)
         assert model.hate_head.trees
         assert model.neutral_head.trees
+
+    def test_one_fit_and_neutral_head_is_exact_negation(self, monkeypatch):
+        calls = []
+        fit = hatepool.meta.gbdt_fit
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(hatepool.meta, "gbdt_fit", spy)
+        vectors, golds = separable_data()
+        model = train_meta_on_vectors(vectors, golds, fast_config())
+        assert len(calls) == 1
+        hate, neutral = model.hate_head, model.neutral_head
+        assert neutral.base_score == -hate.base_score
+        assert len(neutral.trees) == len(hate.trees) > 0
+
+        def assert_negated(a, b):
+            assert a.is_leaf == b.is_leaf
+            if a.is_leaf:
+                assert b.value == -a.value
+                return
+            assert (b.feature_index, b.threshold) == (a.feature_index, a.threshold)
+            assert_negated(a.left, b.left)
+            assert_negated(a.right, b.right)
+
+        for a, b in zip(hate.trees, neutral.trees):
+            assert_negated(a, b)
+        assert neutral.train_logloss == hate.train_logloss
 
     def test_single_class_refused_with_diagnostic(self):
         vectors, _ = separable_data(n=40)
@@ -90,6 +121,33 @@ class TestPredictMeta:
         assert s_hate == s_neutral
         assert label is BinaryLabel.NEUTRAL
 
+    def test_independent_heads_still_score_through_both(self):
+        # A file with a Neutral head that is not the Hate head negated, as
+        # two separate fits wrote it.
+        def stump(left, right):
+            return {"feature_index": 0, "threshold": 0.5, "left": {"value": left},
+                    "right": {"value": right}}
+
+        payload = {
+            "config": fast_config().to_dict(),
+            "feature_order": [f"f{i}" for i in range(8)],
+            "heads": ["hate", "neutral"],
+            "base_scores": [-0.2, 0.1],
+            "trees": [[stump(-1.0, 2.0)], [stump(0.5, -1.5), stump(0.25, -0.25)]],
+        }
+        model = model_from_dict(payload)
+        vectors = random_vectors(40, seed=6)
+        X = np.stack([v.features() for v in vectors])
+        labels, s_h, s_n = predict_meta_many(model, X)
+        for i, v in enumerate(vectors):
+            label, sh, sn = predict_meta(model, v)
+            assert sh == gbdt_predict_proba(model.hate_head, v.features())
+            assert sn == gbdt_predict_proba(model.neutral_head, v.features())
+            assert sh + sn != pytest.approx(1.0)
+            assert label is (BinaryLabel.HATE if sh > sn else BinaryLabel.NEUTRAL)
+            assert labels[i] is label
+        assert set(labels) == {BinaryLabel.HATE, BinaryLabel.NEUTRAL}
+
     def test_many_matches_single(self):
         vectors, golds = separable_data()
         model = train_meta_on_vectors(vectors, golds, fast_config())
@@ -128,11 +186,25 @@ class TestSerialization:
         vectors, golds = separable_data(n=60)
         model = train_meta_on_vectors(vectors, golds, fast_config())
         payload = model_to_dict(model)
-        assert set(payload) == {"config", "feature_order", "heads", "base_scores", "trees"}
+        assert set(payload) == {
+            "config", "feature_order", "heads", "base_scores", "trees", "train_logloss"
+        }
+        assert payload["train_logloss"] == model.hate_head.train_logloss
         assert payload["heads"] == ["hate", "neutral"]
         assert len(payload["base_scores"]) == 2
         assert len(payload["trees"]) == 2
         assert len(payload["feature_order"]) == 8
+
+    def test_payload_without_loss_curve_loads(self):
+        vectors, golds = separable_data(n=60)
+        model = train_meta_on_vectors(vectors, golds, fast_config())
+        payload = model_to_dict(model)
+        del payload["train_logloss"]
+        restored = model_from_dict(payload)
+        assert restored.hate_head.train_logloss == []
+        assert restored.neutral_head.train_logloss == []
+        for v in random_vectors(25, seed=8):
+            assert predict_meta(model, v) == predict_meta(restored, v)
 
     def test_malformed_payloads_rejected(self):
         vectors, golds = separable_data(n=60)
