@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 from importlib import metadata
+from itertools import islice
 from typing import Sequence
 
 from ._jsonl import (
@@ -24,17 +25,18 @@ from ._jsonl import (
     write_jsonl_line,
 )
 from .datasets import (
+    BinaryLabel,
     LabeledExample,
     get_dataset_spec,
     ingest_rows,
     load_registry,
     read_dataset_file,
 )
-from .ensemble import mean_hate_score, mean_label, vote_hate_score, vote_label
+from .ensemble import features_matrix
 from .filtering import FilterConfig, WebRecord, filter_records, subsample_by_language
 from .gateway import AnnotatorEndpoint, annotate_batch, read_annotations, write_annotations
 from .gbdt import MetaLearnerConfig
-from .meta import load_model, predict_meta, save_model, train_meta_on_vectors
+from .meta import check_feature_order, load_model, save_model, score_matrix, train_meta_on_vectors
 from .metrics import GroupSpec, PredictionRow, build_report, default_groups, delta_report, render_report_table
 from .poolstats import pool_statistics, render_pool_table
 from .prompt import PromptTemplate
@@ -43,6 +45,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
+
+# Rows `ensemble` holds and scores per batch, keeping only ids, languages and
+# vectors; this bounds its memory on large inputs.
+ENSEMBLE_CHUNK_ROWS = 4096
 
 log = logging.getLogger("hatepool")
 
@@ -243,31 +249,31 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     count = 0
     with open_input(args.annotations) as in_fp, atomic_output(args.output) as out_fp:
         _, rows = read_annotations(in_fp)
-        for row in rows:
-            if args.strategy == "vote":
-                label, score = vote_label(row.vector), vote_hate_score(row.vector)
-            elif args.strategy == "mean":
-                label, score = mean_label(row.vector), mean_hate_score(row.vector)
-            else:
-                label, score, _ = predict_meta(model, row.vector)
-            out: dict = {
-                "id": row.id,
-                "lang": row.lang,
-                "strategy": args.strategy,
-                "label": label.value,
-                "score_hate": score,
-            }
-            if labels is not None:
-                example = labels.get(row.id)
-                if example is None:
-                    log.warning("id %s has no gold label; row emitted without one", row.id)
-                else:
-                    out["dataset"] = example.dataset
-                    out["gold"] = example.gold.value
-            write_jsonl_line(out_fp, out)
-            count += 1
-    if count == 0:
-        raise ValueError("no annotation rows to label")
+        while chunk := [(r.id, r.lang, r.vector) for r in islice(rows, ENSEMBLE_CHUNK_ROWS)]:
+            ids, langs, vectors = zip(*chunk)
+            if args.strategy == "lgb":
+                check_feature_order(model, vectors[0].feature_names())
+            is_hate, scores = score_matrix(features_matrix(vectors), args.strategy, model)
+            for text_id, lang, hate, score in zip(ids, langs, is_hate.tolist(), scores.tolist()):
+                out: dict = {
+                    "id": text_id,
+                    "lang": lang,
+                    "strategy": args.strategy,
+                    "label": (BinaryLabel.HATE if hate else BinaryLabel.NEUTRAL).value,
+                    "score_hate": score,
+                }
+                if labels is not None:
+                    example = labels.get(text_id)
+                    if example is None:
+                        log.warning("id %s has no gold label; row emitted without one", text_id)
+                    else:
+                        out["dataset"] = example.dataset
+                        out["gold"] = example.gold.value
+                write_jsonl_line(out_fp, out)
+            count += len(chunk)
+        # Raised inside the block so that no empty output file is committed.
+        if count == 0:
+            raise ValueError("no annotation rows to label")
     log.info("labeled %d texts with strategy %s", count, args.strategy)
     return EXIT_OK
 

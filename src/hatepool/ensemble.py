@@ -1,15 +1,16 @@
-"""Per-text ensemble decisions over four-model probability vectors.
+"""Per-text ensemble decisions over four-model probability features.
 
-Two closed-form strategies live here: majority vote over per-model hard
-votes, and comparison of the two class-probability means. The learned
-strategy is in :mod:`hatepool.meta`.
+Two closed-form strategies live here, batched over (n, 8) feature matrices
+with one-row wrappers: majority vote over per-model hard votes, and
+comparison of the two class-probability means. The learned strategy is in
+:mod:`hatepool.meta`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +44,6 @@ class ProbabilityVector:
         if len(set(ids)) != ENSEMBLE_SIZE:
             raise ValueError(f"duplicate model ids: {ids}")
 
-    @classmethod
-    def from_mapping(cls, probs: Mapping[str, tuple[float, float]]) -> "ProbabilityVector":
-        return cls(
-            tuple(
-                ModelProbability(model_id=mid, p_hate=ph, p_neutral=pn)
-                for mid, (ph, pn) in probs.items()
-            )
-        )
-
     @property
     def model_ids(self) -> tuple[str, ...]:
         return tuple(e.model_id for e in self.entries)
@@ -80,39 +72,60 @@ class ProbabilityVector:
         return tuple(names)
 
 
+def hate_votes(X: np.ndarray) -> np.ndarray:
+    """Per-model hard votes over an (n, 8) feature matrix, as (n, 4) booleans."""
+    return np.asarray(X)[:, 0::2] > VOTE_THRESHOLD
+
+
+def vote_scores(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Majority vote over each row: (is_hate, fraction of models voting Hate)."""
+    votes = hate_votes(X).sum(axis=1)
+    return votes >= MIN_VOTES_FOR_HATE, votes / ENSEMBLE_SIZE
+
+
+def mean_scores(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean comparison over each row: (is_hate, mean hate probability).
+
+    Exact without rational arithmetic, because ``math.fsum`` is correctly
+    rounded. Its sign is the exact sign, so ``fsum(p_hate - p_neutral) > 0``
+    compares the means, a tie going to Neutral. ``fsum(p_hate) / 4`` is the
+    correctly rounded mean: the division is exact from 2**-1020 up, and below
+    that the terms are multiples of 2**-1074, so the one bit fsum may drop
+    never makes a tie for the division's rounding.
+    """
+    rows = np.asarray(X, dtype=np.float64).tolist()
+    is_hate = [math.fsum(row[0::2] + [-p for p in row[1::2]]) > 0 for row in rows]
+    score = [math.fsum(row[0::2]) / ENSEMBLE_SIZE for row in rows]
+    return np.array(is_hate, dtype=bool), np.array(score, dtype=np.float64)
+
+
+def _label(is_hate: bool) -> BinaryLabel:
+    return BinaryLabel.HATE if is_hate else BinaryLabel.NEUTRAL
+
+
 def model_votes(vector: ProbabilityVector) -> tuple[bool, ...]:
     """Per-model hard votes, aligned with ``vector.entries``."""
-    return tuple(e.p_hate > VOTE_THRESHOLD for e in vector.entries)
+    return tuple(hate_votes(features_matrix([vector]))[0].tolist())
 
 
 def vote_label(vector: ProbabilityVector) -> BinaryLabel:
     """Majority vote: Hate when at least two models vote Hate."""
-    if sum(model_votes(vector)) >= MIN_VOTES_FOR_HATE:
-        return BinaryLabel.HATE
-    return BinaryLabel.NEUTRAL
-
-
-def mean_label(vector: ProbabilityVector) -> BinaryLabel:
-    """Compare the mean hate probability against the mean neutral probability.
-
-    The comparison is done on exact rational sums, so the result is the
-    true mathematical comparison of the two means; an exact tie goes to
-    Neutral.
-    """
-    sum_hate = sum(Fraction(e.p_hate) for e in vector.entries)
-    sum_neutral = sum(Fraction(e.p_neutral) for e in vector.entries)
-    return BinaryLabel.HATE if sum_hate > sum_neutral else BinaryLabel.NEUTRAL
-
-
-def mean_hate_score(vector: ProbabilityVector) -> float:
-    """Mean hate probability (correctly rounded), usable as a ranking score."""
-    total = sum(Fraction(e.p_hate) for e in vector.entries)
-    return float(total / ENSEMBLE_SIZE)
+    return _label(vote_scores(features_matrix([vector]))[0][0])
 
 
 def vote_hate_score(vector: ProbabilityVector) -> float:
     """Fraction of models voting Hate, usable as a ranking score."""
-    return sum(model_votes(vector)) / ENSEMBLE_SIZE
+    return float(vote_scores(features_matrix([vector]))[1][0])
+
+
+def mean_label(vector: ProbabilityVector) -> BinaryLabel:
+    """Hate when the mean hate probability exceeds the mean neutral one (exact)."""
+    return _label(mean_scores(features_matrix([vector]))[0][0])
+
+
+def mean_hate_score(vector: ProbabilityVector) -> float:
+    """Mean hate probability (correctly rounded), usable as a ranking score."""
+    return float(mean_scores(features_matrix([vector]))[1][0])
 
 
 def features_matrix(vectors: Sequence[ProbabilityVector]) -> np.ndarray:

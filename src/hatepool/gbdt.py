@@ -151,13 +151,6 @@ def clamp_probability(p: float) -> float:
     return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -424,7 +417,7 @@ def gbdt_predict_raw(model: BoostedTrees, x: Sequence[float] | np.ndarray) -> fl
 
 def gbdt_predict_proba(model: BoostedTrees, x: Sequence[float] | np.ndarray) -> float:
     """Predicted probability of the positive class for one feature vector."""
-    return sigmoid(gbdt_predict_raw(model, x))
+    return float(_sigmoid_array(np.array([gbdt_predict_raw(model, x)]))[0])
 
 
 def gbdt_predict_proba_many(model: BoostedTrees, X: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ shapes and thresholds): under logistic loss with a shared seed, a booster
 fit to ``1 - y`` mirrors the Hate head, so a second fit would only repeat
 the first. Prediction compares the two sigmoid head scores, breaking exact
 ties toward Neutral; model files with independently fit heads still load
-and score through both.
+and score through both. :func:`score_matrix` scores a feature matrix with
+any of the three ensemble strategies (vote, mean, lgb).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._jsonl import read_json_file, write_json_file
 from .datasets import BinaryLabel
-from .ensemble import ProbabilityVector, features_matrix
+from .ensemble import ProbabilityVector, features_matrix, mean_scores, vote_scores
 from .gbdt import (
     BoostedTrees,
     MetaLearnerConfig,
@@ -129,27 +130,52 @@ def predict_meta(
 ) -> tuple[BinaryLabel, float, float]:
     """Label one probability vector; returns (label, hate score, neutral score)."""
     x = vector.features()
-    return predict_meta_features(model, x)
-
-
-def predict_meta_features(
-    model: MetaLearnerModel, x: np.ndarray
-) -> tuple[BinaryLabel, float, float]:
     score_hate = gbdt_predict_proba(model.hate_head, x)
     score_neutral = gbdt_predict_proba(model.neutral_head, x)
     label = BinaryLabel.HATE if score_hate > score_neutral else BinaryLabel.NEUTRAL
     return label, score_hate, score_neutral
 
 
-def predict_meta_many(model: MetaLearnerModel, X: np.ndarray) -> tuple[list[BinaryLabel], np.ndarray, np.ndarray]:
-    """Vectorized :func:`predict_meta_features` over a feature matrix."""
+def _lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(is_hate, hate scores, neutral scores); an exact tie of the heads goes to Neutral."""
     scores_hate = gbdt_predict_proba_many(model.hate_head, X)
     scores_neutral = gbdt_predict_proba_many(model.neutral_head, X)
-    labels = [
-        BinaryLabel.HATE if sh > sn else BinaryLabel.NEUTRAL
-        for sh, sn in zip(scores_hate, scores_neutral)
-    ]
+    return scores_hate > scores_neutral, scores_hate, scores_neutral
+
+
+def predict_meta_many(model: MetaLearnerModel, X: np.ndarray) -> tuple[list[BinaryLabel], np.ndarray, np.ndarray]:
+    """Vectorized :func:`predict_meta` over a feature matrix."""
+    is_hate, scores_hate, scores_neutral = _lgb_scores(model, X)
+    labels = [BinaryLabel.HATE if h else BinaryLabel.NEUTRAL for h in is_hate.tolist()]
     return labels, scores_hate, scores_neutral
+
+
+def check_feature_order(model: MetaLearnerModel, feature_names: Sequence[str]) -> None:
+    """Refuse features laid out differently from the ones the model was fit on."""
+    if tuple(feature_names) != model.feature_order:
+        raise ValueError(
+            f"model was trained on features {list(model.feature_order)}, "
+            f"but the annotations give {list(feature_names)}"
+        )
+
+
+def score_matrix(
+    X: np.ndarray, strategy: str, model: MetaLearnerModel | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score an (n, 8) feature matrix with ``vote``, ``mean`` or ``lgb``: (is_hate, score_hate).
+
+    ``lgb`` needs ``model``; check its feature layout with :func:`check_feature_order`.
+    """
+    if strategy == "vote":
+        return vote_scores(X)
+    if strategy == "mean":
+        return mean_scores(X)
+    if strategy == "lgb":
+        if model is None:
+            raise ValueError("strategy 'lgb' needs a trained meta-learner model")
+        is_hate, scores_hate, _ = _lgb_scores(model, X)
+        return is_hate, scores_hate
+    raise ValueError(f"unknown ensemble strategy {strategy!r}")
 
 
 def model_to_dict(model: MetaLearnerModel) -> dict:

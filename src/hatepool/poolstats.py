@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .datasets import BinaryLabel
-from .ensemble import ProbabilityVector, mean_label, model_votes, vote_label
-from .meta import MetaLearnerModel, predict_meta
+import numpy as np
+
+from .ensemble import ProbabilityVector, features_matrix, hate_votes
+from .meta import MetaLearnerModel, check_feature_order, score_matrix
 
 ALL_KEY = "All"
 
@@ -42,20 +43,6 @@ class PoolSummary:
         return out
 
 
-def _strategy_fn(
-    name: str, model: MetaLearnerModel | None
-) -> Callable[[ProbabilityVector], BinaryLabel]:
-    if name == "vote":
-        return vote_label
-    if name == "mean":
-        return mean_label
-    if name == "lgb":
-        if model is None:
-            raise ValueError("strategy 'lgb' needs a trained meta-learner model")
-        return lambda vector: predict_meta(model, vector)[0]
-    raise ValueError(f"unknown ensemble strategy {name!r}")
-
-
 def _unpack(row: PoolRow) -> tuple[str, ProbabilityVector, str | None]:
     if len(row) == 2:
         lang, vector = row
@@ -81,81 +68,53 @@ def pool_statistics(
     if not pool:
         raise ValueError("cannot summarize an empty pool")
     rows = [_unpack(r) for r in pool]
-    model_ids = rows[0][1].model_ids
-    for i, (_, vector, _) in enumerate(rows):
-        if vector.model_ids != model_ids:
-            raise ValueError(
-                f"pool row {i} has model set {vector.model_ids}, expected {model_ids}"
-            )
-    langs = sorted({lang for lang, _, _ in rows})
-    by_lang: dict[str, list[tuple[ProbabilityVector, str | None]]] = {lang: [] for lang in langs}
-    for lang, vector, raw in rows:
-        by_lang[lang].append((vector, raw))
-    counts = {lang: len(by_lang[lang]) for lang in langs}
+    vectors = [vector for _, vector, _ in rows]
+    X = features_matrix(vectors)
+    if "lgb" in strategies and model is not None:
+        check_feature_order(model, vectors[0].feature_names())
+    row_langs = np.array([lang for lang, _, _ in rows], dtype=object)
+    langs = sorted(set(row_langs.tolist()))
+    masks = {lang: row_langs == lang for lang in langs}
+    counts = {lang: int(masks[lang].sum()) for lang in langs}
     n_total = len(rows)
+    totals = {**counts, ALL_KEY: n_total}
 
+    def count_by_lang(hit: np.ndarray, keys: Sequence[str] = langs) -> dict[str, int]:
+        """Rows where ``hit`` holds, per language in ``keys`` and pooled."""
+        return {**{lang: int((hit & masks[lang]).sum()) for lang in keys}, ALL_KEY: int(hit.sum())}
+
+    def percent(hits: dict[str, int], base: dict[str, int]) -> dict[str, float]:
+        return {key: 100.0 * hits[key] / base[key] for key in hits}
+
+    votes = hate_votes(X)
     per_model: dict[str, dict] = {}
-    for slot, model_id in enumerate(model_ids):
-        mean_by_lang: dict[str, float] = {}
-        hate_votes_by_lang: dict[str, int] = {}
-        for lang in langs:
-            vectors = [v for v, _ in by_lang[lang]]
-            mean_by_lang[lang] = statistics.mean(v.entries[slot].p_hate for v in vectors)
-            hate_votes_by_lang[lang] = sum(1 for v in vectors if model_votes(v)[slot])
+    for slot, model_id in enumerate(vectors[0].model_ids):
+        mean_by_lang = {lang: statistics.mean(X[masks[lang], 2 * slot].tolist()) for lang in langs}
         # The pooled mean recombines the per-language means by count so it
         # is exactly recomputable from this summary alone.
         pooled_mean = (
             sum(counts[lang] * mean_by_lang[lang] for lang in langs) / n_total
         )
-        total_votes = sum(hate_votes_by_lang[lang] for lang in langs)
         per_model[model_id] = {
             "mean_p_hate": {**mean_by_lang, ALL_KEY: pooled_mean},
-            "pct_hate": {
-                **{lang: 100.0 * hate_votes_by_lang[lang] / counts[lang] for lang in langs},
-                ALL_KEY: 100.0 * total_votes / n_total,
-            },
+            "pct_hate": percent(count_by_lang(votes[:, slot]), totals),
         }
 
-    per_strategy: dict[str, dict] = {}
-    for name in strategies:
-        label_fn = _strategy_fn(name, model)
-        hate_by_lang = {
-            lang: sum(1 for v, _ in by_lang[lang] if label_fn(v) is BinaryLabel.HATE)
-            for lang in langs
-        }
-        total_hate = sum(hate_by_lang.values())
-        per_strategy[name] = {
-            "pct_hate": {
-                **{lang: 100.0 * hate_by_lang[lang] / counts[lang] for lang in langs},
-                ALL_KEY: 100.0 * total_hate / n_total,
-            }
-        }
+    per_strategy = {
+        name: {"pct_hate": percent(count_by_lang(score_matrix(X, name, model)[0]), totals)}
+        for name in strategies
+    }
 
     raw_summary: dict[str, dict] | None = None
-    labeled = [(lang, raw) for lang, _, raw in rows if raw is not None]
-    if labeled:
-        labeled_by_lang: dict[str, int] = {}
-        label_counts: dict[str, dict[str, int]] = {}
-        for lang, raw in labeled:
-            labeled_by_lang[lang] = labeled_by_lang.get(lang, 0) + 1
-            label_counts.setdefault(raw, {})
-            label_counts[raw][lang] = label_counts[raw].get(lang, 0) + 1
-        n_labeled = len(labeled)
+    raw = np.array([label for _, _, label in rows], dtype=object)
+    labeled = np.not_equal(raw, None)
+    if labeled.any():
+        lang_keys = sorted(set(row_langs[labeled].tolist()))
+        n_labeled = count_by_lang(labeled, lang_keys)
         raw_summary = {}
-        for label in sorted(label_counts):
-            per_lang = label_counts[label]
-            total = sum(per_lang.values())
-            lang_keys = sorted(labeled_by_lang)
-            raw_summary[label] = {
-                "count": {**{k: per_lang.get(k, 0) for k in lang_keys}, ALL_KEY: total},
-                "pct": {
-                    **{
-                        k: 100.0 * per_lang.get(k, 0) / labeled_by_lang[k]
-                        for k in lang_keys
-                    },
-                    ALL_KEY: 100.0 * total / n_labeled,
-                },
-            }
+        for label in sorted(set(raw[labeled].tolist())):
+            count = count_by_lang(raw == label, lang_keys)
+            raw_summary[label] = {"count": count, "pct": percent(count, n_labeled)}
 
     return PoolSummary(
         n_total=n_total,

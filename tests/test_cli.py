@@ -14,6 +14,7 @@ from hatepool import (
     read_annotations,
     write_annotations,
 )
+from hatepool import cli
 from hatepool._jsonl import dumps
 from hatepool.cli import main
 
@@ -623,3 +624,107 @@ class TestUsageAndVersion:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "hatepool" in proc.stdout
+
+
+def run_ensemble(pipeline, strategy, out):
+    args = [
+        "ensemble",
+        "--annotations", pipeline["annotations"],
+        "--strategy", strategy,
+        "--output", str(out),
+    ]
+    if strategy == "lgb":
+        args += ["--model", pipeline["model"]]
+    return main(args)
+
+
+@pytest.fixture()
+def foreign_annotations(tmp_path):
+    """Annotations from four models the pipeline fixture's model never saw."""
+    models = ("w", "x", "y", "z")
+    rows = [{"model_order": list(models)}]
+    for i in range(5):
+        p = (i + 1) / 7
+        rows.append({
+            "id": f"f{i}",
+            "lang": "eng",
+            "models": {m: {"hate": p, "neutral": 1.0 - p} for m in models},
+        })
+    return write_jsonl(tmp_path / "foreign.jsonl", rows)
+
+
+class TestBatchedScoringCmds:
+    @pytest.mark.parametrize("strategy", ["vote", "mean", "lgb"])
+    def test_chunk_size_does_not_change_output(self, pipeline, tmp_path, monkeypatch, strategy):
+        default = tmp_path / "default.jsonl"
+        assert run_ensemble(pipeline, strategy, default) == 0
+        monkeypatch.setattr(cli, "ENSEMBLE_CHUNK_ROWS", 3)
+        small = tmp_path / "small.jsonl"
+        assert run_ensemble(pipeline, strategy, small) == 0
+        assert small.read_bytes() == default.read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["vote", "mean", "lgb"])
+    def test_stats_counts_equal_ensemble_labels(self, pipeline, tmp_path, strategy):
+        pred = tmp_path / "pred.jsonl"
+        assert run_ensemble(pipeline, strategy, pred) == 0
+        summary_path = tmp_path / "summary.json"
+        assert main(
+            [
+                "stats",
+                "--annotations", pipeline["annotations"],
+                "--output", str(summary_path),
+                "--strategies", strategy,
+                "--model", pipeline["model"],
+            ]
+        ) == 0
+        summary = json.loads(summary_path.read_text())
+        pct = summary["per_strategy"][strategy]["pct_hate"]
+        rows = read_jsonl(pred)
+        for lang, count in summary["languages"].items():
+            hate = sum(1 for r in rows if r["lang"] == lang and r["label"] == "Hate")
+            assert pct[lang] == 100.0 * hate / count
+        assert pct["All"] == 100.0 * sum(r["label"] == "Hate" for r in rows) / len(rows)
+
+    def test_header_only_annotations_leave_no_output(self, tmp_path):
+        annotations = write_jsonl(tmp_path / "empty.jsonl", [{"model_order": list(MODEL_IDS)}])
+        out = tmp_path / "pred.jsonl"
+        code = main(
+            ["ensemble", "--annotations", annotations, "--strategy", "vote", "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [tmp_path / "empty.jsonl"]
+
+    def test_ensemble_refuses_model_of_other_features(
+        self, pipeline, foreign_annotations, tmp_path, caplog
+    ):
+        out = tmp_path / "pred.jsonl"
+        code = main(
+            [
+                "ensemble",
+                "--annotations", foreign_annotations,
+                "--strategy", "lgb",
+                "--model", pipeline["model"],
+                "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "Gemma2-9B:p_hate" in caplog.text and "w:p_hate" in caplog.text
+
+    def test_stats_refuses_model_of_other_features(
+        self, pipeline, foreign_annotations, tmp_path, caplog
+    ):
+        out = tmp_path / "summary.json"
+        code = main(
+            [
+                "stats",
+                "--annotations", foreign_annotations,
+                "--output", str(out),
+                "--strategies", "vote,lgb",
+                "--model", pipeline["model"],
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "Gemma2-9B:p_hate" in caplog.text and "w:p_hate" in caplog.text

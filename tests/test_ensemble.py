@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hatepool import (
     vote_hate_score,
     vote_label,
 )
-from hatepool.ensemble import features_matrix
+from hatepool.ensemble import features_matrix, hate_votes, mean_scores, vote_scores
 
 from conftest import MODEL_IDS, make_vector
 
@@ -128,3 +129,65 @@ def test_vote_and_mean_match_oracles(p_hates):
     v = make_vector(p_hates)
     assert vote_label(v) is oracle_vote(p_hates)
     assert mean_label(v) is oracle_mean(v.p_hate, v.p_neutral)
+
+
+# Inputs for the batched rules: any float in [0, 1] (subnormals included),
+# dyadic values that make exact ties likely, and tiny multiples of 2**-1074
+# whose sums straddle the subnormal boundary where fsum drops a bit.
+probability = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    dyadic,
+    st.integers(min_value=0, max_value=2**52).map(lambda k: math.ldexp(k, -1074)),
+    st.sampled_from([0.5, math.nextafter(0.5, 1.0), 5e-324, 2.0**-1022, 2.0**-1020]),
+)
+
+
+@st.composite
+def feature_rows(draw):
+    p_hate = draw(st.lists(probability, min_size=4, max_size=4))
+    kind = draw(st.sampled_from(["complement", "off", "tie", "free"]))
+    if kind == "complement":
+        p_neutral = [1.0 - p for p in p_hate]
+    elif kind == "off":
+        # renormalized annotator output: within 1e-9 of the complement
+        deltas = draw(st.lists(st.floats(-1e-9, 1e-9), min_size=4, max_size=4))
+        p_neutral = [min(max(1.0 - p + d, 0.0), 1.0) for p, d in zip(p_hate, deltas)]
+    elif kind == "tie":
+        # the same values in another order: the two sums are exactly equal
+        p_neutral = draw(st.permutations(p_hate))
+    else:
+        p_neutral = draw(st.lists(probability, min_size=4, max_size=4))
+    row = [0.0] * 8
+    row[0::2], row[1::2] = p_hate, p_neutral
+    return row
+
+
+class TestBatchedRules:
+    @given(st.lists(feature_rows(), min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_match_per_row_oracles(self, rows):
+        X = np.array(rows, dtype=np.float64)
+        vote_hate, vote_score = vote_scores(X)
+        mean_hate, mean_score = mean_scores(X)
+        for i, row in enumerate(rows):
+            votes = sum(1 for p in row[0::2] if p > 0.5)
+            assert vote_hate[i] == (votes >= 2)
+            assert vote_score[i] == votes / 4
+            sum_hate = sum(Fraction(p) for p in row[0::2])
+            sum_neutral = sum(Fraction(p) for p in row[1::2])
+            assert mean_hate[i] == (sum_hate > sum_neutral)
+            assert mean_score[i] == float(sum_hate / 4)
+
+    def test_exact_ties_go_neutral(self):
+        X = np.array([[0.9, 0.3, 0.2, 0.6, 0.6, 0.2, 0.3, 0.9]])
+        assert mean_scores(X)[0].tolist() == [False]
+
+    def test_empty_matrix(self):
+        X = np.empty((0, 8))
+        for is_hate, score in (vote_scores(X), mean_scores(X)):
+            assert is_hate.shape == score.shape == (0,)
+
+    def test_hate_votes_are_the_model_votes(self):
+        vectors = [make_vector(p) for p in ((0.9, 0.2, 0.6, 0.4), (0.5, 0.51, 0.1, 1.0))]
+        votes = hate_votes(features_matrix(vectors))
+        assert [tuple(r) for r in votes.tolist()] == [model_votes(v) for v in vectors]

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatepool import (
     BinaryLabel,
     MetaLearnerConfig,
     SingleClassError,
     load_model,
+    mean_hate_score,
+    mean_label,
     predict_meta,
     save_model,
+    score_matrix,
     train_meta,
     train_meta_on_vectors,
+    vote_hate_score,
+    vote_label,
 )
 import hatepool.meta
 from hatepool.gbdt import gbdt_predict_proba
-from hatepool.meta import model_from_dict, model_to_dict, predict_meta_many
+from hatepool.meta import check_feature_order, model_from_dict, model_to_dict, predict_meta_many
 
 from conftest import make_vector, random_vectors
 
@@ -224,3 +231,47 @@ class TestSerialization:
         save_model(a, str(path_a))
         save_model(b, str(path_b))
         assert path_a.read_bytes() != path_b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained_model():
+    vectors, golds = separable_data()
+    return train_meta_on_vectors(vectors, golds, fast_config())
+
+
+class TestBatchedScoring:
+    @given(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_single_row_equals_batch_row_exactly(self, trained_model, p_hates):
+        vectors = [make_vector(p) for p in p_hates]
+        labels, s_h, s_n = predict_meta_many(trained_model, np.stack([v.features() for v in vectors]))
+        for i, v in enumerate(vectors):
+            assert predict_meta(trained_model, v) == (labels[i], s_h[i], s_n[i])
+
+    def test_score_matrix_dispatches_to_each_rule(self, trained_model):
+        vectors = random_vectors(40, seed=11)
+        X = np.stack([v.features() for v in vectors])
+        labels, s_h, _ = predict_meta_many(trained_model, X)
+        is_hate, score = score_matrix(X, "lgb", trained_model)
+        assert is_hate.tolist() == [label is BinaryLabel.HATE for label in labels]
+        assert score.tolist() == s_h.tolist()
+        for name, label_fn, score_fn in (
+            ("vote", vote_label, vote_hate_score),
+            ("mean", mean_label, mean_hate_score),
+        ):
+            is_hate, score = score_matrix(X, name)
+            assert is_hate.tolist() == [label_fn(v) is BinaryLabel.HATE for v in vectors]
+            assert score.tolist() == [score_fn(v) for v in vectors]
+
+    def test_score_matrix_rejects_bad_strategies(self, trained_model):
+        X = np.stack([v.features() for v in random_vectors(3, seed=12)])
+        with pytest.raises(ValueError, match="lgb"):
+            score_matrix(X, "lgb")
+        with pytest.raises(ValueError, match="median"):
+            score_matrix(X, "median", trained_model)
+
+    def test_feature_order_check_names_both_layouts(self, trained_model):
+        check_feature_order(trained_model, random_vectors(1, seed=13)[0].feature_names())
+        other = make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("w", "x", "y", "z"))
+        with pytest.raises(ValueError, match="Gemma2-9B:p_hate.*w:p_hate"):
+            check_feature_order(trained_model, other.feature_names())
