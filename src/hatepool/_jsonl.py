@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
 
@@ -64,19 +63,34 @@ def open_input(path: str) -> Iterator[TextIO]:
         yield fp
 
 
+def _create_temp_file(directory: str) -> tuple[int, str]:
+    """Create a new, uniquely named file in ``directory`` and open it for writing.
+
+    The mode is ``0o666`` less the umask, as ``open(path, "w")`` would give;
+    ``tempfile.mkstemp`` would force ``0o600`` onto every output.
+    """
+    while True:
+        tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+        try:
+            return os.open(tmp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp_path
+        except FileExistsError:
+            continue
+
+
 @contextmanager
 def atomic_output(path: str) -> Iterator[TextIO]:
     """Write to a temp file and rename over ``path`` on success; ``-`` means stdout.
 
     The rename only happens when the body completes without raising, so a
-    crashed run never leaves a truncated output file behind.
+    crashed run never leaves a truncated output file behind. The output gets
+    the same permissions as a file made with ``open(path, "w")``.
     """
     if path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    fd, tmp_path = _create_temp_file(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fp:
             yield fp

@@ -2,18 +2,19 @@
 
 Sixteen hate-speech benchmarks with heterogeneous label vocabularies are
 described by a bundled registry file. Every raw label maps onto one of
-two canonical classes, Hate or Neutral, via the per-dataset positive set.
+two canonical classes, Hate or Neutral, via the per-dataset positive set,
+and :func:`ingest_rows` turns raw CSV/TSV/JSONL export rows into labeled
+examples.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from ._jsonl import iter_jsonl, read_json_file
 
@@ -105,8 +106,7 @@ def load_registry(path: str | None = None) -> dict[str, DatasetSpec]:
     return {name: _spec_from_dict(name, entry) for name, entry in raw.items()}
 
 
-def get_dataset_spec(name: str, registry: Mapping[str, DatasetSpec] | None = None) -> DatasetSpec:
-    registry = registry if registry is not None else load_registry()
+def get_dataset_spec(name: str, registry: Mapping[str, DatasetSpec]) -> DatasetSpec:
     try:
         return registry[name]
     except KeyError:
@@ -136,25 +136,12 @@ def map_label(spec: DatasetSpec, raw: object) -> BinaryLabel:
     return BinaryLabel.HATE if label in spec.positives else BinaryLabel.NEUTRAL
 
 
-def dataset_stats(examples: Sequence[LabeledExample]) -> tuple[int, float]:
-    """Return (count, fraction of Hate examples); empty input warns and yields (0, 0.0)."""
-    count = len(examples)
-    if count == 0:
-        warnings.warn("dataset_stats over empty input", RuntimeWarning, stacklevel=2)
-        return 0, 0.0
-    hate = sum(1 for ex in examples if ex.gold is BinaryLabel.HATE)
-    return count, hate / count
-
-
-def ingest_rows(
-    rows: Iterable[Mapping], spec: DatasetSpec, *, id_prefix: str | None = None
-) -> Iterator[LabeledExample]:
+def ingest_rows(rows: Iterable[Mapping], spec: DatasetSpec) -> Iterator[LabeledExample]:
     """Convert raw dataset rows into labeled examples.
 
     Rows must carry the registry entry's text and label columns; ids come
     from its id column when declared, otherwise a stable running index.
     """
-    prefix = id_prefix if id_prefix is not None else spec.name
     for index, row in enumerate(rows):
         try:
             text = str(row[spec.text_column])
@@ -164,7 +151,7 @@ def ingest_rows(
         if spec.id_column is not None and spec.id_column in row:
             example_id = str(row[spec.id_column])
         else:
-            example_id = f"{prefix}-{index:06d}"
+            example_id = f"{spec.name}-{index:06d}"
         yield LabeledExample(
             id=example_id, dataset=spec.name, text=text, gold=map_label(spec, raw_label)
         )
@@ -194,8 +181,8 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-# Named training mixtures. Language mixtures are derived from the registry;
-# the seven-dataset mixture is an explicit curated list.
+# The seven-dataset pool that metrics.default_groups scores as "SevenSet"
+# (its complement is "Rest"); an explicit curated list, not derived.
 SEVEN_SET = (
     "HateXplain",
     "Sexism",
@@ -205,41 +192,3 @@ SEVEN_SET = (
     "GermEval19",
     "ViHSD",
 )
-
-_LANGUAGE_CONFIGS = {"Eng": "eng", "Deu": "deu", "Spa": "spa", "Vie": "vie"}
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """A named set of datasets used to supervise the meta-learner."""
-
-    name: str
-    members: tuple[str, ...]
-
-
-def training_config_names() -> tuple[str, ...]:
-    return tuple(_LANGUAGE_CONFIGS) + ("SevenSet", "SixteenMix")
-
-
-def build_training_config(
-    name: str, registry: Mapping[str, DatasetSpec] | None = None
-) -> TrainingConfig:
-    """Resolve a mixture name to its member datasets, in registry order."""
-    registry = registry if registry is not None else load_registry()
-    if name in _LANGUAGE_CONFIGS:
-        lang = _LANGUAGE_CONFIGS[name]
-        members = tuple(n for n in registry if registry[n].language == lang)
-    elif name == "SevenSet":
-        members = tuple(n for n in SEVEN_SET if n in registry)
-        if len(members) != len(SEVEN_SET):
-            missing = sorted(set(SEVEN_SET) - set(members))
-            raise ValueError(f"SevenSet members missing from registry: {missing}")
-    elif name == "SixteenMix":
-        members = tuple(registry)
-    else:
-        raise UnknownDatasetError(
-            f"unknown training config {name!r}; known: {', '.join(training_config_names())}"
-        )
-    if not members:
-        raise ValueError(f"training config {name!r} selects no datasets")
-    return TrainingConfig(name=name, members=members)

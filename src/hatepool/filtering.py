@@ -135,20 +135,6 @@ class FilterStats:
     parse_failures: int = 0
     kept_by_language: dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "FilterStats") -> "FilterStats":
-        """Combine counters from a second pass (for sharded runs)."""
-        merged_langs = dict(self.kept_by_language)
-        for lang, n in other.kept_by_language.items():
-            merged_langs[lang] = merged_langs.get(lang, 0) + n
-        return FilterStats(
-            records_seen=self.records_seen + other.records_seen,
-            kept=self.kept + other.kept,
-            dropped_url=self.dropped_url + other.dropped_url,
-            dropped_schema=self.dropped_schema + other.dropped_schema,
-            parse_failures=self.parse_failures + other.parse_failures,
-            kept_by_language=merged_langs,
-        )
-
     def to_dict(self) -> dict:
         return {
             "records_seen": self.records_seen,

@@ -160,25 +160,6 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def logistic_gradients(p: float, y: float) -> tuple[float, float]:
-    """First and second derivatives of logloss at probability ``p``, target ``y``."""
-    p = clamp_probability(p)
-    return p - y, p * (1.0 - p)
-
-
-def split_gain(
-    g_left: float, h_left: float, g_right: float, h_right: float, l2: float = 0.0
-) -> float:
-    """Second-order gain of splitting a node into the given left/right halves."""
-    g_total = g_left + g_right
-    h_total = h_left + h_right
-    return 0.5 * (
-        g_left * g_left / (h_left + l2)
-        + g_right * g_right / (h_right + l2)
-        - g_total * g_total / (h_total + l2)
-    )
-
-
 def _logloss(raw: np.ndarray, y: np.ndarray) -> float:
     p = np.clip(_sigmoid_array(raw), PROB_EPS, 1.0 - PROB_EPS)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))

@@ -1,8 +1,9 @@
-"""Accuracy, macro-F1, pooled group scoring, and mean-probability thresholding.
+"""Accuracy, macro-F1, mean-probability thresholding and the evaluation report.
 
-Hate is the positive class throughout. Group scores are always recomputed
-from the pooled per-text predictions of the member datasets, never by
-averaging per-dataset scores.
+Hate is the positive class throughout. :func:`build_report` scores every
+dataset and every group; group scores are always recomputed from the
+pooled per-text predictions of the member datasets, never by averaging
+per-dataset scores.
 """
 
 from __future__ import annotations
@@ -137,46 +138,6 @@ def default_groups(registry: Mapping[str, DatasetSpec] | None = None) -> list[Gr
     return groups
 
 
-def pooled_group_scores(
-    predictions: Sequence[tuple[str, BinaryLabel, BinaryLabel]],
-    groups: Sequence[GroupSpec],
-    known_datasets: Iterable[str] | None = None,
-) -> dict[str, dict]:
-    """Score each group on the pooled per-text predictions of its members.
-
-    ``predictions`` rows are (dataset, predicted, gold). Rows tagged with a
-    dataset outside ``known_datasets`` (when given) are an error; groups
-    that match no rows are omitted with a warning.
-    """
-    if known_datasets is not None:
-        known = set(known_datasets)
-        for dataset, _, _ in predictions:
-            if dataset not in known:
-                raise ValueError(f"prediction row references unknown dataset {dataset!r}")
-    by_dataset: dict[str, list[tuple[BinaryLabel, BinaryLabel]]] = {}
-    for dataset, pred, gold in predictions:
-        by_dataset.setdefault(dataset, []).append((pred, gold))
-
-    out: dict[str, dict] = {}
-    for group in groups:
-        pooled = [pair for name in sorted(group.members) for pair in by_dataset.get(name, [])]
-        if not pooled:
-            warnings.warn(
-                f"group {group.name!r} matched no predictions; skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        counts = confusion([p for p, _ in pooled], [g for _, g in pooled])
-        out[group.name] = {
-            "n": counts.total,
-            "accuracy": accuracy(counts),
-            "macro_f1": macro_f1(counts),
-            "confusion": counts.to_dict(),
-        }
-    return out
-
-
 @dataclass
 class PredictionRow:
     """One scored text: dataset tag, hate score, gold label."""
@@ -219,27 +180,21 @@ class EvaluationReport:
     threshold_global: float
     per_dataset: dict[str, dict] = field(default_factory=dict)
     per_group: dict[str, dict] = field(default_factory=dict)
-    deltas: dict[str, dict] | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "threshold_mode": self.threshold_mode,
             "threshold_scope": self.threshold_scope,
             "threshold_global": self.threshold_global,
             "per_dataset": self.per_dataset,
             "per_group": self.per_group,
         }
-        if self.deltas is not None:
-            out["deltas"] = self.deltas
-        return out
 
 
-def _threshold_and_score(
-    rows: Sequence[PredictionRow], threshold: float
+def _score_entry(
+    predicted: Sequence[BinaryLabel], gold: Sequence[BinaryLabel], threshold: float | None
 ) -> dict:
-    scores = [r.score_hate for r in rows]
-    predicted = apply_threshold(scores, threshold)
-    counts = confusion(predicted, [r.gold for r in rows])
+    counts = confusion(predicted, gold)
     return {
         "n": counts.total,
         "threshold": threshold,
@@ -305,14 +260,15 @@ def build_report(
             return global_threshold
         return mean_probability_threshold([r.score_hate for r in unit_rows])
 
+    def score_unit(unit_rows: Sequence[PredictionRow]) -> tuple[list[BinaryLabel], dict]:
+        t = unit_threshold(unit_rows)
+        predicted = apply_threshold([r.score_hate for r in unit_rows], t)
+        return predicted, _score_entry(predicted, [r.gold for r in unit_rows], t)
+
     per_dataset: dict[str, dict] = {}
-    dataset_labels: dict[str, list[tuple[BinaryLabel, BinaryLabel]]] = {}
+    dataset_labels: dict[str, list[BinaryLabel]] = {}
     for name in datasets_present:
-        d_rows = by_dataset[name]
-        t = unit_threshold(d_rows)
-        per_dataset[name] = _threshold_and_score(d_rows, t)
-        predicted = apply_threshold([r.score_hate for r in d_rows], t)
-        dataset_labels[name] = list(zip(predicted, (r.gold for r in d_rows)))
+        dataset_labels[name], per_dataset[name] = score_unit(by_dataset[name])
 
     per_group: dict[str, dict] = {}
     for group in groups:
@@ -324,20 +280,12 @@ def build_report(
                 stacklevel=2,
             )
             continue
+        pooled_rows = [row for name in members for row in by_dataset[name]]
         if threshold_scope == "dataset" and threshold_mode == "mean":
-            pooled = [pair for name in members for pair in dataset_labels[name]]
-            counts = confusion([p for p, _ in pooled], [g for _, g in pooled])
-            per_group[group.name] = {
-                "n": counts.total,
-                "threshold": None,
-                "accuracy": accuracy(counts),
-                "macro_f1": macro_f1(counts),
-                "confusion": counts.to_dict(),
-            }
+            predicted = [label for name in members for label in dataset_labels[name]]
+            per_group[group.name] = _score_entry(predicted, [r.gold for r in pooled_rows], None)
         else:
-            pooled_rows = [row for name in members for row in by_dataset[name]]
-            t = unit_threshold(pooled_rows)
-            per_group[group.name] = _threshold_and_score(pooled_rows, t)
+            per_group[group.name] = score_unit(pooled_rows)[1]
     return EvaluationReport(
         threshold_mode=threshold_mode,
         threshold_scope=threshold_scope,

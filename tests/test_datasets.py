@@ -7,12 +7,10 @@ from hatepool import (
     LabeledExample,
     LabelMappingError,
     UnknownDatasetError,
-    build_training_config,
-    dataset_stats,
     load_registry,
     map_label,
 )
-from hatepool.datasets import DatasetSpec, get_dataset_spec, ingest_rows, training_config_names
+from hatepool.datasets import DatasetSpec, get_dataset_spec, ingest_rows
 
 REGISTRY = load_registry()
 
@@ -106,22 +104,6 @@ class TestMapLabel:
                 assert map_label(spec, raw) in (BinaryLabel.HATE, BinaryLabel.NEUTRAL)
 
 
-class TestDatasetStats:
-    def test_counts_and_fraction(self):
-        examples = [
-            LabeledExample(id=str(i), dataset="AHSD", text="t", gold=g)
-            for i, g in enumerate(
-                [BinaryLabel.HATE, BinaryLabel.HATE, BinaryLabel.NEUTRAL, BinaryLabel.NEUTRAL,
-                 BinaryLabel.NEUTRAL]
-            )
-        ]
-        assert dataset_stats(examples) == (5, 0.4)
-
-    def test_empty_warns(self):
-        with pytest.warns(RuntimeWarning):
-            assert dataset_stats([]) == (0, 0.0)
-
-
 class TestIngestRows:
     def test_rows_map_and_get_stable_ids(self):
         spec = get_dataset_spec("AHSD", REGISTRY)
@@ -148,30 +130,3 @@ class TestIngestRows:
     def test_roundtrip_through_dict(self):
         example = LabeledExample(id="a", dataset="Covid", text="t", gold=BinaryLabel.HATE)
         assert LabeledExample.from_dict(example.to_dict()) == example
-
-
-class TestTrainingConfigs:
-    def test_names(self):
-        assert set(training_config_names()) == {
-            "Eng", "Deu", "Spa", "Vie", "SevenSet", "SixteenMix",
-        }
-
-    def test_language_mixtures_follow_registry(self):
-        assert len(build_training_config("Eng").members) == 7
-        assert len(build_training_config("Deu").members) == 5
-        assert len(build_training_config("Spa").members) == 3
-        assert build_training_config("Vie").members == ("ViHSD",)
-
-    def test_seven_set_members(self):
-        members = build_training_config("SevenSet").members
-        assert set(members) == {
-            "HateXplain", "Sexism", "Covid", "US_election",
-            "GermEval21", "GermEval19", "ViHSD",
-        }
-
-    def test_sixteen_mix_is_everything(self):
-        assert set(build_training_config("SixteenMix").members) == set(REGISTRY)
-
-    def test_unknown_mixture_rejected(self):
-        with pytest.raises(UnknownDatasetError):
-            build_training_config("EightSet")

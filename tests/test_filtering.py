@@ -121,15 +121,6 @@ class TestFilterRecords:
         assert list(kept) == []
         assert (stats.dropped_url, stats.dropped_schema) == (1, 0)
 
-    def test_stats_merge(self):
-        rows = filter_fixture.records()
-        kept_a, stats_a = filter_records(rows[:25])
-        kept_b, stats_b = filter_records(rows[25:])
-        list(kept_a), list(kept_b)
-        kept_all, stats_all = filter_records(rows)
-        list(kept_all)
-        assert stats_a.merge(stats_b).to_dict() == stats_all.to_dict()
-
     def test_lazy_stats_fill_as_consumed(self):
         kept, stats = filter_records(filter_fixture.records())
         assert stats.records_seen == 0

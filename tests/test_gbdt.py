@@ -10,8 +10,6 @@ from hatepool import (
     gbdt_fit,
     gbdt_predict_proba,
     gbdt_predict_raw,
-    logistic_gradients,
-    split_gain,
 )
 from hatepool.gbdt import (
     PROB_EPS,
@@ -57,46 +55,28 @@ def leaf_row_counts(node, X):
     return counts
 
 
-class TestGradients:
-    @pytest.mark.parametrize(
-        "p,y,expected_g,expected_h",
-        [
-            (0.5, 1.0, -0.5, 0.25),
-            (0.5, 0.0, 0.5, 0.25),
-            (0.25, 1.0, -0.75, 0.1875),
-            (0.25, 0.0, 0.25, 0.1875),
-        ],
-    )
-    def test_hand_values(self, p, y, expected_g, expected_h):
-        g, h = logistic_gradients(p, y)
-        assert g == expected_g
-        assert h == expected_h
-
-    def test_clamping_keeps_hessian_positive(self):
-        g0, h0 = logistic_gradients(0.0, 1.0)
-        g1, h1 = logistic_gradients(1.0, 0.0)
-        assert g0 == PROB_EPS - 1.0
-        assert h0 > 0
-        assert g1 == 1.0 - PROB_EPS
-        assert h1 > 0
-
-    def test_clamp_probability(self):
-        assert clamp_probability(-3.0) == PROB_EPS
-        assert clamp_probability(3.0) == 1.0 - PROB_EPS
-        assert clamp_probability(0.4) == 0.4
-
-
 class TestSplitGain:
+    @staticmethod
+    def best_split(x, g, l2=0.0):
+        """_best_split on one feature, every hessian 0.25, min_data 1."""
+        X = np.array(x, dtype=float)[:, None]
+        block = np.argsort(X[:, 0], kind="stable")[None, :]
+        h = np.full(len(g), 0.25)
+        return _best_split(X, np.array(g), h, block, np.array([0]), l2, 1)
+
     def test_hand_value(self):
         # g = [0.5, 0.5, -0.5, -0.5], h = 0.25 each, split in the middle:
         # 0.5 * (1/0.5 + 1/0.5 - 0/1.0) = 2
-        assert split_gain(1.0, 0.5, -1.0, 0.5) == 2.0
+        cand = self.best_split([0, 0, 1, 1], [0.5, 0.5, -0.5, -0.5])
+        assert (cand.feature, cand.threshold, cand.gain) == (0, 0.5, 2.0)
 
     def test_zero_gain_on_balanced_split(self):
-        assert split_gain(0.5, 0.25, 0.5, 0.25) == 0.0
+        # 0.5 * (0.25/0.25 + 0.25/0.25 - 1/0.5) = 0: no split is made
+        assert self.best_split([0, 1], [0.5, 0.5]) is None
 
     def test_l2_shrinks_gain(self):
-        assert split_gain(1.0, 0.5, -1.0, 0.5, l2=0.5) < split_gain(1.0, 0.5, -1.0, 0.5)
+        x, g = [0, 0, 1, 1], [0.5, 0.5, -0.5, -0.5]
+        assert self.best_split(x, g, l2=0.5).gain < self.best_split(x, g).gain
 
 
 class TestHandWorkedFit:
@@ -129,6 +109,11 @@ class TestHandWorkedFit:
         y = np.array([1.0, 0.0, 0.0, 0.0])
         model = gbdt_fit(X, y, full_batch_config())
         assert model.base_score == math.log(0.25 / 0.75)
+
+    def test_clamp_probability(self):
+        assert clamp_probability(-3.0) == PROB_EPS
+        assert clamp_probability(3.0) == 1.0 - PROB_EPS
+        assert clamp_probability(0.4) == 0.4
 
 
 class TestConstantLabels:

@@ -19,7 +19,6 @@ from hatepool import (
     f1_from_counts,
     macro_f1,
     mean_probability_threshold,
-    pooled_group_scores,
 )
 
 H, N = BinaryLabel.HATE, BinaryLabel.NEUTRAL
@@ -132,18 +131,21 @@ class TestThreshold:
 
 
 class TestPooledGroupScores:
-    def predictions(self):
-        return [
-            ("d1", H, H), ("d1", H, N), ("d1", N, N),
-            ("d2", N, H), ("d2", H, H),
-            ("d3", N, N),
-        ]
+    def report(self, groups):
+        # At the fixed threshold 0.5, score 1.0 predicts Hate and 0.0 Neutral.
+        data = rows(
+            [
+                ("d1", 1.0, H), ("d1", 1.0, N), ("d1", 0.0, N),
+                ("d2", 0.0, H), ("d2", 1.0, H),
+                ("d3", 0.0, N),
+            ]
+        )
+        return build_report(data, groups=groups, threshold_mode="fixed", fixed_threshold=0.5)
 
     def test_groups_pool_rows_not_scores(self):
-        groups = [GroupSpec("g12", frozenset({"d1", "d2"}))]
-        scores = pooled_group_scores(self.predictions(), groups)
+        report = self.report([GroupSpec("g12", frozenset({"d1", "d2"}))])
         # pooled counts over d1+d2: tp=2 fp=1 fn=1 tn=1
-        entry = scores["g12"]
+        entry = report.per_group["g12"]
         assert entry["n"] == 5
         assert entry["confusion"] == {"tp": 2, "fp": 1, "fn": 1, "tn": 1}
         assert entry["macro_f1"] == pytest.approx(
@@ -151,22 +153,15 @@ class TestPooledGroupScores:
         )
 
     def test_pooling_differs_from_score_averaging(self):
-        groups = [GroupSpec("g12", frozenset({"d1", "d2"}))]
-        scores = pooled_group_scores(self.predictions(), groups)
+        report = self.report([GroupSpec("g12", frozenset({"d1", "d2"}))])
         d1 = macro_f1(confusion([H, H, N], [H, N, N]))
         d2 = macro_f1(confusion([N, H], [H, H]))
-        assert scores["g12"]["macro_f1"] != pytest.approx((d1 + d2) / 2)
-
-    def test_unknown_dataset_tag_is_error(self):
-        groups = [GroupSpec("g", frozenset({"d1"}))]
-        with pytest.raises(ValueError, match="unknown dataset"):
-            pooled_group_scores(self.predictions(), groups, known_datasets={"d1", "d2"})
+        assert report.per_group["g12"]["macro_f1"] != pytest.approx((d1 + d2) / 2)
 
     def test_empty_group_warns_and_is_omitted(self):
-        groups = [GroupSpec("ghost", frozenset({"nope"}))]
         with pytest.warns(RuntimeWarning, match="ghost"):
-            scores = pooled_group_scores(self.predictions(), groups)
-        assert scores == {}
+            report = self.report([GroupSpec("ghost", frozenset({"nope"}))])
+        assert report.per_group == {}
 
     def test_default_groups_cover_registry(self):
         groups = {g.name: g for g in default_groups()}
@@ -175,6 +170,13 @@ class TestPooledGroupScores:
         assert len(groups["SevenSet"].members) == 7
         assert len(groups["Rest"].members) == 9
         assert groups["SevenSet"].members & groups["Rest"].members == frozenset()
+
+    def test_seven_set_members(self):
+        groups = {g.name: g for g in default_groups()}
+        assert groups["SevenSet"].members == {
+            "HateXplain", "Sexism", "Covid", "US_election",
+            "GermEval21", "GermEval19", "ViHSD",
+        }
 
 
 def rows(spec):

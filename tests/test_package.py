@@ -1,0 +1,36 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hatepool
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+class TestExports:
+    def test_all_names_resolve(self):
+        missing = [name for name in hatepool.__all__ if not hasattr(hatepool, name)]
+        assert missing == []
+
+    def test_all_has_no_duplicates(self):
+        assert len(hatepool.__all__) == len(set(hatepool.__all__))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
