@@ -4,157 +4,117 @@ The pipeline: filter exported web-index records down to conversational
 content, collect per-class token probabilities from four model endpoints,
 combine them (majority vote, probability mean, or a boosted-tree
 meta-learner), and evaluate the pooled labels against benchmark datasets.
+
+Public names are resolved on first access (PEP 562), so ``import hatepool``
+loads no submodule and each CLI step imports only what it runs.
 """
 
-from .datasets import (
-    BinaryLabel,
-    DatasetSpec,
-    LabeledExample,
-    LabelMappingError,
-    UnknownDatasetError,
-    load_registry,
-    map_label,
-)
-from .ensemble import (
-    ProbabilityVector,
-    mean_hate_score,
-    mean_label,
-    model_votes,
-    vote_hate_score,
-    vote_label,
-)
-from .filtering import (
-    FilterConfig,
-    FilterStats,
-    UrlParseError,
-    WebRecord,
-    filter_records,
-    normalize_url_path,
-    schema_type_match,
-    subsample_by_language,
-    url_keyword_match,
-)
-from .gateway import (
-    AnnotationResult,
-    AnnotatorEndpoint,
-    QuarantinedText,
-    annotate_batch,
-    read_annotations,
-    write_annotations,
-)
-from .gbdt import (
-    BoostedTrees,
-    MetaLearnerConfig,
-    TreeNode,
-    gbdt_fit,
-    gbdt_predict_proba,
-    gbdt_predict_raw,
-)
-from .meta import (
-    MetaLearnerModel,
-    SingleClassError,
-    load_model,
-    predict_meta,
-    predict_meta_many,
-    save_model,
-    score_matrix,
-    train_meta,
-    train_meta_on_vectors,
-)
-from .metrics import (
-    ConfusionCounts,
-    EvaluationReport,
-    GroupSpec,
-    PredictionRow,
-    accuracy,
-    apply_threshold,
-    build_report,
-    confusion,
-    default_groups,
-    delta_report,
-    f1_from_counts,
-    macro_f1,
-    mean_probability_threshold,
-    render_report_table,
-)
-from .mockserver import MockAnnotatorServer, deterministic_weights
-from .poolstats import PoolSummary, pool_statistics, render_pool_table
-from .prompt import (
-    DEFAULT_TEMPLATE_TEXT,
-    ExtractionError,
-    ModelProbability,
-    PromptTemplate,
-    extract_label_probabilities,
-    render_prompt,
-)
+import importlib
 
-__all__ = [
-    "AnnotationResult",
-    "AnnotatorEndpoint",
-    "BinaryLabel",
-    "BoostedTrees",
-    "ConfusionCounts",
-    "DEFAULT_TEMPLATE_TEXT",
-    "DatasetSpec",
-    "EvaluationReport",
-    "ExtractionError",
-    "FilterConfig",
-    "FilterStats",
-    "GroupSpec",
-    "LabelMappingError",
-    "LabeledExample",
-    "MetaLearnerConfig",
-    "MetaLearnerModel",
-    "MockAnnotatorServer",
-    "ModelProbability",
-    "PoolSummary",
-    "PredictionRow",
-    "ProbabilityVector",
-    "PromptTemplate",
-    "QuarantinedText",
-    "SingleClassError",
-    "TreeNode",
-    "UnknownDatasetError",
-    "UrlParseError",
-    "WebRecord",
-    "accuracy",
-    "annotate_batch",
-    "apply_threshold",
-    "build_report",
-    "confusion",
-    "default_groups",
-    "delta_report",
-    "deterministic_weights",
-    "extract_label_probabilities",
-    "f1_from_counts",
-    "filter_records",
-    "gbdt_fit",
-    "gbdt_predict_proba",
-    "gbdt_predict_raw",
-    "load_model",
-    "load_registry",
-    "macro_f1",
-    "map_label",
-    "mean_hate_score",
-    "mean_label",
-    "mean_probability_threshold",
-    "model_votes",
-    "normalize_url_path",
-    "pool_statistics",
-    "predict_meta",
-    "predict_meta_many",
-    "read_annotations",
-    "render_pool_table",
-    "render_report_table",
-    "render_prompt",
-    "save_model",
-    "schema_type_match",
-    "score_matrix",
-    "subsample_by_language",
-    "train_meta",
-    "train_meta_on_vectors",
-    "url_keyword_match",
-    "vote_hate_score",
-    "vote_label",
-    "write_annotations",
-]
+# Submodule -> the public names it provides.
+_EXPORTS = {
+    "datasets": (
+        "BinaryLabel",
+        "DatasetSpec",
+        "LabeledExample",
+        "LabelMappingError",
+        "UnknownDatasetError",
+        "load_registry",
+        "map_label",
+    ),
+    "ensemble": (
+        "ProbabilityVector",
+        "mean_hate_score",
+        "mean_label",
+        "model_votes",
+        "vote_hate_score",
+        "vote_label",
+    ),
+    "filtering": (
+        "FilterConfig",
+        "FilterStats",
+        "UrlParseError",
+        "WebRecord",
+        "filter_records",
+        "normalize_url_path",
+        "schema_type_match",
+        "subsample_by_language",
+        "url_keyword_match",
+    ),
+    "gateway": (
+        "AnnotationResult",
+        "AnnotatorEndpoint",
+        "QuarantinedText",
+        "annotate_batch",
+        "read_annotations",
+        "write_annotations",
+    ),
+    "gbdt": (
+        "BoostedTrees",
+        "MetaLearnerConfig",
+        "TreeNode",
+        "gbdt_fit",
+        "gbdt_predict_proba",
+        "gbdt_predict_raw",
+    ),
+    "meta": (
+        "MetaLearnerModel",
+        "SingleClassError",
+        "load_model",
+        "predict_meta",
+        "predict_meta_many",
+        "save_model",
+        "score_matrix",
+        "train_meta",
+        "train_meta_on_vectors",
+    ),
+    "metrics": (
+        "ConfusionCounts",
+        "EvaluationReport",
+        "GroupSpec",
+        "PredictionRow",
+        "accuracy",
+        "apply_threshold",
+        "build_report",
+        "confusion",
+        "default_groups",
+        "delta_report",
+        "f1_from_counts",
+        "macro_f1",
+        "mean_probability_threshold",
+        "render_report_table",
+    ),
+    "mockserver": (
+        "MockAnnotatorServer",
+        "deterministic_weights",
+    ),
+    "poolstats": (
+        "PoolSummary",
+        "pool_statistics",
+        "render_pool_table",
+    ),
+    "prompt": (
+        "DEFAULT_TEMPLATE_TEXT",
+        "ExtractionError",
+        "ModelProbability",
+        "PromptTemplate",
+        "extract_label_probabilities",
+        "render_prompt",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 partial annotation
 (some texts quarantined). All diagnostics go to stderr; only requested
 output goes to stdout.
+
+Each command imports its modules inside its handler, so a step pays only
+for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
+``annotate`` loads the HTTP client.
 """
 
 from __future__ import annotations
@@ -10,9 +14,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from importlib import metadata
 from itertools import islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._jsonl import (
     atomic_output,
@@ -24,22 +27,13 @@ from ._jsonl import (
     write_json_file,
     write_jsonl_line,
 )
-from .datasets import (
-    BinaryLabel,
-    LabeledExample,
-    get_dataset_spec,
-    ingest_rows,
-    load_registry,
-    read_dataset_file,
-)
-from .ensemble import features_matrix
-from .filtering import FilterConfig, WebRecord, filter_records, subsample_by_language
-from .gateway import AnnotatorEndpoint, annotate_batch, read_annotations, write_annotations
-from .gbdt import MetaLearnerConfig
-from .meta import check_feature_order, load_model, save_model, score_matrix, train_meta_on_vectors
-from .metrics import GroupSpec, PredictionRow, build_report, default_groups, delta_report, render_report_table
-from .poolstats import pool_statistics, render_pool_table
-from .prompt import PromptTemplate
+
+if TYPE_CHECKING:
+    from .datasets import LabeledExample
+    from .gateway import AnnotatorEndpoint
+    from .gbdt import MetaLearnerConfig
+    from .metrics import GroupSpec
+    from .prompt import PromptTemplate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,10 +56,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _package_version() -> str:
+    from importlib import metadata
+
     try:
         return metadata.version("hatepool")
     except metadata.PackageNotFoundError:
         return "unknown"
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, with the installed version looked up only when the flag is given."""
+
+    def __init__(self, option_strings, dest, help="show program's version number and exit"):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        sys.stdout.write(f"{parser.prog} {_package_version()}\n")
+        parser.exit()
 
 
 def _parse_quota(raw: str) -> tuple[str, int]:
@@ -95,6 +102,8 @@ def _parse_threshold(raw: str) -> tuple[str, float | None]:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    from .filtering import FilterConfig, WebRecord, filter_records, subsample_by_language
+
     config = (
         FilterConfig.from_dict(read_json_file(args.config)) if args.config else FilterConfig()
     )
@@ -128,6 +137,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .datasets import get_dataset_spec, ingest_rows, load_registry, read_dataset_file
+
     registry = load_registry(args.registry)
     spec = get_dataset_spec(args.dataset, registry)
     count = 0
@@ -140,6 +151,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _load_endpoints(path: str) -> tuple[list[AnnotatorEndpoint], PromptTemplate]:
+    from .gateway import AnnotatorEndpoint
+    from .prompt import PromptTemplate
+
     cfg = read_json_file(path)
     if not isinstance(cfg, dict) or "endpoints" not in cfg:
         raise ValueError("endpoints file must be an object with an 'endpoints' list")
@@ -151,6 +165,8 @@ def _load_endpoints(path: str) -> tuple[list[AnnotatorEndpoint], PromptTemplate]
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from .gateway import annotate_batch, write_annotations
+
     endpoints, template = _load_endpoints(args.endpoints)
     texts: list[tuple[str, str]] = []
     lang_by_id: dict[str, str] = {}
@@ -203,6 +219,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _load_labels(path: str) -> dict[str, LabeledExample]:
+    from .datasets import LabeledExample
+
     labels: dict[str, LabeledExample] = {}
     with open_input(path) as fp:
         for row in iter_jsonl(fp):
@@ -214,6 +232,8 @@ def _load_labels(path: str) -> dict[str, LabeledExample]:
 
 
 def _meta_config(args: argparse.Namespace) -> MetaLearnerConfig:
+    from .gbdt import MetaLearnerConfig
+
     cfg = dict(read_json_file(args.config)) if args.config else {}
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -221,6 +241,9 @@ def _meta_config(args: argparse.Namespace) -> MetaLearnerConfig:
 
 
 def cmd_train_meta(args: argparse.Namespace) -> int:
+    from .gateway import read_annotations
+    from .meta import save_model, train_meta_on_vectors
+
     labels = _load_labels(args.labels)
     with open_input(args.annotations) as fp:
         _, rows = read_annotations(fp)
@@ -242,6 +265,11 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    from .datasets import BinaryLabel
+    from .ensemble import features_matrix
+    from .gateway import read_annotations
+    from .meta import check_feature_order, load_model, score_matrix
+
     if args.strategy == "lgb" and not args.model:
         raise ValueError("strategy 'lgb' requires --model")
     model = load_model(args.model) if args.model else None
@@ -279,6 +307,8 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _load_groups(path: str) -> list[GroupSpec]:
+    from .metrics import GroupSpec
+
     cfg = read_json_file(path)
     if not isinstance(cfg, dict) or not cfg:
         raise ValueError("groups file must be a nonempty object of name -> dataset list")
@@ -286,6 +316,15 @@ def _load_groups(path: str) -> list[GroupSpec]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .datasets import load_registry
+    from .metrics import (
+        PredictionRow,
+        build_report,
+        default_groups,
+        delta_report,
+        render_report_table,
+    )
+
     rows: list[PredictionRow] = []
     with open_input(args.predictions) as fp:
         for raw in iter_jsonl(fp):
@@ -325,6 +364,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .gateway import read_annotations
+    from .meta import load_model
+    from .poolstats import pool_statistics, render_pool_table
+
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if "lgb" in strategies and not args.model:
         raise ValueError("strategy 'lgb' requires --model")
@@ -351,7 +394,7 @@ def build_parser() -> _Parser:
         description="Filter web text, annotate it with a four-model LLM ensemble, "
         "train the boosted-tree combiner, and evaluate against benchmarks.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_package_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "--log-level",
         default="warning",

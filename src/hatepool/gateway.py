@@ -6,10 +6,20 @@ completions wire shape: one generated token with top-k logprobs, from
 which the two label-token weights are read. Transient failures retry
 with exponential backoff and jitter; texts that still fail on any
 endpoint are quarantined instead of aborting the batch.
+
+The transport is the standard library's ``http.client``. Each worker
+thread keeps one HTTP/1.1 keep-alive connection to its endpoint and reads
+every response body in full, so the connection can carry the next
+request. A connection that fails or times out is discarded. One that the
+server closed while idle is replaced before the next request goes out,
+which costs no retry and never sends a request twice (RFC 9112 §9.3).
+Proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``) are not read and
+redirects are not followed: ``base_url`` is the URL that gets the POST.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import threading
@@ -17,8 +27,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, TextIO
-
-import requests
+from urllib.parse import urlsplit
 
 from ._jsonl import iter_jsonl, write_jsonl_line
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector
@@ -126,37 +135,146 @@ def _token_weights_from_response(body: Mapping) -> dict[str, float]:
         raise TransientRequestError(f"malformed completion response: {exc!r}") from exc
     if not isinstance(top, Mapping):
         raise TransientRequestError("top_logprobs entry is not an object")
-    return {str(token): math.exp(float(lp)) for token, lp in top.items()}
+    weights: dict[str, float] = {}
+    for token, lp in top.items():
+        try:
+            logprob = float(lp)
+            weight = math.exp(logprob)
+        except (TypeError, ValueError, OverflowError):
+            logprob = math.nan
+        if not math.isfinite(logprob):
+            raise TransientRequestError(
+                f"malformed completion response: logprob {lp!r} for token {token!r}"
+            )
+        weights[str(token)] = weight
+    return weights
+
+
+def _label_probability(
+    weights: Mapping[str, float], template: PromptTemplate, model_id: str, text_id: str
+) -> ModelProbability:
+    """Extract the class probabilities, treating an unusable result as a bad response.
+
+    Finite weights can still pool to an infinite sum and a NaN probability;
+    that is a malformed response worth retrying, unlike a response with no
+    label token at all (:class:`ExtractionError`, passed through).
+    """
+    try:
+        return extract_label_probabilities(weights, template, model_id=model_id, text_id=text_id)
+    except ExtractionError:
+        raise
+    except ValueError as exc:
+        raise TransientRequestError(f"malformed completion response: {exc}") from exc
+
+
+def _closed_while_idle(sock) -> bool:
+    """Whether an idle kept-alive socket has turned readable.
+
+    Between requests the server has nothing to send, so a readable socket
+    means it closed the connection (or broke the protocol). Either way the
+    socket must not carry the next request.
+    """
+    import selectors  # loaded with http.client already; kept off the read-only commands
+
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+class _EndpointConnections:
+    """Keep-alive connections to one endpoint, one per worker thread."""
+
+    def __init__(self, endpoint: AnnotatorEndpoint) -> None:
+        self._endpoint = endpoint
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: set = set()
+
+    def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """POST ``body`` on this thread's connection; return (status, response body).
+
+        The body is read in full whatever the status, so the connection
+        stays usable. ``http.client`` is imported here, not at module top:
+        it pulls in ``ssl``, and the commands that only read annotation
+        files never send a request.
+        """
+        import http.client
+
+        current = getattr(self._local, "current", None)
+        if current is not None and current[0].sock is not None and _closed_while_idle(
+            current[0].sock
+        ):
+            self._discard()
+            current = None
+        try:
+            if current is None:
+                current = self._local.current = self._connect()
+            conn, target = current
+            conn.request("POST", target, body=body, headers=headers)
+            with conn.getresponse() as response:
+                return response.status, response.read()
+        except BaseException as exc:
+            self._discard()
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise TransientRequestError(f"request failed: {exc}") from exc
+            raise
+
+    def _connect(self) -> tuple:
+        """A new (connection, request target) for ``base_url``."""
+        import http.client
+
+        url_text = self._endpoint.base_url
+        try:
+            url = urlsplit(url_text)
+            port = url.port
+        except ValueError as exc:
+            raise TransientRequestError(f"request failed: {exc}") from exc
+        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(
+            url.scheme
+        )
+        if factory is None or not url.hostname:
+            raise TransientRequestError(f"request failed: unsupported URL {url_text!r}")
+        conn = factory(url.hostname, port, timeout=self._endpoint.timeout)
+        with self._lock:
+            self._open.add(conn)
+        return conn, (url.path or "/") + (f"?{url.query}" if url.query else "")
+
+    def _discard(self) -> None:
+        current = getattr(self._local, "current", None)
+        if current is not None:
+            self._local.current = None
+            current[0].close()
+            with self._lock:
+                self._open.discard(current[0])
+
+    def close_all(self) -> None:
+        with self._lock:
+            for conn in self._open:
+                conn.close()
+            self._open.clear()
 
 
 def _query_endpoint(
-    session: requests.Session,
+    connections: _EndpointConnections,
     endpoint: AnnotatorEndpoint,
     prompt: str,
 ) -> dict[str, float]:
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     if endpoint.auth_token:
         headers["Authorization"] = f"Bearer {endpoint.auth_token}"
+    body = json.dumps(_completion_payload(endpoint, prompt)).encode("utf-8")
+    status, data = connections.post(body, headers)
+    if status != 200:
+        raise TransientRequestError(f"HTTP {status}")
     try:
-        response = session.post(
-            endpoint.base_url,
-            json=_completion_payload(endpoint, prompt),
-            headers=headers,
-            timeout=endpoint.timeout,
-        )
-    except requests.RequestException as exc:
-        raise TransientRequestError(f"request failed: {exc}") from exc
-    if response.status_code != 200:
-        raise TransientRequestError(f"HTTP {response.status_code}")
-    try:
-        body = response.json()
+        payload = json.loads(data)
     except ValueError as exc:
         raise TransientRequestError(f"response is not JSON: {exc}") from exc
-    return _token_weights_from_response(body)
+    return _token_weights_from_response(payload)
 
 
 def _annotate_one(
-    local: threading.local,
+    connections: _EndpointConnections,
     endpoint: AnnotatorEndpoint,
     template: PromptTemplate,
     text_id: str,
@@ -165,16 +283,12 @@ def _annotate_one(
     sleep=time.sleep,
 ) -> tuple[ModelProbability, dict[str, float]]:
     """One text on one endpoint, with retries. Raises AnnotationError on give-up."""
-    if not hasattr(local, "session"):
-        local.session = requests.Session()
     attempts = endpoint.retry_limit + 1
     last_error = "unknown"
     for attempt in range(attempts):
         try:
-            weights = _query_endpoint(local.session, endpoint, prompt)
-            probability = extract_label_probabilities(
-                weights, template, model_id=endpoint.model_id, text_id=text_id
-            )
+            weights = _query_endpoint(connections, endpoint, prompt)
+            probability = _label_probability(weights, template, endpoint.model_id, text_id)
         except TransientRequestError as exc:
             last_error = str(exc)
             if attempt + 1 < attempts:
@@ -233,7 +347,7 @@ def annotate_batch(
         )
         for ep in ordered
     }
-    locals_by_model = {ep.model_id: threading.local() for ep in ordered}
+    connections = {ep.model_id: _EndpointConnections(ep) for ep in ordered}
     rng = random.Random(seed)
     rngs = {ep.model_id: random.Random(rng.getrandbits(64)) for ep in ordered}
     results: list[AnnotationResult] = []
@@ -244,7 +358,7 @@ def annotate_batch(
             for ep in ordered:
                 futures[(index, ep.model_id)] = executors[ep.model_id].submit(
                     _annotate_one,
-                    locals_by_model[ep.model_id],
+                    connections[ep.model_id],
                     ep,
                     template,
                     text_id,
@@ -281,6 +395,8 @@ def annotate_batch(
     finally:
         for executor in executors.values():
             executor.shutdown(wait=True)
+        for endpoint_connections in connections.values():
+            endpoint_connections.close_all()
     return results, quarantined
 
 

@@ -29,6 +29,13 @@ def deterministic_weights(model: str, prompt: str) -> dict[str, float]:
     return {"1": w_hate, "2": 1.0 - w_hate, "and": 0.25}
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver's listen backlog of 5 overflows when the worker threads of
+    # four endpoints all connect at once, and the kernel may then reset some
+    # of those connections.
+    request_queue_size = 128
+
+
 class MockAnnotatorServer:
     """Threaded completions-style endpoint bound to an ephemeral local port."""
 
@@ -39,7 +46,7 @@ class MockAnnotatorServer:
         self._in_flight: dict[str, int] = {}
         self.max_in_flight: dict[str, int] = {}
         self.request_count = 0
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _Server | None = None
         self._thread: threading.Thread | None = None
 
     @property
@@ -56,6 +63,10 @@ class MockAnnotatorServer:
             # HTTP/1.0 would close the socket after every response, which
             # makes pooled client connections race the close and see resets.
             protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate writes; without TCP_NODELAY,
+            # Nagle's algorithm holds the body until the client's delayed ACK
+            # (about 40 ms per response).
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):  # keep test output quiet
                 pass
@@ -113,7 +124,7 @@ class MockAnnotatorServer:
                 self.end_headers()
                 self.wfile.write(data)
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _Server(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
         return self

@@ -1,7 +1,9 @@
 import hashlib
 import io
+import json
 import math
 import threading
+import time
 
 import pytest
 
@@ -14,9 +16,11 @@ from hatepool import (
     render_prompt,
     write_annotations,
 )
+from hatepool.cli import main
 from hatepool.gateway import AnnotationResult
 
 from conftest import MODEL_IDS
+from stub_server import StubServer, completion
 
 
 def endpoints_for(server, model_ids=MODEL_IDS, **overrides):
@@ -230,3 +234,163 @@ class TestAnnotationWireFormat:
         model_order, rows = read_annotations(io.StringIO(buffer.getvalue()))
         assert model_order == sorted(MODEL_IDS)
         assert list(rows) == []
+
+
+GOOD = completion({"1": math.log(0.6), "2": math.log(0.4)})
+
+
+def answer_all(model, prompt, attempt):
+    return 200, GOOD
+
+
+class TestKeepAliveTransport:
+    def test_consecutive_requests_reuse_one_connection(self):
+        texts = [(f"t{i}", f"text {i}") for i in range(10)]
+        with StubServer(answer_all) as server:
+            results, quarantined = annotate_batch(texts, endpoints_for(server, max_in_flight=1))
+        assert quarantined == []
+        assert len(results) == 10
+        assert server.requests == 40
+        assert server.connections == 4  # one per endpoint worker, kept alive
+
+    def test_connection_close_error_reconnects_without_spending_an_attempt(self):
+        # The bundled server fails through send_error, which answers with
+        # "Connection: close" and closes the socket.
+        seen = set()
+        lock = threading.Lock()
+
+        def fail_first(model, prompt):
+            with lock:
+                first = (model, prompt) not in seen
+                seen.add((model, prompt))
+            return 500 if first else {"1": 0.6, "2": 0.4}
+
+        sleeps = []
+        texts = [(f"t{i}", f"text {i}") for i in range(5)]
+        with MockAnnotatorServer(script=fail_first) as server:
+            results, quarantined = annotate_batch(
+                texts, endpoints_for(server, max_in_flight=1, retry_limit=1), sleep=sleeps.append
+            )
+            requests = server.request_count
+        assert quarantined == []
+        assert len(results) == 5
+        assert requests == 2 * 5 * 4  # each 500 cost exactly one retry
+        assert len(sleeps) == 5 * 4
+
+    def test_server_closing_an_idle_connection_costs_no_retry(self):
+        # The 503 keeps the connection alive; the client then backs off for
+        # longer than the server keeps an idle connection open.
+        def busy_once(model, prompt, attempt):
+            return (503, {"error": "busy"}) if attempt == 0 else (200, GOOD)
+
+        with StubServer(busy_once, idle_timeout=0.05) as server:
+            results, quarantined = annotate_batch(
+                [("a", "x")],
+                endpoints_for(server, retry_limit=1),
+                sleep=lambda seconds: time.sleep(0.4),
+            )
+        assert quarantined == []
+        assert len(results) == 1
+        assert server.requests == 8  # the 503 and one retry per endpoint, none sent twice
+        assert server.connections == 8  # each retry went out on a new connection
+
+    def test_timeout_is_transient_and_the_next_request_reconnects(self):
+        def slow_once(model, prompt, attempt):
+            if model == "Mistral-7B" and "slow" in prompt:
+                time.sleep(0.5)
+            return 200, GOOD
+
+        texts = [("a", "slow text"), ("b", "quick text")]
+        with StubServer(slow_once) as server:
+            results, quarantined = annotate_batch(
+                texts, endpoints_for(server, max_in_flight=1, timeout=0.2, retry_limit=0)
+            )
+        assert [r.id for r in results] == ["b"]
+        assert [q.id for q in quarantined] == ["a"]
+        (failure,) = quarantined[0].failures
+        assert failure.model_id == "Mistral-7B"
+        assert failure.error.startswith("request failed:")
+        assert "timed out" in failure.error
+        assert server.connections == 5  # Mistral-7B dropped the timed-out connection
+
+    def test_auth_token_is_sent_as_bearer(self):
+        with StubServer(answer_all) as server:
+            annotate_batch([("a", "x")], endpoints_for(server, auth_token="s3cret"))
+            annotate_batch([("b", "y")], endpoints_for(server))
+        tokens = [h.get("Authorization") for h in server.headers]
+        assert sorted(tokens, key=str) == ["Bearer s3cret"] * 4 + [None] * 4
+
+
+class TestMalformedCompletion:
+    @pytest.mark.parametrize("logprob", [None, "abc", 1e6, math.nan, math.inf])
+    def test_bad_logprob_quarantines_only_that_text(self, logprob):
+        def respond(model, prompt, attempt):
+            if model == "Qwen2.5-14B" and "poison" in prompt:
+                return 200, completion({"1": logprob, "2": -0.5})
+            return 200, GOOD
+
+        texts = [("ok1", "fine"), ("bad", "poison"), ("ok2", "also fine")]
+        with StubServer(respond) as server:
+            results, quarantined = annotate_batch(texts, endpoints_for(server))
+        assert [r.id for r in results] == ["ok1", "ok2"]
+        assert [q.id for q in quarantined] == ["bad"]
+        (failure,) = quarantined[0].failures
+        assert failure.model_id == "Qwen2.5-14B"
+        assert failure.attempts == 2  # retried like any transient failure
+        assert failure.error.startswith("malformed completion response")
+
+    def test_nan_probability_is_a_malformed_response(self):
+        # Finite logprobs whose pooled hate weight overflows to inf give
+        # p_hate = inf / inf = nan.
+        template = PromptTemplate(hate_aliases=(" 1",))
+
+        def respond(model, prompt, attempt):
+            if model == "Gemma2-9B":
+                return 200, completion({"1": 709.7, " 1": 709.7, "2": 0.0})
+            return 200, GOOD
+
+        with StubServer(respond) as server:
+            results, quarantined = annotate_batch([("t", "x")], endpoints_for(server), template)
+        assert results == []
+        (failure,) = quarantined[0].failures
+        assert failure.model_id == "Gemma2-9B"
+        assert failure.error.startswith("malformed completion response")
+
+    @pytest.mark.parametrize("logprob", [None, "abc"])
+    def test_cli_keeps_good_rows_and_exits_partial(self, tmp_path, logprob):
+        def respond(model, prompt, attempt):
+            if model == "Llama3.1-8B" and "poison" in prompt:
+                return 200, completion({"1": logprob})
+            return 200, GOOD
+
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text(
+            "".join(
+                json.dumps({"id": i, "text": t}) + "\n"
+                for i, t in (("ok1", "fine"), ("bad", "poison"), ("ok2", "also fine"))
+            )
+        )
+        out = tmp_path / "ann.jsonl"
+        with StubServer(respond) as server:
+            config = tmp_path / "endpoints.json"
+            config.write_text(
+                json.dumps(
+                    {
+                        "endpoints": [
+                            {"model_id": m, "base_url": server.base_url, "backoff_base": 0.001}
+                            for m in MODEL_IDS
+                        ]
+                    }
+                )
+            )
+            code = main(
+                ["annotate", "--input", str(texts), "--output", str(out), "--endpoints", str(config)]
+            )
+        assert code == 3
+        with open(out, encoding="utf-8") as fp:
+            _, rows = read_annotations(fp)
+            assert [r.id for r in rows] == ["ok1", "ok2"]
+        with open(f"{out}.deadletter.jsonl", encoding="utf-8") as fp:
+            dead = [json.loads(line) for line in fp]
+        assert [d["id"] for d in dead] == ["bad"]
+        assert dead[0]["errors"][0]["error"].startswith("malformed completion response")
