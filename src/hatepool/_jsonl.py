@@ -29,28 +29,40 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
     fp.write("\n")
 
 
-def iter_jsonl(fp: TextIO) -> Iterator[Any]:
-    """Yield one decoded object per non-blank line; malformed lines raise ValueError."""
+def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
+    """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
+
+    Invalid JSON raises, or with ``on_error`` is skipped after ``on_error(lineno)``.
+    A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
+    raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
+    """
+    source = getattr(fp, "name", "<stream>")
     for lineno, line in enumerate(fp, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            yield json.loads(stripped)
+            row = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if on_error is None:
+                raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
+            on_error(lineno)
+            continue
+        if not isinstance(row, dict):
+            raise ValueError(f"{source}:{lineno}: not a JSON object")
+        if decode is not None:
+            try:
+                row = decode(row)
+            except (KeyError, TypeError, ValueError) as exc:
+                where = f"{source}:{lineno}" + (f" (id {row['id']!r})" if "id" in row else "")
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ValueError(f"{where}: {reason}") from exc
+        yield row
 
 
 def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
-    """Like :func:`iter_jsonl`, but call ``on_error(lineno)`` and skip bad lines."""
-    for lineno, line in enumerate(fp, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield json.loads(stripped)
-        except json.JSONDecodeError:
-            on_error(lineno)
+    """``iter_jsonl(fp, on_error=on_error)``; kept because ``bench/traced.py`` imports it."""
+    return iter_jsonl(fp, on_error=on_error)
 
 
 @contextmanager

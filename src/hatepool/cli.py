@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 partial annotation
 (some texts quarantined). All diagnostics go to stderr; only requested
-output goes to stdout.
+output goes to stdout. Every line of a JSONL input must be one JSON
+object (blank lines are skipped); a bad row exits 2 with
+``file:line (id ...): reason``. Only ``filter`` skips lines that are not
+valid JSON, counting them in ``malformed_lines``.
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
@@ -21,7 +24,6 @@ from ._jsonl import (
     atomic_output,
     dumps_pretty,
     iter_jsonl,
-    iter_jsonl_tolerant,
     open_input,
     read_json_file,
     write_json_file,
@@ -113,21 +115,18 @@ def cmd_filter(args: argparse.Namespace) -> int:
         malformed[0] += 1
         log.warning("input line %d is not valid JSON; skipped", lineno)
 
-    with open_input(args.input) as in_fp:
-        raw_rows = iter_jsonl_tolerant(in_fp, on_bad_line)
-        records = (WebRecord.from_dict(row) for row in raw_rows)
-        kept_iter, stats = filter_records(records, config)
+    written = 0
+    with open_input(args.input) as in_fp, atomic_output(args.output) as out_fp:
+        records = iter_jsonl(in_fp, WebRecord.from_dict, on_bad_line)
+        kept, stats = filter_records(records, config)
         if args.quota:
-            quotas = dict(args.quota)
-            kept = subsample_by_language(kept_iter, quotas, args.seed)
-        else:
-            kept = list(kept_iter)
-    with atomic_output(args.output) as out_fp:
+            kept = subsample_by_language(kept, dict(args.quota), args.seed)
         for record in kept:
             write_jsonl_line(out_fp, record.to_dict())
+            written += 1
     payload = stats.to_dict()
     payload["malformed_lines"] = malformed[0]
-    payload["written"] = len(kept)
+    payload["written"] = written
     if args.stats:
         write_json_file(args.stats, payload)
     else:
@@ -171,18 +170,20 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     texts: list[tuple[str, str]] = []
     lang_by_id: dict[str, str] = {}
     raw_label_by_id: dict[str, str] = {}
+
+    def text_row(row: dict) -> tuple:
+        raw_label = row.get("raw_label")
+        if raw_label is None:
+            raw_label = row.get("gold")
+        return str(row["id"]), str(row["text"]), row.get("lang"), raw_label
+
     with open_input(args.input) as in_fp:
-        for row in iter_jsonl(in_fp):
-            if not isinstance(row, dict) or "id" not in row or "text" not in row:
-                raise ValueError(f"input rows need 'id' and 'text' fields: {row!r}")
-            text_id = str(row["id"])
-            texts.append((text_id, str(row["text"])))
-            if "lang" in row and row["lang"] is not None:
-                lang_by_id[text_id] = str(row["lang"])
-            if "raw_label" in row and row["raw_label"] is not None:
-                raw_label_by_id[text_id] = str(row["raw_label"])
-            elif "gold" in row and row["gold"] is not None:
-                raw_label_by_id[text_id] = str(row["gold"])
+        for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
+            texts.append((text_id, text))
+            if lang is not None:
+                lang_by_id[text_id] = str(lang)
+            if raw_label is not None:
+                raw_label_by_id[text_id] = str(raw_label)
     if not texts:
         raise ValueError("no texts to annotate")
 
@@ -221,11 +222,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _load_labels(path: str) -> dict[str, LabeledExample]:
     from .datasets import LabeledExample
 
-    labels: dict[str, LabeledExample] = {}
     with open_input(path) as fp:
-        for row in iter_jsonl(fp):
-            example = LabeledExample.from_dict(row)
-            labels[example.id] = example
+        labels = {example.id: example for example in iter_jsonl(fp, LabeledExample.from_dict)}
     if not labels:
         raise ValueError(f"no labeled examples in {path}")
     return labels
@@ -325,15 +323,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         render_report_table,
     )
 
-    rows: list[PredictionRow] = []
     with open_input(args.predictions) as fp:
-        for raw in iter_jsonl(fp):
-            if "gold" not in raw:
-                raise ValueError(
-                    f"prediction row {raw.get('id')!r} lacks a gold label; "
-                    "run ensemble with --labels"
-                )
-            rows.append(PredictionRow.from_dict(raw))
+        rows = list(iter_jsonl(fp, PredictionRow.from_dict))
     if args.groups:
         groups = _load_groups(args.groups)
         known = set().union(*(g.members for g in groups))

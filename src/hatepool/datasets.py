@@ -71,15 +71,12 @@ class LabeledExample:
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "LabeledExample":
-        try:
-            return cls(
-                id=str(row["id"]),
-                dataset=str(row["dataset"]),
-                text=str(row["text"]),
-                gold=BinaryLabel(row["gold"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed labeled example: {exc}") from exc
+        return cls(
+            id=str(row["id"]),
+            dataset=str(row["dataset"]),
+            text=str(row["text"]),
+            gold=BinaryLabel(row["gold"]),
+        )
 
 
 def _spec_from_dict(name: str, entry: Mapping) -> DatasetSpec:
@@ -144,17 +141,23 @@ def ingest_rows(rows: Iterable[Mapping], spec: DatasetSpec) -> Iterator[LabeledE
     """
     for index, row in enumerate(rows):
         try:
-            text = str(row[spec.text_column])
-            raw_label = row[spec.label_column]
+            text, gold = _text_and_gold(spec, row)
         except KeyError as exc:
             raise ValueError(f"dataset {spec.name!r}: row {index} missing column {exc}") from exc
         if spec.id_column is not None and spec.id_column in row:
             example_id = str(row[spec.id_column])
         else:
             example_id = f"{spec.name}-{index:06d}"
-        yield LabeledExample(
-            id=example_id, dataset=spec.name, text=text, gold=map_label(spec, raw_label)
-        )
+        yield LabeledExample(id=example_id, dataset=spec.name, text=text, gold=gold)
+
+
+def _text_and_gold(spec: DatasetSpec, row: Mapping) -> tuple[str, BinaryLabel]:
+    return str(row[spec.text_column]), map_label(spec, row[spec.label_column])
+
+
+def _checked_row(spec: DatasetSpec, row: dict) -> dict:
+    _text_and_gold(spec, row)
+    return row
 
 
 def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> Iterator[Mapping]:
@@ -173,10 +176,8 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
             yield from reader
     elif fmt == "jsonl":
         with open(path, "r", encoding="utf-8") as fp:
-            for row in iter_jsonl(fp):
-                if not isinstance(row, dict):
-                    raise ValueError(f"dataset {spec.name!r}: JSONL rows must be objects")
-                yield row
+            # Checked here as well as in ingest_rows, so a bad row is named by its line.
+            yield from iter_jsonl(fp, lambda row: _checked_row(spec, row))
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")
 

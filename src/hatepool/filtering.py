@@ -61,16 +61,13 @@ class WebRecord:
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "WebRecord":
-        try:
-            return cls(
-                id=str(row["id"]),
-                url=str(row["url"]),
-                lang=str(row["lang"]),
-                schema_types=tuple(str(t) for t in row["schema_types"]),
-                text=str(row["text"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed web record: {exc}") from exc
+        return cls(
+            id=str(row["id"]),
+            url=str(row["url"]),
+            lang=str(row["lang"]),
+            schema_types=tuple(str(t) for t in row["schema_types"]),
+            text=str(row["text"]),
+        )
 
     def to_dict(self) -> dict:
         return {

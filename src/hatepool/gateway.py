@@ -60,8 +60,13 @@ class AnnotatorEndpoint:
     def __post_init__(self) -> None:
         if not self.model_id:
             raise ValueError("model_id must be nonempty")
-        if not self.base_url:
-            raise ValueError("base_url must be nonempty")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # parsed lazily; raises on a bad or out-of-range port
+        except ValueError as exc:
+            raise ValueError(f"base_url {self.base_url!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         if self.timeout <= 0:
@@ -223,18 +228,9 @@ class _EndpointConnections:
         """A new (connection, request target) for ``base_url``."""
         import http.client
 
-        url_text = self._endpoint.base_url
-        try:
-            url = urlsplit(url_text)
-            port = url.port
-        except ValueError as exc:
-            raise TransientRequestError(f"request failed: {exc}") from exc
-        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}.get(
-            url.scheme
-        )
-        if factory is None or not url.hostname:
-            raise TransientRequestError(f"request failed: unsupported URL {url_text!r}")
-        conn = factory(url.hostname, port, timeout=self._endpoint.timeout)
+        url = urlsplit(self._endpoint.base_url)
+        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        conn = factory[url.scheme](url.hostname, url.port, timeout=self._endpoint.timeout)
         with self._lock:
             self._open.add(conn)
         return conn, (url.path or "/") + (f"?{url.query}" if url.query else "")
@@ -456,41 +452,39 @@ def write_annotations(
 
 def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
     """Read the header and return (model_order, row iterator)."""
-    stream = iter_jsonl(fp)
-    try:
-        header = next(stream)
-    except StopIteration:
-        raise ValueError("annotation file is empty") from None
-    if not isinstance(header, dict) or "model_order" not in header:
-        raise ValueError("annotation file must start with a model_order header line")
-    model_order = [str(m) for m in header["model_order"]]
-    expected = tuple(sorted(model_order))
+    expected: tuple[str, ...] | None = None
 
-    def rows() -> Iterator[AnnotationRow]:
-        for row in stream:
-            if not isinstance(row, dict) or "id" not in row or "models" not in row:
-                raise ValueError(f"malformed annotation row: {row!r}")
-            models = row["models"]
-            if tuple(sorted(models)) != expected:
-                raise ValueError(
-                    f"row {row['id']!r} model set {sorted(models)} does not match header"
-                )
-            entries = tuple(
-                ModelProbability(
-                    model_id=mid,
-                    p_hate=float(models[mid]["hate"]),
-                    p_neutral=float(models[mid]["neutral"]),
-                )
-                for mid in expected
+    def decode(row: dict):
+        nonlocal expected
+        if expected is None:
+            if "model_order" not in row:
+                raise ValueError("annotation file must start with a model_order header line")
+            model_order = [str(m) for m in row["model_order"]]
+            expected = tuple(sorted(model_order))
+            return model_order
+        models = row["models"]
+        if tuple(sorted(models)) != expected:
+            raise ValueError(f"model set {sorted(models)} does not match header")
+        entries = tuple(
+            ModelProbability(
+                model_id=mid,
+                p_hate=float(models[mid]["hate"]),
+                p_neutral=float(models[mid]["neutral"]),
             )
-            raw = {mid: dict(models[mid].get("raw", {})) for mid in expected}
-            raw_label = row.get("raw_label")
-            yield AnnotationRow(
-                id=str(row["id"]),
-                lang=row.get("lang"),
-                vector=ProbabilityVector(entries),
-                raw_weights=raw,
-                raw_label=None if raw_label is None else str(raw_label),
-            )
+            for mid in expected
+        )
+        raw = {mid: dict(models[mid].get("raw", {})) for mid in expected}
+        raw_label = row.get("raw_label")
+        return AnnotationRow(
+            id=str(row["id"]),
+            lang=row.get("lang"),
+            vector=ProbabilityVector(entries),
+            raw_weights=raw,
+            raw_label=None if raw_label is None else str(raw_label),
+        )
 
-    return model_order, rows()
+    stream = iter_jsonl(fp, decode)
+    model_order = next(stream, None)
+    if model_order is None:
+        raise ValueError("annotation file is empty")
+    return model_order, stream

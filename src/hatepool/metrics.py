@@ -149,15 +149,17 @@ class PredictionRow:
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "PredictionRow":
-        try:
-            return cls(
-                id=str(row["id"]),
-                dataset=str(row["dataset"]),
-                score_hate=float(row["score_hate"]),
-                gold=BinaryLabel(row["gold"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed prediction row: {exc}") from exc
+        if "gold" not in row:
+            raise ValueError("prediction row lacks a gold label; run ensemble with --labels")
+        score_hate = float(row["score_hate"])
+        if not 0.0 <= score_hate <= 1.0:
+            raise ValueError(f"score_hate out of range: {score_hate}")
+        return cls(
+            id=str(row["id"]),
+            dataset=str(row["dataset"]),
+            score_hate=score_hate,
+            gold=BinaryLabel(row["gold"]),
+        )
 
     def to_dict(self) -> dict:
         return {

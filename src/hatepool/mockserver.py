@@ -125,7 +125,10 @@ class MockAnnotatorServer:
                 self.wfile.write(data)
 
         self._server = _Server(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # Poll for shutdown every 0.05 s (default 0.5 s) so that stop() returns promptly.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

@@ -1,0 +1,361 @@
+"""Every JSONL-reading command turns one bad row into exit 2 naming its file and line.
+
+Each case starts from a small valid input, corrupts one field of one row
+(or the whole row), runs the command in-process and checks: exit code 2,
+no output file committed, and ``<path>:<line>`` (plus the row's id, when it
+has one) in the logged error, which the CLI writes to stderr.
+"""
+
+import copy
+import json
+import logging
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hatepool._jsonl import dumps
+from hatepool.cli import main
+
+from conftest import MODEL_IDS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NON_OBJECTS = st.sampled_from([[], ["id", "text"], "row", 5, 0.5, None, True])
+BAD_NUMBERS = (
+    st.sampled_from([math.nan, math.inf, -math.inf, "abc", "", None, [0.5], {"p": 0.5}])
+    | st.floats(min_value=1.0, exclude_min=True, allow_nan=False)
+    | st.floats(max_value=-5e-324, allow_nan=False)
+)
+BAD_LABELS = st.sampled_from(["hate", "HATE", "yes", "", 5, 1.5, math.nan, math.inf, None, []])
+NOT_ITERABLE = st.sampled_from([5, 2.5, math.nan, math.inf, None, True])
+
+
+def drop(*keys):
+    return st.sampled_from(keys).map(
+        lambda key: lambda row: {k: v for k, v in row.items() if k != key}
+    )
+
+
+def set_field(key, values):
+    return values.map(lambda value: lambda row: {**row, key: value})
+
+
+def replace_row(values):
+    return values.map(lambda value: lambda row: value)
+
+
+def in_model(edit):
+    """Apply ``edit`` to one model's entry in an annotation row."""
+
+    def build(model_and_value):
+        model, change = model_and_value
+
+        def corrupt(row):
+            row = copy.deepcopy(row)
+            row["models"][model] = change(row["models"][model])
+            return row
+
+        return corrupt
+
+    return st.tuples(st.sampled_from(MODEL_IDS), edit).map(build)
+
+
+def model_entry(p):
+    return {"hate": p, "neutral": 1.0 - p, "raw": {"1": p, "2": 1.0 - p}}
+
+
+def with_models(change):
+    def corrupt(row):
+        row = copy.deepcopy(row)
+        change(row["models"])
+        return row
+
+    return corrupt
+
+
+WRONG_MODEL_SET = st.sampled_from(
+    [
+        with_models(lambda models: models.pop(MODEL_IDS[1])),
+        with_models(lambda models: models.update({"Extra-3B": model_entry(0.5)})),
+        with_models(lambda models: models.update({"Other-1B": models.pop(MODEL_IDS[0])})),
+    ]
+)
+
+
+@dataclass(frozen=True)
+class FileKind:
+    """Valid rows of one JSONL file kind and the corruptions its reader must refuse."""
+
+    name: str
+    rows: tuple
+    corruptions: object  # row index -> strategy of functions from row to corrupted row
+
+
+WEB = FileKind(
+    name="web.jsonl",
+    rows=tuple(
+        {"id": f"w{i}", "url": f"https://ex.org/forum/{i}", "lang": "eng",
+         "schema_types": ["Comment"], "text": f"comment {i}"}
+        for i in range(4)
+    ),
+    corruptions=lambda index: (
+        drop("id", "url", "lang", "schema_types", "text")
+        | set_field("schema_types", NOT_ITERABLE)
+        | replace_row(NON_OBJECTS)
+    ),
+)
+
+TEXTS = FileKind(
+    name="texts.jsonl",
+    rows=tuple({"id": f"t{i}", "text": f"some text {i}", "lang": "eng"} for i in range(4)),
+    corruptions=lambda index: drop("id", "text") | replace_row(NON_OBJECTS),
+)
+
+LABELS = FileKind(
+    name="labels.jsonl",
+    rows=tuple(
+        {"id": f"a{i}", "dataset": "AHSD", "text": f"text {i}",
+         "gold": "Hate" if i % 2 else "Neutral"}
+        for i in range(4)
+    ),
+    corruptions=lambda index: (
+        drop("id", "dataset", "text", "gold")
+        | set_field("gold", BAD_LABELS)
+        | replace_row(NON_OBJECTS)
+    ),
+)
+
+ANNOTATIONS = FileKind(
+    name="ann.jsonl",
+    rows=(
+        {"model_order": sorted(MODEL_IDS)},
+        *(
+            {"id": f"a{i}", "lang": "eng", "raw_label": "Hate",
+             "models": {m: model_entry(p) for m, p in zip(MODEL_IDS, (0.25, 0.625, 0.75, 0.5))}}
+            for i in range(4)
+        ),
+    ),
+    corruptions=lambda index: (
+        drop("model_order")
+        | set_field("model_order", NOT_ITERABLE)
+        | replace_row(NON_OBJECTS)
+        if index == 0
+        else drop("id", "models")
+        | set_field("models", st.sampled_from([5, None, math.nan, "abcd", list(MODEL_IDS)]))
+        | in_model(st.sampled_from([5, "x", None, [], math.inf]).map(lambda v: lambda e: v))
+        | in_model(st.sampled_from(["hate", "neutral"]).map(
+            lambda key: lambda e: {k: v for k, v in e.items() if k != key}))
+        | in_model(st.tuples(st.sampled_from(["hate", "neutral"]), BAD_NUMBERS).map(
+            lambda kv: lambda e: {**e, kv[0]: kv[1]}))
+        | in_model(st.floats(0.0, 1.0).filter(lambda h: abs(h - 0.5) > 1e-6).map(
+            lambda h: lambda e: {**e, "hate": h, "neutral": 0.5}))
+        | in_model(st.sampled_from([5, None, 2.5, "ab"]).map(lambda v: lambda e: {**e, "raw": v}))
+        | WRONG_MODEL_SET
+        | replace_row(NON_OBJECTS)
+    ),
+)
+
+PREDICTIONS = FileKind(
+    name="pred.jsonl",
+    rows=tuple(
+        {"id": f"a{i}", "lang": "eng", "strategy": "mean", "label": "Hate",
+         "score_hate": 0.2 * (i + 1), "dataset": "AHSD", "gold": "Hate" if i % 2 else "Neutral"}
+        for i in range(4)
+    ),
+    corruptions=lambda index: (
+        drop("id", "dataset", "score_hate", "gold")
+        | set_field("score_hate", BAD_NUMBERS)
+        | set_field("gold", BAD_LABELS)
+        | replace_row(NON_OBJECTS)
+    ),
+)
+
+EXPORT = FileKind(
+    name="export.jsonl",
+    rows=tuple({"text": f"post {i}", "label": "hate" if i % 2 else "normal"} for i in range(4)),
+    corruptions=lambda index: (
+        drop("text", "label")
+        | set_field("label", st.sampled_from(["sarcastic", "", 5, 1.5, math.nan, None, []]))
+        | replace_row(NON_OBJECTS)
+    ),
+)
+
+ENDPOINTS = {"endpoints": [{"model_id": m, "base_url": "http://127.0.0.1:9/v1"} for m in MODEL_IDS]}
+
+
+@dataclass(frozen=True)
+class Case:
+    """A command, the file kind it gets corrupted, and the valid inputs it needs besides."""
+
+    id: str
+    argv: tuple  # "{name}" is replaced by that file's path in the run directory
+    target: FileKind
+    valid: tuple = ()
+
+
+CASES = [
+    Case("filter", ("filter", "--input", "{web.jsonl}", "--output", "{kept.jsonl}",
+                    "--stats", "{stats.json}"), WEB),
+    Case("annotate", ("annotate", "--input", "{texts.jsonl}", "--output", "{out.jsonl}",
+                      "--endpoints", "{endpoints.json}"), TEXTS),
+    Case("train-meta-labels", ("train-meta", "--annotations", "{ann.jsonl}", "--labels",
+                               "{labels.jsonl}", "--model-out", "{model.json}"),
+         LABELS, (ANNOTATIONS,)),
+    Case("train-meta-annotations", ("train-meta", "--annotations", "{ann.jsonl}", "--labels",
+                                    "{labels.jsonl}", "--model-out", "{model.json}"),
+         ANNOTATIONS, (LABELS,)),
+    Case("ensemble", ("ensemble", "--annotations", "{ann.jsonl}", "--strategy", "vote",
+                      "--output", "{out.jsonl}"), ANNOTATIONS),
+    Case("ensemble-labels", ("ensemble", "--annotations", "{ann.jsonl}", "--strategy", "mean",
+                             "--labels", "{labels.jsonl}", "--output", "{out.jsonl}"),
+         LABELS, (ANNOTATIONS,)),
+    Case("evaluate", ("evaluate", "--predictions", "{pred.jsonl}", "--report", "{report.json}"),
+         PREDICTIONS),
+    Case("stats", ("stats", "--annotations", "{ann.jsonl}", "--output", "{summary.json}"),
+         ANNOTATIONS),
+    Case("ingest", ("ingest", "--dataset", "HateXplain", "--format", "jsonl", "--input",
+                    "{export.jsonl}", "--output", "{out.jsonl}"), EXPORT),
+]
+
+
+def write_lines(path, rows):
+    """One row per line, with a blank line after the first row so that blanks count."""
+    lines = [dumps(row) for row in rows]
+    lines.insert(1, "")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def lineno_of(index):
+    return index + 1 if index == 0 else index + 2
+
+
+def run(argv, directory):
+    args = []
+    for arg in argv:
+        if arg.startswith("{"):
+            arg = os.path.join(directory, arg[1:-1])
+        args.append(arg)
+    return main(args)
+
+
+def assert_refused(code, directory, inputs, messages, path, index, bad_row):
+    assert code == 2, messages
+    assert sorted(os.listdir(directory)) == sorted(inputs), "an output file was committed"
+    assert len(messages) == 1, messages
+    where = f"{path}:{lineno_of(index)}"
+    assert where + ":" in messages[0] or where + " (id" in messages[0], messages[0]
+    if isinstance(bad_row, dict) and "id" in bad_row:
+        assert f"{where} (id {bad_row['id']!r}): " in messages[0]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.id for c in CASES])
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_one_corrupt_row_exits_2_naming_its_line(case, data, caplog):
+    target = case.target
+    index = data.draw(st.integers(0, len(target.rows) - 1), label="row")
+    corrupt = data.draw(target.corruptions(index), label="corruption")
+    rows = list(copy.deepcopy(target.rows))
+    rows[index] = bad_row = corrupt(rows[index])
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, target.name)
+        write_lines(Path(path), rows)
+        for kind in case.valid:
+            write_lines(Path(directory, kind.name), kind.rows)
+        Path(directory, "endpoints.json").write_text(json.dumps(ENDPOINTS))
+        inputs = os.listdir(directory)
+        caplog.clear()
+        code = run(case.argv, directory)
+        messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert_refused(code, directory, inputs, messages, path, index, bad_row)
+
+
+GOOD_MODELS = {m: model_entry(0.5) for m in "abcd"}
+
+# Inputs that exited 1 with a traceback, or exited 2 without naming the line.
+ANNOTATION_CASES = {
+    "raw-is-a-number": {"id": "t3", "models": {**GOOD_MODELS, "b": {**model_entry(0.5), "raw": 5}}},
+    "model-entry-is-a-number": {"id": "t3", "models": {"a": 5, "b": 5, "c": 5, "d": 5}},
+    "models-is-a-string": {"id": "t3", "models": "abcd"},
+    "hate-missing": {"id": "t3", "models": {**GOOD_MODELS, "c": {"neutral": 0.5}}},
+    "hate-is-text": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": "abc"}}},
+    "hate-is-nan": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": math.nan}}},
+}
+
+
+def write_annotations_with(path, line5=None, header=None):
+    lines = [dumps(header if header is not None else {"model_order": list("abcd")})]
+    lines += [dumps({"id": f"t{i}", "lang": "eng", "models": GOOD_MODELS}) for i in range(6)]
+    if line5 is not None:
+        lines[4] = dumps(line5)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
+def test_annotation_row_error_names_file_line_and_id(name, tmp_path, caplog):
+    path = write_annotations_with(tmp_path / "ann.jsonl", line5=ANNOTATION_CASES[name])
+    out = tmp_path / "pred.jsonl"
+    assert main(["ensemble", "--annotations", path, "--strategy", "mean", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}:5 (id 't3'): " in caplog.text
+
+
+def test_header_that_is_not_a_list_names_line_1(tmp_path, caplog):
+    path = write_annotations_with(tmp_path / "ann.jsonl", header={"model_order": 5})
+    out = tmp_path / "pred.jsonl"
+    assert main(["ensemble", "--annotations", path, "--strategy", "vote", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}:1: " in caplog.text
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train-meta"])
+def test_json_array_row_is_a_data_error(command, tmp_path, caplog):
+    rows = [
+        dumps({"id": "a0", "dataset": "AHSD", "text": "x", "score_hate": 0.5, "gold": "Hate"}),
+        dumps(["a1", "AHSD", "y", 0.5, "Neutral"]),
+    ]
+    path = tmp_path / "rows.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    if command == "evaluate":
+        argv = ["evaluate", "--predictions", str(path), "--report", str(tmp_path / "r.json")]
+    else:
+        ann = write_annotations_with(tmp_path / "ann.jsonl")
+        argv = ["train-meta", "--annotations", ann, "--labels", str(path),
+                "--model-out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert f"{path}:2: not a JSON object" in caplog.text
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.json").exists()
+
+
+def test_stderr_names_file_line_and_id(tmp_path):
+    path = write_annotations_with(tmp_path / "ann.jsonl", line5=ANNOTATION_CASES["raw-is-a-number"])
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hatepool.cli", "ensemble", "--annotations", path,
+         "--strategy", "mean", "--output", str(tmp_path / "pred.jsonl")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"ERROR hatepool: {path}:5 (id 't3'): 'int' object is not iterable\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl"]

@@ -157,6 +157,24 @@ class TestFilterCmd:
         assert sum(1 for r in rows if r["lang"] == "deu") == 1
         assert json.loads(stats_path.read_text())["written"] == 2
 
+    @pytest.mark.parametrize("quota", [[], ["--quota", "eng=5"]], ids=["streamed", "quota"])
+    def test_bad_row_after_many_good_leaves_no_output(self, tmp_path, quota):
+        rows = [
+            {"id": f"r{i}", "url": f"https://ex.org/forum/{i}", "lang": "eng",
+             "schema_types": ["Comment"], "text": "t"}
+            for i in range(500)
+        ]
+        rows.append({"id": "bad", "lang": "eng", "schema_types": [], "text": "t"})
+        in_path = write_jsonl(tmp_path / "web.jsonl", rows)
+        out_path = tmp_path / "kept.jsonl"
+        stats_path = tmp_path / "stats.json"
+        code = main(
+            ["filter", "--input", in_path, "--output", str(out_path), "--stats", str(stats_path),
+             *quota]
+        )
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["web.jsonl"]
+
     def test_filter_bad_quota_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["filter", "--input", "x", "--output", "y", "--quota", "eng"])
@@ -297,6 +315,32 @@ class TestAnnotateCmd:
                 ]
             )
         assert code == 2
+
+    def test_mistyped_endpoint_url_fails_before_any_request(self, tmp_path, caplog):
+        calls = []
+
+        def counting(model, prompt):
+            calls.append(model)
+            return {"1": 0.7, "2": 0.3}
+
+        in_path = write_jsonl(tmp_path / "texts.jsonl", [{"id": "t", "text": "x"}])
+        with MockAnnotatorServer(script=counting) as server:
+            endpoints = [{"model_id": m, "base_url": server.base_url} for m in MODEL_IDS]
+            endpoints[2]["base_url"] = server.base_url.replace("http://", "htp://")
+            config = tmp_path / "endpoints.json"
+            config.write_text(json.dumps({"endpoints": endpoints}))
+            code = main(
+                [
+                    "annotate",
+                    "--input", in_path,
+                    "--output", str(tmp_path / "ann.jsonl"),
+                    "--endpoints", str(config),
+                ]
+            )
+        assert code == 2
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
+        assert "htp://" in caplog.text
 
     def test_endpoints_file_without_list_is_data_error(self, tmp_path):
         bad = tmp_path / "endpoints.json"

@@ -178,6 +178,31 @@ class TestEndpointValidation:
         with pytest.raises(ValueError, match="unknown endpoint"):
             AnnotatorEndpoint.from_dict({"model_id": "m", "base_url": "u", "port": 1})
 
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "htp://x/v1",
+            "ftp://x/v1",
+            "x/v1",
+            "//x/v1",
+            "http:///v1",
+            "http://x:99999/v1",
+            "http://x:port/v1",
+            "http://[::1/v1",
+        ],
+    )
+    def test_bad_base_url_is_a_config_error(self, url):
+        with pytest.raises(ValueError, match="base_url"):
+            AnnotatorEndpoint(model_id="m", base_url=url)
+        with pytest.raises(ValueError, match="base_url"):
+            AnnotatorEndpoint.from_dict({"model_id": "m", "base_url": url})
+
+    @pytest.mark.parametrize(
+        "url", ["http://x/v1", "https://x:8443/v1/completions?k=1", "http://127.0.0.1:9", "HTTP://X/"]
+    )
+    def test_good_base_url_accepted(self, url):
+        assert AnnotatorEndpoint(model_id="m", base_url=url).base_url == url
+
 
 class TestAnnotationWireFormat:
     def make_results(self):

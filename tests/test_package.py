@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import hatepool
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 class TestExports:
@@ -18,6 +21,22 @@ class TestExports:
 
     def test_all_has_no_duplicates(self):
         assert len(hatepool.__all__) == len(set(hatepool.__all__))
+
+
+@pytest.mark.parametrize("script", BENCH, ids=[b.name for b in BENCH])
+def test_bench_imports_resolve(script):
+    """Every ``hatepool`` name the benchmark harness imports still exists."""
+    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hatepool":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hatepool":
+                    importlib.import_module(alias.name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
