@@ -60,6 +60,14 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
         yield row
 
 
+def string_field(row: dict, key: str) -> str:
+    """``row[key]``, which must be a JSON string; ``TypeError`` otherwise."""
+    value = row[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
     """``iter_jsonl(fp, on_error=on_error)``; kept because ``bench/traced.py`` imports it."""
     return iter_jsonl(fp, on_error=on_error)

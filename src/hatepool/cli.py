@@ -26,6 +26,7 @@ from ._jsonl import (
     iter_jsonl,
     open_input,
     read_json_file,
+    string_field,
     write_json_file,
     write_jsonl_line,
 )
@@ -154,7 +155,7 @@ def _load_endpoints(path: str) -> tuple[list[AnnotatorEndpoint], PromptTemplate]
     from .prompt import PromptTemplate
 
     cfg = read_json_file(path)
-    if not isinstance(cfg, dict) or "endpoints" not in cfg:
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("endpoints"), list):
         raise ValueError("endpoints file must be an object with an 'endpoints' list")
     endpoints = [AnnotatorEndpoint.from_dict(e) for e in cfg["endpoints"]]
     template = (
@@ -175,7 +176,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         raw_label = row.get("raw_label")
         if raw_label is None:
             raw_label = row.get("gold")
-        return str(row["id"]), str(row["text"]), row.get("lang"), raw_label
+        return str(row["id"]), string_field(row, "text"), row.get("lang"), raw_label
 
     with open_input(args.input) as in_fp:
         for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):

@@ -14,6 +14,8 @@ from urllib.parse import unquote, urlparse
 
 import numpy as np
 
+from ._jsonl import string_field
+
 DEFAULT_URL_KEYWORDS = (
     "thread",
     "forum",
@@ -66,7 +68,7 @@ class WebRecord:
             url=str(row["url"]),
             lang=str(row["lang"]),
             schema_types=tuple(str(t) for t in row["schema_types"]),
-            text=str(row["text"]),
+            text=string_field(row, "text"),
         )
 
     def to_dict(self) -> dict:
@@ -106,13 +108,20 @@ class FilterConfig:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "FilterConfig":
+        if not isinstance(cfg, Mapping):
+            raise ValueError(f"filter config must be an object, got {cfg!r}")
         kwargs: dict = {}
-        if "url_keywords" in cfg:
-            kwargs["url_keywords"] = tuple(cfg["url_keywords"])
-        if "schema_whitelist" in cfg:
-            kwargs["schema_whitelist"] = frozenset(cfg["schema_whitelist"])
+        for name, convert in (("url_keywords", tuple), ("schema_whitelist", frozenset)):
+            if name in cfg:
+                value = cfg[name]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"{name} must be a list of strings, got {value!r}")
+                kwargs[name] = convert(value)
         if "expand_multiword_keywords" in cfg:
-            kwargs["expand_multiword_keywords"] = bool(cfg["expand_multiword_keywords"])
+            expand = cfg["expand_multiword_keywords"]
+            if not isinstance(expand, bool):
+                raise ValueError(f"expand_multiword_keywords must be true or false, got {expand!r}")
+            kwargs["expand_multiword_keywords"] = expand
         return cls(**kwargs)
 
 

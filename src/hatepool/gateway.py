@@ -1,20 +1,32 @@
 """Concurrent fan-out of annotation prompts to four model endpoints.
 
-Each endpoint gets its own worker pool capped at its ``max_in_flight``,
-so one slow model never throttles the others. Requests use the
-completions wire shape: one generated token with top-k logprobs, from
-which the two label-token weights are read. Transient failures retry
-with exponential backoff and jitter; texts that still fail on any
-endpoint are quarantined instead of aborting the batch.
+Each endpoint has its own dispatcher, served by ``max_in_flight``
+long-lived worker threads, so one slow model never throttles the others.
+Requests use the completions wire shape: one generated token with top-k
+logprobs, from which the two label-token weights are read.
+
+A worker makes one attempt at a time. It takes a retry whose backoff has
+elapsed ahead of the next fresh text, and fresh texts in input order.
+A failed attempt worth retrying gives up its slot: its exponential
+backoff with jitter runs on the batch's backoff pool, which holds no slot
+and requeues the retry when it is due. Every non-200 status is retried
+this way, permanent 4xx included. Texts that still fail on any endpoint
+are quarantined instead of aborting the batch. A batch runs at most
+``max_in_flight`` workers per endpoint plus as many backoff threads as
+all the endpoints' ``max_in_flight`` together, however many texts or
+retries it has. An exception in the batch, an interrupt included, stops
+the dispatchers and drops the backoffs that have not started; each worker
+finishes at most its current request, and every thread is joined before
+the exception propagates.
 
 The transport is the standard library's ``http.client``. Each worker
-thread keeps one HTTP/1.1 keep-alive connection to its endpoint and reads
-every response body in full, so the connection can carry the next
-request. A connection that fails or times out is discarded. One that the
-server closed while idle is replaced before the next request goes out,
-which costs no retry and never sends a request twice (RFC 9112 §9.3).
-Proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``) are not read and
-redirects are not followed: ``base_url`` is the URL that gets the POST.
+keeps one HTTP/1.1 keep-alive connection to its endpoint and reads every
+response body in full, so the connection can carry the next request. A
+connection that fails or times out is discarded. One that the server
+closed while idle is replaced before the next request goes out, which
+costs no retry and never sends a request twice (RFC 9112 §9.3). Proxy
+variables (``HTTP_PROXY``, ``HTTPS_PROXY``) are not read and redirects
+are not followed: ``base_url`` is the URL that gets the POST.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ import math
 import random
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, TextIO
@@ -37,6 +50,20 @@ from .prompt import (
     PromptTemplate,
     extract_label_probabilities,
     render_prompt,
+)
+
+
+# (field, accepted types, description) for each AnnotatorEndpoint field; a
+# bool is refused wherever a number is expected.
+_FIELD_TYPES = (
+    ("model_id", str, "a string"),
+    ("base_url", str, "a string"),
+    ("auth_token", (str, type(None)), "a string or null"),
+    ("max_in_flight", int, "an integer"),
+    ("timeout", (int, float), "a number"),
+    ("retry_limit", int, "an integer"),
+    ("backoff_base", (int, float), "a number"),
+    ("logprobs_top_k", int, "an integer"),
 )
 
 
@@ -58,6 +85,10 @@ class AnnotatorEndpoint:
     logprobs_top_k: int = 20
 
     def __post_init__(self) -> None:
+        for name, kinds, what in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not self.model_id:
             raise ValueError("model_id must be nonempty")
         try:
@@ -69,17 +100,19 @@ class AnnotatorEndpoint:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be nonnegative")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be nonnegative")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be nonnegative and finite")
         if self.logprobs_top_k < 1:
             raise ValueError("logprobs_top_k must be at least 1")
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "AnnotatorEndpoint":
+        if not isinstance(cfg, Mapping):
+            raise ValueError(f"an endpoint must be an object, got {cfg!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(cfg) - known
         if unknown:
@@ -186,17 +219,17 @@ def _closed_while_idle(sock) -> bool:
         return bool(selector.select(0))
 
 
-class _EndpointConnections:
-    """Keep-alive connections to one endpoint, one per worker thread."""
+class _Connection:
+    """One worker's keep-alive connection to its endpoint."""
 
     def __init__(self, endpoint: AnnotatorEndpoint) -> None:
         self._endpoint = endpoint
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._open: set = set()
+        url = urlsplit(endpoint.base_url)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._conn = None
 
     def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
-        """POST ``body`` on this thread's connection; return (status, response body).
+        """POST ``body``; return (status, response body).
 
         The body is read in full whatever the status, so the connection
         stays usable. ``http.client`` is imported here, not at module top:
@@ -205,53 +238,37 @@ class _EndpointConnections:
         """
         import http.client
 
-        current = getattr(self._local, "current", None)
-        if current is not None and current[0].sock is not None and _closed_while_idle(
-            current[0].sock
-        ):
-            self._discard()
-            current = None
+        conn = self._conn
+        if conn is not None and conn.sock is not None and _closed_while_idle(conn.sock):
+            self.close()
         try:
-            if current is None:
-                current = self._local.current = self._connect()
-            conn, target = current
-            conn.request("POST", target, body=body, headers=headers)
-            with conn.getresponse() as response:
+            if self._conn is None:
+                self._conn = self._connect()
+            self._conn.request("POST", self._target, body=body, headers=headers)
+            with self._conn.getresponse() as response:
                 return response.status, response.read()
         except BaseException as exc:
-            self._discard()
+            self.close()
             if isinstance(exc, (OSError, http.client.HTTPException)):
                 raise TransientRequestError(f"request failed: {exc}") from exc
             raise
 
-    def _connect(self) -> tuple:
-        """A new (connection, request target) for ``base_url``."""
+    def _connect(self):
+        """A new, not yet connected ``HTTPConnection`` for ``base_url``."""
         import http.client
 
         url = urlsplit(self._endpoint.base_url)
         factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-        conn = factory[url.scheme](url.hostname, url.port, timeout=self._endpoint.timeout)
-        with self._lock:
-            self._open.add(conn)
-        return conn, (url.path or "/") + (f"?{url.query}" if url.query else "")
+        return factory[url.scheme](url.hostname, url.port, timeout=self._endpoint.timeout)
 
-    def _discard(self) -> None:
-        current = getattr(self._local, "current", None)
-        if current is not None:
-            self._local.current = None
-            current[0].close()
-            with self._lock:
-                self._open.discard(current[0])
-
-    def close_all(self) -> None:
-        with self._lock:
-            for conn in self._open:
-                conn.close()
-            self._open.clear()
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 def _query_endpoint(
-    connections: _EndpointConnections,
+    connection: _Connection,
     endpoint: AnnotatorEndpoint,
     prompt: str,
 ) -> dict[str, float]:
@@ -259,7 +276,7 @@ def _query_endpoint(
     if endpoint.auth_token:
         headers["Authorization"] = f"Bearer {endpoint.auth_token}"
     body = json.dumps(_completion_payload(endpoint, prompt)).encode("utf-8")
-    status, data = connections.post(body, headers)
+    status, data = connection.post(body, headers)
     if status != 200:
         raise TransientRequestError(f"HTTP {status}")
     try:
@@ -270,43 +287,74 @@ def _query_endpoint(
 
 
 def _annotate_one(
-    connections: _EndpointConnections,
+    connection: _Connection,
     endpoint: AnnotatorEndpoint,
     template: PromptTemplate,
     text_id: str,
     prompt: str,
-    rng: random.Random,
-    sleep=time.sleep,
 ) -> tuple[ModelProbability, dict[str, float]]:
-    """One text on one endpoint, with retries. Raises AnnotationError on give-up."""
-    attempts = endpoint.retry_limit + 1
-    last_error = "unknown"
-    for attempt in range(attempts):
-        try:
-            weights = _query_endpoint(connections, endpoint, prompt)
-            probability = _label_probability(weights, template, endpoint.model_id, text_id)
-        except TransientRequestError as exc:
-            last_error = str(exc)
-            if attempt + 1 < attempts:
-                delay = endpoint.backoff_base * (2.0 ** attempt)
-                sleep(delay * (0.5 + rng.random()))
-            continue
-        except ExtractionError as exc:
-            # A well-formed response without label tokens will not improve
-            # on retry; fail the text on this endpoint immediately.
-            raise AnnotationError(endpoint.model_id, attempt + 1, str(exc)) from exc
-        label_tokens = (*template.hate_tokens, *template.neutral_tokens)
-        raw = {tok: weights[tok] for tok in label_tokens if tok in weights}
-        return probability, raw
-    raise AnnotationError(endpoint.model_id, attempts, last_error)
+    """One attempt at one text on one endpoint: (probability, raw label-token weights).
+
+    Raises :class:`TransientRequestError` for a failure worth retrying and
+    :class:`ExtractionError` for a well-formed response without label
+    tokens, which will not improve on retry.
+    """
+    weights = _query_endpoint(connection, endpoint, prompt)
+    probability = _label_probability(weights, template, endpoint.model_id, text_id)
+    label_tokens = (*template.hate_tokens, *template.neutral_tokens)
+    raw = {tok: weights[tok] for tok in label_tokens if tok in weights}
+    return probability, raw
 
 
-class AnnotationError(RuntimeError):
-    def __init__(self, model_id: str, attempts: int, message: str) -> None:
-        super().__init__(f"{model_id}: {message} (after {attempts} attempts)")
-        self.model_id = model_id
-        self.attempts = attempts
-        self.message = message
+class _Dispatcher:
+    """One endpoint's work queue and the outcome of each text on it.
+
+    A job is (text index, attempt). :meth:`take` hands out a retry whose
+    backoff has elapsed ahead of the next fresh text, and fresh texts in
+    input order. It returns None once every text has its outcome, or once
+    the batch has stopped.
+    """
+
+    def __init__(self, endpoint: AnnotatorEndpoint, n_texts: int, rng: random.Random) -> None:
+        self.endpoint = endpoint
+        self.rng = rng
+        self.outcomes: list = [None] * n_texts
+        self._cond = threading.Condition()
+        self._due: deque[tuple[int, int]] = deque()
+        self._fresh = 0
+        self._open = n_texts
+        self._stopped = False
+
+    def take(self) -> tuple[int, int] | None:
+        with self._cond:
+            while not self._stopped:
+                if self._due:
+                    return self._due.popleft()
+                if self._fresh < len(self.outcomes):
+                    self._fresh += 1
+                    return self._fresh - 1, 0
+                if not self._open:
+                    return None
+                self._cond.wait()
+            return None
+
+    def requeue(self, job: tuple[int, int]) -> None:
+        with self._cond:
+            self._due.append(job)
+            self._cond.notify()
+
+    def finish(self, index: int, outcome) -> None:
+        """Record a text's final outcome: (probability, raw weights) or an AnnotationFailure."""
+        self.outcomes[index] = outcome
+        with self._cond:
+            self._open -= 1
+            if not self._open:
+                self._cond.notify_all()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
 
 
 def annotate_batch(
@@ -320,7 +368,8 @@ def annotate_batch(
 
     Results and quarantined texts each come back in input order; a text
     lands in exactly one of the two lists. Rendering the prompt happens
-    once per text and is shared across endpoints.
+    once per text and is shared across endpoints. ``sleep`` is called
+    with each backoff delay, on a backoff thread.
     """
     template = template or PromptTemplate()
     if len(endpoints) != ENSEMBLE_SIZE:
@@ -336,63 +385,89 @@ def annotate_batch(
 
     ordered = sorted(endpoints, key=lambda ep: ep.model_id)
     prompts = [render_prompt(template, text) for _, text in texts]
-
-    executors = {
-        ep.model_id: ThreadPoolExecutor(
-            max_workers=ep.max_in_flight, thread_name_prefix=f"annotate-{ep.model_id}"
-        )
-        for ep in ordered
-    }
-    connections = {ep.model_id: _EndpointConnections(ep) for ep in ordered}
     rng = random.Random(seed)
-    rngs = {ep.model_id: random.Random(rng.getrandbits(64)) for ep in ordered}
+    dispatchers = [
+        _Dispatcher(ep, len(texts), random.Random(rng.getrandbits(64))) for ep in ordered
+    ]
+    backoff = ThreadPoolExecutor(
+        max_workers=sum(ep.max_in_flight for ep in ordered), thread_name_prefix="annotate-backoff"
+    )
+    errors: list[BaseException] = []
+
+    def fail(exc: BaseException) -> None:
+        errors.append(exc)
+        for dispatcher in dispatchers:
+            dispatcher.stop()
+
+    def back_off(dispatcher: _Dispatcher, job: tuple[int, int], delay: float) -> None:
+        try:
+            sleep(delay)
+        except BaseException as exc:
+            fail(exc)
+        else:
+            dispatcher.requeue(job)
+
+    def serve(dispatcher: _Dispatcher) -> None:
+        ep = dispatcher.endpoint
+        connection = _Connection(ep)
+        try:
+            while (job := dispatcher.take()) is not None:
+                index, attempt = job
+                text_id = texts[index][0]
+                try:
+                    outcome = _annotate_one(connection, ep, template, text_id, prompts[index])
+                except TransientRequestError as exc:
+                    if attempt < ep.retry_limit:
+                        jitter = 0.5 + dispatcher.rng.random()
+                        delay = ep.backoff_base * (2.0 ** attempt) * jitter
+                        backoff.submit(back_off, dispatcher, (index, attempt + 1), delay)
+                        continue
+                    outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
+                except ExtractionError as exc:
+                    outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
+                dispatcher.finish(index, outcome)
+        except BaseException as exc:
+            fail(exc)
+        finally:
+            connection.close()
+
+    workers = [
+        threading.Thread(target=serve, args=(d,), name=f"annotate-{d.endpoint.model_id}-{i}")
+        for d in dispatchers
+        for i in range(min(d.endpoint.max_in_flight, len(texts)))
+    ]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            while worker.is_alive():
+                worker.join(0.1)  # a timed wait lets an interrupt through
+    finally:
+        for dispatcher in dispatchers:
+            dispatcher.stop()
+        backoff.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+        backoff.shutdown(wait=True)
+    if errors:
+        raise errors[0]
+
     results: list[AnnotationResult] = []
     quarantined: list[QuarantinedText] = []
-    try:
-        futures = {}
-        for index, (text_id, _) in enumerate(texts):
-            for ep in ordered:
-                futures[(index, ep.model_id)] = executors[ep.model_id].submit(
-                    _annotate_one,
-                    connections[ep.model_id],
-                    ep,
-                    template,
-                    text_id,
-                    prompts[index],
-                    rngs[ep.model_id],
-                    sleep,
+    for index, (text_id, _) in enumerate(texts):
+        outcomes = [d.outcomes[index] for d in dispatchers]
+        failures = [o for o in outcomes if isinstance(o, AnnotationFailure)]
+        if failures:
+            quarantined.append(QuarantinedText(id=text_id, failures=failures))
+        else:
+            results.append(
+                AnnotationResult(
+                    id=text_id,
+                    vector=ProbabilityVector(tuple(probability for probability, _ in outcomes)),
+                    raw_weights={ep.model_id: raw for ep, (_, raw) in zip(ordered, outcomes)},
                 )
-        for index, (text_id, _) in enumerate(texts):
-            probabilities: list[ModelProbability] = []
-            raw_weights: dict[str, dict[str, float]] = {}
-            failures: list[AnnotationFailure] = []
-            for ep in ordered:
-                try:
-                    probability, raw = futures[(index, ep.model_id)].result()
-                except AnnotationError as exc:
-                    failures.append(
-                        AnnotationFailure(
-                            model_id=exc.model_id, attempts=exc.attempts, error=exc.message
-                        )
-                    )
-                    continue
-                probabilities.append(probability)
-                raw_weights[ep.model_id] = raw
-            if failures:
-                quarantined.append(QuarantinedText(id=text_id, failures=failures))
-            else:
-                results.append(
-                    AnnotationResult(
-                        id=text_id,
-                        vector=ProbabilityVector(tuple(probabilities)),
-                        raw_weights=raw_weights,
-                    )
-                )
-    finally:
-        for executor in executors.values():
-            executor.shutdown(wait=True)
-        for endpoint_connections in connections.values():
-            endpoint_connections.close_all()
+            )
     return results, quarantined
 
 

@@ -3,9 +3,11 @@
 ``respond(model, prompt, attempt)`` decides each answer and returns
 ``(status, payload)``; ``attempt`` counts earlier requests for the same
 (model, prompt) pair. Every answer keeps the connection alive and leaves
-in one write. The server counts accepted connections and requests and
-keeps each request's headers. With ``idle_timeout`` set, it closes a
-kept-alive connection that stays idle that long, as production servers do.
+in one write. The server counts accepted and closed connections and
+requests, keeps each request's headers, logs each request as (model,
+prompt, attempt) in arrival order, and records each model's peak of
+concurrent requests. With ``idle_timeout`` set, it closes a kept-alive
+connection that stays idle that long, as production servers do.
 """
 
 from __future__ import annotations
@@ -36,8 +38,12 @@ class StubServer:
         self._lock = threading.Lock()
         self._attempts: dict[tuple[str, str], int] = {}
         self.connections = 0
+        self.closed = 0
         self.requests = 0
         self.headers: list[dict[str, str]] = []
+        self.served: list[tuple[str, str, int]] = []
+        self.inflight_peak: dict[str, int] = {}
+        self._in_flight: dict[str, int] = {}
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -53,6 +59,11 @@ class StubServer:
                 with outer._lock:
                     outer.connections += 1
 
+            def finish(self) -> None:
+                super().finish()
+                with outer._lock:
+                    outer.closed += 1
+
             def do_POST(self) -> None:
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 key = (str(body["model"]), str(body["prompt"]))
@@ -61,13 +72,20 @@ class StubServer:
                     outer._attempts[key] = attempt + 1
                     outer.requests += 1
                     outer.headers.append(dict(self.headers))
-                status, payload = outer._respond(*key, attempt)
-                data = json.dumps(payload).encode("utf-8")
-                head = (
-                    f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n\r\n"
-                ).encode("latin-1")
-                self.wfile.write(head + data)
+                    outer.served.append((*key, attempt))
+                    in_flight = outer._in_flight[key[0]] = outer._in_flight.get(key[0], 0) + 1
+                    outer.inflight_peak[key[0]] = max(outer.inflight_peak.get(key[0], 0), in_flight)
+                try:
+                    status, payload = outer._respond(*key, attempt)
+                    data = json.dumps(payload).encode("utf-8")
+                    head = (
+                        f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+                        f"Content-Length: {len(data)}\r\n\r\n"
+                    ).encode("latin-1")
+                    self.wfile.write(head + data)
+                finally:
+                    with outer._lock:
+                        outer._in_flight[key[0]] -= 1
 
         self._server = _QuietServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(

@@ -36,6 +36,7 @@ BAD_NUMBERS = (
 )
 BAD_LABELS = st.sampled_from(["hate", "HATE", "yes", "", 5, 1.5, math.nan, math.inf, None, []])
 NOT_ITERABLE = st.sampled_from([5, 2.5, math.nan, math.inf, None, True])
+NOT_TEXT = st.sampled_from([None, 5, 2.5])
 
 
 def drop(*keys):
@@ -109,6 +110,7 @@ WEB = FileKind(
     corruptions=lambda index: (
         drop("id", "url", "lang", "schema_types", "text")
         | set_field("schema_types", NOT_ITERABLE)
+        | set_field("text", NOT_TEXT)
         | replace_row(NON_OBJECTS)
     ),
 )
@@ -116,7 +118,9 @@ WEB = FileKind(
 TEXTS = FileKind(
     name="texts.jsonl",
     rows=tuple({"id": f"t{i}", "text": f"some text {i}", "lang": "eng"} for i in range(4)),
-    corruptions=lambda index: drop("id", "text") | replace_row(NON_OBJECTS),
+    corruptions=lambda index: (
+        drop("id", "text") | set_field("text", NOT_TEXT) | replace_row(NON_OBJECTS)
+    ),
 )
 
 LABELS = FileKind(
@@ -359,3 +363,53 @@ def test_stderr_names_file_line_and_id(tmp_path):
         f"ERROR hatepool: {path}:5 (id 't3'): 'int' object is not iterable\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl"]
+
+
+def endpoints_with(**fields):
+    """The valid endpoints config with ``fields`` set on its first endpoint."""
+    config = copy.deepcopy(ENDPOINTS)
+    config["endpoints"][0].update(fields)
+    return config
+
+
+# JSON config files whose wrong-typed fields exited 1 with a traceback:
+# (command, config, the field the error names).
+CONFIG_CASES = {
+    "max-in-flight-is-text": ("annotate", endpoints_with(max_in_flight="4"), "max_in_flight"),
+    "max-in-flight-is-bool": ("annotate", endpoints_with(max_in_flight=True), "max_in_flight"),
+    "retry-limit-is-float": ("annotate", endpoints_with(retry_limit=2.0), "retry_limit"),
+    "top-k-is-null": ("annotate", endpoints_with(logprobs_top_k=None), "logprobs_top_k"),
+    "timeout-is-text": ("annotate", endpoints_with(timeout="30"), "timeout"),
+    "backoff-is-nan": ("annotate", endpoints_with(backoff_base=math.nan), "backoff_base"),
+    "model-id-is-a-number": ("annotate", endpoints_with(model_id=5), "model_id"),
+    "base-url-is-a-list": ("annotate", endpoints_with(base_url=["http://x/v1"]), "base_url"),
+    "auth-token-is-a-number": ("annotate", endpoints_with(auth_token=5), "auth_token"),
+    "endpoints-are-numbers": ("annotate", {"endpoints": [5, 6, 7, 8]}, "endpoint"),
+    "endpoints-is-a-number": ("annotate", {"endpoints": 5}, "endpoints"),
+    "url-keywords-is-a-number": ("filter", {"url_keywords": 5}, "url_keywords"),
+    "url-keywords-is-text": ("filter", {"url_keywords": "forum"}, "url_keywords"),
+    "whitelist-holds-a-number": ("filter", {"schema_whitelist": ["Comment", 5]},
+                                 "schema_whitelist"),
+    "expand-is-text": ("filter", {"expand_multiword_keywords": "false"},
+                       "expand_multiword_keywords"),
+    "filter-config-is-a-list": ("filter", ["forum"], "filter config"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_config_type_error_exits_2_naming_the_field(name, tmp_path, caplog):
+    command, config, field = CONFIG_CASES[name]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    if command == "annotate":
+        write_lines(tmp_path / TEXTS.name, TEXTS.rows)
+        argv = ["annotate", "--input", str(tmp_path / TEXTS.name), "--output",
+                str(tmp_path / "out.jsonl"), "--endpoints", str(config_path)]
+    else:
+        write_lines(tmp_path / WEB.name, WEB.rows)
+        argv = ["filter", "--input", str(tmp_path / WEB.name), "--output",
+                str(tmp_path / "out.jsonl"), "--config", str(config_path)]
+    assert main(argv) == 2
+    assert not (tmp_path / "out.jsonl").exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(messages) == 1 and field in messages[0], messages

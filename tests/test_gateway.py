@@ -1,9 +1,15 @@
+import _thread
+import collections
+import gc
 import hashlib
 import io
+import itertools
 import json
 import math
+import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -419,3 +425,139 @@ class TestMalformedCompletion:
             dead = [json.loads(line) for line in fp]
         assert [d["id"] for d in dead] == ["bad"]
         assert dead[0]["errors"][0]["error"].startswith("malformed completion response")
+
+
+def annotate_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("annotate-")]
+
+
+class TestDispatch:
+    def test_backing_off_retry_holds_no_slot(self):
+        # Mistral-7B's only slot serves texts 1-3 while text 0 backs off; the
+        # backoff ends once text 3 arrives, and the due retry then goes ahead
+        # of the remaining fresh texts.
+        texts = [(f"t{i}", f"text {i}") for i in range(8)]
+        prompts = [render_prompt(PromptTemplate(), text) for _, text in texts]
+        released = threading.Event()
+
+        def respond(model, prompt, attempt):
+            if model == "Mistral-7B" and prompt == prompts[0] and attempt == 0:
+                return 503, {"error": "busy"}
+            if model == "Mistral-7B" and prompt == prompts[3]:
+                released.set()
+                time.sleep(0.2)  # the retry is requeued before this answer leaves
+            return 200, GOOD
+
+        def sleep(seconds):
+            if not released.wait(timeout=5):
+                raise TimeoutError("texts 1-3 were not served while text 0 backed off")
+
+        with StubServer(respond) as server:
+            results, quarantined = annotate_batch(
+                texts, endpoints_for(server, max_in_flight=1, retry_limit=1), sleep=sleep
+            )
+        assert quarantined == []
+        assert [r.id for r in results] == [t[0] for t in texts]
+        assert server.inflight_peak == {m: 1 for m in MODEL_IDS}
+        order = [(prompts.index(p), a) for m, p, a in server.served if m == "Mistral-7B"]
+        assert order == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (4, 0), (5, 0), (6, 0), (7, 0)]
+
+    def test_interrupt_stops_the_batch(self):
+        # Request k interrupts the main thread; it and every later request
+        # answer slowly, so a client that keeps dispatching would send more.
+        k = 40
+        texts = [(f"t{i}", f"text {i}") for i in range(200)]
+        flaky = {render_prompt(PromptTemplate(), text) for _, text in texts[:12]}
+        arrived = itertools.count(1)
+
+        def respond(model, prompt, attempt):
+            n = next(arrived)
+            if n == k:
+                _thread.interrupt_main()
+            time.sleep(0.3 if n >= k else 0.005)
+            if model == "Gemma2-9B" and prompt in flaky and attempt == 0:
+                return 503, {"error": "busy"}  # backoffs are pending at the interrupt
+            return 200, GOOD
+
+        with StubServer(respond) as server:
+            endpoints = endpoints_for(server, max_in_flight=1, retry_limit=2, backoff_base=0.05)
+            started = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                annotate_batch(texts, endpoints)
+            elapsed = time.monotonic() - started
+            requests = server.requests
+        assert k <= requests <= k + sum(ep.max_in_flight for ep in endpoints)
+        assert annotate_threads() == []
+        assert elapsed < 3.0
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_no_thread_or_connection_outlives_the_batch(self, raises):
+        def respond(model, prompt, attempt):
+            if "text 2" in prompt and attempt == 0:
+                return 503, {"error": "busy"}
+            return 200, GOOD
+
+        def sleep(seconds):
+            if raises:
+                raise RuntimeError("backoff failed")
+
+        def settle(condition):
+            deadline = time.monotonic() + 5
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return condition()
+
+        texts = [(f"t{i}", f"text {i}") for i in range(6)]
+        baseline = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with StubServer(respond) as server:
+                endpoints = endpoints_for(server, max_in_flight=2, retry_limit=1)
+                if raises:
+                    with pytest.raises(RuntimeError, match="backoff failed"):
+                        annotate_batch(texts, endpoints, sleep=sleep)
+                else:
+                    results, quarantined = annotate_batch(texts, endpoints, sleep=sleep)
+                    assert len(results) == 6 and quarantined == []
+                assert annotate_threads() == []
+                assert settle(lambda: server.closed == server.connections)
+                assert server.connections >= 4
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert settle(lambda: threading.active_count() == baseline)
+
+    def test_stress_every_text_gets_exactly_its_requests(self):
+        # Sixteen workers and their backoffs share four dispatchers under a
+        # tiny switch interval; a lost update to a queue or to the count of
+        # open texts would drop, repeat or strand a text.
+        texts = [(f"t{i}", f"text {i}") for i in range(60)]
+        prompts = [render_prompt(PromptTemplate(), text) for _, text in texts]
+        flaky = set(prompts[::3])
+
+        def respond(model, prompt, attempt):
+            if prompt in flaky and attempt < 2:
+                return 503, {"error": "busy"}
+            return 200, GOOD
+
+        outcome = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StubServer(respond) as server:
+                endpoints = endpoints_for(server, max_in_flight=4, retry_limit=2)
+                runner = threading.Thread(
+                    target=lambda: outcome.update(
+                        batch=annotate_batch(texts, endpoints, sleep=lambda seconds: None)
+                    )
+                )
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        results, quarantined = outcome["batch"]
+        assert quarantined == []
+        assert [r.id for r in results] == [t[0] for t in texts]
+        served = collections.Counter((model, prompt) for model, prompt, _ in server.served)
+        assert served == {(m, p): 3 if p in flaky else 1 for m in MODEL_IDS for p in prompts}
+        assert all(peak <= 4 for peak in server.inflight_peak.values())
