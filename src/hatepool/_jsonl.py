@@ -1,8 +1,12 @@
-"""JSON-lines and atomic-file helpers shared by the pipeline stages.
+"""JSON, JSON-lines and atomic-file helpers shared by the pipeline stages.
 
 All serialization in this package goes through :func:`dumps` so that a
 fixed input always produces byte-identical output: keys are sorted,
 non-ASCII text is written verbatim, and separators carry no whitespace.
+
+Every JSONL file is read by :func:`iter_jsonl` and every JSON file by
+:func:`read_json_file`; a bad row or file raises ``ValueError`` naming the
+file. :func:`from_json_object` is the one JSON object to config decoder.
 """
 
 from __future__ import annotations
@@ -55,17 +59,14 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
                 row = decode(row)
             except (KeyError, TypeError, ValueError) as exc:
                 where = f"{source}:{lineno}" + (f" (id {row['id']!r})" if "id" in row else "")
-                reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ValueError(f"{where}: {reason}") from exc
+                raise decode_error(where, exc) from exc
         yield row
 
 
-def string_field(row: dict, key: str) -> str:
-    """``row[key]``, which must be a JSON string; ``TypeError`` otherwise."""
-    value = row[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
+def decode_error(where: str, exc: Exception) -> ValueError:
+    """``ValueError("<where>: <reason>")`` for an error a decoder raised."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{where}: {reason}")
 
 
 def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
@@ -130,6 +131,64 @@ def write_json_file(path: str, obj: Any) -> None:
         fp.write("\n")
 
 
-def read_json_file(path: str) -> Any:
+def read_json_file(path: str, decode=None) -> Any:
+    """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
+
+    Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, and
+    a ``KeyError``/``TypeError``/``ValueError`` from ``decode`` ``ValueError("<file>: ...")``.
+    """
     with open_input(path) as fp:
-        return json.load(fp)
+        source = getattr(fp, "name", path)
+        try:
+            value = json.load(fp)
+            return value if decode is None else decode(value)
+        except json.JSONDecodeError as exc:
+            where = f"{source}:{exc.lineno}:{exc.colno}"
+            raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise decode_error(source, exc) from exc
+
+
+# Field annotation -> (description, JSON types, conversion of a list of
+# strings). Types match exactly, so a bool is never a number, and numbers keep
+# their JSON type, so a config written back out has the same bytes.
+_KINDS = {
+    "str": ("a string", (str,), None),
+    "str | None": ("a string or null", (str, type(None)), None),
+    "int": ("an integer", (int,), None),
+    "float": ("a number", (int, float), None),
+    "bool": ("true or false", (bool,), None),
+    "list": ("a list", (list,), None),
+    "dict": ("an object", (dict,), None),
+    "tuple[str, ...]": ("a list of strings", (list,), tuple),
+    "frozenset[str]": ("a list of strings", (list,), frozenset),
+}
+
+
+def typed_value(value: Any, kind: str, name: str) -> Any:
+    """``value`` as ``kind`` (a key of ``_KINDS``); ``ValueError`` naming ``name`` otherwise."""
+    description, types, convert = _KINDS[kind]
+    if type(value) not in types or (convert and not all(type(v) is str for v in value)):
+        raise ValueError(f"{name} must be {description}, got {value!r}")
+    return value if convert is None else convert(value)
+
+
+def json_object(value: Any, what: str, known) -> dict:
+    """``value``, which must be a JSON object with no keys outside ``known``."""
+    typed_value(value, "dict", what)
+    unknown = sorted(set(value).difference(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return value
+
+
+def from_json_object(cls, obj: Any, what: str, **fixed: Any) -> Any:
+    """The dataclass ``cls`` from the JSON object ``obj`` (called ``what`` in errors).
+
+    Each key must be a field of ``cls`` holding a value of the field's kind;
+    ``fixed`` gives the fields that do not come from ``obj``.
+    """
+    fields = cls.__dataclass_fields__
+    json_object(obj, what, [name for name in fields if name not in fixed])
+    kwargs = {key: typed_value(value, fields[key].type, key) for key, value in obj.items()}
+    return cls(**fixed, **kwargs)

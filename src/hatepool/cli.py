@@ -4,8 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 partial annotation
 (some texts quarantined). All diagnostics go to stderr; only requested
 output goes to stdout. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
-``file:line (id ...): reason``. Only ``filter`` skips lines that are not
-valid JSON, counting them in ``malformed_lines``.
+``file:line (id ...): reason``, and so does a bad CSV/TSV row for
+``ingest``, as ``file:line: reason``. Only ``filter`` skips lines that are
+not valid JSON, counting them in ``malformed_lines``. A JSON file (a
+config, the endpoints, groups, registry, model or baseline) that is not
+valid JSON exits 2 with ``file:line:col``; one with an unknown key or a
+wrong-typed field exits 2 with ``file: reason`` naming the field.
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
@@ -24,9 +28,10 @@ from ._jsonl import (
     atomic_output,
     dumps_pretty,
     iter_jsonl,
+    json_object,
     open_input,
     read_json_file,
-    string_field,
+    typed_value,
     write_json_file,
     write_jsonl_line,
 )
@@ -34,7 +39,6 @@ from ._jsonl import (
 if TYPE_CHECKING:
     from .datasets import LabeledExample
     from .gateway import AnnotatorEndpoint
-    from .gbdt import MetaLearnerConfig
     from .metrics import GroupSpec
     from .prompt import PromptTemplate
 
@@ -107,9 +111,7 @@ def _parse_threshold(raw: str) -> tuple[str, float | None]:
 def cmd_filter(args: argparse.Namespace) -> int:
     from .filtering import FilterConfig, WebRecord, filter_records, subsample_by_language
 
-    config = (
-        FilterConfig.from_dict(read_json_file(args.config)) if args.config else FilterConfig()
-    )
+    config = read_json_file(args.config, FilterConfig.from_dict) if args.config else FilterConfig()
     malformed = [0]
 
     def on_bad_line(lineno: int) -> None:
@@ -150,24 +152,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_endpoints(path: str) -> tuple[list[AnnotatorEndpoint], PromptTemplate]:
+def _decode_endpoints(cfg: object) -> tuple[list[AnnotatorEndpoint], PromptTemplate]:
     from .gateway import AnnotatorEndpoint
     from .prompt import PromptTemplate
 
-    cfg = read_json_file(path)
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("endpoints"), list):
-        raise ValueError("endpoints file must be an object with an 'endpoints' list")
-    endpoints = [AnnotatorEndpoint.from_dict(e) for e in cfg["endpoints"]]
-    template = (
-        PromptTemplate.from_dict(cfg["template"]) if "template" in cfg else PromptTemplate()
-    )
-    return endpoints, template
+    json_object(cfg, "endpoints file", ("endpoints", "template"))
+    endpoints = typed_value(cfg["endpoints"], "list", "endpoints")
+    template = PromptTemplate.from_dict(cfg.get("template", {}))
+    return [AnnotatorEndpoint.from_dict(e) for e in endpoints], template
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     from .gateway import annotate_batch, write_annotations
 
-    endpoints, template = _load_endpoints(args.endpoints)
+    endpoints, template = read_json_file(args.endpoints, _decode_endpoints)
     texts: list[tuple[str, str]] = []
     lang_by_id: dict[str, str] = {}
     raw_label_by_id: dict[str, str] = {}
@@ -176,7 +174,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         raw_label = row.get("raw_label")
         if raw_label is None:
             raw_label = row.get("gold")
-        return str(row["id"]), string_field(row, "text"), row.get("lang"), raw_label
+        return str(row["id"]), typed_value(row["text"], "str", "text"), row.get("lang"), raw_label
 
     with open_input(args.input) as in_fp:
         for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
@@ -230,17 +228,11 @@ def _load_labels(path: str) -> dict[str, LabeledExample]:
     return labels
 
 
-def _meta_config(args: argparse.Namespace) -> MetaLearnerConfig:
-    from .gbdt import MetaLearnerConfig
-
-    cfg = dict(read_json_file(args.config)) if args.config else {}
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return MetaLearnerConfig.from_dict(cfg)
-
-
 def cmd_train_meta(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .gateway import read_annotations
+    from .gbdt import MetaLearnerConfig
     from .meta import save_model, train_meta_on_vectors
 
     labels = _load_labels(args.labels)
@@ -249,7 +241,11 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
         joined = [(row, labels[row.id]) for row in rows if row.id in labels]
     if not joined:
         raise ValueError("annotations and labels share no ids")
-    config = _meta_config(args)
+    config = MetaLearnerConfig()
+    if args.config:
+        config = read_json_file(args.config, MetaLearnerConfig.from_dict)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     vectors = [row.vector for row, _ in joined]
     golds = [example.gold for _, example in joined]
     model = train_meta_on_vectors(vectors, golds, config)
@@ -305,13 +301,15 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_groups(path: str) -> list[GroupSpec]:
+def _decode_groups(cfg: object) -> list[GroupSpec]:
     from .metrics import GroupSpec
 
-    cfg = read_json_file(path)
-    if not isinstance(cfg, dict) or not cfg:
+    if not typed_value(cfg, "dict", "groups file"):
         raise ValueError("groups file must be a nonempty object of name -> dataset list")
-    return [GroupSpec(name=name, members=frozenset(members)) for name, members in cfg.items()]
+    return [
+        GroupSpec(name=name, members=typed_value(members, "frozenset[str]", f"group {name!r}"))
+        for name, members in cfg.items()
+    ]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -327,7 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open_input(args.predictions) as fp:
         rows = list(iter_jsonl(fp, PredictionRow.from_dict))
     if args.groups:
-        groups = _load_groups(args.groups)
+        groups = read_json_file(args.groups, _decode_groups)
         known = set().union(*(g.members for g in groups))
     else:
         registry = load_registry(args.registry)
@@ -344,7 +342,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     payload = report.to_dict()
     if args.baseline:
-        baseline = read_json_file(args.baseline)
+        baseline = read_json_file(args.baseline, lambda b: typed_value(b, "dict", "baseline"))
         payload["deltas"] = {"macro_f1": delta_report(payload, baseline, "macro_f1")}
     write_json_file(args.report, payload)
     if args.table:

@@ -10,13 +10,12 @@ examples.
 from __future__ import annotations
 
 import csv
-import json
+import os
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Iterable, Iterator, Mapping
 
-from ._jsonl import iter_jsonl, read_json_file
+from ._jsonl import decode_error, from_json_object, iter_jsonl, read_json_file, typed_value
 
 
 class BinaryLabel(str, Enum):
@@ -79,28 +78,19 @@ class LabeledExample:
         )
 
 
-def _spec_from_dict(name: str, entry: Mapping) -> DatasetSpec:
-    return DatasetSpec(
-        name=name,
-        language=str(entry["language"]),
-        vocabulary=frozenset(str(v) for v in entry["vocabulary"]),
-        positives=frozenset(str(v) for v in entry["positives"]),
-        text_column=str(entry.get("text_column", "text")),
-        label_column=str(entry.get("label_column", "label")),
-        id_column=entry.get("id_column"),
-    )
+_BUNDLED_REGISTRY = os.path.join(os.path.dirname(__file__), "data", "dataset_registry.json")
+
+
+def _decode_registry(raw: object) -> dict[str, DatasetSpec]:
+    return {
+        name: from_json_object(DatasetSpec, entry, f"dataset {name!r}", name=name)
+        for name, entry in typed_value(raw, "dict", "registry").items()
+    }
 
 
 def load_registry(path: str | None = None) -> dict[str, DatasetSpec]:
     """Load the dataset registry; the bundled one when ``path`` is None."""
-    if path is None:
-        with resources.files("hatepool.data").joinpath("dataset_registry.json").open(
-            "r", encoding="utf-8"
-        ) as fp:
-            raw = json.load(fp)
-    else:
-        raw = read_json_file(path)
-    return {name: _spec_from_dict(name, entry) for name, entry in raw.items()}
+    return read_json_file(path or _BUNDLED_REGISTRY, _decode_registry)
 
 
 def get_dataset_spec(name: str, registry: Mapping[str, DatasetSpec]) -> DatasetSpec:
@@ -161,7 +151,12 @@ def _checked_row(spec: DatasetSpec, row: dict) -> dict:
 
 
 def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> Iterator[Mapping]:
-    """Yield raw rows from a CSV/TSV/JSONL dataset export."""
+    """Yield raw rows from a CSV/TSV/JSONL dataset export.
+
+    Each row is checked as it is read, so a bad row raises
+    ``ValueError("<file>:<line>: <reason>")``. A CSV/TSV row shorter than
+    the header lacks its missing columns.
+    """
     if fmt is None:
         lowered = path.lower()
         if lowered.endswith(".csv"):
@@ -173,10 +168,15 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
     if fmt in ("csv", "tsv"):
         with open(path, "r", encoding="utf-8", newline="") as fp:
             reader = csv.DictReader(fp, delimiter="\t" if fmt == "tsv" else ",")
-            yield from reader
+            for row in reader:
+                row = {key: value for key, value in row.items() if value is not None}
+                try:
+                    _text_and_gold(spec, row)
+                except (KeyError, ValueError) as exc:
+                    raise decode_error(f"{path}:{reader.line_num}", exc) from exc
+                yield row
     elif fmt == "jsonl":
         with open(path, "r", encoding="utf-8") as fp:
-            # Checked here as well as in ingest_rows, so a bad row is named by its line.
             yield from iter_jsonl(fp, lambda row: _checked_row(spec, row))
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")

@@ -14,7 +14,7 @@ from urllib.parse import unquote, urlparse
 
 import numpy as np
 
-from ._jsonl import string_field
+from ._jsonl import from_json_object, typed_value
 
 DEFAULT_URL_KEYWORDS = (
     "thread",
@@ -68,7 +68,7 @@ class WebRecord:
             url=str(row["url"]),
             lang=str(row["lang"]),
             schema_types=tuple(str(t) for t in row["schema_types"]),
-            text=string_field(row, "text"),
+            text=typed_value(row["text"], "str", "text"),
         )
 
     def to_dict(self) -> dict:
@@ -108,21 +108,7 @@ class FilterConfig:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "FilterConfig":
-        if not isinstance(cfg, Mapping):
-            raise ValueError(f"filter config must be an object, got {cfg!r}")
-        kwargs: dict = {}
-        for name, convert in (("url_keywords", tuple), ("schema_whitelist", frozenset)):
-            if name in cfg:
-                value = cfg[name]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise ValueError(f"{name} must be a list of strings, got {value!r}")
-                kwargs[name] = convert(value)
-        if "expand_multiword_keywords" in cfg:
-            expand = cfg["expand_multiword_keywords"]
-            if not isinstance(expand, bool):
-                raise ValueError(f"expand_multiword_keywords must be true or false, got {expand!r}")
-            kwargs["expand_multiword_keywords"] = expand
-        return cls(**kwargs)
+        return from_json_object(cls, cfg, "filter config")
 
 
 @dataclass

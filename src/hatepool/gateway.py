@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
-from ._jsonl import iter_jsonl, write_jsonl_line
+from ._jsonl import from_json_object, iter_jsonl, write_jsonl_line
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector
 from .prompt import (
     ExtractionError,
@@ -50,20 +50,6 @@ from .prompt import (
     PromptTemplate,
     extract_label_probabilities,
     render_prompt,
-)
-
-
-# (field, accepted types, description) for each AnnotatorEndpoint field; a
-# bool is refused wherever a number is expected.
-_FIELD_TYPES = (
-    ("model_id", str, "a string"),
-    ("base_url", str, "a string"),
-    ("auth_token", (str, type(None)), "a string or null"),
-    ("max_in_flight", int, "an integer"),
-    ("timeout", (int, float), "a number"),
-    ("retry_limit", int, "an integer"),
-    ("backoff_base", (int, float), "a number"),
-    ("logprobs_top_k", int, "an integer"),
 )
 
 
@@ -85,10 +71,6 @@ class AnnotatorEndpoint:
     logprobs_top_k: int = 20
 
     def __post_init__(self) -> None:
-        for name, kinds, what in _FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not self.model_id:
             raise ValueError("model_id must be nonempty")
         try:
@@ -111,13 +93,7 @@ class AnnotatorEndpoint:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "AnnotatorEndpoint":
-        if not isinstance(cfg, Mapping):
-            raise ValueError(f"an endpoint must be an object, got {cfg!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown endpoint keys: {sorted(unknown)}")
-        return cls(**dict(cfg))
+        return from_json_object(cls, cfg, "endpoint")
 
 
 class TransientRequestError(RuntimeError):

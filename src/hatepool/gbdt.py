@@ -22,10 +22,12 @@ accumulate in row-index order in the gradient sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from ._jsonl import from_json_object
 
 PROB_EPS = 1e-15
 
@@ -62,8 +64,8 @@ class MetaLearnerConfig:
             raise ValueError(f"unsupported objective {self.objective!r}")
         if self.num_leaves < 2:
             raise ValueError("num_leaves must be at least 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 < self.feature_fraction <= 1:
             raise ValueError("feature_fraction must be in (0, 1]")
         if not 0 < self.bagging_fraction <= 1:
@@ -74,30 +76,15 @@ class MetaLearnerConfig:
             raise ValueError("num_rounds must be nonnegative")
         if self.min_data_in_leaf < 1:
             raise ValueError("min_data_in_leaf must be at least 1")
-        if self.l2_leaf_regularization < 0:
-            raise ValueError("l2_leaf_regularization must be nonnegative")
+        if not 0 <= self.l2_leaf_regularization < math.inf:
+            raise ValueError("l2_leaf_regularization must be nonnegative and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "num_leaves": self.num_leaves,
-            "learning_rate": self.learning_rate,
-            "feature_fraction": self.feature_fraction,
-            "bagging_fraction": self.bagging_fraction,
-            "bagging_freq": self.bagging_freq,
-            "num_rounds": self.num_rounds,
-            "min_data_in_leaf": self.min_data_in_leaf,
-            "l2_leaf_regularization": self.l2_leaf_regularization,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MetaLearnerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**dict(cfg))
+        return from_json_object(cls, cfg, "config")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jsonl import read_json_file, write_json_file
+from ._jsonl import read_json_file, typed_value, write_json_file
 from .datasets import BinaryLabel
 from .ensemble import ProbabilityVector, features_matrix, mean_scores, vote_scores
 from .gbdt import (
@@ -203,17 +203,14 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
         raise ValueError("model file must carry exactly two heads")
     # Files written before the loss curve was saved have no train_logloss.
     losses = [float(v) for v in payload.get("train_logloss", [])]
-    hate_head = BoostedTrees(
-        base_score=float(base_scores[0]),
-        trees=[TreeNode.from_dict(t) for t in tree_lists[0]],
-        config=config,
-        train_logloss=losses,
-    )
-    neutral_head = BoostedTrees(
-        base_score=float(base_scores[1]),
-        trees=[TreeNode.from_dict(t) for t in tree_lists[1]],
-        config=config,
-        train_logloss=list(losses),
+    hate_head, neutral_head = (
+        BoostedTrees(
+            base_score=float(base_score),
+            trees=[TreeNode.from_dict(t) for t in typed_value(trees, "list", "trees")],
+            config=config,
+            train_logloss=list(losses),
+        )
+        for base_score, trees in zip(base_scores, tree_lists)
     )
     return MetaLearnerModel(
         hate_head=hate_head,
@@ -229,4 +226,4 @@ def save_model(model: MetaLearnerModel, path: str) -> None:
 
 
 def load_model(path: str) -> MetaLearnerModel:
-    return model_from_dict(read_json_file(path))
+    return read_json_file(path, model_from_dict)

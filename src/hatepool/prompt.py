@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._jsonl import from_json_object
+
 PLACEHOLDER = "{comment}"
 
 DEFAULT_TEMPLATE_TEXT = (
@@ -69,16 +71,7 @@ class PromptTemplate:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "PromptTemplate":
-        kwargs: dict = {}
-        if "template_text" in cfg:
-            kwargs["template_text"] = str(cfg["template_text"])
-        for key in ("hate_token", "neutral_token"):
-            if key in cfg:
-                kwargs[key] = str(cfg[key])
-        for key in ("hate_aliases", "neutral_aliases"):
-            if key in cfg:
-                kwargs[key] = tuple(str(t) for t in cfg[key])
-        return cls(**kwargs)
+        return from_json_object(cls, cfg, "template")
 
 
 def render_prompt(template: PromptTemplate, comment: str) -> str:

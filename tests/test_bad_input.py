@@ -372,7 +372,29 @@ def endpoints_with(**fields):
     return config
 
 
-# JSON config files whose wrong-typed fields exited 1 with a traceback:
+class Raw(str):
+    """Config file text written as it is, not JSON-encoded."""
+
+
+FEATURES = [f"{m}:{c}" for m in sorted(MODEL_IDS) for c in ("hate", "neutral")]
+
+
+def model_with(**fields):
+    """A valid model file with ``fields`` replaced."""
+    return {"config": {}, "feature_order": FEATURES, "heads": ["hate", "neutral"],
+            "base_scores": [0.0, 0.0], "trees": [[], []], **fields}
+
+
+def registry_with(**fields):
+    """A registry whose one entry, HateXplain, has ``fields`` set."""
+    entry = {"language": "eng", "vocabulary": ["hate", "normal"], "positives": ["hate"]}
+    return {"HateXplain": {**entry, **fields}}
+
+
+INVALID_JSON = Raw('{"a": 1,\n "b": }')
+
+# JSON config files whose wrong-typed fields exited 1 with a traceback, were
+# silently misread, or whose error did not name the file:
 # (command, config, the field the error names).
 CONFIG_CASES = {
     "max-in-flight-is-text": ("annotate", endpoints_with(max_in_flight="4"), "max_in_flight"),
@@ -393,23 +415,112 @@ CONFIG_CASES = {
     "expand-is-text": ("filter", {"expand_multiword_keywords": "false"},
                        "expand_multiword_keywords"),
     "filter-config-is-a-list": ("filter", ["forum"], "filter config"),
+    "filter-config-unknown-key": ("filter", {"url_keyword": ["forum"]}, "url_keyword"),
+    "filter-config-invalid-json": ("filter", INVALID_JSON, ":2:7: invalid JSON"),
+    "template-is-a-number": ("annotate", {**ENDPOINTS, "template": 5}, "template"),
+    "template-aliases-is-text": ("annotate", {**ENDPOINTS, "template": {"neutral_aliases": " 2"}},
+                                 "neutral_aliases"),
+    "template-aliases-is-a-number": ("annotate", {**ENDPOINTS, "template": {"hate_aliases": 5}},
+                                     "hate_aliases"),
+    "template-token-is-a-number": ("annotate", {**ENDPOINTS, "template": {"hate_token": 1}},
+                                   "hate_token"),
+    "template-unknown-key": ("annotate", {**ENDPOINTS, "template": {"prompt": "{comment}"}},
+                             "prompt"),
+    "endpoints-file-unknown-key": ("annotate", {**ENDPOINTS, "retries": 3}, "retries"),
+    "endpoints-file-is-a-list": ("annotate", [ENDPOINTS], "endpoints file"),
+    "endpoints-missing": ("annotate", {"template": {}}, "'endpoints'"),
+    "endpoints-invalid-json": ("annotate", INVALID_JSON, ":2:7: invalid JSON"),
+    "meta-seed-is-text": ("train-meta", {"seed": "7"}, "seed"),
+    "meta-num-rounds-is-float": ("train-meta", {"num_rounds": 2.5}, "num_rounds"),
+    "meta-config-is-a-list": ("train-meta", [1], "config"),
+    "meta-learning-rate-is-bool": ("train-meta", {"learning_rate": True}, "learning_rate"),
+    "meta-learning-rate-is-nan": ("train-meta", {"learning_rate": math.nan}, "learning_rate"),
+    "meta-learning-rate-is-inf": ("train-meta", {"learning_rate": math.inf}, "learning_rate"),
+    "meta-l2-is-inf": ("train-meta", {"l2_leaf_regularization": math.inf},
+                       "l2_leaf_regularization"),
+    "meta-l2-is-nan": ("train-meta", {"l2_leaf_regularization": math.nan},
+                       "l2_leaf_regularization"),
+    "meta-invalid-json": ("train-meta", INVALID_JSON, ":2:7: invalid JSON"),
+    "model-config-is-a-number": ("ensemble", model_with(config=5), "config"),
+    "model-config-seed-is-text": ("ensemble", model_with(config={"seed": "7"}), "seed"),
+    "model-trees-hold-a-number": ("ensemble", model_with(trees=[5, []]), "trees"),
+    "model-invalid-json": ("ensemble", INVALID_JSON, ":2:7: invalid JSON"),
+    "groups-member-list-is-a-number": ("evaluate --groups", {"G": 5}, "'G'"),
+    "groups-member-list-is-text": ("evaluate --groups", {"G": "abc"}, "'G'"),
+    "groups-members-hold-a-number": ("evaluate --groups", {"G": ["AHSD", 5]}, "'G'"),
+    "groups-file-is-a-list": ("evaluate --groups", [["AHSD"]], "groups file"),
+    "groups-invalid-json": ("evaluate --groups", INVALID_JSON, ":2:7: invalid JSON"),
+    "baseline-is-a-list": ("evaluate --baseline", [1], "baseline"),
+    "baseline-invalid-json": ("evaluate --baseline", INVALID_JSON, ":2:7: invalid JSON"),
+    "registry-vocabulary-is-a-number": ("evaluate --registry", registry_with(vocabulary=5),
+                                        "vocabulary"),
+    "registry-entry-is-a-list": ("evaluate --registry", {"HateXplain": ["eng"]}, "HateXplain"),
+    "registry-is-a-list": ("evaluate --registry", [registry_with()], "registry"),
+    "ingest-registry-vocabulary-is-a-number": ("ingest", registry_with(vocabulary=5),
+                                               "vocabulary"),
+    "ingest-registry-language-is-a-number": ("ingest", registry_with(language=5), "language"),
+    "ingest-registry-unknown-key": ("ingest", registry_with(text_col="post"), "text_col"),
+    "ingest-registry-name-key": ("ingest", registry_with(name="Other"), "name"),
+    "ingest-registry-invalid-json": ("ingest", INVALID_JSON, ":2:7: invalid JSON"),
 }
+
+
+def config_argv(command, config_path, directory):
+    """Write the valid inputs ``command`` needs; its argv, with the config at ``config_path``."""
+    out = str(directory / "out.jsonl")
+    kinds, argv = {
+        "annotate": ((TEXTS,), ["annotate", "--input", "{texts.jsonl}", "--output", out,
+                                "--endpoints", config_path]),
+        "filter": ((WEB,), ["filter", "--input", "{web.jsonl}", "--output", out,
+                            "--config", config_path]),
+        "train-meta": ((ANNOTATIONS, LABELS), ["train-meta", "--annotations", "{ann.jsonl}",
+                                               "--labels", "{labels.jsonl}", "--model-out", out,
+                                               "--config", config_path]),
+        "ensemble": ((ANNOTATIONS,), ["ensemble", "--annotations", "{ann.jsonl}", "--strategy",
+                                      "lgb", "--model", config_path, "--output", out]),
+        "ingest": ((EXPORT,), ["ingest", "--dataset", "HateXplain", "--format", "jsonl",
+                               "--input", "{export.jsonl}", "--output", out,
+                               "--registry", config_path]),
+    }.get(command) or ((PREDICTIONS,), ["evaluate", "--predictions", "{pred.jsonl}",
+                                        "--report", out, command.split()[1], config_path])
+    for kind in kinds:
+        write_lines(directory / kind.name, kind.rows)
+    return [str(directory / arg[1:-1]) if arg.startswith("{") else arg for arg in argv]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_CASES))
 def test_config_type_error_exits_2_naming_the_field(name, tmp_path, caplog):
     command, config, field = CONFIG_CASES[name]
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    if command == "annotate":
-        write_lines(tmp_path / TEXTS.name, TEXTS.rows)
-        argv = ["annotate", "--input", str(tmp_path / TEXTS.name), "--output",
-                str(tmp_path / "out.jsonl"), "--endpoints", str(config_path)]
-    else:
-        write_lines(tmp_path / WEB.name, WEB.rows)
-        argv = ["filter", "--input", str(tmp_path / WEB.name), "--output",
-                str(tmp_path / "out.jsonl"), "--config", str(config_path)]
+    config_path.write_text(config if isinstance(config, Raw) else json.dumps(config))
+    argv = config_argv(command, str(config_path), tmp_path)
     assert main(argv) == 2
     assert not (tmp_path / "out.jsonl").exists()
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(messages) == 1 and field in messages[0], messages
+    assert messages[0].startswith(f"{config_path}:"), messages
+
+
+# CSV/TSV exports whose bad row exited 2 without naming its line:
+# (file name, text, line of the bad row, reason).
+CSV_CASES = {
+    "csv-unmapped-label": ("export.csv", "text,label\nfine,normal\nbad,banana\n", 3,
+                           "dataset 'HateXplain': unmapped raw label 'banana'"),
+    "csv-short-row": ("export.csv", "text,label\nfine,normal\nshort\n", 3, "missing key 'label'"),
+    "tsv-unmapped-label": ("export.tsv", "text\tlabel\nfine\tnormal\n\nbad\tbanana\n", 4,
+                           "dataset 'HateXplain': unmapped raw label 'banana'"),
+    "tsv-missing-column": ("export.tsv", "post\tlabel\nfine\tnormal\n", 2, "missing key 'text'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_csv_row_error_names_its_line(name, tmp_path, caplog):
+    file_name, text, line, reason = CSV_CASES[name]
+    path = tmp_path / file_name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "--dataset", "HateXplain", "--input", str(path),
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(messages) == 1 and messages[0].startswith(f"{path}:{line}: {reason}"), messages

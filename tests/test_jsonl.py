@@ -1,10 +1,25 @@
+from __future__ import annotations
+
 import io
+import json
+import math
 import os
+import re
 import stat
+from dataclasses import asdict, dataclass
 
 import pytest
 
-from hatepool._jsonl import atomic_output, iter_jsonl, iter_jsonl_tolerant, write_json_file
+from hatepool import AnnotatorEndpoint, DatasetSpec, FilterConfig, MetaLearnerConfig
+from hatepool._jsonl import (
+    atomic_output,
+    from_json_object,
+    iter_jsonl,
+    iter_jsonl_tolerant,
+    read_json_file,
+    write_json_file,
+)
+from hatepool.prompt import PromptTemplate
 
 
 def file_mode(path):
@@ -129,3 +144,165 @@ class TestIterJsonl:
         assert seen == expected == [2]
         with pytest.raises(ValueError, match="^<stream>:1: not a JSON object$"):
             list(iter_jsonl_tolerant(io.StringIO("[]\n"), seen.append))
+
+
+@dataclass(frozen=True)
+class Kinds:
+    """One field of each kind the decoder knows."""
+
+    text: str = ""
+    maybe_text: str | None = None
+    count: int = 0
+    number: float = 0.0
+    flag: bool = False
+    ordered: tuple[str, ...] = ()
+    members: frozenset[str] = frozenset()
+
+
+ACCEPTED = {
+    "text": ["", "x"],
+    "maybe_text": [None, "x"],
+    "count": [0, -3, 2**70],
+    "number": [0, -3, 2.5, 1e300, math.nan, math.inf],
+    "flag": [True, False],
+    "ordered": [[], ["b", "a", "b"]],
+    "members": [[], ["b", "a", "b"]],
+}
+
+REFUSED = {
+    "text": ([5, None, True, ["x"], {"x": 1}], "a string"),
+    "maybe_text": ([5, False, [], {}], "a string or null"),
+    "count": ([True, False, 2.0, 2.5, "4", None, [4]], "an integer"),
+    "number": ([True, False, "1.0", None, [1.0], {}], "a number"),
+    "flag": ([0, 1, "true", None], "true or false"),
+    "ordered": (["ab", [1], ["a", None], ["a", True], None, 5, {"a": "b"}], "a list of strings"),
+    "members": (["ab", [1], ["a", ["b"]], None, {"a": "b"}], "a list of strings"),
+}
+
+
+def as_json(config):
+    """``asdict(config)`` with tuples and sets as JSON lists."""
+    return json.loads(json.dumps(
+        {k: sorted(v) if isinstance(v, frozenset) else v for k, v in asdict(config).items()}
+    ))
+
+
+class TestFromJsonObject:
+    @pytest.mark.parametrize(
+        "field, value", [(f, v) for f, values in ACCEPTED.items() for v in values]
+    )
+    def test_kind_accepts(self, field, value):
+        decoded = getattr(from_json_object(Kinds, {field: value}, "kinds"), field)
+        if isinstance(value, list):
+            convert = tuple if field == "ordered" else frozenset
+            assert decoded == convert(value) and type(decoded) is convert
+        else:
+            assert decoded is value or (decoded == value and type(decoded) is type(value))
+
+    @pytest.mark.parametrize(
+        "field, value", [(f, v) for f, (values, _) in REFUSED.items() for v in values]
+    )
+    def test_kind_refuses(self, field, value):
+        description = REFUSED[field][1]
+        with pytest.raises(ValueError) as info:
+            from_json_object(Kinds, {field: value}, "kinds")
+        assert str(info.value) == f"{field} must be {description}, got {value!r}"
+
+    @pytest.mark.parametrize("value", [[1], "x", 5, None, True])
+    def test_non_object_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            from_json_object(Kinds, value, "kinds")
+        assert str(info.value) == f"kinds must be an object, got {value!r}"
+
+    def test_unknown_keys_refused(self):
+        with pytest.raises(ValueError) as info:
+            from_json_object(Kinds, {"text": "x", "zeta": 1, "alpha": 2}, "kinds")
+        assert str(info.value) == "unknown kinds keys: ['alpha', 'zeta']"
+
+    def test_fixed_fields(self):
+        assert from_json_object(Kinds, {"count": 2}, "kinds", text="t") == Kinds(text="t", count=2)
+        with pytest.raises(ValueError, match=r"^unknown kinds keys: \['text'\]$"):
+            from_json_object(Kinds, {"text": "x"}, "kinds", text="t")
+
+    def test_defaults_for_absent_fields(self):
+        assert from_json_object(Kinds, {}, "kinds") == Kinds()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AnnotatorEndpoint(model_id="m", base_url="http://x/v1", auth_token="k", timeout=5),
+            AnnotatorEndpoint(model_id="m", base_url="https://x:8443/v1"),
+            MetaLearnerConfig(),
+            MetaLearnerConfig(seed=9, num_rounds=3, learning_rate=1, l2_leaf_regularization=0),
+            FilterConfig(),
+            FilterConfig(url_keywords=("forum", "status update"), schema_whitelist=frozenset({"A"}),
+                         expand_multiword_keywords=False),
+            PromptTemplate(),
+            PromptTemplate(template_text="Q: {comment}", hate_aliases=(" 1",),
+                           neutral_aliases=(" 2", "2\n")),
+        ],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_config_round_trips(self, config):
+        decoded = type(config).from_dict(as_json(config))
+        assert decoded == config
+        assert as_json(decoded) == as_json(config)
+
+    def test_numbers_keep_their_json_type(self):
+        config = MetaLearnerConfig.from_dict({"l2_leaf_regularization": 0, "learning_rate": 1})
+        assert type(config.l2_leaf_regularization) is int
+        assert json.dumps(config.to_dict()) == json.dumps(
+            {**MetaLearnerConfig().to_dict(), "l2_leaf_regularization": 0, "learning_rate": 1}
+        )
+
+    def test_registry_entry_round_trips(self):
+        spec = DatasetSpec(name="X", language="eng", vocabulary=frozenset({"a", "b"}),
+                           positives=frozenset({"a"}), id_column="id")
+        entry = {k: v for k, v in as_json(spec).items() if k != "name"}
+        assert from_json_object(DatasetSpec, entry, "dataset 'X'", name="X") == spec
+
+
+class TestReadJsonFile:
+    def test_invalid_json_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{\n  "a": 1,\n  "b": }\n')
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path), lambda value: value)
+        assert str(info.value) == f"{path}:3:8: invalid JSON: Expecting value"
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec"):
+            read_json_file(str(path), lambda value: value)
+
+    @pytest.mark.parametrize(
+        "error, reason",
+        [
+            (KeyError("x"), "missing key 'x'"),
+            (TypeError("'int' object is not iterable"), "'int' object is not iterable"),
+            (ValueError("seed must be an integer, got '7'"), "seed must be an integer, got '7'"),
+        ],
+        ids=["KeyError", "TypeError", "ValueError"],
+    )
+    def test_decoder_errors_name_the_file(self, tmp_path, error, reason):
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+
+        def decode(value):
+            raise error
+
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path), decode)
+        assert str(info.value) == f"{path}: {reason}"
+        assert info.value.__cause__ is error
+
+    def test_other_decoder_errors_pass_through(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+
+        def decode(value):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="^boom$"):
+            read_json_file(str(path), decode)
