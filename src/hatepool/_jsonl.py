@@ -185,10 +185,13 @@ def json_object(value: Any, what: str, known) -> dict:
 def from_json_object(cls, obj: Any, what: str, **fixed: Any) -> Any:
     """The dataclass ``cls`` from the JSON object ``obj`` (called ``what`` in errors).
 
-    Each key must be a field of ``cls`` holding a value of the field's kind;
-    ``fixed`` gives the fields that do not come from ``obj``.
+    Each key must be a field of ``cls`` holding a value of the field's kind,
+    or ``ValueError("<what>: <key> must be ...")`` is raised; ``fixed`` gives
+    the fields that do not come from ``obj``.
     """
     fields = cls.__dataclass_fields__
     json_object(obj, what, [name for name in fields if name not in fixed])
-    kwargs = {key: typed_value(value, fields[key].type, key) for key, value in obj.items()}
+    kwargs = {
+        key: typed_value(value, fields[key].type, f"{what}: {key}") for key, value in obj.items()
+    }
     return cls(**fixed, **kwargs)

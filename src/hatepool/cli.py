@@ -9,7 +9,10 @@ object (blank lines are skipped); a bad row exits 2 with
 not valid JSON, counting them in ``malformed_lines``. A JSON file (a
 config, the endpoints, groups, registry, model or baseline) that is not
 valid JSON exits 2 with ``file:line:col``; one with an unknown key or a
-wrong-typed field exits 2 with ``file: reason`` naming the field.
+wrong-typed field exits 2 with ``file: reason`` naming the field, and the
+entry that holds it (``dataset 'X'``, ``endpoints[i]``) where there is one.
+An empty ``text`` or a repeated ``id`` in the ``annotate`` input is a bad
+row. ``evaluate --threshold fixed:V`` takes only a finite V (exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
@@ -27,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 from ._jsonl import (
     atomic_output,
     dumps_pretty,
+    from_json_object,
     iter_jsonl,
     json_object,
     open_input,
@@ -100,9 +105,12 @@ def _parse_threshold(raw: str) -> tuple[str, float | None]:
         return "mean", None
     if raw.startswith("fixed:"):
         try:
-            return "fixed", float(raw.split(":", 1)[1])
+            value = float(raw.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad fixed threshold in {raw!r}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"fixed threshold must be finite, got {raw!r}")
+        return "fixed", value
     raise argparse.ArgumentTypeError(
         f"threshold must be 'mean' or 'fixed:<value>', got {raw!r}"
     )
@@ -159,26 +167,35 @@ def _decode_endpoints(cfg: object) -> tuple[list[AnnotatorEndpoint], PromptTempl
     json_object(cfg, "endpoints file", ("endpoints", "template"))
     endpoints = typed_value(cfg["endpoints"], "list", "endpoints")
     template = PromptTemplate.from_dict(cfg.get("template", {}))
-    return [AnnotatorEndpoint.from_dict(e) for e in endpoints], template
+    return [
+        from_json_object(AnnotatorEndpoint, e, f"endpoints[{i}]") for i, e in enumerate(endpoints)
+    ], template
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     from .gateway import annotate_batch, write_annotations
 
     endpoints, template = read_json_file(args.endpoints, _decode_endpoints)
-    texts: list[tuple[str, str]] = []
+    texts: dict[str, str] = {}
     lang_by_id: dict[str, str] = {}
     raw_label_by_id: dict[str, str] = {}
 
+    # Called for each row after the rows before it were added to ``texts``.
     def text_row(row: dict) -> tuple:
+        text_id = str(row["id"])
+        if text_id in texts:
+            raise ValueError(f"duplicate text id {text_id!r}")
+        text = typed_value(row["text"], "str", "text")
+        if not text:
+            raise ValueError("text must be a nonempty string")
         raw_label = row.get("raw_label")
         if raw_label is None:
             raw_label = row.get("gold")
-        return str(row["id"]), typed_value(row["text"], "str", "text"), row.get("lang"), raw_label
+        return text_id, text, row.get("lang"), raw_label
 
     with open_input(args.input) as in_fp:
         for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
-            texts.append((text_id, text))
+            texts[text_id] = text
             if lang is not None:
                 lang_by_id[text_id] = str(lang)
             if raw_label is not None:
@@ -186,7 +203,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if not texts:
         raise ValueError("no texts to annotate")
 
-    results, quarantined = annotate_batch(texts, endpoints, template, seed=args.seed)
+    results, quarantined = annotate_batch(list(texts.items()), endpoints, template, seed=args.seed)
     model_order = sorted(ep.model_id for ep in endpoints)
     with atomic_output(args.output) as out_fp:
         write_annotations(
@@ -342,8 +359,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     payload = report.to_dict()
     if args.baseline:
-        baseline = read_json_file(args.baseline, lambda b: typed_value(b, "dict", "baseline"))
-        payload["deltas"] = {"macro_f1": delta_report(payload, baseline, "macro_f1")}
+        # The deltas are computed while the baseline is decoded, so its errors name the file.
+        deltas = read_json_file(
+            args.baseline,
+            lambda b: delta_report(payload, typed_value(b, "dict", "baseline"), "macro_f1"),
+        )
+        payload["deltas"] = {"macro_f1": deltas}
     write_json_file(args.report, payload)
     if args.table:
         if args.report == "-":

@@ -54,6 +54,10 @@ class DatasetSpec:
         stray = self.positives - self.vocabulary
         if stray:
             raise ValueError(f"{self.name}: positives not in vocabulary: {sorted(stray)}")
+        # map_label looks raw labels up in canonical form.
+        for label in sorted(self.vocabulary):
+            if label != canonical_raw_label(label):
+                raise ValueError(f"{self.name}: labels must be lowercase and stripped: {label!r}")
 
 
 @dataclass(frozen=True)

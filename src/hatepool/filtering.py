@@ -8,7 +8,7 @@ surviving stream to fixed quotas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
@@ -67,7 +67,7 @@ class WebRecord:
             id=str(row["id"]),
             url=str(row["url"]),
             lang=str(row["lang"]),
-            schema_types=tuple(str(t) for t in row["schema_types"]),
+            schema_types=typed_value(row["schema_types"], "tuple[str, ...]", "schema_types"),
             text=typed_value(row["text"], "str", "text"),
         )
 
@@ -105,10 +105,27 @@ class FilterConfig:
                 raise ValueError("url keywords must be nonempty strings")
             if kw != kw.lower():
                 raise ValueError(f"url keywords must be lowercase: {kw!r}")
+        # The match rules, derived once and kept outside the dataclass fields.
+        spellings = []
+        for kw in self.url_keywords:
+            spellings.append(kw)
+            if self.expand_multiword_keywords and " " in kw:
+                spellings += (kw.replace(" ", "-"), kw.replace(" ", "_"))
+        # A declared type loses at most one schema.org prefix, so it matches
+        # as a whitelisted name without a prefix, or as one prefix followed by
+        # any whitelisted name.
+        whitelist = self.schema_whitelist
+        accepted = {name for name in whitelist if not name.startswith(_SCHEMA_PREFIXES)}
+        accepted.update(prefix + name for prefix in _SCHEMA_PREFIXES for name in whitelist)
+        object.__setattr__(self, "_spellings", tuple(spellings))
+        object.__setattr__(self, "_accepted_types", frozenset(accepted))
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "FilterConfig":
         return from_json_object(cls, cfg, "filter config")
+
+
+_DEFAULT_CONFIG = FilterConfig()
 
 
 @dataclass
@@ -128,14 +145,7 @@ class FilterStats:
     kept_by_language: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "records_seen": self.records_seen,
-            "kept": self.kept,
-            "dropped_url": self.dropped_url,
-            "dropped_schema": self.dropped_schema,
-            "parse_failures": self.parse_failures,
-            "kept_by_language": dict(sorted(self.kept_by_language.items())),
-        }
+        return {**asdict(self), "kept_by_language": dict(sorted(self.kept_by_language.items()))}
 
 
 def normalize_url_path(url: str) -> str:
@@ -154,21 +164,10 @@ def normalize_url_path(url: str) -> str:
     return unquote(parsed.path).lower()
 
 
-def _keyword_variants(keyword: str, expand: bool) -> tuple[str, ...]:
-    if expand and " " in keyword:
-        return (keyword, keyword.replace(" ", "-"), keyword.replace(" ", "_"))
-    return (keyword,)
-
-
 def url_keyword_match(url: str, config: FilterConfig | None = None) -> bool:
     """True when the URL path contains any configured keyword as a substring."""
-    config = config or FilterConfig()
     path = normalize_url_path(url)
-    for keyword in config.url_keywords:
-        for variant in _keyword_variants(keyword, config.expand_multiword_keywords):
-            if variant in path:
-                return True
-    return False
+    return any(spelling in path for spelling in (config or _DEFAULT_CONFIG)._spellings)
 
 
 def schema_type_match(schema_types: Iterable[str], config: FilterConfig | None = None) -> bool:
@@ -176,16 +175,7 @@ def schema_type_match(schema_types: Iterable[str], config: FilterConfig | None =
 
     Type names are compared case-sensitively.
     """
-    config = config or FilterConfig()
-    for declared in schema_types:
-        name = declared
-        for prefix in _SCHEMA_PREFIXES:
-            if declared.startswith(prefix):
-                name = declared[len(prefix):]
-                break
-        if name in config.schema_whitelist:
-            return True
-    return False
+    return not (config or _DEFAULT_CONFIG)._accepted_types.isdisjoint(schema_types)
 
 
 def filter_records(
@@ -197,7 +187,7 @@ def filter_records(
     only as ``dropped_url``. The stats object is complete once the
     iterator is exhausted.
     """
-    config = config or FilterConfig()
+    config = config or _DEFAULT_CONFIG
     stats = FilterStats()
 
     def generate() -> Iterator[WebRecord]:

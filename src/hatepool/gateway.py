@@ -38,11 +38,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
-from ._jsonl import from_json_object, iter_jsonl, write_jsonl_line
+from ._jsonl import from_json_object, iter_jsonl, typed_value, write_jsonl_line
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector
 from .prompt import (
     ExtractionError,
@@ -115,13 +115,7 @@ class QuarantinedText:
     failures: list[AnnotationFailure] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "errors": [
-                {"model_id": f.model_id, "attempts": f.attempts, "error": f.error}
-                for f in self.failures
-            ],
-        }
+        return {"id": self.id, "errors": [asdict(f) for f in self.failures]}
 
 
 @dataclass
@@ -519,8 +513,8 @@ def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
         entries = tuple(
             ModelProbability(
                 model_id=mid,
-                p_hate=float(models[mid]["hate"]),
-                p_neutral=float(models[mid]["neutral"]),
+                p_hate=float(typed_value(models[mid]["hate"], "float", f"{mid} hate")),
+                p_neutral=float(typed_value(models[mid]["neutral"], "float", f"{mid} neutral")),
             )
             for mid in expected
         )

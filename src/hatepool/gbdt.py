@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._jsonl import from_json_object
+from ._jsonl import from_json_object, typed_value
 
 PROB_EPS = 1e-15
 
@@ -113,11 +113,11 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, node: Mapping) -> "TreeNode":
-        if "value" in node:
-            return cls(value=float(node["value"]))
+        if "value" in typed_value(node, "dict", "tree node"):
+            return cls(value=float(typed_value(node["value"], "float", "value")))
         return cls(
-            feature_index=int(node["feature_index"]),
-            threshold=float(node["threshold"]),
+            feature_index=typed_value(node["feature_index"], "int", "feature_index"),
+            threshold=float(typed_value(node["threshold"], "float", "threshold")),
             left=cls.from_dict(node["left"]),
             right=cls.from_dict(node["right"]),
         )
@@ -164,7 +164,6 @@ class _Candidate:
 class _Leaf:
     block: np.ndarray
     node: TreeNode
-    order: int
     best: "_Candidate | None"
 
 
@@ -251,18 +250,19 @@ def _grow_tree(
     first = _Leaf(
         block=block,
         node=root,
-        order=0,
         best=_best_split(X, g, h, block, features, l2, config.min_data_in_leaf),
     )
     if first.best is None:
         return None
+    # ``leaves`` stays in creation order: a split leaf is removed and its
+    # children appended. ``max`` returns the first of equal gains, so ties
+    # split the earlier-created leaf.
     leaves = [first]
-    next_order = 1
     while len(leaves) < config.num_leaves:
         splittable = [leaf for leaf in leaves if leaf.best is not None]
         if not splittable:
             break
-        leaf = max(splittable, key=lambda lf: (lf.best.gain, -lf.order))
+        leaf = max(splittable, key=lambda lf: lf.best.gain)
         cand = leaf.best
         leaf.node.feature_index = cand.feature
         leaf.node.threshold = cand.threshold
@@ -279,13 +279,11 @@ def _grow_tree(
                 _Leaf(
                     block=child_block,
                     node=child,
-                    order=next_order,
                     best=_best_split(
                         X, g, h, child_block, features, l2, config.min_data_in_leaf
                     ),
                 )
             )
-            next_order += 1
     for leaf in leaves:
         g_sum = float(g[leaf.block[0]].sum())
         h_sum = float(h[leaf.block[0]].sum())

@@ -205,7 +205,7 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
     losses = [float(v) for v in payload.get("train_logloss", [])]
     hate_head, neutral_head = (
         BoostedTrees(
-            base_score=float(base_score),
+            base_score=float(typed_value(base_score, "float", "base_scores")),
             trees=[TreeNode.from_dict(t) for t in typed_value(trees, "list", "trees")],
             config=config,
             train_logloss=list(losses),
@@ -216,7 +216,7 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
         hate_head=hate_head,
         neutral_head=neutral_head,
         config=config,
-        feature_order=tuple(payload["feature_order"]),
+        feature_order=typed_value(payload["feature_order"], "tuple[str, ...]", "feature_order"),
     )
 
 

@@ -8,11 +8,13 @@ per-dataset scores.
 
 from __future__ import annotations
 
+import math
 import statistics
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from ._jsonl import typed_value
 from .datasets import BinaryLabel, DatasetSpec, load_registry
 
 
@@ -43,7 +45,7 @@ class ConfusionCounts:
         )
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+        return asdict(self)
 
 
 def confusion(
@@ -151,7 +153,7 @@ class PredictionRow:
     def from_dict(cls, row: Mapping) -> "PredictionRow":
         if "gold" not in row:
             raise ValueError("prediction row lacks a gold label; run ensemble with --labels")
-        score_hate = float(row["score_hate"])
+        score_hate = float(typed_value(row["score_hate"], "float", "score_hate"))
         if not 0.0 <= score_hate <= 1.0:
             raise ValueError(f"score_hate out of range: {score_hate}")
         return cls(
@@ -160,14 +162,6 @@ class PredictionRow:
             score_hate=score_hate,
             gold=BinaryLabel(row["gold"]),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "dataset": self.dataset,
-            "score_hate": self.score_hate,
-            "gold": self.gold.value,
-        }
 
 
 THRESHOLD_SCOPES = ("group", "dataset", "global")
@@ -184,13 +178,7 @@ class EvaluationReport:
     per_group: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "threshold_mode": self.threshold_mode,
-            "threshold_scope": self.threshold_scope,
-            "threshold_global": self.threshold_global,
-            "per_dataset": self.per_dataset,
-            "per_group": self.per_group,
-        }
+        return asdict(self)
 
 
 def _score_entry(
@@ -298,10 +286,17 @@ def build_report(
 
 
 def _flat_metric(report_dict: Mapping, metric: str) -> dict[str, float]:
+    """``{"<section>:<unit>": value}`` of one finite metric over both sections."""
     flat: dict[str, float] = {}
     for section in ("per_dataset", "per_group"):
-        for name, entry in report_dict.get(section, {}).items():
-            flat[f"{section}:{name}"] = entry[metric]
+        for name, entry in typed_value(report_dict.get(section, {}), "dict", section).items():
+            unit = f"{section}:{name}"
+            if metric not in typed_value(entry, "dict", unit):
+                raise ValueError(f"{unit} has no {metric}")
+            value = typed_value(entry[metric], "float", f"{unit} {metric}")
+            if not math.isfinite(value):
+                raise ValueError(f"{unit} {metric} must be finite, got {value!r}")
+            flat[unit] = value
     return flat
 
 
@@ -311,7 +306,8 @@ def delta_report(
     """Per-unit ``report - baseline`` for one metric over the shared units.
 
     Units present on only one side are skipped with a warning; fully
-    disjoint reports are an error.
+    disjoint reports, and a unit without a finite number ``metric``, are
+    an error.
     """
     current = _flat_metric(report, metric)
     base = _flat_metric(baseline, metric)

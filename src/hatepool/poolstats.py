@@ -8,7 +8,7 @@ language order, so it is exactly reproducible from the per-language rows.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,14 +32,9 @@ class PoolSummary:
     raw_labels: dict[str, dict] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "n_total": self.n_total,
-            "languages": self.languages,
-            "per_model": self.per_model,
-            "per_strategy": self.per_strategy,
-        }
-        if self.raw_labels is not None:
-            out["raw_labels"] = self.raw_labels
+        out = asdict(self)
+        if self.raw_labels is None:
+            del out["raw_labels"]
         return out
 
 

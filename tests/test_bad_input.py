@@ -30,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 NON_OBJECTS = st.sampled_from([[], ["id", "text"], "row", 5, 0.5, None, True])
 BAD_NUMBERS = (
-    st.sampled_from([math.nan, math.inf, -math.inf, "abc", "", None, [0.5], {"p": 0.5}])
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, "abc", "", "0.5", None, True, False, [0.5], {"p": 0.5}]
+    )
     | st.floats(min_value=1.0, exclude_min=True, allow_nan=False)
     | st.floats(max_value=-5e-324, allow_nan=False)
 )
@@ -110,6 +112,7 @@ WEB = FileKind(
     corruptions=lambda index: (
         drop("id", "url", "lang", "schema_types", "text")
         | set_field("schema_types", NOT_ITERABLE)
+        | set_field("schema_types", st.sampled_from(["Comment", "", ["Comment", 5]]))
         | set_field("text", NOT_TEXT)
         | replace_row(NON_OBJECTS)
     ),
@@ -119,7 +122,10 @@ TEXTS = FileKind(
     name="texts.jsonl",
     rows=tuple({"id": f"t{i}", "text": f"some text {i}", "lang": "eng"} for i in range(4)),
     corruptions=lambda index: (
-        drop("id", "text") | set_field("text", NOT_TEXT) | replace_row(NON_OBJECTS)
+        drop("id", "text")
+        | set_field("text", NOT_TEXT | st.just(""))
+        | set_field("id", st.just("t0") if index else st.nothing())
+        | replace_row(NON_OBJECTS)
     ),
 )
 
@@ -296,6 +302,8 @@ ANNOTATION_CASES = {
     "hate-missing": {"id": "t3", "models": {**GOOD_MODELS, "c": {"neutral": 0.5}}},
     "hate-is-text": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": "abc"}}},
     "hate-is-nan": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": math.nan}}},
+    "probabilities-are-bools": {"id": "t3", "models": {
+        **GOOD_MODELS, "c": {**model_entry(0.5), "hate": True, "neutral": False}}},
 }
 
 
@@ -365,10 +373,10 @@ def test_stderr_names_file_line_and_id(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl"]
 
 
-def endpoints_with(**fields):
-    """The valid endpoints config with ``fields`` set on its first endpoint."""
+def endpoints_with(index=0, /, **fields):
+    """The valid endpoints config with ``fields`` set on endpoint ``index``."""
     config = copy.deepcopy(ENDPOINTS)
-    config["endpoints"][0].update(fields)
+    config["endpoints"][index].update(fields)
     return config
 
 
@@ -379,16 +387,30 @@ class Raw(str):
 FEATURES = [f"{m}:{c}" for m in sorted(MODEL_IDS) for c in ("hate", "neutral")]
 
 
+TREE = {"feature_index": 2, "threshold": 0.5, "left": {"value": 0.1}, "right": {"value": -0.1}}
+
+
 def model_with(**fields):
     """A valid model file with ``fields`` replaced."""
     return {"config": {}, "feature_order": FEATURES, "heads": ["hate", "neutral"],
             "base_scores": [0.0, 0.0], "trees": [[], []], **fields}
 
 
+def model_with_tree(**fields):
+    """A valid model file whose one Hate-head tree has ``fields`` replaced."""
+    return model_with(trees=[[{**TREE, **fields}], []])
+
+
 def registry_with(**fields):
     """A registry whose one entry, HateXplain, has ``fields`` set."""
     entry = {"language": "eng", "vocabulary": ["hate", "normal"], "positives": ["hate"]}
     return {"HateXplain": {**entry, **fields}}
+
+
+def baseline_with(**sections):
+    """A baseline report with ``sections`` set."""
+    unit = {"n": 4, "threshold": 0.5, "accuracy": 0.5, "macro_f1": 0.5}
+    return {"per_dataset": {"AHSD": unit}, "per_group": {"All": unit}, **sections}
 
 
 INVALID_JSON = Raw('{"a": 1,\n "b": }')
@@ -462,6 +484,43 @@ CONFIG_CASES = {
     "ingest-registry-unknown-key": ("ingest", registry_with(text_col="post"), "text_col"),
     "ingest-registry-name-key": ("ingest", registry_with(name="Other"), "name"),
     "ingest-registry-invalid-json": ("ingest", INVALID_JSON, ":2:7: invalid JSON"),
+    # The entry is named with the field: the dataset, or the endpoint's index.
+    "registry-field-names-its-dataset": ("ingest", registry_with(vocabulary=5),
+                                         "dataset 'HateXplain': vocabulary"),
+    "endpoint-field-names-its-index": ("annotate", endpoints_with(2, timeout="30"),
+                                       "endpoints[2]: timeout"),
+    "endpoint-is-a-number-names-its-index": ("annotate",
+                                             {"endpoints": [*ENDPOINTS["endpoints"][:3], 5]},
+                                             "endpoints[3] must be an object"),
+    # Registry labels must already be in the form map_label looks up.
+    "registry-label-not-lowercase": ("ingest", registry_with(vocabulary=["Hate", "normal"],
+                                                             positives=["Hate"]),
+                                     "HateXplain: labels must be lowercase and stripped: 'Hate'"),
+    "registry-label-not-stripped": ("evaluate --registry",
+                                    registry_with(vocabulary=["hate", "normal "]),
+                                    "labels must be lowercase and stripped: 'normal '"),
+    "model-feature-index-is-float": ("ensemble", model_with_tree(feature_index=2.7),
+                                     "feature_index"),
+    "model-feature-index-is-bool": ("ensemble", model_with_tree(feature_index=True),
+                                    "feature_index"),
+    "model-threshold-is-text": ("ensemble", model_with_tree(threshold="0.5"), "threshold"),
+    "model-leaf-value-is-text": ("ensemble", model_with_tree(left={"value": "0.1"}), "value"),
+    "model-tree-node-is-a-number": ("ensemble", model_with_tree(right=5), "tree node"),
+    "model-base-score-is-text": ("ensemble", model_with(base_scores=["0", 0.0]), "base_scores"),
+    "model-feature-order-is-text": ("ensemble", model_with(feature_order="abcdefgh"),
+                                    "feature_order"),
+    "baseline-section-is-a-number": ("evaluate --baseline", {"per_dataset": 5}, "per_dataset"),
+    "baseline-unit-is-a-number": ("evaluate --baseline", baseline_with(per_group={"All": 5}),
+                                  "per_group:All"),
+    "baseline-unit-lacks-macro-f1": ("evaluate --baseline",
+                                     baseline_with(per_dataset={"AHSD": {"n": 4}}),
+                                     "per_dataset:AHSD has no macro_f1"),
+    "baseline-macro-f1-is-text": ("evaluate --baseline",
+                                  baseline_with(per_group={"All": {"macro_f1": "0.5"}}),
+                                  "per_group:All macro_f1"),
+    "baseline-macro-f1-is-nan": ("evaluate --baseline",
+                                 baseline_with(per_group={"All": {"macro_f1": math.nan}}),
+                                 "per_group:All macro_f1 must be finite"),
 }
 
 
@@ -499,6 +558,18 @@ def test_config_type_error_exits_2_naming_the_field(name, tmp_path, caplog):
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(messages) == 1 and field in messages[0], messages
     assert messages[0].startswith(f"{config_path}:"), messages
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_fixed_threshold_is_a_usage_error(value, tmp_path, capsys):
+    write_lines(tmp_path / PREDICTIONS.name, PREDICTIONS.rows)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--predictions", str(tmp_path / PREDICTIONS.name), "--report",
+              str(report), "--threshold", f"fixed:{value}"])
+    assert exc.value.code == 1
+    assert not report.exists()
+    assert f"fixed threshold must be finite, got 'fixed:{value}'" in capsys.readouterr().err
 
 
 # CSV/TSV exports whose bad row exited 2 without naming its line:

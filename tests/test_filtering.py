@@ -15,6 +15,7 @@ from hatepool import (
 )
 
 import filter_fixture
+import filter_oracle
 
 
 def make_record(id="r", url="https://example.com/thread/1", lang="eng",
@@ -155,6 +156,43 @@ def test_counter_invariant_property(urls, type_lists):
     assert stats.kept + stats.dropped_url + stats.dropped_schema == stats.records_seen
     assert stats.kept == len(kept)
     assert stats.parse_failures <= stats.dropped_url
+
+
+PREFIXES = ("", "https://schema.org/", "http://schema.org/")
+NAMES = ("A", "B", "Comment", "")
+# Keywords are lowercase and nonempty, and may hold spaces; URL paths mix
+# case, separators and percent-encoded spaces around the same letters.
+KEYWORDS = st.text(alphabet="ab -_", min_size=1, max_size=5)
+PATHS = st.lists(st.sampled_from(["a", "b", "A", " ", "-", "_", "/", "%20", "ab"]), max_size=10)
+# Declared types: bare, behind one prefix, behind a doubled prefix, or
+# behind a prefix in the wrong case.
+DECLARED = st.builds(
+    lambda outer, inner, name: outer + inner + name,
+    st.sampled_from(PREFIXES + ("HTTPS://schema.org/",)),
+    st.sampled_from(PREFIXES),
+    st.sampled_from(NAMES),
+)
+# Whitelist entries may themselves carry a prefix.
+WHITELIST = st.frozensets(
+    st.builds(lambda prefix, name: prefix + name,
+              st.sampled_from(PREFIXES), st.sampled_from(NAMES)),
+    min_size=1,
+)
+CONFIGS = st.builds(
+    FilterConfig,
+    url_keywords=st.lists(KEYWORDS, min_size=1, max_size=4).map(tuple),
+    schema_whitelist=WHITELIST,
+    expand_multiword_keywords=st.booleans(),
+)
+
+
+@given(CONFIGS, PATHS, st.lists(DECLARED, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_match_rules_equal_the_per_record_reference(config, path, declared):
+    url = "https://example.com/" + "".join(path)
+    assert url_keyword_match(url, config) == filter_oracle.url_keyword_match(url, config)
+    assert schema_type_match(declared, config) == filter_oracle.schema_type_match(declared, config)
+    assert schema_type_match(declared) == filter_oracle.schema_type_match(declared)
 
 
 class TestSubsampleByLanguage:

@@ -15,6 +15,7 @@ from hatepool.gbdt import (
     PROB_EPS,
     _best_split,
     _filter_block,
+    _grow_tree,
     clamp_probability,
     gbdt_predict_proba_many,
 )
@@ -228,6 +229,25 @@ class TestSplitOracle:
         model = gbdt_fit(X, y, config)
         assert model.trees
         assert all(count_leaves(t) <= 5 for t in model.trees)
+
+    def test_exact_gain_tie_splits_the_earlier_created_leaf(self):
+        # Feature 0 splits the rows into two halves whose gradients are exact
+        # negatives of each other, so both children have the same best split
+        # on feature 1 with bit-identical gains. With room for one more leaf
+        # after the root, the left child, created first, must take it.
+        X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [1, 1]], float)
+        g = np.array([-1.0, -1.0, -0.5, -0.5, 1.0, 1.0, 0.5, 0.5])
+        h = np.full(8, 0.25)
+        features = np.arange(2)
+        block = np.argsort(X, axis=0, kind="stable").T
+        halves = [_filter_block(block, X[:, 0] == side) for side in (0, 1)]
+        gains = [_best_split(X, g, h, half, features, 0.0, 1).gain for half in halves]
+        assert gains[0] == gains[1] > 0
+        config = full_batch_config(num_leaves=3)
+        root = _grow_tree(X, g, h, block, features, config)
+        assert (root.feature_index, root.threshold) == (0, 0.5)
+        assert (root.left.feature_index, root.left.threshold) == (1, 0.5)
+        assert root.right.is_leaf
 
     def test_too_few_rows_for_min_data_means_no_split(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)

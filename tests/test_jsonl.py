@@ -206,7 +206,7 @@ class TestFromJsonObject:
         description = REFUSED[field][1]
         with pytest.raises(ValueError) as info:
             from_json_object(Kinds, {field: value}, "kinds")
-        assert str(info.value) == f"{field} must be {description}, got {value!r}"
+        assert str(info.value) == f"kinds: {field} must be {description}, got {value!r}"
 
     @pytest.mark.parametrize("value", [[1], "x", 5, None, True])
     def test_non_object_refused(self, value):
