@@ -76,8 +76,8 @@ class LabeledExample:
     def from_dict(cls, row: Mapping) -> "LabeledExample":
         return cls(
             id=str(row["id"]),
-            dataset=str(row["dataset"]),
-            text=str(row["text"]),
+            dataset=typed_value(row["dataset"], "str", "dataset"),
+            text=typed_value(row["text"], "str", "text"),
             gold=BinaryLabel(row["gold"]),
         )
 

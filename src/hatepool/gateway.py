@@ -504,7 +504,7 @@ def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
         if expected is None:
             if "model_order" not in row:
                 raise ValueError("annotation file must start with a model_order header line")
-            model_order = [str(m) for m in row["model_order"]]
+            model_order = list(typed_value(row["model_order"], "tuple[str, ...]", "model_order"))
             expected = tuple(sorted(model_order))
             return model_order
         models = row["models"]

@@ -192,8 +192,21 @@ def model_to_dict(model: MetaLearnerModel) -> dict:
     }
 
 
+def _checked_tree(node: TreeNode, n_features: int) -> TreeNode:
+    """``node``, unless one of its splits reads a feature outside ``[0, n_features)``."""
+    if not node.is_leaf:
+        if not 0 <= node.feature_index < n_features:
+            raise ValueError(
+                f"feature_index must be in [0, {n_features}), got {node.feature_index}"
+            )
+        _checked_tree(node.left, n_features)
+        _checked_tree(node.right, n_features)
+    return node
+
+
 def model_from_dict(payload: dict) -> MetaLearnerModel:
     config = MetaLearnerConfig.from_dict(payload["config"])
+    feature_order = typed_value(payload["feature_order"], "tuple[str, ...]", "feature_order")
     heads = payload.get("heads", list(HEAD_NAMES))
     if list(heads) != list(HEAD_NAMES):
         raise ValueError(f"unexpected head layout {heads!r}")
@@ -202,21 +215,24 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
     if len(base_scores) != 2 or len(tree_lists) != 2:
         raise ValueError("model file must carry exactly two heads")
     # Files written before the loss curve was saved have no train_logloss.
-    losses = [float(v) for v in payload.get("train_logloss", [])]
+    losses = [
+        float(typed_value(v, "float", "train_logloss"))
+        for v in typed_value(payload.get("train_logloss", []), "list", "train_logloss")
+    ]
     hate_head, neutral_head = (
         BoostedTrees(
             base_score=float(typed_value(base_score, "float", "base_scores")),
-            trees=[TreeNode.from_dict(t) for t in typed_value(trees, "list", "trees")],
+            trees=[
+                _checked_tree(TreeNode.from_dict(t), len(feature_order))
+                for t in typed_value(trees, "list", "trees")
+            ],
             config=config,
             train_logloss=list(losses),
         )
         for base_score, trees in zip(base_scores, tree_lists)
     )
     return MetaLearnerModel(
-        hate_head=hate_head,
-        neutral_head=neutral_head,
-        config=config,
-        feature_order=typed_value(payload["feature_order"], "tuple[str, ...]", "feature_order"),
+        hate_head=hate_head, neutral_head=neutral_head, config=config, feature_order=feature_order
     )
 
 

@@ -158,7 +158,7 @@ class PredictionRow:
             raise ValueError(f"score_hate out of range: {score_hate}")
         return cls(
             id=str(row["id"]),
-            dataset=str(row["dataset"]),
+            dataset=typed_value(row["dataset"], "str", "dataset"),
             score_hate=score_hate,
             gold=BinaryLabel(row["gold"]),
         )

@@ -1,10 +1,12 @@
-"""In-process HTTP server that replays scripted annotator responses.
+"""In-process HTTP servers that replay scripted completions answers.
 
-Used by tests and demos to exercise the gateway without real model
-endpoints. A script callable decides, per (model, prompt), either a
-token-weight mapping to serve or an HTTP status code to fail with. The
-server also records the concurrent-request high-water mark per model so
-tests can assert in-flight caps.
+:class:`CompletionsServer` is the core that tests and demos share. It counts
+requests per (model, prompt), requests in all, accepted and closed
+connections, and each model's peak of concurrent requests. Its ``answer``
+hook decides each reply, which leaves as one write: a JSON body with
+``Content-Length``, on a connection kept alive unless the hook closes it.
+:class:`MockAnnotatorServer` answers from a script that maps (model, prompt)
+to token weights or to an HTTP status code to fail with.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 ScriptOutcome = Mapping[str, float] | int
 Script = Callable[[str, str], ScriptOutcome]
@@ -35,19 +37,93 @@ class _Server(ThreadingHTTPServer):
     # of those connections.
     request_queue_size = 128
 
+    def handle_error(self, request, client_address) -> None:
+        # A client that timed out closes its socket while a handler still
+        # sleeps; the late write then fails, which is expected here.
+        pass
 
-class MockAnnotatorServer:
-    """Threaded completions-style endpoint bound to an ephemeral local port."""
 
-    def __init__(self, script: Script | None = None, latency: float = 0.0) -> None:
-        self._script = script or deterministic_weights
-        self._latency = latency
+class _Handler(BaseHTTPRequestHandler):
+    # HTTP/1.0 would close the socket after every response, which makes
+    # pooled client connections race the close and see resets.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args) -> None:  # keep test output quiet
+        pass
+
+    def setup(self) -> None:
+        self.owner = self.server.owner
+        self.timeout = self.owner._idle_timeout
+        super().setup()
+        with self.owner._lock:
+            self.owner.connections += 1
+
+    def finish(self) -> None:
+        super().finish()
+        with self.owner._lock:
+            self.owner.closed += 1
+
+    def do_POST(self) -> None:
+        owner = self.owner
+        try:
+            body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+            model, prompt = str(body["model"]), str(body["prompt"])
+        except (ValueError, KeyError, TypeError):
+            self._send(400, {"error": "bad request body"}, True)
+            return
+        with owner._lock:
+            attempt = owner._attempts.get((model, prompt), 0)
+            owner._attempts[model, prompt] = attempt + 1
+            owner.request_count += 1
+            in_flight = owner._in_flight[model] = owner._in_flight.get(model, 0) + 1
+            owner.max_in_flight[model] = max(owner.max_in_flight.get(model, 0), in_flight)
+        try:
+            self._send(*owner.answer(model, prompt, attempt, self.headers))
+        finally:
+            with owner._lock:
+                owner._in_flight[model] -= 1
+
+    def _send(self, status: int, payload: Any, close: bool) -> None:
+        # Head and body leave in one write: two writes would let Nagle's
+        # algorithm hold the body until the client's delayed ACK (~40 ms).
+        data = json.dumps(payload).encode("utf-8")
+        reason = self.responses.get(status, ("",))[0]
+        head = (
+            f"HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+        if close:
+            head += "Connection: close\r\n"
+            self.close_connection = True
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + data)
+
+
+class CompletionsServer:
+    """Threaded completions-style endpoint bound to an ephemeral local port.
+
+    Subclasses implement ``answer``. With ``idle_timeout`` set, a kept-alive
+    connection that stays idle that long is closed, as production servers do.
+    """
+
+    def __init__(self, idle_timeout: float | None = None) -> None:
+        self._idle_timeout = idle_timeout
         self._lock = threading.Lock()
+        self._attempts: dict[tuple[str, str], int] = {}
         self._in_flight: dict[str, int] = {}
         self.max_in_flight: dict[str, int] = {}
         self.request_count = 0
+        self.connections = 0
+        self.closed = 0
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
+
+    def answer(self, model: str, prompt: str, attempt: int, headers) -> tuple[int, Any, bool]:
+        """(status, JSON payload, close the connection after it) for one request.
+
+        ``attempt`` counts earlier requests for the same (model, prompt).
+        """
+        raise NotImplementedError
 
     @property
     def base_url(self) -> str:
@@ -56,75 +132,9 @@ class MockAnnotatorServer:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}/v1/completions"
 
-    def start(self) -> "MockAnnotatorServer":
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # HTTP/1.0 would close the socket after every response, which
-            # makes pooled client connections race the close and see resets.
-            protocol_version = "HTTP/1.1"
-            # Headers and body go out in separate writes; without TCP_NODELAY,
-            # Nagle's algorithm holds the body until the client's delayed ACK
-            # (about 40 ms per response).
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # keep test output quiet
-                pass
-
-            def do_POST(self) -> None:
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    body = json.loads(self.rfile.read(length))
-                    model = str(body["model"])
-                    prompt = str(body["prompt"])
-                except (ValueError, KeyError):
-                    self.send_error(400, "bad request body")
-                    return
-                with outer._lock:
-                    outer.request_count += 1
-                    outer._in_flight[model] = outer._in_flight.get(model, 0) + 1
-                    outer.max_in_flight[model] = max(
-                        outer.max_in_flight.get(model, 0), outer._in_flight[model]
-                    )
-                try:
-                    if outer._latency > 0:
-                        time.sleep(outer._latency)
-                    outcome = outer._script(model, prompt)
-                    if isinstance(outcome, int):
-                        self.send_error(outcome, "scripted failure")
-                        return
-                    self._send_completion(model, outcome)
-                finally:
-                    with outer._lock:
-                        outer._in_flight[model] -= 1
-
-            def _send_completion(self, model: str, weights: Mapping[str, float]) -> None:
-                top_logprobs = {tok: math.log(w) for tok, w in weights.items() if w > 0}
-                best = max(top_logprobs, key=top_logprobs.get) if top_logprobs else ""
-                payload = {
-                    "id": "mock",
-                    "object": "text_completion",
-                    "model": model,
-                    "choices": [
-                        {
-                            "text": best,
-                            "index": 0,
-                            "finish_reason": "length",
-                            "logprobs": {
-                                "tokens": [best],
-                                "top_logprobs": [top_logprobs],
-                            },
-                        }
-                    ],
-                }
-                data = json.dumps(payload).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-        self._server = _Server(("127.0.0.1", 0), Handler)
+    def start(self) -> "CompletionsServer":
+        self._server = _Server(("127.0.0.1", 0), _Handler)
+        self._server.owner = self
         # Poll for shutdown every 0.05 s (default 0.5 s) so that stop() returns promptly.
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -141,8 +151,38 @@ class MockAnnotatorServer:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def __enter__(self) -> "MockAnnotatorServer":
+    def __enter__(self) -> "CompletionsServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class MockAnnotatorServer(CompletionsServer):
+    """Serves ``script(model, prompt)`` after ``latency`` seconds.
+
+    A status code from the script is answered with ``Connection: close``, and
+    the socket is then closed, as ``http.server``'s ``send_error`` does.
+    """
+
+    def __init__(self, script: Script | None = None, latency: float = 0.0) -> None:
+        super().__init__()
+        self._script = script or deterministic_weights
+        self._latency = latency
+
+    def answer(self, model: str, prompt: str, attempt: int, headers) -> tuple[int, Any, bool]:
+        if self._latency > 0:
+            time.sleep(self._latency)
+        outcome = self._script(model, prompt)
+        if isinstance(outcome, int):
+            return outcome, {"error": "scripted failure"}, True
+        top_logprobs = {tok: math.log(w) for tok, w in outcome.items() if w > 0}
+        best = max(top_logprobs, key=top_logprobs.get) if top_logprobs else ""
+        choice = {
+            "text": best,
+            "index": 0,
+            "finish_reason": "length",
+            "logprobs": {"tokens": [best], "top_logprobs": [top_logprobs]},
+        }
+        payload = {"id": "mock", "object": "text_completion", "model": model, "choices": [choice]}
+        return 200, payload, False

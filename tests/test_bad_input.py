@@ -138,6 +138,8 @@ LABELS = FileKind(
     ),
     corruptions=lambda index: (
         drop("id", "dataset", "text", "gold")
+        | set_field("dataset", NOT_TEXT)
+        | set_field("text", NOT_TEXT)
         | set_field("gold", BAD_LABELS)
         | replace_row(NON_OBJECTS)
     ),
@@ -182,6 +184,7 @@ PREDICTIONS = FileKind(
     ),
     corruptions=lambda index: (
         drop("id", "dataset", "score_hate", "gold")
+        | set_field("dataset", NOT_TEXT)
         | set_field("score_hate", BAD_NUMBERS)
         | set_field("gold", BAD_LABELS)
         | replace_row(NON_OBJECTS)
@@ -292,6 +295,26 @@ def test_one_corrupt_row_exits_2_naming_its_line(case, data, caplog):
         assert_refused(code, directory, inputs, messages, path, index, bad_row)
 
 
+@pytest.mark.parametrize(
+    "case_id, field",
+    [("ensemble-labels", "dataset"), ("ensemble-labels", "text"), ("evaluate", "dataset")],
+)
+def test_null_string_field_names_its_line(case_id, field, tmp_path, caplog):
+    # Read with str(), null became the dataset or text "None" and the command exited 0.
+    case = next(c for c in CASES if c.id == case_id)
+    rows = [dict(row) for row in case.target.rows]
+    rows[2][field] = None
+    path = tmp_path / case.target.name
+    write_lines(path, rows)
+    for kind in case.valid:
+        write_lines(tmp_path / kind.name, kind.rows)
+    inputs = os.listdir(tmp_path)
+    code = run(case.argv, str(tmp_path))
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert_refused(code, str(tmp_path), inputs, messages, str(path), 2, rows[2])
+    assert f"{field} must be a string, got None" in messages[0]
+
+
 GOOD_MODELS = {m: model_entry(0.5) for m in "abcd"}
 
 # Inputs that exited 1 with a traceback, or exited 2 without naming the line.
@@ -331,6 +354,15 @@ def test_header_that_is_not_a_list_names_line_1(tmp_path, caplog):
     assert main(["ensemble", "--annotations", path, "--strategy", "vote", "--output", str(out)]) == 2
     assert not out.exists()
     assert f"{path}:1: " in caplog.text
+
+
+def test_header_that_is_a_string_names_line_1(tmp_path, caplog):
+    # Read as a sequence, "abcd" would name the models a, b, c and d.
+    path = write_annotations_with(tmp_path / "ann.jsonl", header={"model_order": "abcd"})
+    out = tmp_path / "pred.jsonl"
+    assert main(["ensemble", "--annotations", path, "--strategy", "vote", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}:1: model_order must be a list of strings" in caplog.text
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train-meta"])
@@ -503,6 +535,15 @@ CONFIG_CASES = {
                                      "feature_index"),
     "model-feature-index-is-bool": ("ensemble", model_with_tree(feature_index=True),
                                     "feature_index"),
+    "model-feature-index-is-negative": ("ensemble", model_with_tree(feature_index=-1),
+                                        "feature_index must be in [0, 8), got -1"),
+    "model-feature-index-is-past-the-end": ("ensemble", model_with_tree(feature_index=8),
+                                            "feature_index must be in [0, 8), got 8"),
+    "model-neutral-feature-index-is-99": ("ensemble",
+                                          model_with(trees=[[], [{**TREE, "feature_index": 99}]]),
+                                          "feature_index must be in [0, 8), got 99"),
+    "model-train-logloss-holds-text": ("ensemble", model_with(train_logloss=["0.5"]),
+                                       "train_logloss"),
     "model-threshold-is-text": ("ensemble", model_with_tree(threshold="0.5"), "threshold"),
     "model-leaf-value-is-text": ("ensemble", model_with_tree(left={"value": "0.1"}), "value"),
     "model-tree-node-is-a-number": ("ensemble", model_with_tree(right=5), "tree node"),

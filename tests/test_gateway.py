@@ -2,13 +2,16 @@ import _thread
 import collections
 import gc
 import hashlib
+import http.client
 import io
 import itertools
 import json
 import math
+import socket
 import sys
 import threading
 import time
+import urllib.parse
 import warnings
 
 import pytest
@@ -281,11 +284,11 @@ class TestKeepAliveTransport:
             results, quarantined = annotate_batch(texts, endpoints_for(server, max_in_flight=1))
         assert quarantined == []
         assert len(results) == 10
-        assert server.requests == 40
+        assert server.request_count == 40
         assert server.connections == 4  # one per endpoint worker, kept alive
 
     def test_connection_close_error_reconnects_without_spending_an_attempt(self):
-        # The bundled server fails through send_error, which answers with
+        # The bundled server answers a scripted failure with
         # "Connection: close" and closes the socket.
         seen = set()
         lock = threading.Lock()
@@ -322,7 +325,7 @@ class TestKeepAliveTransport:
             )
         assert quarantined == []
         assert len(results) == 1
-        assert server.requests == 8  # the 503 and one retry per endpoint, none sent twice
+        assert server.request_count == 8  # the 503 and one retry per endpoint, none sent twice
         assert server.connections == 8  # each retry went out on a new connection
 
     def test_timeout_is_transient_and_the_next_request_reconnects(self):
@@ -350,6 +353,47 @@ class TestKeepAliveTransport:
             annotate_batch([("b", "y")], endpoints_for(server))
         tokens = [h.get("Authorization") for h in server.headers]
         assert sorted(tokens, key=str) == ["Bearer s3cret"] * 4 + [None] * 4
+
+
+def raw_post(sock, model="Gemma2-9B", prompt="x"):
+    """POST one completions request on ``sock``; the parsed response and its body."""
+    body = json.dumps({"model": model, "prompt": prompt}).encode("utf-8")
+    sock.sendall(
+        b"POST /v1/completions HTTP/1.1\r\nHost: mock\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+        + body
+    )
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    return response, response.read()
+
+
+class TestMockServerWire:
+    def test_success_keeps_the_connection_alive(self):
+        with MockAnnotatorServer() as server:
+            url = urllib.parse.urlsplit(server.base_url)
+            with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+                for prompt in ("first", "second"):
+                    response, body = raw_post(sock, prompt=prompt)
+                    assert response.status == 200
+                    assert response.getheader("Content-Type") == "application/json"
+                    assert response.getheader("Content-Length") == str(len(body))
+                    assert not response.will_close
+                    assert json.loads(body)["choices"][0]["logprobs"]["top_logprobs"]
+            assert server.request_count == 2
+            assert server.connections == 1
+
+    def test_scripted_failure_answers_json_and_closes(self):
+        with MockAnnotatorServer(script=lambda model, prompt: 503) as server:
+            url = urllib.parse.urlsplit(server.base_url)
+            with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+                response, body = raw_post(sock)
+                assert response.status == 503
+                assert response.getheader("Content-Type") == "application/json"
+                assert response.getheader("Content-Length") == str(len(body))
+                assert response.getheader("Connection") == "close"
+                assert json.loads(body) == {"error": "scripted failure"}
+                assert sock.recv(1) == b""  # the server closed its end
 
 
 class TestMalformedCompletion:
@@ -458,7 +502,7 @@ class TestDispatch:
             )
         assert quarantined == []
         assert [r.id for r in results] == [t[0] for t in texts]
-        assert server.inflight_peak == {m: 1 for m in MODEL_IDS}
+        assert server.max_in_flight == {m: 1 for m in MODEL_IDS}
         order = [(prompts.index(p), a) for m, p, a in server.served if m == "Mistral-7B"]
         assert order == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (4, 0), (5, 0), (6, 0), (7, 0)]
 
@@ -485,7 +529,7 @@ class TestDispatch:
             with pytest.raises(KeyboardInterrupt):
                 annotate_batch(texts, endpoints)
             elapsed = time.monotonic() - started
-            requests = server.requests
+            requests = server.request_count
         assert k <= requests <= k + sum(ep.max_in_flight for ep in endpoints)
         assert annotate_threads() == []
         assert elapsed < 3.0
@@ -497,15 +541,18 @@ class TestDispatch:
                 return 503, {"error": "busy"}
             return 200, GOOD
 
-        def sleep(seconds):
-            if raises:
-                raise RuntimeError("backoff failed")
-
         def settle(condition):
             deadline = time.monotonic() + 5
             while not condition() and time.monotonic() < deadline:
                 time.sleep(0.01)
             return condition()
+
+        def sleep(seconds):
+            if raises:
+                # Fail only once every model has connected; failing earlier
+                # stops the batch before some worker has opened a connection.
+                settle(lambda: {m for m, _, _ in server.served} == set(MODEL_IDS))
+                raise RuntimeError("backoff failed")
 
         texts = [(f"t{i}", f"text {i}") for i in range(6)]
         baseline = threading.active_count()
@@ -560,4 +607,4 @@ class TestDispatch:
         assert [r.id for r in results] == [t[0] for t in texts]
         served = collections.Counter((model, prompt) for model, prompt, _ in server.served)
         assert served == {(m, p): 3 if p in flaky else 1 for m in MODEL_IDS for p in prompts}
-        assert all(peak <= 4 for peak in server.inflight_peak.values())
+        assert all(peak <= 4 for peak in server.max_in_flight.values())
