@@ -54,8 +54,6 @@ _EXPORTS = {
         "MetaLearnerConfig",
         "TreeNode",
         "gbdt_fit",
-        "gbdt_predict_proba",
-        "gbdt_predict_raw",
     ),
     "meta": (
         "MetaLearnerModel",

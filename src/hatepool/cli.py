@@ -12,7 +12,9 @@ valid JSON exits 2 with ``file:line:col``; one with an unknown key or a
 wrong-typed field exits 2 with ``file: reason`` naming the field, and the
 entry that holds it (``dataset 'X'``, ``endpoints[i]``) where there is one.
 An empty ``text`` or a repeated ``id`` in the ``annotate`` input is a bad
-row. ``evaluate --threshold fixed:V`` takes only a finite V (exit 1).
+row, and so is a repeated ``id`` in a labels file. ``evaluate --threshold
+fixed:V`` takes only a finite V, ``filter --quota`` each language once, and
+``stats --strategies`` only known names (each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
@@ -51,6 +53,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
+
+STRATEGIES = ("vote", "mean", "lgb")
 
 # Rows `ensemble` holds and scores per batch, keeping only ids, languages and
 # vectors; this bounds its memory on large inputs.
@@ -100,6 +104,27 @@ def _parse_quota(raw: str) -> tuple[str, int]:
     return lang, n
 
 
+class _QuotaAction(argparse.Action):
+    """Collect repeated ``--quota LANG=N`` into a dict, refusing a language given twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        lang, n = values
+        quotas = getattr(namespace, self.dest) or {}
+        if lang in quotas:
+            raise argparse.ArgumentError(self, f"language {lang!r} given twice")
+        setattr(namespace, self.dest, {**quotas, lang: n})
+
+
+def _parse_strategies(raw: str) -> list[str]:
+    strategies = [s.strip() for s in raw.split(",") if s.strip()]
+    for name in strategies:
+        if name not in STRATEGIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown ensemble strategy {name!r} (choose from {', '.join(STRATEGIES)})"
+            )
+    return strategies
+
+
 def _parse_threshold(raw: str) -> tuple[str, float | None]:
     if raw == "mean":
         return "mean", None
@@ -131,7 +156,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         records = iter_jsonl(in_fp, WebRecord.from_dict, on_bad_line)
         kept, stats = filter_records(records, config)
         if args.quota:
-            kept = subsample_by_language(kept, dict(args.quota), args.seed)
+            kept = subsample_by_language(kept, args.quota, args.seed)
         for record in kept:
             write_jsonl_line(out_fp, record.to_dict())
             written += 1
@@ -238,8 +263,18 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _load_labels(path: str) -> dict[str, LabeledExample]:
     from .datasets import LabeledExample
 
+    labels: dict[str, LabeledExample] = {}
+
+    # Called for each row after the rows before it were added to ``labels``.
+    def example_row(row: dict) -> LabeledExample:
+        example = LabeledExample.from_dict(row)
+        if example.id in labels:
+            raise ValueError(f"duplicate id {example.id!r}")
+        return example
+
     with open_input(path) as fp:
-        labels = {example.id: example for example in iter_jsonl(fp, LabeledExample.from_dict)}
+        for example in iter_jsonl(fp, example_row):
+            labels[example.id] = example
     if not labels:
         raise ValueError(f"no labeled examples in {path}")
     return labels
@@ -379,8 +414,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .meta import load_model
     from .poolstats import pool_statistics, render_pool_table
 
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if "lgb" in strategies and not args.model:
+    if "lgb" in args.strategies and not args.model:
         raise ValueError("strategy 'lgb' requires --model")
     model = load_model(args.model) if args.model else None
     with open_input(args.annotations) as fp:
@@ -389,7 +423,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             (row.lang if row.lang is not None else "und", row.vector, row.raw_label)
             for row in row_iter
         ]
-    summary = pool_statistics(pool, strategies=strategies, model=model)
+    summary = pool_statistics(pool, strategies=args.strategies, model=model)
     write_json_file(args.output, summary.to_dict())
     if args.table:
         if args.output == "-":
@@ -420,10 +454,10 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file overriding keywords/schema whitelist")
     p.add_argument(
         "--quota",
-        action="append",
+        action=_QuotaAction,
         type=_parse_quota,
         metavar="LANG=N",
-        help="per-language reservoir quota; repeatable",
+        help="per-language reservoir quota; repeatable, once per language",
     )
     p.add_argument("--seed", type=int, default=0, help="subsampling seed (default: 0)")
     p.add_argument("--stats", help="write filter counters to this JSON file")
@@ -458,7 +492,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ensemble", help="turn annotations into per-text labels and scores")
     p.add_argument("--annotations", required=True, help="annotations JSONL")
-    p.add_argument("--strategy", required=True, choices=("vote", "mean", "lgb"))
+    p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--model", help="model JSON (required for lgb)")
     p.add_argument("--labels", help="labeled examples JSONL; adds dataset/gold to rows")
     p.add_argument("--output", required=True, help="predictions JSONL")
@@ -491,6 +525,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="summary JSON ('-' for stdout)")
     p.add_argument(
         "--strategies",
+        type=_parse_strategies,
         default="vote,mean",
         help="comma-separated ensemble strategies (default: vote,mean)",
     )

@@ -17,12 +17,25 @@ whose row ``i`` lists the leaf's rows sorted by the ``i``-th drawn
 feature. A split divides the block with a boolean mask, which keeps
 every order, so no node sorts anything. Equal feature values therefore
 accumulate in row-index order in the gradient sums.
+
+Prediction, and each round's score update while fitting, walk one flat
+layout of the trees. Every node's feature, threshold, first child and
+leaf value sit in arrays, with a node's two children side by side, right
+child first, so one step is ``node = first[node] + (x[feature[node]] <=
+threshold[node])``: a value equal to the threshold goes left and NaN goes
+right. A leaf is its own first child with a NaN threshold, so a step
+leaves it in place. All trees and a block of ``_WALK_POSITIONS // n_trees``
+rows step together, and every ``_REGATHER_LEVELS`` steps the positions
+that have reached a leaf are dropped. Leaf values are then added to the
+base score one tree at a time, in tree order, so a row's score is the
+same bit for bit whatever else is in its block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,6 +51,11 @@ PROB_EPS = 1e-15
 GAIN_NOISE_REL = 1e-12
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+# Positions (rows times trees) that one block of a tree walk steps together.
+_WALK_POSITIONS = 2**15
+# Steps taken between drops of the positions that have reached a leaf.
+_REGATHER_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -125,12 +143,20 @@ class TreeNode:
 
 @dataclass
 class BoostedTrees:
-    """A fitted booster: constant base score plus additive trees."""
+    """A fitted booster: constant base score plus additive trees.
+
+    Prediction builds the flat layout of ``trees`` on first use and keeps
+    it, so ``trees`` must not change after the first prediction.
+    """
 
     base_score: float
     trees: list[TreeNode]
     config: MetaLearnerConfig
     train_logloss: list[float] = field(default_factory=list)
+
+    @cached_property
+    def _flat(self) -> "_FlatTrees":
+        return _FlatTrees(self.trees)
 
 
 def clamp_probability(p: float) -> float:
@@ -291,18 +317,75 @@ def _grow_tree(
     return root
 
 
-def _tree_values(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree, np.arange(len(X)))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        goes_left = X[idx, node.feature_index] <= node.threshold
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
-    return out
+class _FlatTrees:
+    """The nodes of ``trees`` in flat arrays, breadth first across all trees.
+
+    Node ``t`` is the root of tree ``t``. An internal node ``i`` has its
+    right child at ``first[i]`` and its left child at ``first[i] + 1``; a
+    leaf is its own ``first``, with feature 0 and a NaN threshold.
+    """
+
+    def __init__(self, trees: Sequence[TreeNode]) -> None:
+        nodes = list(trees)
+        first, feature, threshold, value = [], [], [], []
+        # ``nodes`` grows while it is read: each internal node appends its children.
+        for i, node in enumerate(nodes):
+            if node.is_leaf:
+                first.append(i)
+                feature.append(0)
+                threshold.append(math.nan)
+                value.append(node.value)
+            else:
+                first.append(len(nodes))
+                feature.append(node.feature_index)
+                threshold.append(node.threshold)
+                value.append(0.0)
+                nodes += (node.right, node.left)
+        self.n_trees = len(trees)
+        self.first = np.array(first, dtype=np.intp)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.value = np.array(value, dtype=np.float64)
+        split = self.feature[self.first != np.arange(len(first))]
+        # The lowest and highest feature that a split reads; (0, -1) with no split.
+        self.feature_span = (int(split.min()), int(split.max())) if len(split) else (0, -1)
+
+    def check_features(self, n_features: int) -> None:
+        """Refuse a split on a feature outside ``[0, n_features)``."""
+        low, high = self.feature_span
+        if low < 0 or high >= n_features:
+            bad = low if low < 0 else high
+            raise ValueError(f"feature_index must be in [0, {n_features}), got {bad}")
+
+
+def _add_leaf_values(flat: _FlatTrees, X: np.ndarray, raw: np.ndarray) -> None:
+    """Add to ``raw[i]`` the leaf value of every tree for row ``X[i]``, in tree order."""
+    n_trees = flat.n_trees
+    if n_trees == 0:
+        return
+    flat.check_features(X.shape[1])
+    first, feature, threshold = flat.first, flat.feature, flat.threshold
+    rows_per_block = max(1, _WALK_POSITIONS // n_trees)
+    for start in range(0, len(X), rows_per_block):
+        block = X[start : start + rows_per_block]
+        m, d = block.shape
+        xs = block.ravel()
+        # Position p walks tree p // m for row p % m; ``off`` is where the row starts in xs.
+        node = np.repeat(np.arange(n_trees), m)
+        live = np.flatnonzero(first[node] != node)
+        at = node[live]
+        off = (live % m) * d
+        while len(live):
+            for _ in range(_REGATHER_LEVELS):
+                at = first[at] + (xs[off + feature[at]] <= threshold[at])
+            node[live] = at
+            inner = first[at] != at
+            live, at, off = live[inner], at[inner], off[inner]
+        # cumsum adds row by row: the block's scores, then each tree's values in turn.
+        sums = np.empty((n_trees + 1, m), dtype=np.float64)
+        sums[0] = raw[start : start + m]
+        sums[1:] = flat.value[node].reshape(n_trees, m)
+        raw[start : start + m] = np.cumsum(sums, axis=0)[-1]
 
 
 def gbdt_fit(
@@ -364,32 +447,14 @@ def gbdt_fit(
         tree = _grow_tree(X, g, h, block, features_used, config)
         if tree is not None:
             trees.append(tree)
-            raw += _tree_values(tree, X)
+            _add_leaf_values(_FlatTrees([tree]), X, raw)
         losses.append(_logloss(raw, y))
     return BoostedTrees(base_score=base_score, trees=trees, config=config, train_logloss=losses)
 
 
-def gbdt_predict_raw(model: BoostedTrees, x: Sequence[float] | np.ndarray) -> float:
-    """Raw additive score for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    raw = model.base_score
-    for tree in model.trees:
-        node = tree
-        while not node.is_leaf:
-            node = node.left if x[node.feature_index] <= node.threshold else node.right
-        raw += node.value
-    return raw
-
-
-def gbdt_predict_proba(model: BoostedTrees, x: Sequence[float] | np.ndarray) -> float:
-    """Predicted probability of the positive class for one feature vector."""
-    return float(_sigmoid_array(np.array([gbdt_predict_raw(model, x)]))[0])
-
-
 def gbdt_predict_proba_many(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
-    """Predicted positive-class probabilities for a feature matrix."""
+    """Predicted positive-class probabilities for an (n, d) feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     raw = np.full(len(X), model.base_score, dtype=np.float64)
-    for tree in model.trees:
-        raw += _tree_values(tree, X)
+    _add_leaf_values(model._flat, X, raw)
     return _sigmoid_array(raw)

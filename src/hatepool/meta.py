@@ -7,7 +7,11 @@ fit to ``1 - y`` mirrors the Hate head, so a second fit would only repeat
 the first. Prediction compares the two sigmoid head scores, breaking exact
 ties toward Neutral; model files with independently fit heads still load
 and score through both. :func:`score_matrix` scores a feature matrix with
-any of the three ensemble strategies (vote, mean, lgb).
+any of the three ensemble strategies (vote, mean, lgb). Every lgb score,
+:func:`predict_meta`'s one row included, comes from the one batched tree
+walk in :mod:`hatepool.gbdt`, so a row scores the same bit for bit alone
+or in any batch. Loading a model refuses a split on a feature outside
+``feature_order``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .gbdt import (
     MetaLearnerConfig,
     TreeNode,
     gbdt_fit,
-    gbdt_predict_proba,
     gbdt_predict_proba_many,
 )
 
@@ -128,12 +131,12 @@ def train_meta_on_vectors(
 def predict_meta(
     model: MetaLearnerModel, vector: ProbabilityVector
 ) -> tuple[BinaryLabel, float, float]:
-    """Label one probability vector; returns (label, hate score, neutral score)."""
-    x = vector.features()
-    score_hate = gbdt_predict_proba(model.hate_head, x)
-    score_neutral = gbdt_predict_proba(model.neutral_head, x)
-    label = BinaryLabel.HATE if score_hate > score_neutral else BinaryLabel.NEUTRAL
-    return label, score_hate, score_neutral
+    """Label one probability vector; returns (label, hate score, neutral score).
+
+    A one-row :func:`predict_meta_many`, so it equals that row of any batch bit for bit.
+    """
+    labels, scores_hate, scores_neutral = predict_meta_many(model, vector.features()[None, :])
+    return labels[0], float(scores_hate[0]), float(scores_neutral[0])
 
 
 def _lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,18 +195,6 @@ def model_to_dict(model: MetaLearnerModel) -> dict:
     }
 
 
-def _checked_tree(node: TreeNode, n_features: int) -> TreeNode:
-    """``node``, unless one of its splits reads a feature outside ``[0, n_features)``."""
-    if not node.is_leaf:
-        if not 0 <= node.feature_index < n_features:
-            raise ValueError(
-                f"feature_index must be in [0, {n_features}), got {node.feature_index}"
-            )
-        _checked_tree(node.left, n_features)
-        _checked_tree(node.right, n_features)
-    return node
-
-
 def model_from_dict(payload: dict) -> MetaLearnerModel:
     config = MetaLearnerConfig.from_dict(payload["config"])
     feature_order = typed_value(payload["feature_order"], "tuple[str, ...]", "feature_order")
@@ -222,15 +213,14 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
     hate_head, neutral_head = (
         BoostedTrees(
             base_score=float(typed_value(base_score, "float", "base_scores")),
-            trees=[
-                _checked_tree(TreeNode.from_dict(t), len(feature_order))
-                for t in typed_value(trees, "list", "trees")
-            ],
+            trees=[TreeNode.from_dict(t) for t in typed_value(trees, "list", "trees")],
             config=config,
             train_logloss=list(losses),
         )
         for base_score, trees in zip(base_scores, tree_lists)
     )
+    for head in (hate_head, neutral_head):
+        head._flat.check_features(len(feature_order))
     return MetaLearnerModel(
         hate_head=hate_head, neutral_head=neutral_head, config=config, feature_order=feature_order
     )

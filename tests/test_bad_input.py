@@ -141,6 +141,7 @@ LABELS = FileKind(
         | set_field("dataset", NOT_TEXT)
         | set_field("text", NOT_TEXT)
         | set_field("gold", BAD_LABELS)
+        | set_field("id", st.just("a0") if index else st.nothing())
         | replace_row(NON_OBJECTS)
     ),
 )

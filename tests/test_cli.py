@@ -180,6 +180,14 @@ class TestFilterCmd:
             main(["filter", "--input", "x", "--output", "y", "--quota", "eng"])
         assert exc.value.code == 1
 
+    def test_filter_quota_language_given_twice_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", "--input", str(self.make_input(tmp_path)), "--output",
+                  str(tmp_path / "kept.jsonl"), "--quota", "eng=0", "--quota", "eng=5"])
+        assert exc.value.code == 1
+        assert "language 'eng' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "kept.jsonl").exists()
+
 
 class TestIngestCmd:
     def test_csv_ingest_maps_labels_and_assigns_ids(self, tmp_path):
@@ -655,6 +663,15 @@ class TestUsageAndVersion:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--predictions", "p", "--report", "r", "--threshold", "median"])
         assert exc.value.code == 1
+
+    def test_unknown_stats_strategy_is_usage_error_before_any_input_is_read(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--annotations", str(tmp_path / "absent.jsonl"), "--output",
+                  str(tmp_path / "summary.json"), "--strategies", "vote,bogus"])
+        assert exc.value.code == 1
+        assert "unknown ensemble strategy 'bogus'" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,24 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hatepool import (
-    MetaLearnerConfig,
-    TreeNode,
-    gbdt_fit,
-    gbdt_predict_proba,
-    gbdt_predict_raw,
-)
+from hatepool import MetaLearnerConfig, TreeNode, gbdt_fit
 from hatepool.gbdt import (
+    _WALK_POSITIONS,
     PROB_EPS,
+    BoostedTrees,
+    _add_leaf_values,
     _best_split,
     _filter_block,
     _grow_tree,
+    _logloss,
+    _sigmoid_array,
     clamp_probability,
     gbdt_predict_proba_many,
 )
 
 import gbdt_oracle
+import tree_walk_reference
 
 
 def full_batch_config(**overrides):
@@ -95,8 +97,8 @@ class TestHandWorkedFit:
         assert root.threshold == 0.5
         assert root.left.value == -2.0
         assert root.right.value == 2.0
-        assert gbdt_predict_raw(model, [0.0]) == -2.0
-        assert gbdt_predict_proba(model, [1.0]) == pytest.approx(1 / (1 + math.exp(-2)))
+        probs = gbdt_predict_proba_many(model, np.array([[0.0], [1.0]]))
+        assert probs.tolist() == pytest.approx([1 / (1 + math.exp(2)), 1 / (1 + math.exp(-2))])
 
     def test_learning_rate_scales_leaf_values(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
@@ -125,7 +127,7 @@ class TestConstantLabels:
         model = gbdt_fit(X, y, full_batch_config(num_rounds=20, num_leaves=8))
         assert model.trees == []
         clamped = clamp_probability(label)
-        assert gbdt_predict_proba(model, X[0]) == pytest.approx(clamped, rel=1e-12)
+        assert gbdt_predict_proba_many(model, X[:1])[0] == pytest.approx(clamped, rel=1e-12)
         # loss trace still has one entry per round
         assert len(model.train_logloss) == 21
         assert len(set(model.train_logloss)) == 1
@@ -334,11 +336,9 @@ class TestPrediction:
             left=TreeNode(value=-1.0),
             right=TreeNode(value=1.0),
         )
-        from hatepool.gbdt import BoostedTrees
-
         model = BoostedTrees(base_score=0.0, trees=[tree], config=MetaLearnerConfig())
-        assert gbdt_predict_raw(model, [0.5]) == -1.0
-        assert gbdt_predict_raw(model, [0.5000001]) == 1.0
+        probs = gbdt_predict_proba_many(model, np.array([[0.5], [0.5000001], [math.nan]]))
+        assert probs.tolist() == _sigmoid_array(np.array([-1.0, 1.0, 1.0])).tolist()
 
     def test_batch_prediction_matches_single(self):
         rng = np.random.default_rng(13)
@@ -346,8 +346,73 @@ class TestPrediction:
         y = (X[:, 0] > 0.4).astype(float)
         model = gbdt_fit(X, y, MetaLearnerConfig(num_rounds=15, min_data_in_leaf=5))
         batch = gbdt_predict_proba_many(model, X)
-        singles = [gbdt_predict_proba(model, x) for x in X]
-        np.testing.assert_allclose(batch, singles, atol=1e-15)
+        singles = [tree_walk_reference.gbdt_predict_proba(model, x) for x in X]
+        assert batch.tolist() == singles
+
+    def test_split_on_a_missing_feature_is_refused(self):
+        tree = TreeNode(feature_index=2, threshold=0.5, left=TreeNode(value=-1.0),
+                        right=TreeNode(value=1.0))
+        model = BoostedTrees(base_score=0.0, trees=[tree], config=MetaLearnerConfig())
+        with pytest.raises(ValueError, match=r"feature_index must be in \[0, 2\), got 2"):
+            gbdt_predict_proba_many(model, np.zeros((3, 2)))
+
+
+def random_tree(rng, thresholds, n_features, depth, spine=True):
+    """A tree with one path of exactly ``depth`` splits; other branches stop at random."""
+    if depth == 0 or (not spine and rng.random() < 0.5):
+        return TreeNode(value=float(rng.standard_normal() * 10.0 ** rng.integers(-3, 3)))
+    deep = int(rng.integers(2))
+    left, right = (
+        random_tree(rng, thresholds, n_features, depth - 1, spine and side == deep)
+        for side in (0, 1)
+    )
+    return TreeNode(feature_index=int(rng.integers(n_features)),
+                    threshold=float(rng.choice(thresholds)), left=left, right=right)
+
+
+class TestWalk:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.integers(0, 6),
+        depth=st.integers(0, 14),
+        n_features=st.integers(1, 3),
+        rows=st.sampled_from(["none", "one", "few", "block-1", "block", "block+1"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_recursive_reference_bit_for_bit(
+        self, seed, n_trees, depth, n_features, rows
+    ):
+        # Thresholds are drawn from the feature values, so ties occur; rows
+        # also hold NaN and infinities. Depths reach past the re-gather
+        # period, and row counts sit on both sides of a block's edge.
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(int(rng.integers(1, 5)))
+        trees = [random_tree(rng, values, n_features, int(rng.integers(depth + 1)))
+                 for _ in range(n_trees)]
+        model = BoostedTrees(base_score=float(rng.standard_normal()), trees=trees,
+                             config=MetaLearnerConfig())
+        step = _WALK_POSITIONS // max(n_trees, 1)
+        n = {"none": 0, "one": 1, "few": int(rng.integers(2, 50)),
+             "block-1": step - 1, "block": step, "block+1": step + 1}[rows]
+        pool = np.concatenate([values, [math.nan, math.inf, -math.inf]])
+        X = rng.choice(pool, size=(n, n_features))
+        raw = np.full(n, model.base_score)
+        _add_leaf_values(model._flat, X, raw)
+        # Rows repeat, so the reference walks each distinct row once.
+        reference = {}
+        for x in X:
+            if x.tobytes() not in reference:
+                reference[x.tobytes()] = tree_walk_reference.raw_score(model, x)
+        want = np.array([reference[x.tobytes()] for x in X], dtype=np.float64)
+        assert raw.tobytes() == want.tobytes()
+
+    def test_every_fit_round_updates_scores_through_the_walk(self):
+        rng = np.random.default_rng(15)
+        X = np.round(rng.random((200, 3)), 1)
+        y = (X[:, 0] + 0.3 * rng.random(200) > 0.6).astype(float)
+        model = gbdt_fit(X, y, full_batch_config(num_rounds=8, num_leaves=12, learning_rate=0.3))
+        raw = np.array([tree_walk_reference.raw_score(model, x) for x in X])
+        assert model.train_logloss[-1] == _logloss(raw, y)
 
 
 class TestTreeSerialization:

@@ -19,10 +19,10 @@ from hatepool import (
     vote_label,
 )
 import hatepool.meta
-from hatepool.gbdt import gbdt_predict_proba
 from hatepool.meta import check_feature_order, model_from_dict, model_to_dict, predict_meta_many
 
 from conftest import make_vector, random_vectors
+from tree_walk_reference import gbdt_predict_proba
 
 
 def fast_config(seed=0):
@@ -163,8 +163,8 @@ class TestPredictMeta:
         for i, v in enumerate(vectors):
             label, sh, sn = predict_meta(model, v)
             assert labels[i] is label
-            assert s_h[i] == pytest.approx(sh, abs=1e-15)
-            assert s_n[i] == pytest.approx(sn, abs=1e-15)
+            assert s_h[i] == sh
+            assert s_n[i] == sn
 
 
 class TestSerialization:
