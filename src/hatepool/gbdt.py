@@ -146,7 +146,10 @@ class BoostedTrees:
     """A fitted booster: constant base score plus additive trees.
 
     Prediction builds the flat layout of ``trees`` on first use and keeps
-    it, so ``trees`` must not change after the first prediction.
+    it. After the first prediction, neither ``trees`` (appending, removing
+    or reassigning) nor any node in it (its feature, threshold, value or
+    children) may change: later predictions would still score the old
+    trees.
     """
 
     base_score: float

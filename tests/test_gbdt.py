@@ -97,8 +97,13 @@ class TestHandWorkedFit:
         assert root.threshold == 0.5
         assert root.left.value == -2.0
         assert root.right.value == 2.0
-        probs = gbdt_predict_proba_many(model, np.array([[0.0], [1.0]]))
-        assert probs.tolist() == pytest.approx([1 / (1 + math.exp(2)), 1 / (1 + math.exp(-2))])
+        rows = np.array([[0.0], [1.0]])
+        raw = np.zeros(2)
+        _add_leaf_values(model._flat, rows, raw)
+        assert raw.tolist() == [-2.0, 2.0]
+        probs = gbdt_predict_proba_many(model, rows)
+        assert probs.tolist() == _sigmoid_array(np.array([-2.0, 2.0])).tolist()
+        assert probs[1] == pytest.approx(1 / (1 + math.exp(-2)))
 
     def test_learning_rate_scales_leaf_values(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
