@@ -36,7 +36,8 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
 def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
-    Invalid JSON raises, or with ``on_error`` is skipped after ``on_error(lineno)``.
+    Invalid JSON, or JSON nested too deeply to decode, raises, or with ``on_error``
+    is skipped after ``on_error(lineno)``.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
     """
@@ -47,9 +48,10 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
             continue
         try:
             row = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             if on_error is None:
-                raise ValueError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
+                reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+                raise ValueError(f"{source}:{lineno}: invalid JSON: {reason}") from exc
             on_error(lineno)
             continue
         if not isinstance(row, dict):
@@ -134,8 +136,10 @@ def write_json_file(path: str, obj: Any) -> None:
 def read_json_file(path: str, decode=None) -> Any:
     """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
 
-    Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, and
-    a ``KeyError``/``TypeError``/``ValueError`` from ``decode`` ``ValueError("<file>: ...")``.
+    Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, a
+    ``KeyError``/``TypeError``/``ValueError`` from ``decode`` ``ValueError("<file>: ...")``,
+    and a value nested too deeply to decode or convert ``ValueError("<file>: JSON nested
+    too deeply")``.
     """
     with open_input(path) as fp:
         source = getattr(fp, "name", path)
@@ -145,6 +149,8 @@ def read_json_file(path: str, decode=None) -> Any:
         except json.JSONDecodeError as exc:
             where = f"{source}:{exc.lineno}:{exc.colno}"
             raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{source}: JSON nested too deeply") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise decode_error(source, exc) from exc
 

@@ -6,15 +6,17 @@ output goes to stdout. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
 ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. Only ``filter`` skips lines that are
-not valid JSON, counting them in ``malformed_lines``. A JSON file (a
-config, the endpoints, groups, registry, model or baseline) that is not
-valid JSON exits 2 with ``file:line:col``; one with an unknown key or a
-wrong-typed field exits 2 with ``file: reason`` naming the field, and the
-entry that holds it (``dataset 'X'``, ``endpoints[i]``) where there is one.
-An empty ``text`` or a repeated ``id`` in the ``annotate`` input is a bad
-row, and so is a repeated ``id`` in a labels file. ``evaluate --threshold
-fixed:V`` takes only a finite V, ``filter --quota`` each language once, and
-``stats --strategies`` only known names (each exit 1).
+not valid JSON or are nested too deeply, counting them in
+``malformed_lines``. A JSON file (a config, the endpoints, groups,
+registry, model or baseline) that is not valid JSON exits 2 with
+``file:line:col``, and one nested too deeply with ``file``; one with an
+unknown key or a wrong-typed field exits 2 with ``file: reason`` naming
+the field, and the entry that holds it (``dataset 'X'``, ``endpoints[i]``)
+where there is one. An empty ``text`` or a repeated ``id`` in the
+``annotate`` input is a bad row, and so is a repeated ``id`` in a labels
+file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
+--quota`` each language once, and ``stats --strategies`` only known names
+(each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only

@@ -1,14 +1,28 @@
 """Reference URL-keyword and schema-type rules for the filter tests.
 
 These are the per-record rules the filter used before it derived its match
-rules once per config: every keyword spelling is rebuilt, and every declared
-type is stripped of its first matching schema.org prefix, for each record.
-The property test in ``test_filtering.py`` requires the same verdicts.
+rules once per config: every URL is split by ``urlparse``, every keyword
+spelling is rebuilt and tested as a substring, and every declared type is
+stripped of its first matching schema.org prefix, for each record. The
+property tests in ``test_filtering.py`` require the same paths and verdicts.
 """
 
-from hatepool.filtering import FilterConfig, normalize_url_path
+from urllib.parse import unquote, urlparse
+
+from hatepool.filtering import FilterConfig, UrlParseError
 
 _SCHEMA_PREFIXES = ("https://schema.org/", "http://schema.org/")
+
+
+def normalize_url_path(url: str) -> str:
+    """The percent-decoded, lowercased path of ``url``, as ``urlparse`` splits it."""
+    try:
+        parsed = urlparse(url)
+    except ValueError as exc:
+        raise UrlParseError(f"unparseable URL: {url!r}") from exc
+    if not parsed.scheme or not parsed.netloc:
+        raise UrlParseError(f"not an absolute URL: {url!r}")
+    return unquote(parsed.path).lower()
 
 
 def _keyword_variants(keyword: str, expand: bool) -> tuple[str, ...]:

@@ -296,6 +296,47 @@ def test_one_corrupt_row_exits_2_naming_its_line(case, data, caplog):
         assert_refused(code, directory, inputs, messages, path, index, bad_row)
 
 
+DEEP_ARRAY = "[" * 5000 + "]" * 5000
+
+
+def with_deep_array(row):
+    """The JSON text of ``row`` with one more field holding a 5,000-deep array."""
+    return dumps(row)[:-1] + ',"extra":' + DEEP_ARRAY + "}"
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.id != "filter"],
+                         ids=[c.id for c in CASES if c.id != "filter"])
+def test_row_nested_too_deeply_exits_2_naming_its_line(case, tmp_path, caplog):
+    # json raised RecursionError: a traceback and exit 1.
+    rows = [dumps(row) for row in case.target.rows]
+    rows[2] = with_deep_array(case.target.rows[2])
+    path = tmp_path / case.target.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for kind in case.valid:
+        write_lines(tmp_path / kind.name, kind.rows)
+    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
+    inputs = os.listdir(tmp_path)
+    code = run(case.argv, str(tmp_path))
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2, messages
+    assert sorted(os.listdir(tmp_path)) == sorted(inputs), "an output file was committed"
+    assert messages == [f"{path}:3: invalid JSON: nested too deeply"]
+
+
+def test_filter_skips_a_row_nested_too_deeply(tmp_path):
+    # Like any line that is not valid JSON, the row is skipped and counted.
+    rows = [dumps(row) for row in WEB.rows]
+    rows[1] = with_deep_array(WEB.rows[1])
+    path = tmp_path / WEB.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
+    assert main(["filter", "--input", str(path), "--output", str(kept),
+                 "--stats", str(stats)]) == 0
+    assert [json.loads(line)["id"] for line in kept.read_text().splitlines()] == ["w0", "w2", "w3"]
+    counts = json.loads(stats.read_text())
+    assert (counts["malformed_lines"], counts["records_seen"], counts["written"]) == (1, 3, 3)
+
+
 @pytest.mark.parametrize(
     "case_id, field",
     [("ensemble-labels", "dataset"), ("ensemble-labels", "text"), ("evaluate", "dataset")],
@@ -448,6 +489,14 @@ def baseline_with(**sections):
 
 INVALID_JSON = Raw('{"a": 1,\n "b": }')
 
+
+def model_with_deep_tree(depth):
+    """A valid model file whose one Hate-head tree is ``depth`` splits deep, as text."""
+    split = '{"feature_index": 2, "threshold": 0.5, "right": {"value": 0.1}, "left": '
+    tree = split * depth + '{"value": 0.0}' + "}" * depth
+    return Raw(json.dumps(model_with(trees=[["TREE"], []])).replace('"TREE"', tree))
+
+
 # JSON config files whose wrong-typed fields exited 1 with a traceback, were
 # silently misread, or whose error did not name the file:
 # (command, config, the field the error names).
@@ -500,6 +549,9 @@ CONFIG_CASES = {
     "model-config-seed-is-text": ("ensemble", model_with(config={"seed": "7"}), "seed"),
     "model-trees-hold-a-number": ("ensemble", model_with(trees=[5, []]), "trees"),
     "model-invalid-json": ("ensemble", INVALID_JSON, ":2:7: invalid JSON"),
+    # json raised RecursionError: a traceback and exit 1.
+    "model-nested-too-deeply": ("ensemble", model_with_deep_tree(1500),
+                                "config.json: JSON nested too deeply"),
     "groups-member-list-is-a-number": ("evaluate --groups", {"G": 5}, "'G'"),
     "groups-member-list-is-text": ("evaluate --groups", {"G": "abc"}, "'G'"),
     "groups-members-hold-a-number": ("evaluate --groups", {"G": ["AHSD", 5]}, "'G'"),

@@ -38,6 +38,113 @@ class TestNormalizeUrlPath:
         with pytest.raises(UrlParseError):
             normalize_url_path(bad)
 
+    # Paths shaped like the benchmark crawl's kept and dropped URLs.
+    @pytest.mark.parametrize(
+        "url, path",
+        [
+            ("https://example.com/%46orum/1", "/forum/1"),
+            ("https://forum.example.de/Forum/Topic-2", "/forum/topic-2"),
+            ("http://blog.example.es/article/3?ref=forum", "/article/3"),
+            ("http://x.example.org/wiki/4#thread", "/wiki/4"),
+        ],
+    )
+    def test_plain_urls_do_not_reach_urlparse(self, url, path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("urlparse called")
+
+        monkeypatch.setattr("hatepool.filtering.urlparse", refuse)
+        assert normalize_url_path(url) == path
+
+    # The benchmark crawl's unparseable URL shapes.
+    @pytest.mark.parametrize(
+        "url", ["http://[::1/forum/5", "forum/6/thread", "://nohost/forum/7"]
+    )
+    def test_other_urls_reach_urlparse(self, url, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("hatepool.filtering.urlparse", reached)
+        with pytest.raises(Reached):
+            normalize_url_path(url)
+
+
+def _outcome(normalize, url):
+    try:
+        return normalize(url)
+    except UrlParseError as exc:
+        return ("UrlParseError", str(exc))
+
+
+# Characters that ``urlparse`` strips, splits at or refuses, broken and valid
+# percent escapes, and non-ASCII and astral characters.
+ODD_PIECES = [
+    " ", "\t", "\r", "\n", "\x00", "\x1f", "\x7f", ";", "@", "[", "]", "\\", "?", "#", "/",
+    ":", "//", "%", "%4", "%zz", "%41", "%C3%B3", "%ff", "|", "{", "^", '"', "é", "\u00a0",
+    "\uff0f", "\u212a", "\U0001f600", "\U00010400",
+]
+# Well-formed URLs cut into scheme, separator, host, path, query and fragment.
+URL_PARTS = [
+    ("http", "://", "example.com", "/forum/a", "?q=thread", "#top"),
+    ("HTTPS", "://", "h:80", "", "", ""),
+    ("a+b.c-1", "://", "x.org", "/%46orum/b%20c/", "?a/b?c", "#a?b#c"),
+]
+
+
+def _joined(parts, edits):
+    """``parts`` joined, after putting each ``(part, offset, piece)`` of ``edits`` in."""
+    parts = list(parts)
+    for index, offset, piece in edits:
+        offset %= len(parts[index]) + 1
+        parts[index] = parts[index][:offset] + piece + parts[index][offset:]
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("parts", URL_PARTS, ids=[p[0] for p in URL_PARTS])
+def test_each_odd_piece_in_each_url_part_gives_the_urlparse_result(parts):
+    for index, part in enumerate(parts):
+        for offset in sorted({0, len(part) // 2, len(part)}):
+            for piece in ODD_PIECES:
+                url = _joined(parts, [(index, offset, piece)])
+                assert _outcome(normalize_url_path, url) == _outcome(
+                    filter_oracle.normalize_url_path, url), url
+
+
+# Mostly well-formed URLs. A few have a scheme that ``urlsplit`` does not take
+# (a leading digit, "_", non-ASCII or astral), no "//", an empty, non-ASCII,
+# IPv6 or half-bracketed host, a user, or ";" or a tab in the path. Up to two
+# odd pieces or bits of arbitrary text go into any of their parts.
+DRAWN_URL_PARTS = st.tuples(
+    st.sampled_from(["http", "https", "HTTP", "hTTps", "ftp", "a+b.c-1", "z"] * 2
+                    + ["1a", "h_t", "hé", "h\U0001f600"]),
+    st.sampled_from(["://"] * 10 + [":", ":/", "//", ":///", ""]),
+    st.sampled_from(["example.com", "Ex.org:8080", "h", "1.2.3.4", "a-b.x", "%41b", "x:y:"] * 2
+                    + ["u:p@h", "[::1]:80", "[::1", "é.org", ""]),
+    st.lists(
+        st.sampled_from(["", "forum", "Thread", "%46orum", "a%20b", "-_.~", "=(!'*+,$&:", "p;q",
+                         "t\tb"]),
+        max_size=4,
+    ).map(lambda segments: "/" * bool(segments) + "/".join(segments)),
+    st.sampled_from(["", "?", "?q=thread", "?a/b?c", "?x;y@z"]),
+    st.sampled_from(["", "#", "#forum", "#a?b#c", "#x;y@z"]),
+)
+# Each odd piece in each part is one choice, so that every pairing turns up.
+ODD_EDITS = st.builds(
+    lambda place, offset: (place[0], offset, place[1]),
+    st.sampled_from([(index, piece) for index in range(6) for piece in ODD_PIECES]),
+    st.integers(0, 20),
+)
+TEXT_EDITS = st.tuples(st.integers(0, 5), st.integers(0, 20), st.text(min_size=1, max_size=2))
+URLS = st.builds(_joined, DRAWN_URL_PARTS, st.lists(ODD_EDITS | TEXT_EDITS, max_size=2))
+
+
+@given(URLS)
+@settings(max_examples=1000, deadline=None)
+def test_normalize_url_path_equals_the_urlparse_reference(url):
+    assert _outcome(normalize_url_path, url) == _outcome(filter_oracle.normalize_url_path, url)
+
 
 class TestUrlKeywordMatch:
     @pytest.mark.parametrize(
@@ -160,10 +267,15 @@ def test_counter_invariant_property(urls, type_lists):
 
 PREFIXES = ("", "https://schema.org/", "http://schema.org/")
 NAMES = ("A", "B", "Comment", "")
-# Keywords are lowercase and nonempty, and may hold spaces; URL paths mix
-# case, separators and percent-encoded spaces around the same letters.
-KEYWORDS = st.text(alphabet="ab -_", min_size=1, max_size=5)
-PATHS = st.lists(st.sampled_from(["a", "b", "A", " ", "-", "_", "/", "%20", "ab"]), max_size=10)
+# Keywords are lowercase and nonempty, and may hold spaces and regular
+# expression metacharacters; URL paths mix case, separators, metacharacters
+# and percent-encoded spaces around the same letters.
+KEYWORDS = st.text(alphabet="ab -_.*+()|\\%", min_size=1, max_size=5)
+PATHS = st.lists(
+    st.sampled_from(["a", "b", "A", " ", "-", "_", "/", "%20", "ab",
+                     ".", "*", "+", "(", ")", "|", "\\", "%", "%25"]),
+    max_size=10,
+)
 # Declared types: bare, behind one prefix, behind a doubled prefix, or
 # behind a prefix in the wrong case.
 DECLARED = st.builds(

@@ -306,3 +306,14 @@ class TestReadJsonFile:
 
         with pytest.raises(RuntimeError, match="^boom$"):
             read_json_file(str(path), decode)
+
+    def test_decoder_recursing_too_deeply_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+
+        def decode(value):
+            return decode(value)
+
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path), decode)
+        assert str(info.value) == f"{path}: JSON nested too deeply"
