@@ -42,7 +42,7 @@ _EXPORTS = {
         "url_keyword_match",
     ),
     "gateway": (
-        "AnnotationResult",
+        "AnnotationRow",
         "AnnotatorEndpoint",
         "QuarantinedText",
         "annotate_batch",

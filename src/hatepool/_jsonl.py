@@ -36,8 +36,9 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
 def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
-    Invalid JSON, or JSON nested too deeply to decode, raises, or with ``on_error``
-    is skipped after ``on_error(lineno)``.
+    Invalid JSON, or JSON nested too deeply to decode, raises
+    ``ValueError("<file>:<line>: invalid JSON: <reason>")``, or with ``on_error``
+    is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
     """
@@ -49,10 +50,11 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
         try:
             row = json.loads(stripped)
         except (json.JSONDecodeError, RecursionError) as exc:
+            reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+            error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
             if on_error is None:
-                reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
-                raise ValueError(f"{source}:{lineno}: invalid JSON: {reason}") from exc
-            on_error(lineno)
+                raise error from exc
+            on_error(error)
             continue
         if not isinstance(row, dict):
             raise ValueError(f"{source}:{lineno}: not a JSON object")

@@ -149,9 +149,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
     config = read_json_file(args.config, FilterConfig.from_dict) if args.config else FilterConfig()
     malformed = [0]
 
-    def on_bad_line(lineno: int) -> None:
+    def on_bad_line(error: ValueError) -> None:
         malformed[0] += 1
-        log.warning("input line %d is not valid JSON; skipped", lineno)
+        log.warning("%s; skipped", error)
 
     written = 0
     with open_input(args.input) as in_fp, atomic_output(args.output) as out_fp:

@@ -5,7 +5,10 @@ long-lived worker threads, so one slow model never throttles the others.
 Requests use the completions wire shape: one generated token with top-k
 logprobs, from which the two label-token weights are read.
 
-A worker makes one attempt at a time. It takes a retry whose backoff has
+Each worker holds one client for its endpoint, and the client makes
+every attempt the worker sends: it builds the request, posts it, checks
+the status and reads the two label-token weights from the response. A
+worker makes one attempt at a time. It takes a retry whose backoff has
 elapsed ahead of the next fresh text, and fresh texts in input order.
 A failed attempt worth retrying gives up its slot: its exponential
 backoff with jitter runs on the batch's backoff pool, which holds no slot
@@ -19,7 +22,7 @@ the dispatchers and drops the backoffs that have not started; each worker
 finishes at most its current request, and every thread is joined before
 the exception propagates.
 
-The transport is the standard library's ``http.client``. Each worker
+The transport is the standard library's ``http.client``. Each client
 keeps one HTTP/1.1 keep-alive connection to its endpoint and reads every
 response body in full, so the connection can carry the next request. A
 connection that fails or times out is discarded. One that the server
@@ -39,6 +42,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
@@ -119,21 +123,18 @@ class QuarantinedText:
 
 
 @dataclass
-class AnnotationResult:
-    """All four model probabilities for one text, plus the raw token weights seen."""
+class AnnotationRow:
+    """One annotated text: all four model probabilities and the raw label-token weights.
+
+    :func:`annotate_batch` gives rows without ``lang`` or ``raw_label``;
+    :func:`read_annotations` gives them as the annotation file has them.
+    """
 
     id: str
+    lang: str | None
     vector: ProbabilityVector
     raw_weights: dict[str, dict[str, float]]
-
-
-def _completion_payload(endpoint: AnnotatorEndpoint, prompt: str) -> dict:
-    return {
-        "model": endpoint.model_id,
-        "prompt": prompt,
-        "max_tokens": 1,
-        "logprobs": endpoint.logprobs_top_k,
-    }
+    raw_label: str | None = None
 
 
 def _token_weights_from_response(body: Mapping) -> dict[str, float]:
@@ -158,23 +159,6 @@ def _token_weights_from_response(body: Mapping) -> dict[str, float]:
     return weights
 
 
-def _label_probability(
-    weights: Mapping[str, float], template: PromptTemplate, model_id: str, text_id: str
-) -> ModelProbability:
-    """Extract the class probabilities, treating an unusable result as a bad response.
-
-    Finite weights can still pool to an infinite sum and a NaN probability;
-    that is a malformed response worth retrying, unlike a response with no
-    label token at all (:class:`ExtractionError`, passed through).
-    """
-    try:
-        return extract_label_probabilities(weights, template, model_id=model_id, text_id=text_id)
-    except ExtractionError:
-        raise
-    except ValueError as exc:
-        raise TransientRequestError(f"malformed completion response: {exc}") from exc
-
-
 def _closed_while_idle(sock) -> bool:
     """Whether an idle kept-alive socket has turned readable.
 
@@ -189,91 +173,83 @@ def _closed_while_idle(sock) -> bool:
         return bool(selector.select(0))
 
 
-class _Connection:
-    """One worker's keep-alive connection to its endpoint."""
+class _Client:
+    """One worker's client for one endpoint, over one keep-alive connection.
 
-    def __init__(self, endpoint: AnnotatorEndpoint) -> None:
-        self._endpoint = endpoint
-        url = urlsplit(endpoint.base_url)
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._conn = None
+    What no attempt changes is worked out once, here: the connection
+    address, the request target, the headers and the label tokens.
+    ``http.client`` is imported here, not at module top: it pulls in
+    ``ssl``, and the commands that only read annotation files never send a
+    request.
+    """
 
-    def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
-        """POST ``body``; return (status, response body).
-
-        The body is read in full whatever the status, so the connection
-        stays usable. ``http.client`` is imported here, not at module top:
-        it pulls in ``ssl``, and the commands that only read annotation
-        files never send a request.
-        """
+    def __init__(self, endpoint: AnnotatorEndpoint, template: PromptTemplate) -> None:
         import http.client
 
+        url = urlsplit(endpoint.base_url)
+        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        self._new_connection = partial(
+            factory[url.scheme], url.hostname, url.port, timeout=endpoint.timeout
+        )
+        self._transport_errors = (OSError, http.client.HTTPException)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if endpoint.auth_token:
+            self._headers["Authorization"] = f"Bearer {endpoint.auth_token}"
+        self._endpoint = endpoint
+        self._template = template
+        self._label_tokens = (*template.hate_tokens, *template.neutral_tokens)
+        self._conn = None
+
+    def annotate(self, text_id: str, prompt: str) -> tuple[ModelProbability, dict[str, float]]:
+        """One attempt at one text: (probability, raw label-token weights).
+
+        Raises :class:`TransientRequestError` for a failure worth retrying and
+        :class:`ExtractionError` for a well-formed response without label
+        tokens, which will not improve on retry. Finite weights can still pool
+        to an infinite sum and a NaN probability; that is a malformed response.
+        The response body is read in full whatever the status, so the
+        connection can carry the next request; one that fails is discarded.
+        """
+        ep = self._endpoint
+        body = json.dumps(
+            {"model": ep.model_id, "prompt": prompt, "max_tokens": 1, "logprobs": ep.logprobs_top_k}
+        ).encode("utf-8")
         conn = self._conn
         if conn is not None and conn.sock is not None and _closed_while_idle(conn.sock):
             self.close()
         try:
             if self._conn is None:
-                self._conn = self._connect()
-            self._conn.request("POST", self._target, body=body, headers=headers)
+                self._conn = self._new_connection()
+            self._conn.request("POST", self._target, body=body, headers=self._headers)
             with self._conn.getresponse() as response:
-                return response.status, response.read()
+                status, data = response.status, response.read()
         except BaseException as exc:
             self.close()
-            if isinstance(exc, (OSError, http.client.HTTPException)):
+            if isinstance(exc, self._transport_errors):
                 raise TransientRequestError(f"request failed: {exc}") from exc
             raise
-
-    def _connect(self):
-        """A new, not yet connected ``HTTPConnection`` for ``base_url``."""
-        import http.client
-
-        url = urlsplit(self._endpoint.base_url)
-        factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-        return factory[url.scheme](url.hostname, url.port, timeout=self._endpoint.timeout)
+        if status != 200:
+            raise TransientRequestError(f"HTTP {status}")
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:
+            raise TransientRequestError(f"response is not JSON: {exc}") from exc
+        weights = _token_weights_from_response(payload)
+        try:
+            probability = extract_label_probabilities(
+                weights, self._template, model_id=ep.model_id, text_id=text_id
+            )
+        except ExtractionError:
+            raise
+        except ValueError as exc:
+            raise TransientRequestError(f"malformed completion response: {exc}") from exc
+        return probability, {tok: weights[tok] for tok in self._label_tokens if tok in weights}
 
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-
-
-def _query_endpoint(
-    connection: _Connection,
-    endpoint: AnnotatorEndpoint,
-    prompt: str,
-) -> dict[str, float]:
-    headers = {"Content-Type": "application/json"}
-    if endpoint.auth_token:
-        headers["Authorization"] = f"Bearer {endpoint.auth_token}"
-    body = json.dumps(_completion_payload(endpoint, prompt)).encode("utf-8")
-    status, data = connection.post(body, headers)
-    if status != 200:
-        raise TransientRequestError(f"HTTP {status}")
-    try:
-        payload = json.loads(data)
-    except ValueError as exc:
-        raise TransientRequestError(f"response is not JSON: {exc}") from exc
-    return _token_weights_from_response(payload)
-
-
-def _annotate_one(
-    connection: _Connection,
-    endpoint: AnnotatorEndpoint,
-    template: PromptTemplate,
-    text_id: str,
-    prompt: str,
-) -> tuple[ModelProbability, dict[str, float]]:
-    """One attempt at one text on one endpoint: (probability, raw label-token weights).
-
-    Raises :class:`TransientRequestError` for a failure worth retrying and
-    :class:`ExtractionError` for a well-formed response without label
-    tokens, which will not improve on retry.
-    """
-    weights = _query_endpoint(connection, endpoint, prompt)
-    probability = _label_probability(weights, template, endpoint.model_id, text_id)
-    label_tokens = (*template.hate_tokens, *template.neutral_tokens)
-    raw = {tok: weights[tok] for tok in label_tokens if tok in weights}
-    return probability, raw
 
 
 class _Dispatcher:
@@ -333,7 +309,7 @@ def annotate_batch(
     template: PromptTemplate | None = None,
     seed: int = 0,
     sleep=time.sleep,
-) -> tuple[list[AnnotationResult], list[QuarantinedText]]:
+) -> tuple[list[AnnotationRow], list[QuarantinedText]]:
     """Annotate (id, text) pairs on all four endpoints.
 
     Results and quarantined texts each come back in input order; a text
@@ -377,15 +353,13 @@ def annotate_batch(
         else:
             dispatcher.requeue(job)
 
-    def serve(dispatcher: _Dispatcher) -> None:
+    def serve(dispatcher: _Dispatcher, client: _Client) -> None:
         ep = dispatcher.endpoint
-        connection = _Connection(ep)
         try:
             while (job := dispatcher.take()) is not None:
                 index, attempt = job
-                text_id = texts[index][0]
                 try:
-                    outcome = _annotate_one(connection, ep, template, text_id, prompts[index])
+                    outcome = client.annotate(texts[index][0], prompts[index])
                 except TransientRequestError as exc:
                     if attempt < ep.retry_limit:
                         jitter = 0.5 + dispatcher.rng.random()
@@ -399,10 +373,14 @@ def annotate_batch(
         except BaseException as exc:
             fail(exc)
         finally:
-            connection.close()
+            client.close()
 
     workers = [
-        threading.Thread(target=serve, args=(d,), name=f"annotate-{d.endpoint.model_id}-{i}")
+        threading.Thread(
+            target=serve,
+            args=(d, _Client(d.endpoint, template)),
+            name=f"annotate-{d.endpoint.model_id}-{i}",
+        )
         for d in dispatchers
         for i in range(min(d.endpoint.max_in_flight, len(texts)))
     ]
@@ -423,7 +401,7 @@ def annotate_batch(
     if errors:
         raise errors[0]
 
-    results: list[AnnotationResult] = []
+    results: list[AnnotationRow] = []
     quarantined: list[QuarantinedText] = []
     for index, (text_id, _) in enumerate(texts):
         outcomes = [d.outcomes[index] for d in dispatchers]
@@ -432,8 +410,9 @@ def annotate_batch(
             quarantined.append(QuarantinedText(id=text_id, failures=failures))
         else:
             results.append(
-                AnnotationResult(
+                AnnotationRow(
                     id=text_id,
+                    lang=None,
                     vector=ProbabilityVector(tuple(probability for probability, _ in outcomes)),
                     raw_weights={ep.model_id: raw for ep, (_, raw) in zip(ordered, outcomes)},
                 )
@@ -449,20 +428,9 @@ def annotate_batch(
 #    "raw": {token: weight, ...}}}, ...optional "raw_label"}
 
 
-@dataclass
-class AnnotationRow:
-    """One decoded annotation row."""
-
-    id: str
-    lang: str | None
-    vector: ProbabilityVector
-    raw_weights: dict[str, dict[str, float]]
-    raw_label: str | None = None
-
-
 def write_annotations(
     fp: TextIO,
-    results: Sequence[AnnotationResult],
+    results: Sequence[AnnotationRow],
     lang_by_id: Mapping[str, str] | None = None,
     raw_label_by_id: Mapping[str, str] | None = None,
     model_order: Sequence[str] | None = None,
@@ -522,7 +490,7 @@ def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
         raw_label = row.get("raw_label")
         return AnnotationRow(
             id=str(row["id"]),
-            lang=row.get("lang"),
+            lang=typed_value(row.get("lang"), "str | None", "lang"),
             vector=ProbabilityVector(entries),
             raw_weights=raw,
             raw_label=None if raw_label is None else str(raw_label),

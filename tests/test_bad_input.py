@@ -337,6 +337,26 @@ def test_filter_skips_a_row_nested_too_deeply(tmp_path):
     assert (counts["malformed_lines"], counts["records_seen"], counts["written"]) == (1, 3, 3)
 
 
+def test_filter_warning_names_the_file_the_line_and_the_reason(tmp_path, caplog):
+    # The warning read "input line N is not valid JSON; skipped" for both rows.
+    rows = [dumps(row) for row in WEB.rows]
+    rows[1] = with_deep_array(WEB.rows[1])
+    rows[2] = "{oops"
+    path = tmp_path / WEB.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
+    with caplog.at_level(logging.WARNING, logger="hatepool"):
+        assert main(["filter", "--input", str(path), "--output", str(kept),
+                     "--stats", str(stats)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"{path}:2: invalid JSON: nested too deeply; skipped",
+        f"{path}:3: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1); skipped",
+    ]
+    assert json.loads(stats.read_text())["malformed_lines"] == 2
+
+
 @pytest.mark.parametrize(
     "case_id, field",
     [("ensemble-labels", "dataset"), ("ensemble-labels", "text"), ("evaluate", "dataset")],
@@ -369,6 +389,10 @@ ANNOTATION_CASES = {
     "hate-is-nan": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": math.nan}}},
     "probabilities-are-bools": {"id": "t3", "models": {
         **GOOD_MODELS, "c": {**model_entry(0.5), "hate": True, "neutral": False}}},
+    # Read untyped, these reached the predictions verbatim and ``stats`` as "['x']".
+    "lang-is-a-list": {"id": "t3", "lang": ["x"], "models": GOOD_MODELS},
+    "lang-is-an-object": {"id": "t3", "lang": {"k": 1}, "models": GOOD_MODELS},
+    "lang-is-a-number": {"id": "t3", "lang": 5, "models": GOOD_MODELS},
 }
 
 

@@ -26,7 +26,6 @@ from hatepool import (
     write_annotations,
 )
 from hatepool.cli import main
-from hatepool.gateway import AnnotationResult
 
 from conftest import MODEL_IDS
 from stub_server import StubServer, completion
@@ -353,6 +352,56 @@ class TestKeepAliveTransport:
             annotate_batch([("b", "y")], endpoints_for(server))
         tokens = [h.get("Authorization") for h in server.headers]
         assert sorted(tokens, key=str) == ["Bearer s3cret"] * 4 + [None] * 4
+
+
+class TestRequestShape:
+    def test_exact_request_line_headers_and_body(self):
+        # Each of the four connections gets one request, read byte by byte
+        # off the socket, and one answer that closes it.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+        answer = json.dumps(GOOD).encode("utf-8")
+        requests = []
+
+        def serve():
+            for _ in MODEL_IDS:
+                sock, _ = listener.accept()
+                sock.settimeout(10)
+                with sock, sock.makefile("rb") as fp:
+                    request_line = fp.readline().decode("latin-1")
+                    headers = {}
+                    while (line := fp.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                    body = fp.read(int(headers["content-length"]))
+                    requests.append((request_line, headers, json.loads(body)))
+                    sock.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        + f"Content-Length: {len(answer)}\r\nConnection: close\r\n\r\n".encode()
+                        + answer
+                    )
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            base_url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions?k=1"
+            endpoints = [
+                AnnotatorEndpoint(model_id=m, base_url=base_url, max_in_flight=1, timeout=10.0,
+                                  retry_limit=0, logprobs_top_k=7)
+                for m in MODEL_IDS
+            ]
+            results, quarantined = annotate_batch([("a", "some text")], endpoints)
+        finally:
+            server.join(timeout=15)
+            listener.close()
+        assert quarantined == [] and [r.id for r in results] == ["a"]
+        prompt = render_prompt(PromptTemplate(), "some text")
+        assert sorted(body["model"] for _, _, body in requests) == sorted(MODEL_IDS)
+        for request_line, headers, body in requests:
+            assert request_line == "POST /v1/completions?k=1 HTTP/1.1\r\n"
+            assert headers["content-type"] == "application/json"
+            assert "authorization" not in headers
+            assert body == {"model": body["model"], "prompt": prompt, "max_tokens": 1, "logprobs": 7}
 
 
 def raw_post(sock, model="Gemma2-9B", prompt="x"):
