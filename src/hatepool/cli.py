@@ -21,6 +21,13 @@ file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
 ``annotate`` loads the HTTP client.
+
+``filter``, ``ensemble`` and ``stats`` stream their input, so memory does
+not grow with it. ``filter --quota`` spools each record that passes
+through or enters a reservoir to an anonymous temporary file next to the
+output (in the temp directory for ``--output -``) and holds only spool
+line numbers in its reservoirs; ``ensemble`` and ``stats`` score 4,096 rows
+at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
@@ -144,7 +152,7 @@ def _parse_threshold(raw: str) -> tuple[str, float | None]:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    from .filtering import FilterConfig, WebRecord, filter_records, subsample_by_language
+    from .filtering import FilterConfig, WebRecord, filter_records, write_subsample
 
     config = read_json_file(args.config, FilterConfig.from_dict) if args.config else FilterConfig()
     malformed = [0]
@@ -158,10 +166,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
         records = iter_jsonl(in_fp, WebRecord.from_dict, on_bad_line)
         kept, stats = filter_records(records, config)
         if args.quota:
-            kept = subsample_by_language(kept, args.quota, args.seed)
-        for record in kept:
-            write_jsonl_line(out_fp, record.to_dict())
-            written += 1
+            out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
+            written = write_subsample(kept, args.quota, args.seed, out_fp, out_dir)
+        else:
+            for record in kept:
+                write_jsonl_line(out_fp, record.to_dict())
+                written += 1
     payload = stats.to_dict()
     payload["malformed_lines"] = malformed[0]
     payload["written"] = written
@@ -420,12 +430,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise ValueError("strategy 'lgb' requires --model")
     model = load_model(args.model) if args.model else None
     with open_input(args.annotations) as fp:
-        _, row_iter = read_annotations(fp)
-        pool = [
-            (row.lang if row.lang is not None else "und", row.vector, row.raw_label)
-            for row in row_iter
-        ]
-    summary = pool_statistics(pool, strategies=args.strategies, model=model)
+        _, rows = read_annotations(fp)
+        pool = ((r.lang if r.lang is not None else "und", r.vector, r.raw_label) for r in rows)
+        summary = pool_statistics(pool, strategies=args.strategies, model=model)
     write_json_file(args.output, summary.to_dict())
     if args.table:
         if args.output == "-":
@@ -459,7 +466,8 @@ def build_parser() -> _Parser:
         action=_QuotaAction,
         type=_parse_quota,
         metavar="LANG=N",
-        help="per-language reservoir quota; repeatable, once per language",
+        help="per-language reservoir quota; repeatable, once per language; "
+        "kept records are spooled to a temporary file next to the output",
     )
     p.add_argument("--seed", type=int, default=0, help="subsampling seed (default: 0)")
     p.add_argument("--stats", help="write filter counters to this JSON file")

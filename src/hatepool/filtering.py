@@ -14,13 +14,16 @@ Both give the same path, so the fast path changes no verdict.
 from __future__ import annotations
 
 import re
+import tempfile
+from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, MutableSequence, TextIO
 from urllib.parse import unquote, urlparse
 
 import numpy as np
 
-from ._jsonl import from_json_object, typed_value
+from ._jsonl import dumps, from_json_object, typed_value
 
 DEFAULT_URL_KEYWORDS = (
     "thread",
@@ -242,6 +245,49 @@ def language_rng(seed: int, lang: str) -> np.random.Generator:
     return np.random.default_rng([seed & _SEED_MASK, lang_key])
 
 
+class _Reservoirs:
+    """One Algorithm R reservoir per quota'd language, holding the caller's items.
+
+    Each language draws from its own :func:`language_rng`. ``new_reservoir``
+    makes a language's reservoir at its first arrival, and ``held`` maps each
+    language that has one to it.
+    """
+
+    def __init__(self, quotas: Mapping[str, int], seed: int, new_reservoir=list) -> None:
+        for lang, quota in quotas.items():
+            if quota < 0:
+                raise ValueError(f"negative quota for language {lang!r}: {quota}")
+        self._quotas = quotas
+        self._seed = seed
+        self._new_reservoir = new_reservoir
+        self._seen: dict[str, int] = {}
+        self._rngs: dict[str, np.random.Generator] = {}
+        self.held: dict[str, MutableSequence] = {}
+
+    def offer(self, lang: str, item) -> bool:
+        """Offer ``item`` as the next record of the quota'd ``lang``; True if it enters.
+
+        An item that enters takes a free slot, or evicts the holder of the
+        slot that Algorithm R draws.
+        """
+        quota = self._quotas[lang]
+        position = self._seen.get(lang, 0)
+        self._seen[lang] = position + 1
+        if quota == 0:
+            return False
+        if position == 0:
+            self._rngs[lang] = language_rng(self._seed, lang)
+            self.held[lang] = self._new_reservoir()
+        if position < quota:
+            self.held[lang].append(item)
+            return True
+        slot = int(self._rngs[lang].integers(0, position + 1))
+        if slot >= quota:
+            return False
+        self.held[lang][slot] = item
+        return True
+
+
 def subsample_by_language(
     records: Iterable[WebRecord], quotas: Mapping[str, int], seed: int
 ) -> list[WebRecord]:
@@ -252,34 +298,53 @@ def subsample_by_language(
     absent from ``quotas`` pass through untouched. Output preserves the
     input order of the surviving records.
     """
-    for lang, quota in quotas.items():
-        if quota < 0:
-            raise ValueError(f"negative quota for language {lang!r}: {quota}")
-    rngs: dict[str, np.random.Generator] = {}
-    seen: dict[str, int] = {}
-    reservoirs: dict[str, list[tuple[int, WebRecord]]] = {}
+    reservoirs = _Reservoirs(quotas, seed)
     passthrough: list[tuple[int, WebRecord]] = []
-
     for index, record in enumerate(records):
-        lang = record.lang
-        if lang not in quotas:
-            passthrough.append((index, record))
-            continue
-        quota = quotas[lang]
-        position = seen.get(lang, 0)
-        seen[lang] = position + 1
-        if quota == 0:
-            continue
-        if lang not in rngs:
-            rngs[lang] = language_rng(seed, lang)
-            reservoirs[lang] = []
-        if position < quota:
-            reservoirs[lang].append((index, record))
+        if record.lang in quotas:
+            reservoirs.offer(record.lang, (index, record))
         else:
-            slot = int(rngs[lang].integers(0, position + 1))
-            if slot < quota:
-                reservoirs[lang][slot] = (index, record)
-
-    survivors = passthrough + [pair for pairs in reservoirs.values() for pair in pairs]
+            passthrough.append((index, record))
+    survivors = passthrough + [pair for pairs in reservoirs.held.values() for pair in pairs]
     survivors.sort(key=lambda pair: pair[0])
     return [record for _, record in survivors]
+
+
+def write_subsample(
+    records: Iterable[WebRecord],
+    quotas: Mapping[str, int],
+    seed: int,
+    out_fp: TextIO,
+    spool_dir: str | None = None,
+) -> int:
+    """Write :func:`subsample_by_language`'s records to ``out_fp`` as JSONL; return their count.
+
+    Memory is bounded by the quotas, not by the input. Each record that
+    passes through or enters a reservoir is serialised once, on arrival, to
+    an anonymous spool file in ``spool_dir`` (the default temp directory when
+    None), behind a one-character tag: ``p`` passes through, ``r`` entered a
+    reservoir. The reservoirs hold spool line numbers. When the input ends,
+    the spool is copied to ``out_fp`` in one pass, untagged, keeping every
+    ``p`` line and each ``r`` line still held by its reservoir.
+    """
+    reservoirs = _Reservoirs(quotas, seed, lambda: array("q"))
+    spooled = 0
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=spool_dir) as spool:
+        for record in records:
+            if record.lang not in quotas:
+                tag = "p"
+            elif reservoirs.offer(record.lang, spooled):
+                tag = "r"
+            else:
+                continue
+            spool.write(f"{tag}{dumps(record.to_dict())}\n")
+            spooled += 1
+        survivors = set(chain.from_iterable(reservoirs.held.values()))
+        spool.seek(0)
+        written = 0
+        for lineno, line in enumerate(spool):
+            if line[0] == "r" and lineno not in survivors:
+                continue
+            out_fp.write(line[1:])
+            written += 1
+    return written

@@ -235,6 +235,8 @@ class _Client:
             payload = json.loads(data)
         except ValueError as exc:
             raise TransientRequestError(f"response is not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise TransientRequestError("response is not JSON: nested too deeply") from exc
         weights = _token_weights_from_response(payload)
         try:
             probability = extract_label_probabilities(
@@ -487,13 +489,12 @@ def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
             for mid in expected
         )
         raw = {mid: dict(models[mid].get("raw", {})) for mid in expected}
-        raw_label = row.get("raw_label")
         return AnnotationRow(
-            id=str(row["id"]),
+            id=typed_value(row["id"], "str", "id"),
             lang=typed_value(row.get("lang"), "str | None", "lang"),
             vector=ProbabilityVector(entries),
             raw_weights=raw,
-            raw_label=None if raw_label is None else str(raw_label),
+            raw_label=typed_value(row.get("raw_label"), "str | None", "raw_label"),
         )
 
     stream = iter_jsonl(fp, decode)

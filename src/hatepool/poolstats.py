@@ -7,9 +7,10 @@ language order, so it is exactly reproducible from the per-language rows.
 
 from __future__ import annotations
 
-import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,6 +18,13 @@ from .ensemble import ProbabilityVector, features_matrix, hate_votes
 from .meta import MetaLearnerModel, check_feature_order, score_matrix
 
 ALL_KEY = "All"
+
+# Rows read and scored together; this bounds memory on large pools.
+CHUNK_ROWS = 4096
+
+# 2**-1074 is the smallest positive float, so every finite float times
+# 2**1074 is an integer, and sums of such integers are exact.
+_SCALE_BITS = 1074
 
 PoolRow = tuple  # (lang, ProbabilityVector) or (lang, ProbabilityVector, raw_label)
 
@@ -48,8 +56,26 @@ def _unpack(row: PoolRow) -> tuple[str, ProbabilityVector, str | None]:
     raise ValueError(f"pool rows must have 2 or 3 fields, got {len(row)}")
 
 
+def _scaled_sum(values: Iterable[float]) -> int:
+    """The exact sum of finite floats times ``2**_SCALE_BITS``, which is an integer."""
+    total = 0
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        total += numerator << (_SCALE_BITS + 1 - denominator.bit_length())
+    return total
+
+
+def _scaled_mean(scaled_total: int, n: int) -> float:
+    """The mean of ``n`` values from their :func:`_scaled_sum`, rounded once.
+
+    This is the float ``statistics.mean`` returns: the exact sum divided by
+    ``n``, correctly rounded.
+    """
+    return scaled_total / (n << _SCALE_BITS)
+
+
 def pool_statistics(
-    pool: Sequence[PoolRow],
+    pool: Iterable[PoolRow],
     strategies: Sequence[str] = ("vote", "mean"),
     model: MetaLearnerModel | None = None,
 ) -> PoolSummary:
@@ -58,62 +84,89 @@ def pool_statistics(
     Pool rows are (language, vector) pairs, optionally extended with a raw
     source label as a third field; when any row carries one, a per-label
     breakdown over the labeled rows is included. All vectors must share
-    one model set.
+    one model set. ``pool`` may be any iterable: it is read and scored
+    ``CHUNK_ROWS`` rows at a time into integer counts and exact sums, so
+    memory does not grow with the pool.
     """
-    if not pool:
+    rows = map(_unpack, pool)
+    model_ids: tuple[str, ...] | None = None
+    counts: Counter[str] = Counter()
+    labeled: Counter[str] = Counter()  # rows with a raw label, per language
+    label_counts: Counter[tuple[str, str]] = Counter()  # (raw label, language)
+    p_hate_sums: Counter[tuple[int, str]] = Counter()  # (model slot, language), scaled
+    votes: Counter[tuple[int, str]] = Counter()
+    strategy_hits: Counter[tuple[str, str]] = Counter()  # (strategy, language)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        chunk_langs, vectors, raw_labels = zip(*chunk)
+        if model_ids is None:
+            model_ids = vectors[0].model_ids
+            if "lgb" in strategies and model is not None:
+                check_feature_order(model, vectors[0].feature_names())
+        elif vectors[0].model_ids != model_ids:
+            raise ValueError(f"vector model set {vectors[0].model_ids} differs from {model_ids}")
+        X = features_matrix(vectors)
+        counts.update(chunk_langs)
+        pairs = [pair for pair in zip(raw_labels, chunk_langs) if pair[0] is not None]
+        label_counts.update(pairs)
+        labeled.update(lang for _, lang in pairs)
+        row_langs = np.array(chunk_langs, dtype=object)
+        masks = [(lang, row_langs == lang) for lang in set(chunk_langs)]
+        chunk_votes = hate_votes(X)
+        for slot in range(len(model_ids)):
+            for lang, mask in masks:
+                p_hate_sums[slot, lang] += _scaled_sum(X[mask, 2 * slot].tolist())
+                votes[slot, lang] += int(chunk_votes[mask, slot].sum())
+        for name in strategies:
+            is_hate = score_matrix(X, name, model)[0]
+            for lang, mask in masks:
+                strategy_hits[name, lang] += int(is_hate[mask].sum())
+    if model_ids is None:
         raise ValueError("cannot summarize an empty pool")
-    rows = [_unpack(r) for r in pool]
-    vectors = [vector for _, vector, _ in rows]
-    X = features_matrix(vectors)
-    if "lgb" in strategies and model is not None:
-        check_feature_order(model, vectors[0].feature_names())
-    row_langs = np.array([lang for lang, _, _ in rows], dtype=object)
-    langs = sorted(set(row_langs.tolist()))
-    masks = {lang: row_langs == lang for lang in langs}
-    counts = {lang: int(masks[lang].sum()) for lang in langs}
-    n_total = len(rows)
-    totals = {**counts, ALL_KEY: n_total}
 
-    def count_by_lang(hit: np.ndarray, keys: Sequence[str] = langs) -> dict[str, int]:
-        """Rows where ``hit`` holds, per language in ``keys`` and pooled."""
-        return {**{lang: int((hit & masks[lang]).sum()) for lang in keys}, ALL_KEY: int(hit.sum())}
+    languages = dict(sorted(counts.items()))
+    n_total = counts.total()
+    totals = {**languages, ALL_KEY: n_total}
+
+    def by_lang(tally: Counter, key, keys: Iterable[str] = languages) -> dict[str, int]:
+        """``tally[key, lang]`` per language in ``keys``, and their sum."""
+        out = {lang: tally[key, lang] for lang in keys}
+        return {**out, ALL_KEY: sum(out.values())}
 
     def percent(hits: dict[str, int], base: dict[str, int]) -> dict[str, float]:
         return {key: 100.0 * hits[key] / base[key] for key in hits}
 
-    votes = hate_votes(X)
     per_model: dict[str, dict] = {}
-    for slot, model_id in enumerate(vectors[0].model_ids):
-        mean_by_lang = {lang: statistics.mean(X[masks[lang], 2 * slot].tolist()) for lang in langs}
+    for slot, model_id in enumerate(model_ids):
+        mean_by_lang = {
+            lang: _scaled_mean(p_hate_sums[slot, lang], count) for lang, count in languages.items()
+        }
         # The pooled mean recombines the per-language means by count so it
         # is exactly recomputable from this summary alone.
         pooled_mean = (
-            sum(counts[lang] * mean_by_lang[lang] for lang in langs) / n_total
+            sum(count * mean_by_lang[lang] for lang, count in languages.items()) / n_total
         )
         per_model[model_id] = {
             "mean_p_hate": {**mean_by_lang, ALL_KEY: pooled_mean},
-            "pct_hate": percent(count_by_lang(votes[:, slot]), totals),
+            "pct_hate": percent(by_lang(votes, slot), totals),
         }
 
     per_strategy = {
-        name: {"pct_hate": percent(count_by_lang(score_matrix(X, name, model)[0]), totals)}
+        name: {"pct_hate": percent(by_lang(strategy_hits, name), totals)}
         for name in strategies
     }
 
     raw_summary: dict[str, dict] | None = None
-    raw = np.array([label for _, _, label in rows], dtype=object)
-    labeled = np.not_equal(raw, None)
-    if labeled.any():
-        lang_keys = sorted(set(row_langs[labeled].tolist()))
-        n_labeled = count_by_lang(labeled, lang_keys)
+    if labeled:
+        lang_keys = sorted(labeled)
+        n_labeled = {**{lang: labeled[lang] for lang in lang_keys}, ALL_KEY: labeled.total()}
         raw_summary = {}
-        for label in sorted(set(raw[labeled].tolist())):
-            count = count_by_lang(raw == label, lang_keys)
+        for label in sorted({label for label, _ in label_counts}):
+            count = by_lang(label_counts, label, lang_keys)
             raw_summary[label] = {"count": count, "pct": percent(count, n_labeled)}
 
     return PoolSummary(
         n_total=n_total,
-        languages=counts,
+        languages=languages,
         per_model=per_model,
         per_strategy=per_strategy,
         raw_labels=raw_summary,

@@ -393,6 +393,11 @@ ANNOTATION_CASES = {
     "lang-is-a-list": {"id": "t3", "lang": ["x"], "models": GOOD_MODELS},
     "lang-is-an-object": {"id": "t3", "lang": {"k": 1}, "models": GOOD_MODELS},
     "lang-is-a-number": {"id": "t3", "lang": 5, "models": GOOD_MODELS},
+    # Read with str(), these were the id "None" and the raw label "['x']".
+    "id-is-null": {"id": None, "models": GOOD_MODELS},
+    "id-is-a-number": {"id": 3, "models": GOOD_MODELS},
+    "raw-label-is-a-list": {"id": "t3", "raw_label": ["x"], "models": GOOD_MODELS},
+    "raw-label-is-a-number": {"id": "t3", "raw_label": 1, "models": GOOD_MODELS},
 }
 
 
@@ -407,11 +412,12 @@ def write_annotations_with(path, line5=None, header=None):
 
 @pytest.mark.parametrize("name", sorted(ANNOTATION_CASES))
 def test_annotation_row_error_names_file_line_and_id(name, tmp_path, caplog):
-    path = write_annotations_with(tmp_path / "ann.jsonl", line5=ANNOTATION_CASES[name])
+    row = ANNOTATION_CASES[name]
+    path = write_annotations_with(tmp_path / "ann.jsonl", line5=row)
     out = tmp_path / "pred.jsonl"
     assert main(["ensemble", "--annotations", path, "--strategy", "mean", "--output", str(out)]) == 2
     assert not out.exists()
-    assert f"{path}:5 (id 't3'): " in caplog.text
+    assert f"{path}:5 (id {row['id']!r}): " in caplog.text
 
 
 def test_header_that_is_not_a_list_names_line_1(tmp_path, caplog):

@@ -1,17 +1,25 @@
 import json
+import os
 import shutil
 import subprocess
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatepool import (
     AnnotatorEndpoint,
     LabeledExample,
     MockAnnotatorServer,
+    WebRecord,
     annotate_batch,
+    filter_records,
     load_model,
     mean_label,
     read_annotations,
+    subsample_by_language,
     write_annotations,
 )
 from hatepool import cli
@@ -187,6 +195,98 @@ class TestFilterCmd:
         assert exc.value.code == 1
         assert "language 'eng' given twice" in capsys.readouterr().err
         assert not (tmp_path / "kept.jsonl").exists()
+
+
+# Web records in languages a-d, some failing the URL rule; texts hold
+# characters a line reader could mistake for line ends.
+WEB_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from("abcd"),
+        st.text(st.sampled_from("xé\u2028\r\n\"\\"), max_size=4),
+        st.booleans(),
+    ),
+    max_size=40,
+).map(
+    lambda rows: [
+        {"id": f"r{i}", "url": f"https://ex.org/{'forum' if kept else 'about'}/{i}",
+         "lang": lang, "schema_types": ["Comment"], "text": text}
+        for i, (lang, text, kept) in enumerate(rows)
+    ]
+)
+
+
+def quota_args(quotas):
+    return [arg for lang, n in quotas.items() for arg in ("--quota", f"{lang}={n}")]
+
+
+def web_rows(n):
+    """``n`` kept records, alternating the pass-through language p and q."""
+    return [
+        {"id": f"r{i:06d}", "url": f"https://ex.org/forum/{i}", "lang": "pq"[i % 2],
+         "schema_types": ["Comment"], "text": f"text {i}"}
+        for i in range(n)
+    ]
+
+
+class TestFilterQuotaSpool:
+    @given(
+        rows=WEB_ROWS,
+        quotas=st.dictionaries(st.sampled_from("abc"), st.integers(0, 12), min_size=1),
+        seed=st.integers(-(2**63), 2**64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_file_is_the_library_sample_byte_for_byte(self, rows, quotas, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            in_path = write_jsonl(os.path.join(tmp, "web.jsonl"), rows)
+            out_path = os.path.join(tmp, "kept.jsonl")
+            args = ["filter", "--input", in_path, "--output", out_path, "--seed", str(seed),
+                    "--stats", os.path.join(tmp, "stats.json"), *quota_args(quotas)]
+            assert main(args) == 0
+            with open(out_path, "rb") as fp:
+                written = fp.read()
+            assert sorted(os.listdir(tmp)) == ["kept.jsonl", "stats.json", "web.jsonl"]
+        kept, _ = filter_records(WebRecord.from_dict(row) for row in rows)
+        sample = subsample_by_language(kept, quotas, seed)
+        assert written == "".join(dumps(r.to_dict()) + "\n" for r in sample).encode("utf-8")
+
+    def test_success_leaves_only_the_outputs(self, tmp_path):
+        in_path = write_jsonl(tmp_path / "web.jsonl", web_rows(300))
+        args = ["filter", "--input", in_path, "--output", str(tmp_path / "kept.jsonl"),
+                "--stats", str(tmp_path / "stats.json"), "--quota", "q=20"]
+        assert main(args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.jsonl", "stats.json", "web.jsonl"]
+        assert len(read_jsonl(tmp_path / "kept.jsonl")) == 150 + 20
+
+    def test_stdout_output_spools_in_the_temp_directory(self, tmp_path, monkeypatch, capsys):
+        work, spool_dir = tmp_path / "work", tmp_path / "tmp"
+        work.mkdir()
+        spool_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+        in_path = write_jsonl(work / "web.jsonl", web_rows(300))
+        args = ["filter", "--input", in_path, "--output", "-", "--stats", str(work / "stats.json"),
+                "--quota", "q=20"]
+        assert main(args) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 150 + 20
+        assert sorted(p.name for p in work.iterdir()) == ["stats.json", "web.jsonl"]
+        assert list(spool_dir.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_the_input(self, tmp_path):
+        def peak_bytes(n):
+            in_path = write_jsonl(tmp_path / f"web{n}.jsonl", web_rows(n))
+            args = ["filter", "--input", in_path, "--output", str(tmp_path / f"kept{n}.jsonl"),
+                    "--stats", str(tmp_path / f"stats{n}.json"), "--quota", "q=100"]
+            tracemalloc.reset_peak()
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            peak_bytes(2_000)  # warm-up: imports and first-use caches
+            small, large = peak_bytes(2_000), peak_bytes(20_000)
+        finally:
+            tracemalloc.stop()
+        # 18,000 more records, half of them passed through, may not add to the peak.
+        assert large - small < 64 * 1024, (small, large)
 
 
 class TestIngestCmd:

@@ -463,6 +463,60 @@ class TestMalformedCompletion:
         assert failure.attempts == 2  # retried like any transient failure
         assert failure.error.startswith("malformed completion response")
 
+    def test_deeply_nested_body_quarantines_only_that_text(self):
+        # The server core's json.dumps cannot encode this body, so a raw
+        # listener answers every request, one per connection.
+        deep = b"[" * 5000 + b"]" * 5000
+        good = json.dumps(GOOD).encode("utf-8")
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    sock, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                sock.settimeout(10)
+                with sock, sock.makefile("rb") as fp:
+                    fp.readline()
+                    length = 0
+                    while (line := fp.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.decode("latin-1").partition(":")
+                        if name.strip().lower() == "content-length":
+                            length = int(value)
+                    body = json.loads(fp.read(length))
+                    poisoned = body["model"] == "Mistral-7B" and "poison" in body["prompt"]
+                    answer = deep if poisoned else good
+                    sock.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        + f"Content-Length: {len(answer)}\r\nConnection: close\r\n\r\n".encode()
+                        + answer
+                    )
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            base_url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            endpoints = [
+                AnnotatorEndpoint(model_id=m, base_url=base_url, max_in_flight=1, timeout=10.0,
+                                  retry_limit=1, backoff_base=0.001)
+                for m in MODEL_IDS
+            ]
+            texts = [("ok1", "fine"), ("bad", "poison"), ("ok2", "also fine")]
+            results, quarantined = annotate_batch(texts, endpoints, sleep=lambda s: None)
+        finally:
+            stop.set()
+            server.join(timeout=15)
+            listener.close()
+        assert [r.id for r in results] == ["ok1", "ok2"]
+        assert [q.id for q in quarantined] == ["bad"]
+        (failure,) = quarantined[0].failures
+        assert failure.model_id == "Mistral-7B"
+        assert failure.attempts == 2  # retried like any transient failure
+        assert failure.error == "response is not JSON: nested too deeply"
+
     def test_nan_probability_is_a_malformed_response(self):
         # Finite logprobs whose pooled hate weight overflows to inf give
         # p_hate = inf / inf = nan.

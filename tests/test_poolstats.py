@@ -1,10 +1,14 @@
+import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatepool import BinaryLabel, pool_statistics, render_pool_table, vote_label
-from hatepool.poolstats import ALL_KEY
+from hatepool import poolstats
+from hatepool.poolstats import ALL_KEY, _scaled_mean, _scaled_sum
 
 from conftest import MODEL_IDS, make_vector, random_vectors
 
@@ -99,6 +103,45 @@ class TestPoolStatistics:
         summary = pool_statistics(random_pool(10, seed=8))
         assert summary.raw_labels is None
         assert "raw_labels" not in summary.to_dict()
+
+    def test_chunk_size_does_not_change_the_summary(self, monkeypatch):
+        labels = ("Hate", "Neutral", None)
+        pool = [(lang, v, labels[i % 3]) for i, (lang, v) in enumerate(random_pool(50, seed=10))]
+        whole = pool_statistics(pool).to_dict()
+        monkeypatch.setattr(poolstats, "CHUNK_ROWS", 3)
+        assert pool_statistics(iter(pool)).to_dict() == whole
+
+    def test_mixed_model_sets_rejected_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(poolstats, "CHUNK_ROWS", 1)
+        good = make_vector((0.1, 0.2, 0.3, 0.4))
+        other = make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("a", "b", "c", "d"))
+        with pytest.raises(ValueError, match="model set"):
+            pool_statistics([("eng", good), ("eng", other)])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SUBNORMAL = st.floats(min_value=-(2.0**-1022), max_value=2.0**-1022)
+TINY_AND_HUGE = st.sampled_from([5e-324, -5e-324, 1e-300, 1.0, 1e300, -1e300, 2.0**-1022])
+
+
+@st.composite
+def mean_inputs(draw):
+    values = draw(st.lists(st.one_of(FINITE, SUBNORMAL, TINY_AND_HUGE), min_size=1, max_size=30))
+    if draw(st.booleans()):  # values that cancel, exactly or up to a remainder
+        values += [-v for v in draw(st.permutations(values))] + draw(st.lists(SUBNORMAL, max_size=2))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=4)))
+    return values, cuts
+
+
+@given(mean_inputs())
+@settings(max_examples=500, deadline=None)
+def test_chunked_scaled_mean_is_statistics_mean(case):
+    values, cuts = case
+    bounds = [0, *cuts, len(values)]
+    total = sum(_scaled_sum(values[a:b]) for a, b in zip(bounds, bounds[1:]))
+    mean = _scaled_mean(total, len(values))
+    expected = statistics.mean(values)
+    assert mean == expected and math.copysign(1.0, mean) == math.copysign(1.0, expected)
 
 
 class TestRenderPoolTable:
