@@ -129,9 +129,17 @@ def atomic_output(path: str) -> Iterator[TextIO]:
 
 
 def write_json_file(path: str, obj: Any) -> None:
-    """Atomically write ``obj`` as indented JSON with a trailing newline."""
+    """Atomically write ``obj`` as indented JSON with a trailing newline.
+
+    A value nested too deeply to encode raises ``ValueError("<file>: JSON nested too
+    deeply")`` and leaves no file behind.
+    """
+    try:
+        text = dumps_pretty(obj)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     with atomic_output(path) as fp:
-        fp.write(dumps_pretty(obj))
+        fp.write(text)
         fp.write("\n")
 
 

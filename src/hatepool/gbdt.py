@@ -18,24 +18,26 @@ feature. A split divides the block with a boolean mask, which keeps
 every order, so no node sorts anything. Equal feature values therefore
 accumulate in row-index order in the gradient sums.
 
-Prediction, and each round's score update while fitting, walk one flat
-layout of the trees. Every node's feature, threshold, first child and
-leaf value sit in arrays, with a node's two children side by side, right
-child first, so one step is ``node = first[node] + (x[feature[node]] <=
-threshold[node])``: a value equal to the threshold goes left and NaN goes
-right. A leaf is its own first child with a NaN threshold, so a step
-leaves it in place. All trees and a block of ``_WALK_POSITIONS // n_trees``
-rows step together, and every ``_REGATHER_LEVELS`` steps the positions
-that have reached a leaf are dropped. Leaf values are then added to the
-base score one tree at a time, in tree order, so a row's score is the
-same bit for bit whatever else is in its block.
+A booster is its nodes in flat, read-only arrays, as XGBoost and LightGBM
+keep it: ``roots[t]`` is tree ``t``'s root, and a node's two children sit
+side by side after it, right first, so one step is ``node = first[node] +
+(x[feature[node]] <= threshold[node])``. A value equal to the threshold
+goes left and NaN goes right; a leaf is its own first child with a NaN
+threshold, so a step leaves it in place. Prediction, and each round's
+score update while fitting, step all trees and a block of
+``_WALK_POSITIONS // n_trees`` rows together, and every
+``_REGATHER_LEVELS`` steps drop the positions that have reached a leaf.
+Leaf values are then added to the base score one tree at a time, in tree
+order, so a row's score is the same bit for bit whatever else is in its
+block. The grower writes each tree's nodes in creation order; a model
+file's nested trees are read breadth first and written with loops, not
+recursion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,61 +107,134 @@ class MetaLearnerConfig:
         return from_json_object(cls, cfg, "config")
 
 
-@dataclass
-class TreeNode:
-    """Binary tree node: internal (feature_index/threshold/children) or leaf (value)."""
-
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature_index": self.feature_index,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, node: Mapping) -> "TreeNode":
-        if "value" in typed_value(node, "dict", "tree node"):
-            return cls(value=float(typed_value(node["value"], "float", "value")))
-        return cls(
-            feature_index=typed_value(node["feature_index"], "int", "feature_index"),
-            threshold=float(typed_value(node["threshold"], "float", "threshold")),
-            left=cls.from_dict(node["left"]),
-            right=cls.from_dict(node["right"]),
-        )
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BoostedTrees:
-    """A fitted booster: constant base score plus additive trees.
+    """A fitted booster: a constant base score plus trees in flat node arrays.
 
-    Prediction builds the flat layout of ``trees`` on first use and keeps
-    it. After the first prediction, neither ``trees`` (appending, removing
-    or reassigning) nor any node in it (its feature, threshold, value or
-    children) may change: later predictions would still score the old
-    trees.
+    A leaf has feature 0 and a split the value 0, and a split's children
+    follow it. The arrays are read-only, so copies made with
+    ``dataclasses.replace`` share them.
     """
 
     base_score: float
-    trees: list[TreeNode]
-    config: MetaLearnerConfig
+    roots: np.ndarray
+    first: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
     train_logloss: list[float] = field(default_factory=list)
+    # The lowest and highest feature that a split reads; (0, -1) with no split.
+    _feature_span: tuple[int, int] = field(init=False, repr=False)
 
-    @cached_property
-    def _flat(self) -> "_FlatTrees":
-        return _FlatTrees(self.trees)
+    def __post_init__(self) -> None:
+        for name in ("roots", "first", "feature", "threshold", "value"):
+            dtype = np.float64 if name in ("threshold", "value") else np.intp
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        split = self.feature[self.first != np.arange(len(self.first))]
+        span = (int(split.min()), int(split.max())) if len(split) else (0, -1)
+        object.__setattr__(self, "_feature_span", span)
+
+    @classmethod
+    def from_dicts(
+        cls, base_score: float, trees: Sequence[Mapping], train_logloss: Sequence[float] = ()
+    ) -> "BoostedTrees":
+        """A booster from nested tree dicts, as :meth:`tree_dicts` gives them.
+
+        Nodes are numbered breadth first across the trees: tree ``t``'s root is node ``t``.
+        """
+        nodes = list(trees)
+        first, feature, threshold, value = [], [], [], []
+        # ``nodes`` grows while it is read: each split appends its children.
+        for i, node in enumerate(nodes):
+            if "value" in typed_value(node, "dict", "tree node"):
+                first.append(i)
+                feature.append(0)
+                threshold.append(math.nan)
+                value.append(float(typed_value(node["value"], "float", "value")))
+            else:
+                first.append(len(nodes))
+                feature.append(typed_value(node["feature_index"], "int", "feature_index"))
+                threshold.append(float(typed_value(node["threshold"], "float", "threshold")))
+                value.append(0.0)
+                nodes += (node["right"], node["left"])
+        return cls(base_score, np.arange(len(trees)), first, feature, threshold, value,
+                   list(train_logloss))
+
+    def tree_dicts(self, roots: Sequence[int] | None = None) -> list[dict]:
+        """The trees rooted at ``roots`` (every tree by default) as nested dicts.
+
+        A leaf is ``{"value"}``, a split ``{"feature_index", "threshold", "left", "right"}``.
+        Nodes are built last to first, so a split's children, which follow it, are ready.
+        """
+        first, feature, threshold, value = (
+            array.tolist() for array in (self.first, self.feature, self.threshold, self.value)
+        )
+        nodes: list[dict] = [{}] * len(first)
+        for i in reversed(range(len(first))):
+            right = first[i]
+            if right == i:
+                nodes[i] = {"value": value[i]}
+            else:
+                nodes[i] = {"feature_index": feature[i], "threshold": threshold[i],
+                            "left": nodes[right + 1], "right": nodes[right]}
+        return [nodes[i] for i in (self.roots.tolist() if roots is None else roots)]
+
+    @property
+    def trees(self) -> list["TreeNode"]:
+        """A view of each tree's root node, in tree order."""
+        return [TreeNode(self, root) for root in self.roots.tolist()]
+
+    def check_features(self, n_features: int) -> None:
+        """Refuse a split on a feature outside ``[0, n_features)``."""
+        low, high = self._feature_span
+        if low < 0 or high >= n_features:
+            bad = low if low < 0 else high
+            raise ValueError(f"feature_index must be in [0, {n_features}), got {bad}")
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    """A read-only view of node ``index`` of ``booster``.
+
+    A leaf's split attributes are None, and so is a split's ``value``.
+    """
+
+    booster: BoostedTrees
+    index: int
+
+    @property
+    def is_leaf(self) -> bool:
+        return int(self.booster.first[self.index]) == self.index
+
+    def _read(self, array: np.ndarray, on_leaf: bool):
+        return array[self.index].item() if self.is_leaf == on_leaf else None
+
+    @property
+    def feature_index(self) -> int | None:
+        return self._read(self.booster.feature, False)
+
+    @property
+    def threshold(self) -> float | None:
+        return self._read(self.booster.threshold, False)
+
+    @property
+    def value(self) -> float | None:
+        return self._read(self.booster.value, True)
+
+    @property
+    def left(self) -> "TreeNode | None":
+        right = self.right
+        return None if right is None else TreeNode(self.booster, right.index + 1)
+
+    @property
+    def right(self) -> "TreeNode | None":
+        first = self._read(self.booster.first, False)
+        return None if first is None else TreeNode(self.booster, first)
+
+    def to_dict(self) -> dict:
+        return self.booster.tree_dicts([self.index])[0]
 
 
 def clamp_probability(p: float) -> float:
@@ -192,7 +267,7 @@ class _Candidate:
 @dataclass(eq=False)
 class _Leaf:
     block: np.ndarray
-    node: TreeNode
+    node: int
     best: "_Candidate | None"
 
 
@@ -269,112 +344,67 @@ def _grow_tree(
     block: np.ndarray,
     features: np.ndarray,
     config: MetaLearnerConfig,
-) -> TreeNode | None:
-    """Grow one tree leaf-wise from the root's column block.
+) -> BoostedTrees | None:
+    """Grow one tree leaf-wise from the root's column block, as a one-tree booster.
 
-    Returns None when even the root has no positive-gain split.
+    Its base score is 0. Node 0 is the root, and each split appends its
+    right child, then its left. Returns None when even the root has no
+    positive-gain split.
     """
     l2 = config.l2_leaf_regularization
-    root = TreeNode()
-    first = _Leaf(
-        block=block,
-        node=root,
-        best=_best_split(X, g, h, block, features, l2, config.min_data_in_leaf),
-    )
-    if first.best is None:
+    min_data = config.min_data_in_leaf
+    root = _Leaf(block, 0, _best_split(X, g, h, block, features, l2, min_data))
+    if root.best is None:
         return None
+    # Every node starts as a leaf: its own first, feature 0, a NaN threshold.
+    first, feature, threshold, value = [0], [0], [math.nan], [0.0]
     # ``leaves`` stays in creation order: a split leaf is removed and its
     # children appended. ``max`` returns the first of equal gains, so ties
     # split the earlier-created leaf.
-    leaves = [first]
+    leaves = [root]
     while len(leaves) < config.num_leaves:
         splittable = [leaf for leaf in leaves if leaf.best is not None]
         if not splittable:
             break
         leaf = max(splittable, key=lambda lf: lf.best.gain)
         cand = leaf.best
-        leaf.node.feature_index = cand.feature
-        leaf.node.threshold = cand.threshold
-        leaf.node.left = TreeNode()
-        leaf.node.right = TreeNode()
+        right = len(first)
+        i = leaf.node
+        first[i], feature[i], threshold[i] = right, cand.feature, cand.threshold
+        first += (right, right + 1)
+        feature += (0, 0)
+        threshold += (math.nan, math.nan)
+        value += (0.0, 0.0)
         leaves.remove(leaf)
         goes_left = np.zeros(len(X), dtype=bool)
         goes_left[cand.left_rows] = True
         for child_block, child in (
-            (_filter_block(leaf.block, goes_left), leaf.node.left),
-            (_filter_block(leaf.block, ~goes_left), leaf.node.right),
+            (_filter_block(leaf.block, goes_left), right + 1),
+            (_filter_block(leaf.block, ~goes_left), right),
         ):
-            leaves.append(
-                _Leaf(
-                    block=child_block,
-                    node=child,
-                    best=_best_split(
-                        X, g, h, child_block, features, l2, config.min_data_in_leaf
-                    ),
-                )
-            )
+            best = _best_split(X, g, h, child_block, features, l2, min_data)
+            leaves.append(_Leaf(child_block, child, best))
     for leaf in leaves:
         g_sum = float(g[leaf.block[0]].sum())
         h_sum = float(h[leaf.block[0]].sum())
-        leaf.node.value = -g_sum / (h_sum + l2) * config.learning_rate
-    return root
+        value[leaf.node] = -g_sum / (h_sum + l2) * config.learning_rate
+    return BoostedTrees(0.0, [0], first, feature, threshold, value)
 
 
-class _FlatTrees:
-    """The nodes of ``trees`` in flat arrays, breadth first across all trees.
-
-    Node ``t`` is the root of tree ``t``. An internal node ``i`` has its
-    right child at ``first[i]`` and its left child at ``first[i] + 1``; a
-    leaf is its own ``first``, with feature 0 and a NaN threshold.
-    """
-
-    def __init__(self, trees: Sequence[TreeNode]) -> None:
-        nodes = list(trees)
-        first, feature, threshold, value = [], [], [], []
-        # ``nodes`` grows while it is read: each internal node appends its children.
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                first.append(i)
-                feature.append(0)
-                threshold.append(math.nan)
-                value.append(node.value)
-            else:
-                first.append(len(nodes))
-                feature.append(node.feature_index)
-                threshold.append(node.threshold)
-                value.append(0.0)
-                nodes += (node.right, node.left)
-        self.n_trees = len(trees)
-        self.first = np.array(first, dtype=np.intp)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.value = np.array(value, dtype=np.float64)
-        split = self.feature[self.first != np.arange(len(first))]
-        # The lowest and highest feature that a split reads; (0, -1) with no split.
-        self.feature_span = (int(split.min()), int(split.max())) if len(split) else (0, -1)
-
-    def check_features(self, n_features: int) -> None:
-        """Refuse a split on a feature outside ``[0, n_features)``."""
-        low, high = self.feature_span
-        if low < 0 or high >= n_features:
-            bad = low if low < 0 else high
-            raise ValueError(f"feature_index must be in [0, {n_features}), got {bad}")
-
-
-def _add_leaf_values(flat: _FlatTrees, X: np.ndarray, raw: np.ndarray) -> None:
+def _add_leaf_values(trees: BoostedTrees, X: np.ndarray, raw: np.ndarray) -> None:
     """Add to ``raw[i]`` the leaf value of every tree for row ``X[i]``, in tree order."""
-    n_trees = flat.n_trees
+    n_trees = len(trees.roots)
     if n_trees == 0:
         return
-    flat.check_features(X.shape[1])
-    first, feature, threshold = flat.first, flat.feature, flat.threshold
+    trees.check_features(X.shape[1])
+    first, feature, threshold = trees.first, trees.feature, trees.threshold
     rows_per_block = max(1, _WALK_POSITIONS // n_trees)
     for start in range(0, len(X), rows_per_block):
         block = X[start : start + rows_per_block]
         m, d = block.shape
         xs = block.ravel()
         # Position p walks tree p // m for row p % m; ``off`` is where the row starts in xs.
-        node = np.repeat(np.arange(n_trees), m)
+        node = np.repeat(trees.roots, m)
         live = np.flatnonzero(first[node] != node)
         at = node[live]
         off = (live % m) * d
@@ -387,7 +417,7 @@ def _add_leaf_values(flat: _FlatTrees, X: np.ndarray, raw: np.ndarray) -> None:
         # cumsum adds row by row: the block's scores, then each tree's values in turn.
         sums = np.empty((n_trees + 1, m), dtype=np.float64)
         sums[0] = raw[start : start + m]
-        sums[1:] = flat.value[node].reshape(n_trees, m)
+        sums[1:] = trees.value[node].reshape(n_trees, m)
         raw[start : start + m] = np.cumsum(sums, axis=0)[-1]
 
 
@@ -427,7 +457,8 @@ def gbdt_fit(
     base_score = math.log(base_rate / (1.0 - base_rate))
     raw = np.full(n, base_score, dtype=np.float64)
     rng = np.random.default_rng(config.seed & _SEED_MASK)
-    trees: list[TreeNode] = []
+    # The nodes of every tree so far, in the arrays of BoostedTrees.
+    roots, first, feature, threshold, value = [], [], [], [], []
     losses = [_logloss(raw, y)]
     # Column blocks: row ids sorted by each feature, equal values in
     # row-index order. Sorted once per fit; each round filters them.
@@ -449,15 +480,19 @@ def gbdt_fit(
         block = _filter_block(presorted[features_used], in_bag)
         tree = _grow_tree(X, g, h, block, features_used, config)
         if tree is not None:
-            trees.append(tree)
-            _add_leaf_values(_FlatTrees([tree]), X, raw)
+            _add_leaf_values(tree, X, raw)
+            roots.append(len(first))
+            first += (tree.first + roots[-1]).tolist()
+            feature += tree.feature.tolist()
+            threshold += tree.threshold.tolist()
+            value += tree.value.tolist()
         losses.append(_logloss(raw, y))
-    return BoostedTrees(base_score=base_score, trees=trees, config=config, train_logloss=losses)
+    return BoostedTrees(base_score, roots, first, feature, threshold, value, losses)
 
 
 def gbdt_predict_proba_many(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
     """Predicted positive-class probabilities for an (n, d) feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     raw = np.full(len(X), model.base_score, dtype=np.float64)
-    _add_leaf_values(model._flat, X, raw)
+    _add_leaf_values(model, X, raw)
     return _sigmoid_array(raw)

@@ -1,22 +1,26 @@
 """Two-head boosted-tree meta-learner over four-model probability features.
 
 One booster is fit, for Hate, on the 8-dimensional features. The Neutral
-head is its exact negation (negated base score and leaf values, same tree
-shapes and thresholds): under logistic loss with a shared seed, a booster
-fit to ``1 - y`` mirrors the Hate head, so a second fit would only repeat
-the first. Prediction compares the two sigmoid head scores, breaking exact
-ties toward Neutral; model files with independently fit heads still load
-and score through both. :func:`score_matrix` scores a feature matrix with
-any of the three ensemble strategies (vote, mean, lgb). Every lgb score,
+head is its exact negation, a copy with negated base score and leaf
+values that shares the Hate head's read-only tree arrays: under logistic
+loss with a shared seed, a booster fit to ``1 - y`` mirrors the Hate
+head, so a second fit would only repeat the first. Prediction compares
+the two sigmoid head scores, breaking exact ties toward Neutral; model
+files with independently fit heads still load and score through both.
+:func:`score_matrix` scores a feature matrix with any of the three
+ensemble strategies (vote, mean, lgb). Every lgb score,
 :func:`predict_meta`'s one row included, comes from the one batched tree
 walk in :mod:`hatepool.gbdt`, so a row scores the same bit for bit alone
-or in any batch. Loading a model refuses a split on a feature outside
-``feature_order``.
+or in any batch. A model file's nested trees are read into the flat
+arrays and written from them with loops. Loading refuses a split on a
+feature outside ``feature_order`` and a NaN or infinite base score,
+threshold or leaf value; saving refuses trees nested too deeply for the
+JSON encoder (about 1,000 splits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,13 +28,7 @@ import numpy as np
 from ._jsonl import read_json_file, typed_value, write_json_file
 from .datasets import BinaryLabel
 from .ensemble import ProbabilityVector, features_matrix, mean_scores, vote_scores
-from .gbdt import (
-    BoostedTrees,
-    MetaLearnerConfig,
-    TreeNode,
-    gbdt_fit,
-    gbdt_predict_proba_many,
-)
+from .gbdt import BoostedTrees, MetaLearnerConfig, gbdt_fit, gbdt_predict_proba_many
 
 FEATURE_COUNT = 8
 
@@ -85,36 +83,11 @@ def train_meta(
         if len(order) != FEATURE_COUNT:
             raise ValueError(f"feature_order must name {FEATURE_COUNT} features, got {len(order)}")
     hate_head = gbdt_fit(X, y_hate, config)
+    # The Neutral head's raw score is exactly ``-raw`` of the Hate head's, and
+    # its loss on the complementary labels equals the Hate head's own.
+    neutral_head = replace(hate_head, base_score=-hate_head.base_score, value=-hate_head.value)
     return MetaLearnerModel(
-        hate_head=hate_head,
-        neutral_head=_negated(hate_head),
-        config=config,
-        feature_order=order,
-    )
-
-
-def _negated_tree(node: TreeNode) -> TreeNode:
-    if node.is_leaf:
-        return TreeNode(value=-node.value)
-    return TreeNode(
-        feature_index=node.feature_index,
-        threshold=node.threshold,
-        left=_negated_tree(node.left),
-        right=_negated_tree(node.right),
-    )
-
-
-def _negated(head: BoostedTrees) -> BoostedTrees:
-    """The complementary head, whose raw score is exactly ``-raw`` of ``head``.
-
-    Its loss on the complementary labels equals the head's own, so the loss
-    curve is shared.
-    """
-    return BoostedTrees(
-        base_score=-head.base_score,
-        trees=[_negated_tree(tree) for tree in head.trees],
-        config=head.config,
-        train_logloss=list(head.train_logloss),
+        hate_head=hate_head, neutral_head=neutral_head, config=config, feature_order=order
     )
 
 
@@ -187,10 +160,7 @@ def model_to_dict(model: MetaLearnerModel) -> dict:
         "feature_order": list(model.feature_order),
         "heads": list(HEAD_NAMES),
         "base_scores": [model.hate_head.base_score, model.neutral_head.base_score],
-        "trees": [
-            [tree.to_dict() for tree in model.hate_head.trees],
-            [tree.to_dict() for tree in model.neutral_head.trees],
-        ],
+        "trees": [model.hate_head.tree_dicts(), model.neutral_head.tree_dicts()],
         "train_logloss": list(model.hate_head.train_logloss),
     }
 
@@ -210,20 +180,24 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
         float(typed_value(v, "float", "train_logloss"))
         for v in typed_value(payload.get("train_logloss", []), "list", "train_logloss")
     ]
-    hate_head, neutral_head = (
-        BoostedTrees(
-            base_score=float(typed_value(base_score, "float", "base_scores")),
-            trees=[TreeNode.from_dict(t) for t in typed_value(trees, "list", "trees")],
-            config=config,
-            train_logloss=list(losses),
+    boosters = [
+        BoostedTrees.from_dicts(
+            float(typed_value(base_score, "float", "base_scores")),
+            typed_value(trees, "list", "trees"),
+            losses,
         )
         for base_score, trees in zip(base_scores, tree_lists)
-    )
-    for head in (hate_head, neutral_head):
-        head._flat.check_features(len(feature_order))
-    return MetaLearnerModel(
-        hate_head=hate_head, neutral_head=neutral_head, config=config, feature_order=feature_order
-    )
+    ]
+    for head in boosters:
+        head.check_features(len(feature_order))
+        # json reads NaN and Infinity. A leaf's threshold is NaN by design.
+        is_split = head.first != np.arange(len(head.first))
+        for name, values in (("base_scores", np.array([head.base_score])),
+                             ("threshold", head.threshold[is_split]), ("value", head.value)):
+            bad = values[~np.isfinite(values)]
+            if len(bad):
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
+    return MetaLearnerModel(*boosters, config=config, feature_order=feature_order)
 
 
 def save_model(model: MetaLearnerModel, path: str) -> None:

@@ -631,6 +631,14 @@ CONFIG_CASES = {
     "model-leaf-value-is-text": ("ensemble", model_with_tree(left={"value": "0.1"}), "value"),
     "model-tree-node-is-a-number": ("ensemble", model_with_tree(right=5), "tree node"),
     "model-base-score-is-text": ("ensemble", model_with(base_scores=["0", 0.0]), "base_scores"),
+    # json reads NaN and Infinity: the file scored every row Neutral and
+    # wrote "score_hate":NaN, which is not JSON.
+    "model-base-score-is-nan": ("ensemble", model_with(base_scores=[math.nan, 0.0]),
+                                "base_scores must be finite, got nan"),
+    "model-threshold-is-infinite": ("ensemble", model_with_tree(threshold=math.inf),
+                                    "threshold must be finite, got inf"),
+    "model-leaf-value-is-nan": ("ensemble", model_with_tree(right={"value": math.nan}),
+                                "value must be finite, got nan"),
     "model-feature-order-is-text": ("ensemble", model_with(feature_order="abcdefgh"),
                                     "feature_order"),
     "baseline-section-is-a-number": ("evaluate --baseline", {"per_dataset": 5}, "per_dataset"),

@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatepool import MetaLearnerConfig, TreeNode, gbdt_fit
+from hatepool import MetaLearnerConfig, gbdt_fit
 from hatepool.gbdt import (
     _WALK_POSITIONS,
     PROB_EPS,
@@ -99,7 +100,7 @@ class TestHandWorkedFit:
         assert root.right.value == 2.0
         rows = np.array([[0.0], [1.0]])
         raw = np.zeros(2)
-        _add_leaf_values(model._flat, rows, raw)
+        _add_leaf_values(model, rows, raw)
         assert raw.tolist() == [-2.0, 2.0]
         probs = gbdt_predict_proba_many(model, rows)
         assert probs.tolist() == _sigmoid_array(np.array([-2.0, 2.0])).tolist()
@@ -251,7 +252,9 @@ class TestSplitOracle:
         gains = [_best_split(X, g, h, half, features, 0.0, 1).gain for half in halves]
         assert gains[0] == gains[1] > 0
         config = full_batch_config(num_leaves=3)
-        root = _grow_tree(X, g, h, block, features, config)
+        tree = _grow_tree(X, g, h, block, features, config)
+        assert tree.roots.tolist() == [0] and tree.base_score == 0.0
+        root = tree.trees[0]
         assert (root.feature_index, root.threshold) == (0, 0.5)
         assert (root.left.feature_index, root.left.threshold) == (1, 0.5)
         assert root.right.is_leaf
@@ -335,13 +338,9 @@ class TestDeterminism:
 
 class TestPrediction:
     def test_equal_value_goes_left(self):
-        tree = TreeNode(
-            feature_index=0,
-            threshold=0.5,
-            left=TreeNode(value=-1.0),
-            right=TreeNode(value=1.0),
-        )
-        model = BoostedTrees(base_score=0.0, trees=[tree], config=MetaLearnerConfig())
+        tree = {"feature_index": 0, "threshold": 0.5, "left": {"value": -1.0},
+                "right": {"value": 1.0}}
+        model = BoostedTrees.from_dicts(0.0, [tree])
         probs = gbdt_predict_proba_many(model, np.array([[0.5], [0.5000001], [math.nan]]))
         assert probs.tolist() == _sigmoid_array(np.array([-1.0, 1.0, 1.0])).tolist()
 
@@ -355,24 +354,56 @@ class TestPrediction:
         assert batch.tolist() == singles
 
     def test_split_on_a_missing_feature_is_refused(self):
-        tree = TreeNode(feature_index=2, threshold=0.5, left=TreeNode(value=-1.0),
-                        right=TreeNode(value=1.0))
-        model = BoostedTrees(base_score=0.0, trees=[tree], config=MetaLearnerConfig())
+        tree = {"feature_index": 2, "threshold": 0.5, "left": {"value": -1.0},
+                "right": {"value": 1.0}}
+        model = BoostedTrees.from_dicts(0.0, [tree])
         with pytest.raises(ValueError, match=r"feature_index must be in \[0, 2\), got 2"):
             gbdt_predict_proba_many(model, np.zeros((3, 2)))
 
 
-def random_tree(rng, thresholds, n_features, depth, spine=True):
-    """A tree with one path of exactly ``depth`` splits; other branches stop at random."""
-    if depth == 0 or (not spine and rng.random() < 0.5):
-        return TreeNode(value=float(rng.standard_normal() * 10.0 ** rng.integers(-3, 3)))
-    deep = int(rng.integers(2))
-    left, right = (
-        random_tree(rng, thresholds, n_features, depth - 1, spine and side == deep)
-        for side in (0, 1)
-    )
-    return TreeNode(feature_index=int(rng.integers(n_features)),
-                    threshold=float(rng.choice(thresholds)), left=left, right=right)
+def random_tree(rng, thresholds, n_features, depth, stop=0.5):
+    """A nested-dict tree with one path of exactly ``depth`` splits.
+
+    Each other branch ends at each level with probability ``stop``.
+    """
+    root = {}
+    stack = [(root, depth, True)]
+    while stack:
+        node, depth, spine = stack.pop()
+        if depth == 0 or (not spine and rng.random() < stop):
+            node["value"] = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 3))
+            continue
+        deep = int(rng.integers(2))
+        node.update(feature_index=int(rng.integers(n_features)),
+                    threshold=float(rng.choice(thresholds)), left={}, right={})
+        stack += ((node["left"], depth - 1, spine and deep == 0),
+                  (node["right"], depth - 1, spine and deep == 1))
+    return root
+
+
+def dict_raw_score(base_score, trees, x):
+    """The base score plus each nested-dict tree's leaf value for row ``x``, in tree order."""
+    raw = base_score
+    for node in trees:
+        while "value" not in node:
+            node = node["left"] if x[node["feature_index"]] <= node["threshold"] else node["right"]
+        raw += node["value"]
+    return raw
+
+
+def preorder(trees):
+    """Each node of nested-dict ``trees``, depth first, as the reprs of its scalar fields.
+
+    A loop walks the trees, and ``repr`` tells 1 from 1.0 and 0.0 from -0.0,
+    so deep trees compare exactly without recursion.
+    """
+    nodes, stack = [], list(reversed(trees))
+    while stack:
+        node = stack.pop()
+        nodes.append(sorted((k, repr(v)) for k, v in node.items() if k not in ("left", "right")))
+        if "left" in node:
+            stack += (node["right"], node["left"])
+    return nodes
 
 
 class TestWalk:
@@ -394,20 +425,21 @@ class TestWalk:
         values = rng.standard_normal(int(rng.integers(1, 5)))
         trees = [random_tree(rng, values, n_features, int(rng.integers(depth + 1)))
                  for _ in range(n_trees)]
-        model = BoostedTrees(base_score=float(rng.standard_normal()), trees=trees,
-                             config=MetaLearnerConfig())
+        model = BoostedTrees.from_dicts(float(rng.standard_normal()), trees)
         step = _WALK_POSITIONS // max(n_trees, 1)
         n = {"none": 0, "one": 1, "few": int(rng.integers(2, 50)),
              "block-1": step - 1, "block": step, "block+1": step + 1}[rows]
         pool = np.concatenate([values, [math.nan, math.inf, -math.inf]])
         X = rng.choice(pool, size=(n, n_features))
         raw = np.full(n, model.base_score)
-        _add_leaf_values(model._flat, X, raw)
-        # Rows repeat, so the reference walks each distinct row once.
+        _add_leaf_values(model, X, raw)
+        # Rows repeat, so the references walk each distinct row once: the
+        # node views, and the nested dicts the booster was read from.
         reference = {}
         for x in X:
             if x.tobytes() not in reference:
                 reference[x.tobytes()] = tree_walk_reference.raw_score(model, x)
+                assert reference[x.tobytes()] == dict_raw_score(model.base_score, trees, x)
         want = np.array([reference[x.tobytes()] for x in X], dtype=np.float64)
         assert raw.tobytes() == want.tobytes()
 
@@ -426,15 +458,60 @@ class TestTreeSerialization:
         X = rng.random((100, 8))
         y = (X[:, 5] > 0.5).astype(float)
         model = gbdt_fit(X, y, MetaLearnerConfig(num_rounds=12, min_data_in_leaf=5))
-        for tree in model.trees:
-            restored = TreeNode.from_dict(json.loads(json.dumps(tree.to_dict())))
-            assert restored.to_dict() == tree.to_dict()
+        dicts = model.tree_dicts()
+        restored = BoostedTrees.from_dicts(model.base_score, json.loads(json.dumps(dicts)))
+        assert restored.tree_dicts() == dicts
+        assert [tree.to_dict() for tree in model.trees] == dicts
+        assert gbdt_predict_proba_many(restored, X).tolist() == (
+            gbdt_predict_proba_many(model, X).tolist()
+        )
 
     def test_leaf_and_internal_shapes(self):
-        leaf = TreeNode(value=0.25)
-        assert leaf.to_dict() == {"value": 0.25}
-        inner = TreeNode(feature_index=2, threshold=0.1, left=leaf, right=TreeNode(value=-0.25))
-        assert set(inner.to_dict()) == {"feature_index", "threshold", "left", "right"}
+        leaf, other = {"value": 0.25}, {"value": -0.25}
+        inner = {"feature_index": 2, "threshold": 0.1, "left": leaf, "right": other}
+        booster = BoostedTrees.from_dicts(0.0, [leaf, inner])
+        assert booster.tree_dicts() == [{"value": 0.25}, inner]
+        assert set(booster.tree_dicts()[1]) == {"feature_index", "threshold", "left", "right"}
+        root = booster.trees[1]
+        assert (root.is_leaf, root.value, root.left.value, root.right.value) == (
+            False, None, 0.25, -0.25
+        )
+        assert (root.left.feature_index, root.left.threshold, root.left.left) == (None, None, None)
+
+    @pytest.mark.parametrize("depth", [0, 1, 14, 3000])
+    def test_roundtrip_of_random_trees_at_any_depth(self, depth):
+        # A loop, not recursion, reads and writes the trees: 3,000 splits deep
+        # is past Python's recursion limit.
+        rng = np.random.default_rng(depth)
+        trees = [random_tree(rng, rng.standard_normal(3), 4, depth, stop=0.9) for _ in range(3)]
+        booster = BoostedTrees.from_dicts(0.5, trees)
+        assert preorder(booster.tree_dicts()) == preorder(trees)
+        assert preorder([tree.to_dict() for tree in booster.trees]) == preorder(trees)
+
+
+class TestReadOnlyArrays:
+    @staticmethod
+    def boosters():
+        rng = np.random.default_rng(16)
+        X = rng.random((80, 3))
+        fitted = gbdt_fit(X, (X[:, 0] > 0.5).astype(float), full_batch_config(num_rounds=3))
+        loaded = BoostedTrees.from_dicts(fitted.base_score, fitted.tree_dicts())
+        negated = replace(fitted, base_score=-fitted.base_score, value=-fitted.value)
+        return {"fitted": fitted, "loaded": loaded, "negated": negated}
+
+    @pytest.mark.parametrize("kind", ["fitted", "loaded", "negated"])
+    @pytest.mark.parametrize("name", ["roots", "first", "feature", "threshold", "value"])
+    def test_assignment_raises(self, kind, name):
+        array = getattr(self.boosters()[kind], name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+    def test_negation_shares_the_shape_arrays(self):
+        boosters = self.boosters()
+        fitted, negated = boosters["fitted"], boosters["negated"]
+        for name in ("roots", "first", "feature", "threshold"):
+            assert getattr(negated, name) is getattr(fitted, name)
+        assert negated.value.tolist() == [-v for v in fitted.value.tolist()]
 
 
 class TestConfigValidation:

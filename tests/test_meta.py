@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from hatepool import (
     BinaryLabel,
+    BoostedTrees,
     MetaLearnerConfig,
+    MetaLearnerModel,
     SingleClassError,
     load_model,
     mean_hate_score,
@@ -223,6 +228,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict(bad_trees)
 
+    def test_model_too_deep_to_write_is_refused_and_leaves_no_file(self, tmp_path):
+        # The reader takes any depth, but json's encoder recurses once per level.
+        tree = {"value": 0.5}
+        for _ in range(1500):
+            tree = {"feature_index": 0, "threshold": 0.5, "left": {"value": -0.5}, "right": tree}
+        head = BoostedTrees.from_dicts(0.0, [tree])
+        model = MetaLearnerModel(head, head, fast_config(), tuple(f"f{i}" for i in range(8)))
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: JSON nested too deeply")):
+            save_model(model, str(path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_changes_model_bytes(self, tmp_path):
         vectors, golds = separable_data()
         a = train_meta_on_vectors(vectors, golds, fast_config(seed=1))
@@ -275,3 +292,36 @@ class TestBatchedScoring:
         other = make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("w", "x", "y", "z"))
         with pytest.raises(ValueError, match="Gemma2-9B:p_hate.*w:p_hate"):
             check_feature_order(trained_model, other.feature_names())
+
+
+class TestGoldenDigest:
+    """Model bytes and lgb scores pinned across commits, not just across runs.
+
+    The digests were taken before the tree representation changed; a refactor
+    that reorders nodes, or moves one rounding, changes them. They pin the
+    float results of this platform's numpy, so a different numpy or CPU may
+    need them taken again from a known-good commit.
+    """
+
+    MODEL_SHA256 = "ded780b821cc817f54f757c3fff1fdfe073c86d556fda548b9eae9f226492921"
+    SCORES_SHA256 = "d7b9a1897a71b4a9320dc8559aac948f2c4d1e305224cf2b45f029a336b97b6d"
+
+    @staticmethod
+    def synthetic_set():
+        rng = np.random.default_rng(1606)
+        p_hate = np.round(rng.beta(2.0, 3.0, size=(900, 4)), 2)
+        X = np.empty((900, 8))
+        X[:, 0::2], X[:, 1::2] = p_hate, 1.0 - p_hate
+        noisy = p_hate.mean(axis=1) + 0.15 * rng.standard_normal(900)
+        golds = [BinaryLabel.HATE if v > 0.45 else BinaryLabel.NEUTRAL for v in noisy]
+        return X, golds
+
+    def test_model_and_score_bytes_match_the_pinned_digests(self, tmp_path):
+        X, golds = self.synthetic_set()
+        model = train_meta(X, golds, MetaLearnerConfig(num_rounds=60, seed=11))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        is_hate, scores = score_matrix(X, "lgb", model)
+        digest = hashlib.sha256(is_hate.tobytes() + scores.tobytes()).hexdigest()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.MODEL_SHA256
+        assert digest == self.SCORES_SHA256
