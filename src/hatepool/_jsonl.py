@@ -36,9 +36,9 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
 def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
-    Invalid JSON, or JSON nested too deeply to decode, raises
-    ``ValueError("<file>:<line>: invalid JSON: <reason>")``, or with ``on_error``
-    is skipped after ``on_error`` is called with that error.
+    Invalid JSON, JSON nested too deeply to decode, or an integer with too many
+    digits to decode raises ``ValueError("<file>:<line>: invalid JSON: <reason>")``,
+    or with ``on_error`` is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
     """
@@ -47,9 +47,10 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
         stripped = line.strip()
         if not stripped:
             continue
+        # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
         try:
             row = json.loads(stripped)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
             error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
             if on_error is None:
@@ -167,7 +168,10 @@ def read_json_file(path: str, decode=None) -> Any:
 
 # Field annotation -> (description, JSON types, conversion of a list of
 # strings). Types match exactly, so a bool is never a number, and numbers keep
-# their JSON type, so a config written back out has the same bytes.
+# their JSON type, so a config written back out has the same bytes. A number
+# must also be finite as a double: JSON leaves the range to the reader, and
+# Python's json reads NaN, Infinity and integers of any size, so those are
+# refused here, for every number read from a file.
 _KINDS = {
     "str": ("a string", (str,), None),
     "str | None": ("a string or null", (str, type(None)), None),
@@ -186,6 +190,10 @@ def typed_value(value: Any, kind: str, name: str) -> Any:
     description, types, convert = _KINDS[kind]
     if type(value) not in types or (convert and not all(type(v) is str for v in value)):
         raise ValueError(f"{name} must be {description}, got {value!r}")
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        # A huge integer is shown by its length, not by its hundreds of digits.
+        shown = value if type(value) is float else f"an integer of {len(str(abs(value)))} digits"
+        raise ValueError(f"{name} must be finite, got {shown}")
     return value if convert is None else convert(value)
 
 

@@ -6,15 +6,18 @@ output goes to stdout. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
 ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. Only ``filter`` skips lines that are
-not valid JSON or are nested too deeply, counting them in
-``malformed_lines``. A JSON file (a config, the endpoints, groups,
+not valid JSON, are nested too deeply or hold an integer of more than
+4,300 digits, counting them in ``malformed_lines``. A JSON file (a config, the endpoints, groups,
 registry, model or baseline) that is not valid JSON exits 2 with
 ``file:line:col``, and one nested too deeply with ``file``; one with an
 unknown key or a wrong-typed field exits 2 with ``file: reason`` naming
 the field, and the entry that holds it (``dataset 'X'``, ``endpoints[i]``)
-where there is one. An empty ``text`` or a repeated ``id`` in the
-``annotate`` input is a bad row, and so is a repeated ``id`` in a labels
-file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
+where there is one. A number read from any file must be finite as a
+double: JSON ``NaN``, ``Infinity`` and an integer too large for a double
+are refused like a wrong-typed field, and so is an endpoint ``timeout``
+over ``threading.TIMEOUT_MAX``. An empty ``text`` or a repeated ``id`` in
+the ``annotate`` input is a bad row, and so is a repeated ``id`` in a
+labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
 --quota`` each language once, and ``stats --strategies`` only known names
 (each exit 1).
 
@@ -65,10 +68,6 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 STRATEGIES = ("vote", "mean", "lgb")
-
-# Rows `ensemble` holds and scores per batch, keeping only ids, languages and
-# vectors; this bounds its memory on large inputs.
-ENSEMBLE_CHUNK_ROWS = 4096
 
 log = logging.getLogger("hatepool")
 
@@ -325,7 +324,7 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     from .datasets import BinaryLabel
-    from .ensemble import features_matrix
+    from .ensemble import CHUNK_ROWS, features_matrix
     from .gateway import read_annotations
     from .meta import check_feature_order, load_model, score_matrix
 
@@ -336,7 +335,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     count = 0
     with open_input(args.annotations) as in_fp, atomic_output(args.output) as out_fp:
         _, rows = read_annotations(in_fp)
-        while chunk := [(r.id, r.lang, r.vector) for r in islice(rows, ENSEMBLE_CHUNK_ROWS)]:
+        while chunk := [(r.id, r.lang, r.vector) for r in islice(rows, CHUNK_ROWS)]:
             ids, langs, vectors = zip(*chunk)
             if args.strategy == "lgb":
                 check_feature_order(model, vectors[0].feature_names())

@@ -128,6 +128,11 @@ def mean_hate_score(vector: ProbabilityVector) -> float:
     return float(mean_scores(features_matrix([vector]))[1][0])
 
 
+# Rows that ``ensemble`` and ``stats`` read and score together, one
+# feature matrix at a time; this bounds their memory on large inputs.
+CHUNK_ROWS = 4096
+
+
 def features_matrix(vectors: Sequence[ProbabilityVector]) -> np.ndarray:
     """Stack vectors into an (n, 8) feature matrix, checking a shared model set."""
     if not vectors:

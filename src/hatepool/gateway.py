@@ -86,8 +86,9 @@ class AnnotatorEndpoint:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be positive and finite")
+        # The socket layer raises OverflowError on a longer timeout.
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be positive and at most {threading.TIMEOUT_MAX}")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be nonnegative")
         if not 0 <= self.backoff_base < math.inf:

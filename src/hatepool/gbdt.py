@@ -31,7 +31,8 @@ Leaf values are then added to the base score one tree at a time, in tree
 order, so a row's score is the same bit for bit whatever else is in its
 block. The grower writes each tree's nodes in creation order; a model
 file's nested trees are read breadth first and written with loops, not
-recursion.
+recursion. Each node is checked as it is read, so a booster is never
+built from a bad file and then swept for bad values.
 """
 
 from __future__ import annotations
@@ -137,12 +138,13 @@ class BoostedTrees:
         object.__setattr__(self, "_feature_span", span)
 
     @classmethod
-    def from_dicts(
-        cls, base_score: float, trees: Sequence[Mapping], train_logloss: Sequence[float] = ()
-    ) -> "BoostedTrees":
+    def from_dicts(cls, base_score: float, trees: Sequence[Mapping], n_features: int,
+                   train_logloss: Sequence[float] = ()) -> "BoostedTrees":
         """A booster from nested tree dicts, as :meth:`tree_dicts` gives them.
 
         Nodes are numbered breadth first across the trees: tree ``t``'s root is node ``t``.
+        A split on a feature outside ``[0, n_features)``, or a number that is not
+        finite, raises ``ValueError`` naming the field as its node is read.
         """
         nodes = list(trees)
         first, feature, threshold, value = [], [], [], []
@@ -155,7 +157,10 @@ class BoostedTrees:
                 value.append(float(typed_value(node["value"], "float", "value")))
             else:
                 first.append(len(nodes))
-                feature.append(typed_value(node["feature_index"], "int", "feature_index"))
+                index = typed_value(node["feature_index"], "int", "feature_index")
+                if not 0 <= index < n_features:
+                    raise ValueError(f"feature_index must be in [0, {n_features}), got {index}")
+                feature.append(index)
                 threshold.append(float(typed_value(node["threshold"], "float", "threshold")))
                 value.append(0.0)
                 nodes += (node["right"], node["left"])

@@ -12,9 +12,11 @@ ensemble strategies (vote, mean, lgb). Every lgb score,
 :func:`predict_meta`'s one row included, comes from the one batched tree
 walk in :mod:`hatepool.gbdt`, so a row scores the same bit for bit alone
 or in any batch. A model file's nested trees are read into the flat
-arrays and written from them with loops. Loading refuses a split on a
-feature outside ``feature_order`` and a NaN or infinite base score,
-threshold or leaf value; saving refuses trees nested too deeply for the
+arrays and written from them with loops. A model file is checked while it
+is decoded, by ``typed_value`` and :meth:`BoostedTrees.from_dicts`: a
+split on a feature outside ``feature_order`` and a base score, threshold,
+leaf value or loss that is not finite are refused, and no pass over the
+built booster follows. Saving refuses trees nested too deeply for the
 JSON encoder (about 1,000 splits).
 """
 
@@ -184,19 +186,11 @@ def model_from_dict(payload: dict) -> MetaLearnerModel:
         BoostedTrees.from_dicts(
             float(typed_value(base_score, "float", "base_scores")),
             typed_value(trees, "list", "trees"),
+            len(feature_order),
             losses,
         )
         for base_score, trees in zip(base_scores, tree_lists)
     ]
-    for head in boosters:
-        head.check_features(len(feature_order))
-        # json reads NaN and Infinity. A leaf's threshold is NaN by design.
-        is_split = head.first != np.arange(len(head.first))
-        for name, values in (("base_scores", np.array([head.base_score])),
-                             ("threshold", head.threshold[is_split]), ("value", head.value)):
-            bad = values[~np.isfinite(values)]
-            if len(bad):
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
     return MetaLearnerModel(*boosters, config=config, feature_order=feature_order)
 
 

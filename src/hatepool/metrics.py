@@ -8,8 +8,6 @@ per-dataset scores.
 
 from __future__ import annotations
 
-import math
-import statistics
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -90,11 +88,34 @@ def macro_f1(counts: ConfusionCounts) -> float:
     return (f1_hate + f1_neutral) / 2.0
 
 
+# 2**-1074 is the smallest positive float, so every finite float times
+# 2**1074 is an integer, and sums of such integers are exact.
+_SCALE_BITS = 1074
+
+
+def _scaled_sum(values: Iterable[float]) -> int:
+    """The exact sum of finite floats times ``2**_SCALE_BITS``, which is an integer."""
+    total = 0
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        total += numerator << (_SCALE_BITS + 1 - denominator.bit_length())
+    return total
+
+
+def _scaled_mean(scaled_total: int, n: int) -> float:
+    """The mean of ``n`` values from their :func:`_scaled_sum`, rounded once.
+
+    This is the float ``statistics.mean`` returns: the exact sum divided by
+    ``n``, correctly rounded.
+    """
+    return scaled_total / (n << _SCALE_BITS)
+
+
 def mean_probability_threshold(scores: Sequence[float]) -> float:
     """Mean of the scores, correctly rounded (so it never exceeds the max score)."""
     if len(scores) == 0:
         raise ValueError("threshold undefined on empty scores")
-    return statistics.mean(scores)
+    return _scaled_mean(_scaled_sum(scores), len(scores))
 
 
 def apply_threshold(scores: Sequence[float], threshold: float) -> list[BinaryLabel]:
@@ -293,10 +314,7 @@ def _flat_metric(report_dict: Mapping, metric: str) -> dict[str, float]:
             unit = f"{section}:{name}"
             if metric not in typed_value(entry, "dict", unit):
                 raise ValueError(f"{unit} has no {metric}")
-            value = typed_value(entry[metric], "float", f"{unit} {metric}")
-            if not math.isfinite(value):
-                raise ValueError(f"{unit} {metric} must be finite, got {value!r}")
-            flat[unit] = value
+            flat[unit] = typed_value(entry[metric], "float", f"{unit} {metric}")
     return flat
 
 

@@ -14,17 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ensemble import ProbabilityVector, features_matrix, hate_votes
+from . import ensemble
 from .meta import MetaLearnerModel, check_feature_order, score_matrix
+from .metrics import _scaled_mean, _scaled_sum
 
 ALL_KEY = "All"
-
-# Rows read and scored together; this bounds memory on large pools.
-CHUNK_ROWS = 4096
-
-# 2**-1074 is the smallest positive float, so every finite float times
-# 2**1074 is an integer, and sums of such integers are exact.
-_SCALE_BITS = 1074
 
 PoolRow = tuple  # (lang, ProbabilityVector) or (lang, ProbabilityVector, raw_label)
 
@@ -46,7 +40,7 @@ class PoolSummary:
         return out
 
 
-def _unpack(row: PoolRow) -> tuple[str, ProbabilityVector, str | None]:
+def _unpack(row: PoolRow) -> tuple[str, ensemble.ProbabilityVector, str | None]:
     if len(row) == 2:
         lang, vector = row
         return str(lang), vector, None
@@ -54,24 +48,6 @@ def _unpack(row: PoolRow) -> tuple[str, ProbabilityVector, str | None]:
         lang, vector, raw = row
         return str(lang), vector, None if raw is None else str(raw)
     raise ValueError(f"pool rows must have 2 or 3 fields, got {len(row)}")
-
-
-def _scaled_sum(values: Iterable[float]) -> int:
-    """The exact sum of finite floats times ``2**_SCALE_BITS``, which is an integer."""
-    total = 0
-    for value in values:
-        numerator, denominator = value.as_integer_ratio()
-        total += numerator << (_SCALE_BITS + 1 - denominator.bit_length())
-    return total
-
-
-def _scaled_mean(scaled_total: int, n: int) -> float:
-    """The mean of ``n`` values from their :func:`_scaled_sum`, rounded once.
-
-    This is the float ``statistics.mean`` returns: the exact sum divided by
-    ``n``, correctly rounded.
-    """
-    return scaled_total / (n << _SCALE_BITS)
 
 
 def pool_statistics(
@@ -85,8 +61,8 @@ def pool_statistics(
     source label as a third field; when any row carries one, a per-label
     breakdown over the labeled rows is included. All vectors must share
     one model set. ``pool`` may be any iterable: it is read and scored
-    ``CHUNK_ROWS`` rows at a time into integer counts and exact sums, so
-    memory does not grow with the pool.
+    ``ensemble.CHUNK_ROWS`` rows at a time into integer counts and exact
+    sums, so memory does not grow with the pool.
     """
     rows = map(_unpack, pool)
     model_ids: tuple[str, ...] | None = None
@@ -96,7 +72,7 @@ def pool_statistics(
     p_hate_sums: Counter[tuple[int, str]] = Counter()  # (model slot, language), scaled
     votes: Counter[tuple[int, str]] = Counter()
     strategy_hits: Counter[tuple[str, str]] = Counter()  # (strategy, language)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
+    while chunk := list(islice(rows, ensemble.CHUNK_ROWS)):
         chunk_langs, vectors, raw_labels = zip(*chunk)
         if model_ids is None:
             model_ids = vectors[0].model_ids
@@ -104,14 +80,14 @@ def pool_statistics(
                 check_feature_order(model, vectors[0].feature_names())
         elif vectors[0].model_ids != model_ids:
             raise ValueError(f"vector model set {vectors[0].model_ids} differs from {model_ids}")
-        X = features_matrix(vectors)
+        X = ensemble.features_matrix(vectors)
         counts.update(chunk_langs)
         pairs = [pair for pair in zip(raw_labels, chunk_langs) if pair[0] is not None]
         label_counts.update(pairs)
         labeled.update(lang for _, lang in pairs)
         row_langs = np.array(chunk_langs, dtype=object)
         masks = [(lang, row_langs == lang) for lang in set(chunk_langs)]
-        chunk_votes = hate_votes(X)
+        chunk_votes = ensemble.hate_votes(X)
         for slot in range(len(model_ids)):
             for lang, mask in masks:
                 p_hate_sums[slot, lang] += _scaled_sum(X[mask, 2 * slot].tolist())

@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 NON_OBJECTS = st.sampled_from([[], ["id", "text"], "row", 5, 0.5, None, True])
 BAD_NUMBERS = (
     st.sampled_from(
-        [math.nan, math.inf, -math.inf, "abc", "", "0.5", None, True, False, [0.5], {"p": 0.5}]
+        [math.nan, math.inf, -math.inf, 10**400, "abc", "", "0.5", None, True, False, [0.5],
+         {"p": 0.5}]
     )
     | st.floats(min_value=1.0, exclude_min=True, allow_nan=False)
     | st.floats(max_value=-5e-324, allow_nan=False)
@@ -299,34 +300,68 @@ def test_one_corrupt_row_exits_2_naming_its_line(case, data, caplog):
 DEEP_ARRAY = "[" * 5000 + "]" * 5000
 
 
-def with_deep_array(row):
-    """The JSON text of ``row`` with one more field holding a 5,000-deep array."""
-    return dumps(row)[:-1] + ',"extra":' + DEEP_ARRAY + "}"
+def with_extra_field(row, text=DEEP_ARRAY):
+    """The JSON text of ``row`` with one more field holding ``text`` (a 5,000-deep array)."""
+    return dumps(row)[:-1] + ',"extra":' + text + "}"
+
+
+def refused_with_extra_field(case, text, directory, caplog):
+    """Run ``case`` with ``text`` added to its file's third line; the path and the errors.
+
+    The command must exit 2 and commit no output file.
+    """
+    rows = [dumps(row) for row in case.target.rows]
+    rows[2] = with_extra_field(case.target.rows[2], text)
+    path = directory / case.target.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for kind in case.valid:
+        write_lines(directory / kind.name, kind.rows)
+    (directory / "endpoints.json").write_text(json.dumps(ENDPOINTS))
+    inputs = os.listdir(directory)
+    code = run(case.argv, str(directory))
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2, messages
+    assert sorted(os.listdir(directory)) == sorted(inputs), "an output file was committed"
+    return path, messages
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c.id != "filter"],
                          ids=[c.id for c in CASES if c.id != "filter"])
 def test_row_nested_too_deeply_exits_2_naming_its_line(case, tmp_path, caplog):
     # json raised RecursionError: a traceback and exit 1.
-    rows = [dumps(row) for row in case.target.rows]
-    rows[2] = with_deep_array(case.target.rows[2])
-    path = tmp_path / case.target.name
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    for kind in case.valid:
-        write_lines(tmp_path / kind.name, kind.rows)
-    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
-    inputs = os.listdir(tmp_path)
-    code = run(case.argv, str(tmp_path))
-    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert code == 2, messages
-    assert sorted(os.listdir(tmp_path)) == sorted(inputs), "an output file was committed"
+    path, messages = refused_with_extra_field(case, DEEP_ARRAY, tmp_path, caplog)
     assert messages == [f"{path}:3: invalid JSON: nested too deeply"]
+
+
+# More digits than int() reads from text (sys.get_int_max_str_digits(), 4,300).
+LONG_INTEGER = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.id != "filter"],
+                         ids=[c.id for c in CASES if c.id != "filter"])
+def test_integer_too_long_to_read_exits_2_naming_its_line(case, tmp_path, caplog):
+    # json raised a bare ValueError, which named neither the file nor the line.
+    path, messages = refused_with_extra_field(case, LONG_INTEGER, tmp_path, caplog)
+    assert len(messages) == 1 and messages[0].startswith(f"{path}:3: invalid JSON: "), messages
+
+
+def test_filter_skips_an_integer_too_long_to_read(tmp_path):
+    # The bare ValueError stopped filter with exit 2 instead of skipping the line.
+    rows = [dumps(row) for row in WEB.rows]
+    rows[1] = with_extra_field(WEB.rows[1], LONG_INTEGER)
+    path = tmp_path / WEB.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
+    assert main(["filter", "--input", str(path), "--output", str(kept),
+                 "--stats", str(stats)]) == 0
+    assert [json.loads(line)["id"] for line in kept.read_text().splitlines()] == ["w0", "w2", "w3"]
+    assert json.loads(stats.read_text())["malformed_lines"] == 1
 
 
 def test_filter_skips_a_row_nested_too_deeply(tmp_path):
     # Like any line that is not valid JSON, the row is skipped and counted.
     rows = [dumps(row) for row in WEB.rows]
-    rows[1] = with_deep_array(WEB.rows[1])
+    rows[1] = with_extra_field(WEB.rows[1])
     path = tmp_path / WEB.name
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
@@ -340,7 +375,7 @@ def test_filter_skips_a_row_nested_too_deeply(tmp_path):
 def test_filter_warning_names_the_file_the_line_and_the_reason(tmp_path, caplog):
     # The warning read "input line N is not valid JSON; skipped" for both rows.
     rows = [dumps(row) for row in WEB.rows]
-    rows[1] = with_deep_array(WEB.rows[1])
+    rows[1] = with_extra_field(WEB.rows[1])
     rows[2] = "{oops"
     path = tmp_path / WEB.name
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -387,6 +422,11 @@ ANNOTATION_CASES = {
     "hate-missing": {"id": "t3", "models": {**GOOD_MODELS, "c": {"neutral": 0.5}}},
     "hate-is-text": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": "abc"}}},
     "hate-is-nan": {"id": "t3", "models": {**GOOD_MODELS, "c": {**model_entry(0.5), "hate": math.nan}}},
+    "hate-is-infinite": {"id": "t3", "models": {
+        **GOOD_MODELS, "c": {**model_entry(0.5), "hate": math.inf}}},
+    # float() raised OverflowError: a traceback and exit 1.
+    "hate-is-huge": {"id": "t3", "models": {
+        **GOOD_MODELS, "c": {**model_entry(0.5), "hate": 10**400}}},
     "probabilities-are-bools": {"id": "t3", "models": {
         **GOOD_MODELS, "c": {**model_entry(0.5), "hate": True, "neutral": False}}},
     # Read untyped, these reached the predictions verbatim and ``stats`` as "['x']".
@@ -398,6 +438,13 @@ ANNOTATION_CASES = {
     "id-is-a-number": {"id": 3, "models": GOOD_MODELS},
     "raw-label-is-a-list": {"id": "t3", "raw_label": ["x"], "models": GOOD_MODELS},
     "raw-label-is-a-number": {"id": "t3", "raw_label": 1, "models": GOOD_MODELS},
+}
+
+# The reason each of these cases must give; the range check named p_hate, not the field.
+ANNOTATION_REASONS = {
+    "hate-is-nan": "c hate must be finite, got nan",
+    "hate-is-infinite": "c hate must be finite, got inf",
+    "hate-is-huge": "c hate must be finite, got an integer of 401 digits",
 }
 
 
@@ -417,7 +464,30 @@ def test_annotation_row_error_names_file_line_and_id(name, tmp_path, caplog):
     out = tmp_path / "pred.jsonl"
     assert main(["ensemble", "--annotations", path, "--strategy", "mean", "--output", str(out)]) == 2
     assert not out.exists()
-    assert f"{path}:5 (id {row['id']!r}): " in caplog.text
+    assert f"{path}:5 (id {row['id']!r}): {ANNOTATION_REASONS.get(name, '')}" in caplog.text
+
+
+# score_hate values that exited 1 with a traceback (the integer, in float()),
+# or exited 2 naming the range, not the field: (value, reason).
+PREDICTION_CASES = {
+    "score-is-nan": (math.nan, "score_hate must be finite, got nan"),
+    "score-is-infinite": (math.inf, "score_hate must be finite, got inf"),
+    "score-is-huge": (10**400, "score_hate must be finite, got an integer of 401 digits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTION_CASES))
+def test_prediction_score_error_names_file_line_and_id(name, tmp_path, caplog):
+    value, reason = PREDICTION_CASES[name]
+    rows = [dict(row) for row in PREDICTIONS.rows]
+    rows[2]["score_hate"] = value
+    path = tmp_path / PREDICTIONS.name
+    write_lines(path, rows)
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--predictions", str(path), "--report", str(report)]) == 2
+    assert not report.exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:4 (id 'a2'): {reason}"]
 
 
 def test_header_that_is_not_a_list_names_line_1(tmp_path, caplog):
@@ -536,6 +606,11 @@ CONFIG_CASES = {
     "retry-limit-is-float": ("annotate", endpoints_with(retry_limit=2.0), "retry_limit"),
     "top-k-is-null": ("annotate", endpoints_with(logprobs_top_k=None), "logprobs_top_k"),
     "timeout-is-text": ("annotate", endpoints_with(timeout="30"), "timeout"),
+    # The socket layer raised OverflowError at the first connect.
+    "timeout-is-past-the-socket-limit": ("annotate", endpoints_with(timeout=1e10),
+                                         "timeout must be positive and at most 9223372036.0"),
+    "timeout-is-huge": ("annotate", endpoints_with(timeout=10**400),
+                        "endpoints[0]: timeout must be finite, got an integer of 401 digits"),
     "backoff-is-nan": ("annotate", endpoints_with(backoff_base=math.nan), "backoff_base"),
     "model-id-is-a-number": ("annotate", endpoints_with(model_id=5), "model_id"),
     "base-url-is-a-list": ("annotate", endpoints_with(base_url=["http://x/v1"]), "base_url"),
@@ -574,6 +649,8 @@ CONFIG_CASES = {
                        "l2_leaf_regularization"),
     "meta-l2-is-nan": ("train-meta", {"l2_leaf_regularization": math.nan},
                        "l2_leaf_regularization"),
+    "meta-learning-rate-is-huge": ("train-meta", {"learning_rate": 10**400},
+                                   "learning_rate must be finite, got an integer of 401 digits"),
     "meta-invalid-json": ("train-meta", INVALID_JSON, ":2:7: invalid JSON"),
     "model-config-is-a-number": ("ensemble", model_with(config=5), "config"),
     "model-config-seed-is-text": ("ensemble", model_with(config={"seed": "7"}), "seed"),
@@ -639,6 +716,15 @@ CONFIG_CASES = {
                                     "threshold must be finite, got inf"),
     "model-leaf-value-is-nan": ("ensemble", model_with_tree(right={"value": math.nan}),
                                 "value must be finite, got nan"),
+    # Integers past the double range raised OverflowError: a traceback and exit 1.
+    "model-base-score-is-huge": ("ensemble", model_with(base_scores=[10**400, 0.0]),
+                                 "base_scores must be finite, got an integer of 401 digits"),
+    "model-threshold-is-huge": ("ensemble", model_with_tree(threshold=10**400),
+                                "threshold must be finite, got an integer of 401 digits"),
+    "model-train-logloss-is-huge": ("ensemble", model_with(train_logloss=[10**400]),
+                                    "train_logloss must be finite, got an integer of 401 digits"),
+    "model-feature-index-is-huge": ("ensemble", model_with_tree(feature_index=2**70),
+                                    "feature_index must be in [0, 8), got 1180591620717411303424"),
     "model-feature-order-is-text": ("ensemble", model_with(feature_order="abcdefgh"),
                                     "feature_order"),
     "baseline-section-is-a-number": ("evaluate --baseline", {"per_dataset": 5}, "per_dataset"),
@@ -653,6 +739,10 @@ CONFIG_CASES = {
     "baseline-macro-f1-is-nan": ("evaluate --baseline",
                                  baseline_with(per_group={"All": {"macro_f1": math.nan}}),
                                  "per_group:All macro_f1 must be finite"),
+    "baseline-macro-f1-is-huge": (
+        "evaluate --baseline", baseline_with(per_group={"All": {"macro_f1": 10**400}}),
+        "per_group:All macro_f1 must be finite, got an integer of 401 digits",
+    ),
 }
 
 

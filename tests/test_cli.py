@@ -22,7 +22,7 @@ from hatepool import (
     subsample_by_language,
     write_annotations,
 )
-from hatepool import cli
+from hatepool import ensemble
 from hatepool._jsonl import dumps
 from hatepool.cli import main
 
@@ -819,7 +819,7 @@ class TestBatchedScoringCmds:
     def test_chunk_size_does_not_change_output(self, pipeline, tmp_path, monkeypatch, strategy):
         default = tmp_path / "default.jsonl"
         assert run_ensemble(pipeline, strategy, default) == 0
-        monkeypatch.setattr(cli, "ENSEMBLE_CHUNK_ROWS", 3)
+        monkeypatch.setattr(ensemble, "CHUNK_ROWS", 3)
         small = tmp_path / "small.jsonl"
         assert run_ensemble(pipeline, strategy, small) == 0
         assert small.read_bytes() == default.read_bytes()

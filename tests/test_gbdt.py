@@ -340,7 +340,7 @@ class TestPrediction:
     def test_equal_value_goes_left(self):
         tree = {"feature_index": 0, "threshold": 0.5, "left": {"value": -1.0},
                 "right": {"value": 1.0}}
-        model = BoostedTrees.from_dicts(0.0, [tree])
+        model = BoostedTrees.from_dicts(0.0, [tree], 1)
         probs = gbdt_predict_proba_many(model, np.array([[0.5], [0.5000001], [math.nan]]))
         assert probs.tolist() == _sigmoid_array(np.array([-1.0, 1.0, 1.0])).tolist()
 
@@ -356,7 +356,7 @@ class TestPrediction:
     def test_split_on_a_missing_feature_is_refused(self):
         tree = {"feature_index": 2, "threshold": 0.5, "left": {"value": -1.0},
                 "right": {"value": 1.0}}
-        model = BoostedTrees.from_dicts(0.0, [tree])
+        model = BoostedTrees.from_dicts(0.0, [tree], 3)
         with pytest.raises(ValueError, match=r"feature_index must be in \[0, 2\), got 2"):
             gbdt_predict_proba_many(model, np.zeros((3, 2)))
 
@@ -425,7 +425,7 @@ class TestWalk:
         values = rng.standard_normal(int(rng.integers(1, 5)))
         trees = [random_tree(rng, values, n_features, int(rng.integers(depth + 1)))
                  for _ in range(n_trees)]
-        model = BoostedTrees.from_dicts(float(rng.standard_normal()), trees)
+        model = BoostedTrees.from_dicts(float(rng.standard_normal()), trees, n_features)
         step = _WALK_POSITIONS // max(n_trees, 1)
         n = {"none": 0, "one": 1, "few": int(rng.integers(2, 50)),
              "block-1": step - 1, "block": step, "block+1": step + 1}[rows]
@@ -459,7 +459,7 @@ class TestTreeSerialization:
         y = (X[:, 5] > 0.5).astype(float)
         model = gbdt_fit(X, y, MetaLearnerConfig(num_rounds=12, min_data_in_leaf=5))
         dicts = model.tree_dicts()
-        restored = BoostedTrees.from_dicts(model.base_score, json.loads(json.dumps(dicts)))
+        restored = BoostedTrees.from_dicts(model.base_score, json.loads(json.dumps(dicts)), 8)
         assert restored.tree_dicts() == dicts
         assert [tree.to_dict() for tree in model.trees] == dicts
         assert gbdt_predict_proba_many(restored, X).tolist() == (
@@ -469,7 +469,7 @@ class TestTreeSerialization:
     def test_leaf_and_internal_shapes(self):
         leaf, other = {"value": 0.25}, {"value": -0.25}
         inner = {"feature_index": 2, "threshold": 0.1, "left": leaf, "right": other}
-        booster = BoostedTrees.from_dicts(0.0, [leaf, inner])
+        booster = BoostedTrees.from_dicts(0.0, [leaf, inner], 3)
         assert booster.tree_dicts() == [{"value": 0.25}, inner]
         assert set(booster.tree_dicts()[1]) == {"feature_index", "threshold", "left", "right"}
         root = booster.trees[1]
@@ -484,7 +484,7 @@ class TestTreeSerialization:
         # is past Python's recursion limit.
         rng = np.random.default_rng(depth)
         trees = [random_tree(rng, rng.standard_normal(3), 4, depth, stop=0.9) for _ in range(3)]
-        booster = BoostedTrees.from_dicts(0.5, trees)
+        booster = BoostedTrees.from_dicts(0.5, trees, 4)
         assert preorder(booster.tree_dicts()) == preorder(trees)
         assert preorder([tree.to_dict() for tree in booster.trees]) == preorder(trees)
 
@@ -495,7 +495,7 @@ class TestReadOnlyArrays:
         rng = np.random.default_rng(16)
         X = rng.random((80, 3))
         fitted = gbdt_fit(X, (X[:, 0] > 0.5).astype(float), full_batch_config(num_rounds=3))
-        loaded = BoostedTrees.from_dicts(fitted.base_score, fitted.tree_dicts())
+        loaded = BoostedTrees.from_dicts(fitted.base_score, fitted.tree_dicts(), 3)
         negated = replace(fitted, base_score=-fitted.base_score, value=-fitted.value)
         return {"fitted": fitted, "loaded": loaded, "negated": negated}
 

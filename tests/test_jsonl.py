@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import sys
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -169,7 +170,7 @@ ACCEPTED = {
     "text": ["", "x"],
     "maybe_text": [None, "x"],
     "count": [0, -3, 2**70],
-    "number": [0, -3, 2.5, 1e300, math.nan, math.inf],
+    "number": [0, -3, 2.5, 1e300, 2**70, sys.float_info.max],
     "flag": [True, False],
     "ordered": [[], ["b", "a", "b"]],
     "members": [[], ["b", "a", "b"]],
@@ -213,6 +214,18 @@ class TestFromJsonObject:
         with pytest.raises(ValueError) as info:
             from_json_object(Kinds, {field: value}, "kinds")
         assert str(info.value) == f"kinds: {field} must be {description}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+         (10**400, "an integer of 401 digits"), (-(10**400), "an integer of 401 digits")],
+        ids=["nan", "inf", "-inf", "10**400", "-10**400"],
+    )
+    def test_number_must_be_finite(self, value, shown):
+        # json reads NaN, Infinity and integers past the double range.
+        with pytest.raises(ValueError) as info:
+            from_json_object(Kinds, {"number": value}, "kinds")
+        assert str(info.value) == f"kinds: number must be finite, got {shown}"
 
     @pytest.mark.parametrize("value", [[1], "x", 5, None, True])
     def test_non_object_refused(self, value):

@@ -233,7 +233,7 @@ class TestSerialization:
         tree = {"value": 0.5}
         for _ in range(1500):
             tree = {"feature_index": 0, "threshold": 0.5, "left": {"value": -0.5}, "right": tree}
-        head = BoostedTrees.from_dicts(0.0, [tree])
+        head = BoostedTrees.from_dicts(0.0, [tree], 8)
         model = MetaLearnerModel(head, head, fast_config(), tuple(f"f{i}" for i in range(8)))
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match=re.escape(f"{path}: JSON nested too deeply")):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatepool import BinaryLabel, pool_statistics, render_pool_table, vote_label
-from hatepool import poolstats
-from hatepool.poolstats import ALL_KEY, _scaled_mean, _scaled_sum
+from hatepool import ensemble
+from hatepool.metrics import _scaled_mean, _scaled_sum
+from hatepool.poolstats import ALL_KEY
 
 from conftest import MODEL_IDS, make_vector, random_vectors
 
@@ -108,11 +109,11 @@ class TestPoolStatistics:
         labels = ("Hate", "Neutral", None)
         pool = [(lang, v, labels[i % 3]) for i, (lang, v) in enumerate(random_pool(50, seed=10))]
         whole = pool_statistics(pool).to_dict()
-        monkeypatch.setattr(poolstats, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(ensemble, "CHUNK_ROWS", 3)
         assert pool_statistics(iter(pool)).to_dict() == whole
 
     def test_mixed_model_sets_rejected_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(poolstats, "CHUNK_ROWS", 1)
+        monkeypatch.setattr(ensemble, "CHUNK_ROWS", 1)
         good = make_vector((0.1, 0.2, 0.3, 0.4))
         other = make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("a", "b", "c", "d"))
         with pytest.raises(ValueError, match="model set"):
