@@ -211,11 +211,15 @@ def from_json_object(cls, obj: Any, what: str, **fixed: Any) -> Any:
 
     Each key must be a field of ``cls`` holding a value of the field's kind,
     or ``ValueError("<what>: <key> must be ...")`` is raised; ``fixed`` gives
-    the fields that do not come from ``obj``.
+    the fields that do not come from ``obj``. A range error from ``cls``
+    itself is raised as ``ValueError("<what>: <reason>")``.
     """
     fields = cls.__dataclass_fields__
     json_object(obj, what, [name for name in fields if name not in fixed])
     kwargs = {
         key: typed_value(value, fields[key].type, f"{what}: {key}") for key, value in obj.items()
     }
-    return cls(**fixed, **kwargs)
+    try:
+        return cls(**fixed, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc

@@ -10,11 +10,12 @@ not valid JSON, are nested too deeply or hold an integer of more than
 4,300 digits, counting them in ``malformed_lines``. A JSON file (a config, the endpoints, groups,
 registry, model or baseline) that is not valid JSON exits 2 with
 ``file:line:col``, and one nested too deeply with ``file``; one with an
-unknown key or a wrong-typed field exits 2 with ``file: reason`` naming
-the field, and the entry that holds it (``dataset 'X'``, ``endpoints[i]``)
-where there is one. A number read from any file must be finite as a
-double: JSON ``NaN``, ``Infinity`` and an integer too large for a double
-are refused like a wrong-typed field, and so is an endpoint ``timeout``
+unknown key, a wrong-typed field or a value out of range exits 2 with
+``file: reason`` naming the field, and the entry that holds it
+(``dataset 'X'``, ``endpoints[i]``, ``config``) where there is one. A
+number read from any file must be finite as a double: JSON ``NaN``,
+``Infinity`` and an integer too large for a double are refused like a
+wrong-typed field, and so is an endpoint ``timeout``
 over ``threading.TIMEOUT_MAX``. An empty ``text`` or a repeated ``id`` in
 the ``annotate`` input is a bad row, and so is a repeated ``id`` in a
 labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
@@ -23,7 +24,7 @@ labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
-``annotate`` loads the HTTP client.
+``annotate`` loads the HTTP client and a thread pool.
 
 ``filter``, ``ensemble`` and ``stats`` stream their input, so memory does
 not grow with it. ``filter --quota`` spools each record that passes

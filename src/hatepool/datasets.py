@@ -48,16 +48,16 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         if not self.vocabulary:
-            raise ValueError(f"{self.name}: empty label vocabulary")
+            raise ValueError("empty label vocabulary")
         if not self.positives:
-            raise ValueError(f"{self.name}: empty positive label set")
+            raise ValueError("empty positive label set")
         stray = self.positives - self.vocabulary
         if stray:
-            raise ValueError(f"{self.name}: positives not in vocabulary: {sorted(stray)}")
+            raise ValueError(f"positives not in vocabulary: {sorted(stray)}")
         # map_label looks raw labels up in canonical form.
         for label in sorted(self.vocabulary):
             if label != canonical_raw_label(label):
-                raise ValueError(f"{self.name}: labels must be lowercase and stripped: {label!r}")
+                raise ValueError(f"labels must be lowercase and stripped: {label!r}")
 
 
 @dataclass(frozen=True)

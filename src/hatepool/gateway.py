@@ -22,11 +22,12 @@ the dispatchers and drops the backoffs that have not started; each worker
 finishes at most its current request, and every thread is joined before
 the exception propagates.
 
-The transport is the standard library's ``http.client``. Each client
-keeps one HTTP/1.1 keep-alive connection to its endpoint and reads every
-response body in full, so the connection can carry the next request. A
-connection that fails or times out is discarded. One that the server
-closed while idle is replaced before the next request goes out, which
+The transport is the standard library's ``http.client``. Each worker
+has one connection object to its endpoint, an HTTP/1.1 keep-alive
+connection, and reads every response body in full, so the connection can
+carry the next request. A connection that fails or times out is closed,
+and ``http.client`` reopens it on the next request. One that the server
+closed while idle is closed before the next request goes out, which
 costs no retry and never sends a request twice (RFC 9112 §9.3). Proxy
 variables (``HTTP_PROXY``, ``HTTPS_PROXY``) are not read and redirects
 are not followed: ``base_url`` is the URL that gets the POST.
@@ -40,9 +41,8 @@ import random
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
@@ -175,10 +175,10 @@ def _closed_while_idle(sock) -> bool:
 
 
 class _Client:
-    """One worker's client for one endpoint, over one keep-alive connection.
+    """One worker's client for one endpoint, over one keep-alive connection object.
 
     What no attempt changes is worked out once, here: the connection
-    address, the request target, the headers and the label tokens.
+    object, the request target, the headers and the label tokens.
     ``http.client`` is imported here, not at module top: it pulls in
     ``ssl``, and the commands that only read annotation files never send a
     request.
@@ -189,9 +189,7 @@ class _Client:
 
         url = urlsplit(endpoint.base_url)
         factory = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
-        self._new_connection = partial(
-            factory[url.scheme], url.hostname, url.port, timeout=endpoint.timeout
-        )
+        self._conn = factory[url.scheme](url.hostname, url.port, timeout=endpoint.timeout)
         self._transport_errors = (OSError, http.client.HTTPException)
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json"}
@@ -200,7 +198,6 @@ class _Client:
         self._endpoint = endpoint
         self._template = template
         self._label_tokens = (*template.hate_tokens, *template.neutral_tokens)
-        self._conn = None
 
     def annotate(self, text_id: str, prompt: str) -> tuple[ModelProbability, dict[str, float]]:
         """One attempt at one text: (probability, raw label-token weights).
@@ -210,23 +207,22 @@ class _Client:
         tokens, which will not improve on retry. Finite weights can still pool
         to an infinite sum and a NaN probability; that is a malformed response.
         The response body is read in full whatever the status, so the
-        connection can carry the next request; one that fails is discarded.
+        connection can carry the next request; one that fails is closed, and
+        ``request`` reopens it.
         """
         ep = self._endpoint
         body = json.dumps(
             {"model": ep.model_id, "prompt": prompt, "max_tokens": 1, "logprobs": ep.logprobs_top_k}
         ).encode("utf-8")
         conn = self._conn
-        if conn is not None and conn.sock is not None and _closed_while_idle(conn.sock):
-            self.close()
+        if conn.sock is not None and _closed_while_idle(conn.sock):
+            conn.close()
         try:
-            if self._conn is None:
-                self._conn = self._new_connection()
-            self._conn.request("POST", self._target, body=body, headers=self._headers)
-            with self._conn.getresponse() as response:
+            conn.request("POST", self._target, body=body, headers=self._headers)
+            with conn.getresponse() as response:
                 status, data = response.status, response.read()
         except BaseException as exc:
-            self.close()
+            conn.close()
             if isinstance(exc, self._transport_errors):
                 raise TransientRequestError(f"request failed: {exc}") from exc
             raise
@@ -250,9 +246,7 @@ class _Client:
         return probability, {tok: weights[tok] for tok in self._label_tokens if tok in weights}
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        self._conn.close()
 
 
 class _Dispatcher:
@@ -320,6 +314,8 @@ def annotate_batch(
     once per text and is shared across endpoints. ``sleep`` is called
     with each backoff delay, on a backoff thread.
     """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the read-only commands
+
     template = template or PromptTemplate()
     if len(endpoints) != ENSEMBLE_SIZE:
         raise ValueError(f"expected {ENSEMBLE_SIZE} endpoints, got {len(endpoints)}")
@@ -356,34 +352,29 @@ def annotate_batch(
         else:
             dispatcher.requeue(job)
 
-    def serve(dispatcher: _Dispatcher, client: _Client) -> None:
+    def serve(dispatcher: _Dispatcher) -> None:
         ep = dispatcher.endpoint
         try:
-            while (job := dispatcher.take()) is not None:
-                index, attempt = job
-                try:
-                    outcome = client.annotate(texts[index][0], prompts[index])
-                except TransientRequestError as exc:
-                    if attempt < ep.retry_limit:
-                        jitter = 0.5 + dispatcher.rng.random()
-                        delay = ep.backoff_base * (2.0 ** attempt) * jitter
-                        backoff.submit(back_off, dispatcher, (index, attempt + 1), delay)
-                        continue
-                    outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
-                except ExtractionError as exc:
-                    outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
-                dispatcher.finish(index, outcome)
+            with closing(_Client(ep, template)) as client:
+                while (job := dispatcher.take()) is not None:
+                    index, attempt = job
+                    try:
+                        outcome = client.annotate(texts[index][0], prompts[index])
+                    except TransientRequestError as exc:
+                        if attempt < ep.retry_limit:
+                            jitter = 0.5 + dispatcher.rng.random()
+                            delay = ep.backoff_base * (2.0 ** attempt) * jitter
+                            backoff.submit(back_off, dispatcher, (index, attempt + 1), delay)
+                            continue
+                        outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
+                    except ExtractionError as exc:
+                        outcome = AnnotationFailure(ep.model_id, attempt + 1, str(exc))
+                    dispatcher.finish(index, outcome)
         except BaseException as exc:
             fail(exc)
-        finally:
-            client.close()
 
     workers = [
-        threading.Thread(
-            target=serve,
-            args=(d, _Client(d.endpoint, template)),
-            name=f"annotate-{d.endpoint.model_id}-{i}",
-        )
+        threading.Thread(target=serve, args=(d,), name=f"annotate-{d.endpoint.model_id}-{i}")
         for d in dispatchers
         for i in range(min(d.endpoint.max_in_flight, len(texts)))
     ]

@@ -3,8 +3,8 @@
 :class:`CompletionsServer` is the core that tests and demos share. It counts
 requests per (model, prompt), requests in all, accepted and closed
 connections, and each model's peak of concurrent requests. Its ``answer``
-hook decides each reply, which leaves as one write: a JSON body with
-``Content-Length``, on a connection kept alive unless the hook closes it.
+hook decides each reply: a JSON body with ``Content-Length``, framed by
+``http.server``, on a connection kept alive unless the hook closes it.
 :class:`MockAnnotatorServer` answers from a script that maps (model, prompt)
 to token weights or to an HTTP status code to fail with.
 """
@@ -47,6 +47,7 @@ class _Handler(BaseHTTPRequestHandler):
     # HTTP/1.0 would close the socket after every response, which makes
     # pooled client connections race the close and see resets.
     protocol_version = "HTTP/1.1"
+    # Head and body leave in two writes; TCP_NODELAY keeps the body off a delayed ACK.
     disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args) -> None:  # keep test output quiet
@@ -85,18 +86,14 @@ class _Handler(BaseHTTPRequestHandler):
                 owner._in_flight[model] -= 1
 
     def _send(self, status: int, payload: Any, close: bool) -> None:
-        # Head and body leave in one write: two writes would let Nagle's
-        # algorithm hold the body until the client's delayed ACK (~40 ms).
         data = json.dumps(payload).encode("utf-8")
-        reason = self.responses.get(status, ("",))[0]
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n"
-        )
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
         if close:
-            head += "Connection: close\r\n"
-            self.close_connection = True
-        self.wfile.write(f"{head}\r\n".encode("latin-1") + data)
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
 
 
 class CompletionsServer:

@@ -608,7 +608,8 @@ CONFIG_CASES = {
     "timeout-is-text": ("annotate", endpoints_with(timeout="30"), "timeout"),
     # The socket layer raised OverflowError at the first connect.
     "timeout-is-past-the-socket-limit": ("annotate", endpoints_with(timeout=1e10),
-                                         "timeout must be positive and at most 9223372036.0"),
+                                         "endpoints[0]: timeout must be positive and at most "
+                                         "9223372036.0"),
     "timeout-is-huge": ("annotate", endpoints_with(timeout=10**400),
                         "endpoints[0]: timeout must be finite, got an integer of 401 digits"),
     "backoff-is-nan": ("annotate", endpoints_with(backoff_base=math.nan), "backoff_base"),
@@ -684,10 +685,22 @@ CONFIG_CASES = {
     "endpoint-is-a-number-names-its-index": ("annotate",
                                              {"endpoints": [*ENDPOINTS["endpoints"][:3], 5]},
                                              "endpoints[3] must be an object"),
+    # A range error names its entry as a type error does.
+    "endpoint-range-error-names-its-index": ("annotate", endpoints_with(2, max_in_flight=0),
+                                             "endpoints[2]: max_in_flight must be at least 1"),
+    "filter-keyword-is-uppercase": ("filter", {"url_keywords": ["forum", "Thread"]},
+                                    "filter config: url keywords must be lowercase: 'Thread'"),
+    "template-has-two-placeholders": (
+        "annotate", {**ENDPOINTS, "template": {"template_text": "{comment} or {comment}"}},
+        "template: template must contain exactly one '{comment}' placeholder, found 2",
+    ),
+    "meta-num-leaves-is-one": ("train-meta", {"num_leaves": 1},
+                               "config: num_leaves must be at least 2"),
     # Registry labels must already be in the form map_label looks up.
     "registry-label-not-lowercase": ("ingest", registry_with(vocabulary=["Hate", "normal"],
                                                              positives=["Hate"]),
-                                     "HateXplain: labels must be lowercase and stripped: 'Hate'"),
+                                     "dataset 'HateXplain': labels must be lowercase and "
+                                     "stripped: 'Hate'"),
     "registry-label-not-stripped": ("evaluate --registry",
                                     registry_with(vocabulary=["hate", "normal "]),
                                     "labels must be lowercase and stripped: 'normal '"),

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import signal
 import socket
 import sys
 import threading
@@ -276,6 +277,20 @@ def answer_all(model, prompt, attempt):
     return 200, GOOD
 
 
+@pytest.fixture
+def connection_objects(monkeypatch):
+    """The ``HTTPConnection`` objects the client builds while the test runs."""
+    built = []
+
+    class Counted(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(http.client, "HTTPConnection", Counted)
+    return built
+
+
 class TestKeepAliveTransport:
     def test_consecutive_requests_reuse_one_connection(self):
         texts = [(f"t{i}", f"text {i}") for i in range(10)]
@@ -310,7 +325,7 @@ class TestKeepAliveTransport:
         assert requests == 2 * 5 * 4  # each 500 cost exactly one retry
         assert len(sleeps) == 5 * 4
 
-    def test_server_closing_an_idle_connection_costs_no_retry(self):
+    def test_server_closing_an_idle_connection_costs_no_retry(self, connection_objects):
         # The 503 keeps the connection alive; the client then backs off for
         # longer than the server keeps an idle connection open.
         def busy_once(model, prompt, attempt):
@@ -326,8 +341,9 @@ class TestKeepAliveTransport:
         assert len(results) == 1
         assert server.request_count == 8  # the 503 and one retry per endpoint, none sent twice
         assert server.connections == 8  # each retry went out on a new connection
+        assert len(connection_objects) == 4  # one per worker, reopened by http.client
 
-    def test_timeout_is_transient_and_the_next_request_reconnects(self):
+    def test_timeout_is_transient_and_the_next_request_reconnects(self, connection_objects):
         def slow_once(model, prompt, attempt):
             if model == "Mistral-7B" and "slow" in prompt:
                 time.sleep(0.5)
@@ -345,6 +361,7 @@ class TestKeepAliveTransport:
         assert failure.error.startswith("request failed:")
         assert "timed out" in failure.error
         assert server.connections == 5  # Mistral-7B dropped the timed-out connection
+        assert len(connection_objects) == 4  # one per worker, reopened by http.client
 
     def test_auth_token_is_sent_as_bearer(self):
         with StubServer(answer_all) as server:
@@ -578,6 +595,19 @@ def annotate_threads():
     return [t for t in threading.enumerate() if t.name.startswith("annotate-")]
 
 
+@pytest.fixture
+def python_handles_sigint():
+    """Python's SIGINT handler, installed for the test.
+
+    ``_thread.interrupt_main()`` does nothing while SIGINT is ignored, and a
+    process started in the background by a shell without job control (``cmd &``
+    in ``bash -c``) inherits SIGINT ignored.
+    """
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 class TestDispatch:
     def test_backing_off_retry_holds_no_slot(self):
         # Mistral-7B's only slot serves texts 1-3 while text 0 backs off; the
@@ -609,18 +639,21 @@ class TestDispatch:
         order = [(prompts.index(p), a) for m, p, a in server.served if m == "Mistral-7B"]
         assert order == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (4, 0), (5, 0), (6, 0), (7, 0)]
 
-    def test_interrupt_stops_the_batch(self):
+    def test_interrupt_stops_the_batch(self, python_handles_sigint):
         # Request k interrupts the main thread; it and every later request
         # answer slowly, so a client that keeps dispatching would send more.
         k = 40
         texts = [(f"t{i}", f"text {i}") for i in range(200)]
         flaky = {render_prompt(PromptTemplate(), text) for _, text in texts[:12]}
         arrived = itertools.count(1)
+        log = []
 
         def respond(model, prompt, attempt):
             n = next(arrived)
             if n == k:
+                log.append(f"request {k} arrived")
                 _thread.interrupt_main()
+                log.append("interrupt sent")
             time.sleep(0.3 if n >= k else 0.005)
             if model == "Gemma2-9B" and prompt in flaky and attempt == 0:
                 return 503, {"error": "busy"}  # backoffs are pending at the interrupt
@@ -631,6 +664,7 @@ class TestDispatch:
             started = time.monotonic()
             with pytest.raises(KeyboardInterrupt):
                 annotate_batch(texts, endpoints)
+                pytest.fail(f"the batch ran to its end; {log or 'request k never arrived'}")
             elapsed = time.monotonic() - started
             requests = server.request_count
         assert k <= requests <= k + sum(ep.max_in_flight for ep in endpoints)

@@ -28,18 +28,19 @@ from hatepool.cli import main
 from conftest import MODEL_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("numpy", "requests", "http.server", "http.client", "statistics")
+WATCHED = ("numpy", "requests", "http.server", "http.client", "statistics", "concurrent.futures")
 
 # Watched module -> the commands allowed to load it. filter keeps numpy for
 # its reservoir RNG; the scoring commands need it for the vector math.
 # statistics (with fractions) costs about 5 ms to import; exact means come
-# from metrics' integer sums instead.
+# from metrics' integer sums instead. Only annotate runs a thread pool.
 ALLOWED = {
     "numpy": {"filter", "annotate", "train-meta", "ensemble", "stats"},
     "requests": set(),
     "http.server": set(),
     "http.client": {"annotate"},
     "statistics": set(),
+    "concurrent.futures": {"annotate"},
 }
 
 PROBE = f"""
