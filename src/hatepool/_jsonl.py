@@ -11,8 +11,10 @@ file. :func:`from_json_object` is the one JSON object to config decoder.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
@@ -41,31 +43,77 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     or with ``on_error`` is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
+    The first line that is not valid UTF-8 raises ``ValueError("<file>:<line>: not
+    valid UTF-8: ...")`` after every line before it was read as usual; on a
+    stream that cannot seek, such as a pipe on stdin, ``ValueError("<file>: not
+    valid UTF-8: ...")``.
     """
     source = getattr(fp, "name", "<stream>")
-    for lineno, line in enumerate(fp, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
+    numbered = enumerate(fp, start=1)
+    lineno = 0
+    while True:
         try:
-            row = json.loads(stripped)
-        except (ValueError, RecursionError) as exc:
-            reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
-            error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
-            if on_error is None:
-                raise error from exc
-            on_error(error)
-            continue
-        if not isinstance(row, dict):
-            raise ValueError(f"{source}:{lineno}: not a JSON object")
-        if decode is not None:
-            try:
-                row = decode(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                where = f"{source}:{lineno}" + (f" (id {row['id']!r})" if "id" in row else "")
-                raise decode_error(where, exc) from exc
-        yield row
+            for lineno, line in numbered:
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
+                try:
+                    row = json.loads(stripped)
+                except (ValueError, RecursionError) as exc:
+                    reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+                    error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
+                    if on_error is None:
+                        raise error from exc
+                    on_error(error)
+                    continue
+                if not isinstance(row, dict):
+                    raise ValueError(f"{source}:{lineno}: not a JSON object")
+                if decode is not None:
+                    try:
+                        row = decode(row)
+                    except (KeyError, TypeError, ValueError) as exc:
+                        where = f"{source}:{lineno}"
+                        if "id" in row:
+                            where += f" (id {row['id']!r})"
+                        raise decode_error(where, exc) from exc
+                yield row
+            return
+        except UnicodeDecodeError as exc:
+            # Only reading ``fp`` raises it: the handlers above catch every other ValueError.
+            numbered = _lines_after_undecodable(fp, source, lineno, exc)
+
+
+def _lines_after_undecodable(fp: TextIO, source: str, done: int, exc: UnicodeDecodeError):
+    """``(lineno, line)`` for the lines of ``fp`` after line ``done``, up to the first
+    that is not valid UTF-8, where ``ValueError`` is raised.
+
+    ``fp`` is read again from the start with undecodable bytes escaped to
+    U+DC80-U+DCFF, so the line that holds the byte ``exc`` stopped at is found
+    whatever chunk of the file the decoder was reading.
+    """
+    reason = f"not valid UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+    if not fp.seekable():
+        raise ValueError(f"{source}: {reason}") from exc
+    fp.buffer.seek(0)
+    escaped = io.TextIOWrapper(fp.buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        for lineno, line in enumerate(escaped, start=1):
+            if lineno <= done:
+                continue
+            if re.search("[\udc80-\udcff]", line):
+                raise ValueError(f"{source}:{lineno}: {reason}") from exc
+            yield lineno, line
+    finally:
+        escaped.detach()
+
+
+def shifted(error: ValueError, source: str, lines: int) -> ValueError:
+    """``error``, raised by :func:`iter_jsonl` on lines of ``source``, with its line
+    number ``lines`` more: the error of the same line read after ``lines`` others."""
+    rest = str(error)[len(source) + 1 :]
+    digits = len(rest) - len(rest.lstrip("0123456789"))
+    return ValueError(f"{source}:{int(rest[:digits]) + lines}{rest[digits:]}")
 
 
 def decode_error(where: str, exc: Exception) -> ValueError:
@@ -81,8 +129,13 @@ def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
 
 @contextmanager
 def open_input(path: str) -> Iterator[TextIO]:
-    """Open ``path`` for reading; ``-`` means stdin."""
+    """Open ``path`` for reading as UTF-8; ``-`` means stdin, read as UTF-8 too.
+
+    Under the C locale Python reads stdin with ``errors="surrogateescape"``,
+    which would pass bytes that are not UTF-8 on as text.
+    """
     if path == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         yield sys.stdin
         return
     with open(path, "r", encoding="utf-8") as fp:

@@ -13,17 +13,23 @@ Both give the same path, so the fast path changes no verdict.
 
 from __future__ import annotations
 
+import io
+import os
 import re
+import signal
+import sys
 import tempfile
 from array import array
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, MutableSequence, TextIO
+from itertools import chain, islice
+from typing import BinaryIO, Iterable, Iterator, Mapping, MutableSequence, Sequence
 from urllib.parse import unquote, urlparse
 
 import numpy as np
 
-from ._jsonl import dumps, from_json_object, typed_value
+from ._jsonl import dumps, from_json_object, iter_jsonl, shifted, typed_value
 
 DEFAULT_URL_KEYWORDS = (
     "thread",
@@ -85,7 +91,7 @@ class WebRecord:
         return cls(
             id=str(row["id"]),
             url=str(row["url"]),
-            lang=str(row["lang"]),
+            lang=typed_value(row["lang"], "str", "lang"),
             schema_types=typed_value(row["schema_types"], "tuple[str, ...]", "schema_types"),
             text=typed_value(row["text"], "str", "text"),
         )
@@ -166,6 +172,16 @@ class FilterStats:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kept_by_language": dict(sorted(self.kept_by_language.items()))}
+
+    def add(self, other: FilterStats) -> None:
+        """Add the counts of ``other``, a pass over a later part of the input."""
+        self.records_seen += other.records_seen
+        self.kept += other.kept
+        self.dropped_url += other.dropped_url
+        self.dropped_schema += other.dropped_schema
+        self.parse_failures += other.parse_failures
+        for lang, n in other.kept_by_language.items():
+            self.kept_by_language[lang] = self.kept_by_language.get(lang, 0) + n
 
 
 def normalize_url_path(url: str) -> str:
@@ -310,41 +326,192 @@ def subsample_by_language(
     return [record for _, record in survivors]
 
 
-def write_subsample(
-    records: Iterable[WebRecord],
-    quotas: Mapping[str, int],
+def serialised(records: Iterable[WebRecord]) -> Iterator[tuple[bytes, tuple[str]]]:
+    """Each record as a chunk for :func:`write_kept`: its JSON line and its language."""
+    for record in records:
+        yield dumps(record.to_dict()).encode() + b"\n", (record.lang,)
+
+
+def write_kept(
+    chunks: Iterable[tuple[bytes, Sequence[str]]],
+    quotas: Mapping[str, int] | None,
     seed: int,
-    out_fp: TextIO,
+    out: BinaryIO,
     spool_dir: str | None = None,
 ) -> int:
-    """Write :func:`subsample_by_language`'s records to ``out_fp`` as JSONL; return their count.
+    r"""Write the kept records to ``out`` as JSONL; return how many were written.
 
-    Memory is bounded by the quotas, not by the input. Each record that
-    passes through or enters a reservoir is serialised once, on arrival, to
-    an anonymous spool file in ``spool_dir`` (the default temp directory when
-    None), behind a one-character tag: ``p`` passes through, ``r`` entered a
-    reservoir. The reservoirs hold spool line numbers. When the input ends,
-    the spool is copied to ``out_fp`` in one pass, untagged, keeping every
-    ``p`` line and each ``r`` line still held by its reservoir.
+    Each chunk is ``(data, langs)``: records serialised one per line in
+    UTF-8, each line ending in ``\n``, and their languages. Without
+    ``quotas`` the data is written as it comes. With ``quotas`` the records
+    written are :func:`subsample_by_language`'s, and memory is bounded by
+    the quotas, not by the input: each record that passes through or enters
+    a reservoir is copied, on arrival, to an anonymous spool file in
+    ``spool_dir`` (the default temp directory when None), behind a
+    one-character tag: ``p`` passes through, ``r`` entered a reservoir. The
+    reservoirs hold spool line numbers. When the input ends, the spool is
+    copied to ``out`` in one pass, untagged, keeping every ``p`` line and
+    each ``r`` line still held by its reservoir.
     """
+    if not quotas:
+        written = 0
+        for data, langs in chunks:
+            out.write(data)
+            written += len(langs)
+        return written
     reservoirs = _Reservoirs(quotas, seed, lambda: array("q"))
     spooled = 0
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n", dir=spool_dir) as spool:
-        for record in records:
-            if record.lang not in quotas:
-                tag = "p"
-            elif reservoirs.offer(record.lang, spooled):
-                tag = "r"
-            else:
-                continue
-            spool.write(f"{tag}{dumps(record.to_dict())}\n")
-            spooled += 1
+    with tempfile.TemporaryFile(dir=spool_dir) as spool:
+        for data, langs in chunks:
+            end = 0
+            for lang in langs:
+                start, end = end, data.index(b"\n", end) + 1
+                if lang not in quotas:
+                    tag = b"p"
+                elif reservoirs.offer(lang, spooled):
+                    tag = b"r"
+                else:
+                    continue
+                spool.write(tag + data[start:end])
+                spooled += 1
         survivors = set(chain.from_iterable(reservoirs.held.values()))
         spool.seek(0)
         written = 0
         for lineno, line in enumerate(spool):
-            if line[0] == "r" and lineno not in survivors:
+            if line[0] == ord("r") and lineno not in survivors:
                 continue
-            out_fp.write(line[1:])
+            out.write(line[1:])
             written += 1
     return written
+
+
+# Size of the byte ranges :func:`filter_file` hands to its workers, 2.5 MiB.
+# On 2 vCPUs and a 90 MB input that keeps 30% of its bytes, ranges of 2.5,
+# 3 and 4 MiB took the same wall and CPU time, while the parent's peak RSS
+# grew with the range (40.3, 41.0 and 41.3 MB; 37.0 MB in one process).
+RANGE_BYTES = 5 << 19
+
+
+def _byte_ranges(path: str) -> Iterator[tuple[int, int]]:
+    r"""``(offset, length)`` of ranges of about :data:`RANGE_BYTES` that tile the
+    file ``path``, each but the last ending just after a ``\n``.
+
+    Each cut is found by reading on to the next ``\n``, so the data between
+    the cuts is never read here.
+    """
+    with open(path, "rb") as fp:
+        size = os.fstat(fp.fileno()).st_size
+        start = 0
+        while start < size:
+            fp.seek(start + RANGE_BYTES - 1)
+            fp.readline()
+            end = min(fp.tell(), size)
+            yield start, end - start
+            start = end
+
+
+@contextmanager
+def _sigint_held() -> Iterator[None]:
+    """Hold Ctrl-C (SIGINT) back in this thread until the block ends; the threads
+    and processes it starts meanwhile never see it.
+
+    Raised while a pool forks, ``KeyboardInterrupt`` can be lost in an at-fork
+    hook or leave the pool half built; raised while it stops, it can leave the
+    workers running. Workers forked inside the block never see Ctrl-C, so this
+    process alone decides when they stop.
+    """
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
+    r"""Filter one byte range of ``path`` as the one-process path reads it.
+
+    Returns the range's ``FilterStats``, its count of line ends (``\n``,
+    ``\r\n`` or ``\r``, the ends text mode reads), its malformed-line
+    errors and its first fatal error (or None), both with line numbers
+    counted from the range's start, and its kept records as one
+    :func:`write_kept` chunk.
+    """
+    with open(path, "rb") as fp:
+        fp.seek(offset)
+        data = fp.read(length)
+    buffer = io.BytesIO(data)
+    buffer.name = path
+    malformed: list[ValueError] = []
+    records = iter_jsonl(io.TextIOWrapper(buffer, encoding="utf-8"), WebRecord.from_dict,
+                         malformed.append)
+    kept, stats = filter_records(records, config)
+    lines: list[bytes] = []
+    langs: list[str] = []
+    error = None
+    try:
+        for line, (lang,) in serialised(kept):
+            lines.append(line)
+            # One object per language, so each is pickled once.
+            langs.append(sys.intern(lang))
+    except ValueError as exc:
+        error = exc
+    line_ends = data.count(b"\n")
+    if b"\r" in data:
+        line_ends += data.count(b"\r") - data.count(b"\r\n")
+    return stats, line_ends, malformed, error, b"".join(lines), langs
+
+
+def filter_file(
+    path: str, config: FilterConfig, workers: int, on_error
+) -> tuple[Iterator[tuple[bytes, list[str]]], FilterStats]:
+    r""":func:`filter_records` over ``iter_jsonl`` of the regular file ``path``, on
+    ``workers`` processes; the kept records come as :func:`write_kept` chunks.
+
+    The file is cut into byte ranges of about :data:`RANGE_BYTES`, each
+    ending just after a ``\n``, and a fork ``multiprocessing.Pool`` decodes,
+    filters and serialises each range. This process takes the results in
+    input order, at most ``workers + 1`` ranges ahead of the consumer: it
+    calls ``on_error`` with each malformed-line error, raises a range's fatal
+    error after the errors before it, and adds up the counters, with line
+    numbers counted from the start of the file, so every message is the
+    one-process path's. The stats are complete once the iterator is exhausted;
+    the workers are stopped when it ends, fails or is closed.
+    """
+    import multiprocessing
+
+    stats = FilterStats()
+
+    def generate() -> Iterator[tuple[bytes, list[str]]]:
+        lines = 0
+        pool = None
+        try:
+            # Fork, not spawn: the command runs no other thread when it forks, and
+            # a spawned worker would pay for an interpreter start and the imports.
+            with _sigint_held():
+                pool = multiprocessing.get_context("fork").Pool(workers)
+            jobs = (
+                pool.apply_async(_filter_range, (path, offset, length, config))
+                for offset, length in _byte_ranges(path)
+            )
+            pending = deque(islice(jobs, workers + 1))
+            while pending:
+                part, line_ends, malformed, error, kept, langs = pending.popleft().get()
+                for exc in malformed:
+                    on_error(shifted(exc, path, lines))
+                if error is not None:
+                    raise shifted(error, path, lines)
+                stats.add(part)
+                lines += line_ends
+                yield kept, langs
+                del kept, langs  # held ranges stay at most ``workers + 1``
+                pending.extend(islice(jobs, 1))  # the next range, if there is one
+        finally:
+            # Not ``terminate()``: a worker killed while it sends a result leaves the
+            # result queue locked, and the pool's own threads then wait on it forever.
+            # The ranges already handed out are at most ``workers + 1``.
+            if pool is not None:
+                with _sigint_held():
+                    pool.close()
+                    pool.join()
+
+    return generate(), stats

@@ -830,3 +830,83 @@ def test_csv_row_error_names_its_line(name, tmp_path, caplog):
     assert not out.exists()
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(messages) == 1 and messages[0].startswith(f"{path}:{line}: {reason}"), messages
+
+
+@pytest.mark.parametrize("lang", [None, ["eng"], 5, {"k": 1}], ids=["null", "list", "number", "object"])
+def test_web_record_lang_must_be_a_string(lang, tmp_path, caplog):
+    # Read with str(), null was kept as the language "None" (which --quota None=1
+    # matched) and ["eng"] as "['eng']".
+    rows = [dict(row) for row in WEB.rows]
+    rows[2]["lang"] = lang
+    path = tmp_path / WEB.name
+    write_lines(path, rows)
+    kept = tmp_path / "kept.jsonl"
+    assert main(["filter", "--input", str(path), "--output", str(kept), "--quota", "None=1"]) == 2
+    assert not kept.exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:4 (id 'w2'): lang must be a string, got {lang!r}"]
+
+
+UNDECODABLE = "not valid UTF-8: can't decode byte 0xff: invalid start byte"
+
+
+def rows_with_undecodable_id(kind, n_rows, bad_index):
+    """``n_rows`` rows cycling through ``kind``'s, with unique ids; row ``bad_index``'s
+    id starts with the byte 0xff, which UTF-8 never holds."""
+    lines = []
+    for i in range(n_rows):
+        row = dict(kind.rows[i % len(kind.rows)])
+        row["id"] = f"{row['id']}-{i}"
+        lines.append(dumps(row).encode())
+    lines[bad_index] = lines[bad_index].replace(b'"id":"', b'"id":"\xff', 1)
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.id in ("filter", "annotate", "evaluate")],
+                         ids=lambda c: c.id)
+def test_undecodable_row_names_its_file_and_line(case, tmp_path, caplog):
+    # The error read "'utf-8' codec can't decode byte 0xff in position 182: invalid
+    # start byte", naming neither the file nor the line, with the position counted
+    # from an 8 KiB read chunk. 200 rows put the byte past the first chunk.
+    path = tmp_path / case.target.name
+    path.write_bytes(rows_with_undecodable_id(case.target, 200, 149))
+    for kind in case.valid:
+        write_lines(tmp_path / kind.name, kind.rows)
+    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
+    inputs = os.listdir(tmp_path)
+    assert run(case.argv, str(tmp_path)) == 2
+    assert sorted(os.listdir(tmp_path)) == sorted(inputs), "an output file was committed"
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:150: {UNDECODABLE}"]
+
+
+def test_filter_reads_every_line_before_the_undecodable_one(tmp_path, caplog):
+    # Lines 120 and 149 share the decoder's read chunk with the bad line 150; the
+    # malformed one is still skipped with its warning first.
+    data = rows_with_undecodable_id(WEB, 200, 149).split(b"\n")
+    data[119] = b"{oops"
+    path = tmp_path / WEB.name
+    path.write_bytes(b"\n".join(data))
+    assert main(["filter", "--input", str(path), "--output", str(tmp_path / "kept.jsonl")]) == 2
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", f"{path}:120: invalid JSON: Expecting property name enclosed in double "
+                    "quotes: line 1 column 2 (char 1); skipped"),
+        ("ERROR", f"{path}:150: {UNDECODABLE}"),
+    ]
+
+
+def test_undecodable_stdin_is_named(tmp_path):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hatepool.cli", "filter", "--input", "-",
+         "--output", str(tmp_path / "kept.jsonl")],
+        input=rows_with_undecodable_id(WEB, 200, 149),
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"ERROR hatepool: <stdin>: {UNDECODABLE}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,290 @@
+"""``filter`` on a regular file in byte ranges on worker processes equals ``filter`` in one process.
+
+Each input runs through ``cli.main`` with ``_filter_workers`` replaced: 0
+streams it in this process, 1 or 2 cut it into ranges for that many fork
+workers. Kept records, the stats file, the warnings in order and the exit-2
+message must be the same bytes. The subprocess tests check that no worker
+outlives the command, and the ``tracemalloc`` test that the parent's memory
+does not grow with the input.
+"""
+
+import gc
+import logging
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hatepool import cli, filtering
+from hatepool._jsonl import dumps
+from hatepool.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MULTI_CPU = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def web_row(i, lang="eng", kept=True, text="t"):
+    return {"id": f"r{i}", "url": f"https://ex.org/{'forum' if kept else 'about'}/{i}",
+            "lang": lang, "schema_types": ["Comment"], "text": text}
+
+
+# A web record that would be kept but for its language, which is not a string.
+BAD_ROW = dumps({**web_row(0), "id": "bad", "lang": None}).encode()
+
+
+# A line of the input, before its line end: a web record (kept or not, in one
+# of three languages, with text that holds characters a line reader could take
+# for line ends), a blank line, a line that is not JSON, or a bad row, which is
+# fatal.
+LINES = st.one_of(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.booleans(),
+        st.text(st.sampled_from("x\u00e9 \u2028\u0085\r\n\"\\"), max_size=6),
+    ).map(lambda row: ("row",) + row),
+    st.sampled_from(["", "  ", "\u2028", "\u0085", "{oops", "[1", "nul"]).map(lambda s: ("raw", s)),
+    st.sampled_from([BAD_ROW.decode(), "[1, 2]", '{"id": "x"}']).map(lambda s: ("raw", s)),
+)
+
+
+def render(lines, ends, final_end):
+    """The input bytes: each line with its line end, the last one with ``final_end``."""
+    parts = []
+    for index, (line, end) in enumerate(zip(lines, ends)):
+        if line[0] == "row":
+            _, lang, kept, text = line
+            line = ("raw", dumps(web_row(index, lang, kept, text)))
+        parts.append(line[1] + (end if index < len(lines) - 1 else final_end))
+    return "".join(parts).encode("utf-8")
+
+
+def write_input(directory, data):
+    with open(os.path.join(directory, "web.jsonl"), "wb") as fp:
+        fp.write(data)
+
+
+def run_filter(directory, workers, quotas=(), seed=0):
+    """Exit code, kept bytes, stats bytes, and warnings and errors of ``filter`` on
+    ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process)."""
+    path, kept, stats = (os.path.join(directory, name)
+                         for name in ("web.jsonl", "kept.jsonl", "stats.json"))
+    for output in (kept, stats):
+        if os.path.exists(output):
+            os.unlink(output)
+    args = ["filter", "--input", path, "--output", kept, "--stats", stats, "--seed", str(seed)]
+    for lang, n in quotas:
+        args += ["--quota", f"{lang}={n}"]
+    handler = _Collect()
+    logging.getLogger("hatepool").addHandler(handler)
+    saved = cli._filter_workers
+    cli._filter_workers = lambda _: workers
+    try:
+        code = main(args)
+    finally:
+        cli._filter_workers = saved
+        logging.getLogger("hatepool").removeHandler(handler)
+    outputs = [Path(p).read_bytes() if os.path.exists(p) else None for p in (kept, stats)]
+    return code, *outputs, handler.messages
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelname, record.getMessage()))
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    def use(n):
+        monkeypatch.setattr(filtering, "RANGE_BYTES", n)
+
+    return use
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    lines=st.lists(LINES, min_size=1, max_size=30),
+    ends=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=30, max_size=30),
+    final_end=st.sampled_from(["", "\n", "\r\n", "\r"]),
+    range_bytes=st.integers(1, 400),
+    quotas=st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 3)),
+                    max_size=2, unique_by=lambda q: q[0]),
+    seed=st.integers(0, 2**32),
+)
+def test_ranges_on_workers_equal_one_process(lines, ends, final_end, range_bytes, quotas, seed,
+                                             small_ranges):
+    small_ranges(range_bytes)
+    with tempfile.TemporaryDirectory() as directory:
+        write_input(directory, render(lines, ends, final_end))
+        expected = run_filter(directory, 0, quotas, seed)
+        for workers in (1, 2):
+            assert run_filter(directory, workers, quotas, seed) == expected, workers
+
+
+def test_cut_lands_on_a_malformed_line_and_a_bad_row(small_ranges, tmp_path):
+    # Line 3 is skipped and line 6 is fatal; with 60-byte ranges both sit on cuts.
+    rows = [dumps(web_row(i)) for i in range(8)]
+    rows[2] = "{oops"
+    rows[5] = '{"id": "bad", "url": "https://ex.org/forum/5", "lang": ["eng"]}'
+    write_input(tmp_path, ("\r\n".join(rows) + "\n").encode())
+    small_ranges(60)
+    expected = run_filter(tmp_path, 0)
+    assert expected[0] == 2 and expected[3] == [
+        ("WARNING", f"{tmp_path}/web.jsonl:3: invalid JSON: Expecting property name enclosed "
+                    "in double quotes: line 1 column 2 (char 1); skipped"),
+        ("ERROR", f"{tmp_path}/web.jsonl:6 (id 'bad'): lang must be a string, got ['eng']"),
+    ]
+    for workers in (1, 2):
+        assert run_filter(tmp_path, workers) == expected
+
+
+def test_undecodable_line_is_named_with_its_file_line(small_ranges, tmp_path):
+    rows = [dumps(web_row(i)).encode() for i in range(40)]
+    rows[25] = rows[25].replace(b'"t"', b'"\xff"')
+    write_input(tmp_path, b"\n".join(rows) + b"\n")
+    small_ranges(300)
+    expected = run_filter(tmp_path, 0)
+    assert expected[0] == 2
+    assert expected[3] == [("ERROR", f"{tmp_path}/web.jsonl:26: not valid UTF-8: "
+                                     "can't decode byte 0xff: invalid start byte")]
+    for workers in (1, 2):
+        assert run_filter(tmp_path, workers) == expected
+
+
+def web_lines(n_bytes):
+    """Web records of at least ``n_bytes`` in all, as JSON lines, three of them malformed."""
+    lines, size = [], 0
+    while size < n_bytes:
+        i = len(lines)
+        lines.append(dumps(web_row(i, "abcd"[i % 4], i % 3 > 0, f"text {i} é ")) + "\n")
+        size += len(lines[-1].encode())
+    for i in (10, len(lines) // 2, len(lines) - 1):
+        lines[i] = "{oops\n"
+    return "".join(lines).encode()
+
+
+def test_input_cat_twice_at_default_range_size(tmp_path):
+    write_input(tmp_path, web_lines(filtering.RANGE_BYTES * 3 // 4) * 2)
+    assert (tmp_path / "web.jsonl").stat().st_size > filtering.RANGE_BYTES
+    for quotas in ((), (("a", 100), ("b", 0))):
+        expected = run_filter(tmp_path, 0, quotas, 7)
+        assert expected[0] == 0 and len(expected[3]) == 6
+        assert run_filter(tmp_path, 2, quotas, 7) == expected
+
+
+def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):
+    small_ranges(4096)
+
+    def peak_bytes(n_bytes):
+        write_input(tmp_path, web_lines(n_bytes))
+        gc.collect()  # the peak of this run, not of garbage left by the one before
+        tracemalloc.reset_peak()
+        code, *_ = run_filter(tmp_path, 2, (("b", 20),))
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak_bytes(8 * 4096)  # warm-up: imports and first-use caches
+        small, large = peak_bytes(8 * 4096), peak_bytes(32 * 4096)
+    finally:
+        tracemalloc.stop()
+    # 24 more ranges, three quarters of their records passed through, may not add to the peak.
+    assert large - small < 32 * 1024, (small, large)
+
+
+# --- no worker outlives the command ------------------------------------------
+
+
+needs_cpus = pytest.mark.skipif(not MULTI_CPU, reason="filter runs on workers only with 2+ CPUs")
+
+
+@pytest.fixture(scope="module")
+def web_file(tmp_path_factory):
+    """An input of four default ranges, and next to it, ``bad.jsonl``: the same with
+    a bad row at the start of its third range."""
+    path = tmp_path_factory.mktemp("hygiene") / "web.jsonl"
+    data = web_lines(4 * filtering.RANGE_BYTES)
+    path.write_bytes(data)
+    cut = data.index(b"\n", 2 * filtering.RANGE_BYTES) + 1
+    path.with_name("bad.jsonl").write_bytes(
+        data[:cut] + BAD_ROW + b"\n" + data[cut:]
+    )
+    return path
+
+
+def start_filter(path, out):
+    """``filter`` on ``path`` into the new directory ``out``, in a session of its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"]
+                                              if env.get("PYTHONPATH") else "")
+    out.mkdir()
+    args = [sys.executable, "-m", "hatepool.cli", "filter", "--input", str(path),
+            "--output", str(out / "kept.jsonl"), "--stats", str(out / "stats.json"),
+            "--quota", "a=50"]
+    return subprocess.Popen(args, env=env, start_new_session=True, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def assert_session_is_empty(proc):
+    """Once the command has exited, no process of its session is left."""
+    proc.wait(timeout=120)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@needs_cpus
+def test_no_worker_left_after_success(web_file, tmp_path):
+    proc = start_filter(web_file, tmp_path / "out")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert_session_is_empty(proc)
+
+
+@needs_cpus
+def test_no_worker_left_after_a_bad_row(web_file, tmp_path):
+    proc = start_filter(web_file.with_name("bad.jsonl"), tmp_path / "out")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert "bad.jsonl:" in err and "(id 'bad'): lang must be a string, got None" in err
+    assert_session_is_empty(proc)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def children(pid):
+    """The child pids of ``pid`` as Linux lists them, or None where it does not."""
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        return None
+
+
+@needs_cpus
+def test_no_worker_left_after_sigint(web_file, tmp_path):
+    proc = start_filter(web_file, tmp_path / "out")
+    deadline = time.monotonic() + 60
+    while not children(proc.pid) and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.002)
+    if children(proc.pid) is None:
+        proc.kill()
+        proc.wait()
+        pytest.skip("this system does not list child processes")
+    assert proc.poll() is None, "filter ended before its workers were seen"
+    proc.send_signal(signal.SIGINT)
+    proc.communicate(timeout=120)
+    assert proc.returncode != 0
+    assert_session_is_empty(proc)
+    assert list((tmp_path / "out").iterdir()) == []

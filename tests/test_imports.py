@@ -28,12 +28,21 @@ from hatepool.cli import main
 from conftest import MODEL_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("numpy", "requests", "http.server", "http.client", "statistics", "concurrent.futures")
+WATCHED = (
+    "numpy",
+    "requests",
+    "http.server",
+    "http.client",
+    "statistics",
+    "concurrent.futures",
+    "multiprocessing",
+)
 
 # Watched module -> the commands allowed to load it. filter keeps numpy for
 # its reservoir RNG; the scoring commands need it for the vector math.
 # statistics (with fractions) costs about 5 ms to import; exact means come
-# from metrics' integer sums instead. Only annotate runs a thread pool.
+# from metrics' integer sums instead. Only annotate runs a thread pool, and
+# only filter a process pool (for a large input file on more than one CPU).
 ALLOWED = {
     "numpy": {"filter", "annotate", "train-meta", "ensemble", "stats"},
     "requests": set(),
@@ -41,6 +50,7 @@ ALLOWED = {
     "http.client": {"annotate"},
     "statistics": set(),
     "concurrent.futures": {"annotate"},
+    "multiprocessing": {"filter"},
 }
 
 PROBE = f"""
