@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Iterator, TextIO
 
 
@@ -43,66 +44,64 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     or with ``on_error`` is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
-    The first line that is not valid UTF-8 raises ``ValueError("<file>:<line>: not
-    valid UTF-8: ...")`` after every line before it was read as usual; on a
-    stream that cannot seek, such as a pipe on stdin, ``ValueError("<file>: not
-    valid UTF-8: ...")``.
+    The lines come from :func:`numbered_lines`, which owns the UTF-8 rule.
     """
     source = getattr(fp, "name", "<stream>")
-    numbered = enumerate(fp, start=1)
-    lineno = 0
-    while True:
+    for lineno, line in numbered_lines(fp):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
         try:
-            for lineno, line in numbered:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
-                try:
-                    row = json.loads(stripped)
-                except (ValueError, RecursionError) as exc:
-                    reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
-                    error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
-                    if on_error is None:
-                        raise error from exc
-                    on_error(error)
-                    continue
-                if not isinstance(row, dict):
-                    raise ValueError(f"{source}:{lineno}: not a JSON object")
-                if decode is not None:
-                    try:
-                        row = decode(row)
-                    except (KeyError, TypeError, ValueError) as exc:
-                        where = f"{source}:{lineno}"
-                        if "id" in row:
-                            where += f" (id {row['id']!r})"
-                        raise decode_error(where, exc) from exc
-                yield row
-            return
-        except UnicodeDecodeError as exc:
-            # Only reading ``fp`` raises it: the handlers above catch every other ValueError.
-            numbered = _lines_after_undecodable(fp, source, lineno, exc)
+            row = json.loads(stripped)
+        except (ValueError, RecursionError) as exc:
+            reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+            error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
+            if on_error is None:
+                raise error from exc
+            on_error(error)
+            continue
+        if not isinstance(row, dict):
+            raise ValueError(f"{source}:{lineno}: not a JSON object")
+        if decode is not None:
+            try:
+                row = decode(row)
+            except (KeyError, TypeError, ValueError) as exc:
+                where = f"{source}:{lineno}"
+                if "id" in row:
+                    where += f" (id {row['id']!r})"
+                raise decode_error(where, exc) from exc
+        yield row
 
 
-def _lines_after_undecodable(fp: TextIO, source: str, done: int, exc: UnicodeDecodeError):
-    """``(lineno, line)`` for the lines of ``fp`` after line ``done``, up to the first
-    that is not valid UTF-8, where ``ValueError`` is raised.
+def numbered_lines(fp: TextIO) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for the lines of ``fp``, up to the first that is not valid
+    UTF-8, which raises ``ValueError("<file>:<line>: not valid UTF-8: ...")``; on a
+    stream that cannot seek, such as a pipe on stdin, ``ValueError("<file>: not
+    valid UTF-8: ...")``.
 
-    ``fp`` is read again from the start with undecodable bytes escaped to
-    U+DC80-U+DCFF, so the line that holds the byte ``exc`` stopped at is found
-    whatever chunk of the file the decoder was reading.
+    To find that line, ``fp`` is read again from the start with undecodable bytes
+    escaped to U+DC80-U+DCFF, so the line that holds the byte the decoder stopped
+    at is found whatever chunk of the file it was reading. The lines read again
+    keep their line ends untranslated (``newline=""``), as ``csv`` wants them.
     """
-    reason = f"not valid UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-    if not fp.seekable():
-        raise ValueError(f"{source}: {reason}") from exc
-    fp.buffer.seek(0)
-    escaped = io.TextIOWrapper(fp.buffer, encoding="utf-8", errors="surrogateescape")
+    source = getattr(fp, "name", "<stream>")
+    lineno = 0
     try:
-        for lineno, line in enumerate(escaped, start=1):
-            if lineno <= done:
-                continue
+        for lineno, line in enumerate(fp, start=1):
+            yield lineno, line
+        return
+    except UnicodeDecodeError as exc:
+        error = exc
+    reason = f"not valid UTF-8: can't decode byte 0x{error.object[error.start]:02x}: {error.reason}"
+    if not fp.seekable():
+        raise ValueError(f"{source}: {reason}") from error
+    fp.buffer.seek(0)
+    escaped = io.TextIOWrapper(fp.buffer, encoding="utf-8", errors="surrogateescape", newline="")
+    try:
+        for lineno, line in islice(enumerate(escaped, start=1), lineno, None):
             if re.search("[\udc80-\udcff]", line):
-                raise ValueError(f"{source}:{lineno}: {reason}") from exc
+                raise ValueError(f"{source}:{lineno}: {reason}") from error
             yield lineno, line
     finally:
         escaped.detach()

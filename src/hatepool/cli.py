@@ -33,19 +33,9 @@ output (in the temp directory for ``--output -``) and holds only spool
 line numbers in its reservoirs; ``ensemble`` and ``stats`` score 4,096 rows
 at a time.
 
-``filter`` on a regular file of more than one range
-(``filtering.RANGE_BYTES``, 2.5 MiB), when ``os.sched_getaffinity`` gives
-more than one CPU, runs one fork worker process per CPU: each decodes,
-filters and serialises one byte range of the input at a time, and this
-process keeps the counters, the warnings and the reservoirs in input
-order, holding at most one range's results more than there are workers.
-Standard input and smaller files are filtered in this process. Either
-way the output, the stats and every message are the same. Only ``filter``
-loads ``multiprocessing``, and only on that path.
-
-A JSONL input, standard input included, must be UTF-8: the first line
-that is not exits 2 with ``file:line: not valid UTF-8: ...`` (``<stdin>:
-...`` for a pipe).
+A JSONL input, standard input included, and a CSV/TSV export must be
+UTF-8: the first line that is not exits 2 with ``file:line: not valid
+UTF-8: ...`` (``<stdin>: ...`` for a pipe).
 """
 
 from __future__ import annotations
@@ -54,7 +44,6 @@ import argparse
 import logging
 import math
 import os
-import stat
 import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
@@ -166,23 +155,8 @@ def _parse_threshold(raw: str) -> tuple[str, float | None]:
     )
 
 
-def _filter_workers(path: str) -> int:
-    """Worker processes for ``filter`` on ``path``: one per CPU this process may
-    run on, for a regular file of more than one range on more than one CPU;
-    0, to stream the input in this process, otherwise."""
-    from .filtering import RANGE_BYTES
-
-    if path == "-" or not hasattr(os, "sched_getaffinity"):
-        return 0
-    info = os.stat(path)
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size <= RANGE_BYTES:
-        return 0
-    return cpus
-
-
 def cmd_filter(args: argparse.Namespace) -> int:
-    from .filtering import FilterConfig, WebRecord, filter_records, serialised, write_kept
+    from .filtering import FilterConfig, filter_file, write_kept
 
     config = read_json_file(args.config, FilterConfig.from_dict) if args.config else FilterConfig()
     malformed = [0]
@@ -192,20 +166,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
         log.warning("%s; skipped", error)
 
     out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
-    workers = _filter_workers(args.input)
+    chunks, stats = filter_file(args.input, config, on_bad_line)
     with atomic_output(args.output) as out_fp:
         # Only kept records go to the output, as UTF-8 bytes.
-        out = out_fp.buffer
-        if workers:
-            from .filtering import filter_file
-
-            chunks, stats = filter_file(args.input, config, workers, on_bad_line)
-            written = write_kept(chunks, args.quota, args.seed, out, out_dir)
-        else:
-            with open_input(args.input) as in_fp:
-                records = iter_jsonl(in_fp, WebRecord.from_dict, on_bad_line)
-                kept, stats = filter_records(records, config)
-                written = write_kept(serialised(kept), args.quota, args.seed, out, out_dir)
+        written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
     payload = stats.to_dict()
     payload["malformed_lines"] = malformed[0]
     payload["written"] = written

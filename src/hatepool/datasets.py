@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-from ._jsonl import decode_error, from_json_object, iter_jsonl, read_json_file, typed_value
+from ._jsonl import decode_error, from_json_object, iter_jsonl, numbered_lines, read_json_file
+from ._jsonl import typed_value
 
 
 class BinaryLabel(str, Enum):
@@ -159,7 +160,8 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
 
     Each row is checked as it is read, so a bad row raises
     ``ValueError("<file>:<line>: <reason>")``. A CSV/TSV row shorter than
-    the header lacks its missing columns.
+    the header lacks its missing columns. The lines come from
+    :func:`numbered_lines`, which refuses the first that is not UTF-8.
     """
     if fmt is None:
         lowered = path.lower()
@@ -171,7 +173,8 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
             fmt = "jsonl"
     if fmt in ("csv", "tsv"):
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.DictReader(fp, delimiter="\t" if fmt == "tsv" else ",")
+            lines = (line for _, line in numbered_lines(fp))
+            reader = csv.DictReader(lines, delimiter="\t" if fmt == "tsv" else ",")
             for row in reader:
                 row = {key: value for key, value in row.items() if value is not None}
                 try:

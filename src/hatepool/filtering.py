@@ -9,6 +9,16 @@ A plain URL, ``scheme://host[/path][?query][#fragment]`` written only in
 RFC 3986 characters other than ``;``, ``@``, ``[`` and ``]``, has its path
 read by one regular expression; any other URL goes through ``urlparse``.
 Both give the same path, so the fast path changes no verdict.
+
+``filter`` on a regular file of more than one range
+(:data:`RANGE_BYTES`, 2.5 MiB), when ``os.sched_getaffinity`` gives
+more than one CPU, runs one fork worker process per CPU: each decodes,
+filters and serialises one byte range of the input at a time, and this
+process keeps the counters, the warnings and the reservoirs in input
+order, holding at most one range's results more than there are workers.
+Standard input and smaller files are filtered in this process. Either
+way the output, the stats and every message are the same. Only ``filter``
+loads ``multiprocessing``, and only on that path.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import io
 import os
 import re
 import signal
+import stat
 import sys
 import tempfile
 from array import array
@@ -24,12 +35,12 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, Mapping, MutableSequence, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
 from urllib.parse import unquote, urlparse
 
 import numpy as np
 
-from ._jsonl import dumps, from_json_object, iter_jsonl, shifted, typed_value
+from ._jsonl import dumps, from_json_object, iter_jsonl, open_input, shifted, typed_value
 
 DEFAULT_URL_KEYWORDS = (
     "thread",
@@ -89,8 +100,8 @@ class WebRecord:
     @classmethod
     def from_dict(cls, row: Mapping) -> "WebRecord":
         return cls(
-            id=str(row["id"]),
-            url=str(row["url"]),
+            id=typed_value(row["id"], "str", "id"),
+            url=typed_value(row["url"], "str", "url"),
             lang=typed_value(row["lang"], "str", "lang"),
             schema_types=typed_value(row["schema_types"], "tuple[str, ...]", "schema_types"),
             text=typed_value(row["text"], "str", "text"),
@@ -326,12 +337,6 @@ def subsample_by_language(
     return [record for _, record in survivors]
 
 
-def serialised(records: Iterable[WebRecord]) -> Iterator[tuple[bytes, tuple[str]]]:
-    """Each record as a chunk for :func:`write_kept`: its JSON line and its language."""
-    for record in records:
-        yield dumps(record.to_dict()).encode() + b"\n", (record.lang,)
-
-
 def write_kept(
     chunks: Iterable[tuple[bytes, Sequence[str]]],
     quotas: Mapping[str, int] | None,
@@ -427,6 +432,15 @@ def _sigint_held() -> Iterator[None]:
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
+def _kept_chunks(
+    fp: TextIO, config: FilterConfig, on_error
+) -> tuple[Iterator[tuple[bytes, tuple[str]]], FilterStats]:
+    """:func:`filter_records` over ``iter_jsonl`` of ``fp``, each kept record as a
+    chunk for :func:`write_kept`: its JSON line and its language."""
+    kept, stats = filter_records(iter_jsonl(fp, WebRecord.from_dict, on_error), config)
+    return ((dumps(r.to_dict()).encode() + b"\n", (r.lang,)) for r in kept), stats
+
+
 def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
     r"""Filter one byte range of ``path`` as the one-process path reads it.
 
@@ -442,14 +456,13 @@ def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
     buffer = io.BytesIO(data)
     buffer.name = path
     malformed: list[ValueError] = []
-    records = iter_jsonl(io.TextIOWrapper(buffer, encoding="utf-8"), WebRecord.from_dict,
-                         malformed.append)
-    kept, stats = filter_records(records, config)
+    kept, stats = _kept_chunks(io.TextIOWrapper(buffer, encoding="utf-8"), config,
+                               malformed.append)
     lines: list[bytes] = []
     langs: list[str] = []
     error = None
     try:
-        for line, (lang,) in serialised(kept):
+        for line, (lang,) in kept:
             lines.append(line)
             # One object per language, so each is pickled once.
             langs.append(sys.intern(lang))
@@ -461,13 +474,27 @@ def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
     return stats, line_ends, malformed, error, b"".join(lines), langs
 
 
-def filter_file(
-    path: str, config: FilterConfig, workers: int, on_error
-) -> tuple[Iterator[tuple[bytes, list[str]]], FilterStats]:
-    r""":func:`filter_records` over ``iter_jsonl`` of the regular file ``path``, on
-    ``workers`` processes; the kept records come as :func:`write_kept` chunks.
+def _filter_workers(path: str) -> int:
+    """Worker processes for :func:`filter_file` on ``path``: one per CPU this process
+    may run on, for a regular file of more than one range on more than one CPU;
+    0, to stream the input in this process, otherwise."""
+    if path == "-" or not hasattr(os, "sched_getaffinity"):
+        return 0
+    info = os.stat(path)
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size <= RANGE_BYTES:
+        return 0
+    return cpus
 
-    The file is cut into byte ranges of about :data:`RANGE_BYTES`, each
+
+def filter_file(
+    path: str, config: FilterConfig, on_error
+) -> tuple[Iterator[tuple[bytes, Sequence[str]]], FilterStats]:
+    r""":func:`filter_records` over ``iter_jsonl`` of ``path`` (``-`` means stdin),
+    in this process or on :func:`_filter_workers` worker processes; the kept
+    records come as :func:`write_kept` chunks.
+
+    On workers, the file is cut into byte ranges of about :data:`RANGE_BYTES`, each
     ending just after a ``\n``, and a fork ``multiprocessing.Pool`` decodes,
     filters and serialises each range. This process takes the results in
     input order, at most ``workers + 1`` ranges ahead of the consumer: it
@@ -477,11 +504,18 @@ def filter_file(
     one-process path's. The stats are complete once the iterator is exhausted;
     the workers are stopped when it ends, fails or is closed.
     """
-    import multiprocessing
-
     stats = FilterStats()
+    workers = _filter_workers(path)
+
+    def stream() -> Iterator[tuple[bytes, tuple[str]]]:
+        with open_input(path) as fp:
+            kept, part = _kept_chunks(fp, config, on_error)
+            yield from kept
+        stats.add(part)
 
     def generate() -> Iterator[tuple[bytes, list[str]]]:
+        import multiprocessing
+
         lines = 0
         pool = None
         try:
@@ -514,4 +548,4 @@ def filter_file(
                     pool.close()
                     pool.join()
 
-    return generate(), stats
+    return (generate() if workers else stream()), stats

@@ -112,6 +112,8 @@ WEB = FileKind(
     ),
     corruptions=lambda index: (
         drop("id", "url", "lang", "schema_types", "text")
+        | set_field("id", NOT_TEXT)
+        | set_field("url", NOT_TEXT)
         | set_field("schema_types", NOT_ITERABLE)
         | set_field("schema_types", st.sampled_from(["Comment", "", ["Comment", 5]]))
         | set_field("text", NOT_TEXT)
@@ -832,19 +834,30 @@ def test_csv_row_error_names_its_line(name, tmp_path, caplog):
     assert len(messages) == 1 and messages[0].startswith(f"{path}:{line}: {reason}"), messages
 
 
-@pytest.mark.parametrize("lang", [None, ["eng"], 5, {"k": 1}], ids=["null", "list", "number", "object"])
-def test_web_record_lang_must_be_a_string(lang, tmp_path, caplog):
-    # Read with str(), null was kept as the language "None" (which --quota None=1
-    # matched) and ["eng"] as "['eng']".
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        *(pytest.param("lang", value, id=name)
+          for name, value in (("null", None), ("list", ["eng"]), ("number", 5), ("object", {"k": 1}))),
+        pytest.param("id", 5, id="id-number"),
+        pytest.param("id", None, id="id-null"),
+        pytest.param("url", None, id="url-null"),
+        pytest.param("url", ["https://ex.org/forum/2"], id="url-list"),
+    ],
+)
+def test_web_record_lang_must_be_a_string(field, value, tmp_path, caplog):
+    # Read with str(), a null language was kept as "None" (which --quota None=1
+    # matched) and ["eng"] as "['eng']"; the id 5 was written out as "5", and a
+    # null URL was counted as a URL parse failure with exit 0.
     rows = [dict(row) for row in WEB.rows]
-    rows[2]["lang"] = lang
+    rows[2][field] = value
     path = tmp_path / WEB.name
     write_lines(path, rows)
     kept = tmp_path / "kept.jsonl"
     assert main(["filter", "--input", str(path), "--output", str(kept), "--quota", "None=1"]) == 2
     assert not kept.exists()
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert messages == [f"{path}:4 (id 'w2'): lang must be a string, got {lang!r}"]
+    assert messages == [f"{path}:4 (id {rows[2]['id']!r}): {field} must be a string, got {value!r}"]
 
 
 UNDECODABLE = "not valid UTF-8: can't decode byte 0xff: invalid start byte"
@@ -893,6 +906,24 @@ def test_filter_reads_every_line_before_the_undecodable_one(tmp_path, caplog):
                     "quotes: line 1 column 2 (char 1); skipped"),
         ("ERROR", f"{path}:150: {UNDECODABLE}"),
     ]
+
+
+@pytest.mark.parametrize("name, sep", [("export.csv", ","), ("export.tsv", "\t")], ids=["csv", "tsv"])
+def test_undecodable_export_row_names_its_file_and_line(name, sep, tmp_path, caplog):
+    # Read by csv outside iter_jsonl, the error read "'utf-8' codec can't decode byte
+    # 0xff in position ...: invalid start byte", naming neither the file nor the line.
+    # 1,000 rows put the byte past the first 8 KiB read chunk.
+    lines = [f"text{sep}label".encode()] + [f"post {i}{sep}normal".encode() for i in range(1000)]
+    lines[900] = b"\xff" + lines[900]
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert len(b"\n".join(lines[:900])) > 8192
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "--dataset", "HateXplain", "--input", str(path),
+                 "--output", str(out)]) == 2
+    assert not out.exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:901: {UNDECODABLE}"]
 
 
 def test_undecodable_stdin_is_named(tmp_path):

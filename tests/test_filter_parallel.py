@@ -1,6 +1,6 @@
 """``filter`` on a regular file in byte ranges on worker processes equals ``filter`` in one process.
 
-Each input runs through ``cli.main`` with ``_filter_workers`` replaced: 0
+Each input runs through ``cli.main`` with ``filtering._filter_workers`` replaced: 0
 streams it in this process, 1 or 2 cut it into ranges for that many fork
 workers. Kept records, the stats file, the warnings in order and the exit-2
 message must be the same bytes. The subprocess tests check that no worker
@@ -85,12 +85,12 @@ def run_filter(directory, workers, quotas=(), seed=0):
         args += ["--quota", f"{lang}={n}"]
     handler = _Collect()
     logging.getLogger("hatepool").addHandler(handler)
-    saved = cli._filter_workers
-    cli._filter_workers = lambda _: workers
+    saved = filtering._filter_workers
+    filtering._filter_workers = lambda _: workers
     try:
         code = main(args)
     finally:
-        cli._filter_workers = saved
+        filtering._filter_workers = saved
         logging.getLogger("hatepool").removeHandler(handler)
     outputs = [Path(p).read_bytes() if os.path.exists(p) else None for p in (kept, stats)]
     return code, *outputs, handler.messages

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatepool import filtering
 from hatepool import (
     FilterConfig,
     UrlParseError,
@@ -384,3 +387,46 @@ class TestSubsampleByLanguage:
         assert len(out) == min(quota, 60)
         indices = [int(r.id) for r in out]
         assert indices == sorted(indices)
+
+
+class TestFilterWorkers:
+    """``filter_file`` streams in this process (0) unless a regular file holds more
+    than one range and there is more than one CPU to run workers on."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+        return use
+
+    @staticmethod
+    def sized_file(tmp_path, size):
+        path = tmp_path / "web.jsonl"
+        with open(path, "wb") as fp:
+            fp.truncate(size)
+        return str(path)
+
+    def test_stdin_streams(self, cpus):
+        cpus(2)
+        assert filtering._filter_workers("-") == 0
+
+    def test_fifo_streams(self, cpus, tmp_path):
+        cpus(2)
+        path = tmp_path / "web.fifo"
+        os.mkfifo(path)
+        assert filtering._filter_workers(str(path)) == 0
+
+    def test_file_of_one_range_streams(self, cpus, tmp_path):
+        cpus(2)
+        assert filtering._filter_workers(self.sized_file(tmp_path, filtering.RANGE_BYTES)) == 0
+
+    def test_one_cpu_streams(self, cpus, tmp_path):
+        cpus(1)
+        path = self.sized_file(tmp_path, filtering.RANGE_BYTES + 1)
+        assert filtering._filter_workers(path) == 0
+
+    def test_larger_file_gets_one_worker_per_cpu(self, cpus, tmp_path):
+        cpus(2)
+        path = self.sized_file(tmp_path, filtering.RANGE_BYTES + 1)
+        assert filtering._filter_workers(path) == 2
