@@ -6,7 +6,9 @@ non-ASCII text is written verbatim, and separators carry no whitespace.
 
 Every JSONL file is read by :func:`iter_jsonl` and every JSON file by
 :func:`read_json_file`; a bad row or file raises ``ValueError`` naming the
-file. :func:`from_json_object` is the one JSON object to config decoder.
+file. :func:`numbered_lines` reads JSONL and CSV/TSV lines alike and names the
+first that is not UTF-8. :func:`from_json_object` is the one JSON object to
+config decoder.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 import sys
 from contextlib import contextmanager
-from itertools import islice
 from typing import Any, Iterator, TextIO
 
 
@@ -44,7 +44,7 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     or with ``on_error`` is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
-    The lines come from :func:`numbered_lines`, which owns the UTF-8 rule.
+    Lines come from :func:`numbered_lines`, which raises on the first that is not UTF-8.
     """
     source = getattr(fp, "name", "<stream>")
     for lineno, line in numbered_lines(fp):
@@ -76,35 +76,28 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
 
 def numbered_lines(fp: TextIO) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for the lines of ``fp``, up to the first that is not valid
-    UTF-8, which raises ``ValueError("<file>:<line>: not valid UTF-8: ...")``; on a
-    stream that cannot seek, such as a pipe on stdin, ``ValueError("<file>: not
-    valid UTF-8: ...")``.
+    UTF-8, which raises ``ValueError("<file>:<line>: not valid UTF-8: ...")``.
 
-    To find that line, ``fp`` is read again from the start with undecodable bytes
-    escaped to U+DC80-U+DCFF, so the line that holds the byte the decoder stopped
-    at is found whatever chunk of the file it was reading. The lines read again
-    keep their line ends untranslated (``newline=""``), as ``csv`` wants them.
+    A ``TextIOWrapper`` is read with ``errors="surrogateescape"``, so the first line
+    holding U+DC80-U+DCFF, which strict decoding never yields, holds the first bad
+    byte, on a pipe as on a file; decoding that line's bytes strictly gives the
+    byte and the reason. Other streams, such as ``io.StringIO``, are read as they are.
     """
     source = getattr(fp, "name", "<stream>")
-    lineno = 0
-    try:
-        for lineno, line in enumerate(fp, start=1):
-            yield lineno, line
-        return
-    except UnicodeDecodeError as exc:
-        error = exc
-    reason = f"not valid UTF-8: can't decode byte 0x{error.object[error.start]:02x}: {error.reason}"
-    if not fp.seekable():
-        raise ValueError(f"{source}: {reason}") from error
-    fp.buffer.seek(0)
-    escaped = io.TextIOWrapper(fp.buffer, encoding="utf-8", errors="surrogateescape", newline="")
-    try:
-        for lineno, line in islice(enumerate(escaped, start=1), lineno, None):
-            if re.search("[\udc80-\udcff]", line):
-                raise ValueError(f"{source}:{lineno}: {reason}") from error
-            yield lineno, line
-    finally:
-        escaped.detach()
+    escaped = isinstance(fp, io.TextIOWrapper)
+    if escaped:
+        fp.reconfigure(errors="surrogateescape")
+    for lineno, line in enumerate(fp, start=1):
+        if escaped and not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                try:
+                    line.encode(errors="surrogateescape").decode()
+                except UnicodeDecodeError as exc:
+                    reason = f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+                    raise ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}") from exc
+        yield lineno, line
 
 
 def shifted(error: ValueError, source: str, lines: int) -> ValueError:
@@ -130,8 +123,8 @@ def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
 def open_input(path: str) -> Iterator[TextIO]:
     """Open ``path`` for reading as UTF-8; ``-`` means stdin, read as UTF-8 too.
 
-    Under the C locale Python reads stdin with ``errors="surrogateescape"``,
-    which would pass bytes that are not UTF-8 on as text.
+    Stdin is read strictly: under the C locale Python would escape bytes that are
+    not UTF-8 and pass them on to :func:`read_json_file` as text.
     """
     if path == "-":
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")

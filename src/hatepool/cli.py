@@ -35,7 +35,7 @@ at a time.
 
 A JSONL input, standard input included, and a CSV/TSV export must be
 UTF-8: the first line that is not exits 2 with ``file:line: not valid
-UTF-8: ...`` (``<stdin>: ...`` for a pipe).
+UTF-8: ...``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hatepool import ModelProbability, ProbabilityVector
+from hatepool import ModelProbability, ProbabilityVector, filtering
 
 MODEL_IDS = ("Gemma2-9B", "Llama3.1-8B", "Mistral-7B", "Qwen2.5-14B")
 
@@ -22,3 +22,13 @@ def random_vectors(n, seed, model_ids=MODEL_IDS):
 @pytest.fixture
 def vector():
     return make_vector((0.9, 0.8, 0.2, 0.4))
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    """``use(n)`` cuts ``filter``'s worker input into ranges of about ``n`` bytes."""
+
+    def use(n):
+        monkeypatch.setattr(filtering, "RANGE_BYTES", n)
+
+    return use

@@ -7,6 +7,7 @@ has one) in the logged error, which the CLI writes to stderr.
 """
 
 import copy
+import io
 import json
 import logging
 import math
@@ -21,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hatepool._jsonl import dumps
+from hatepool import filtering
+from hatepool._jsonl import dumps, numbered_lines
 from hatepool.cli import main
 
 from conftest import MODEL_IDS
@@ -939,5 +941,112 @@ def test_undecodable_stdin_is_named(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr.decode() == f"ERROR hatepool: <stdin>: {UNDECODABLE}\n"
+    assert proc.stderr.decode() == f"ERROR hatepool: <stdin>:150: {UNDECODABLE}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stdin_left_past_its_start_is_numbered_from_there(tmp_path):
+    # The shell reads the first line, so the stream starts at the file's line 2 and
+    # its line 300 is the file's line 301. The error used to read "<stdin>:301".
+    path = tmp_path / WEB.name
+    path.write_bytes(rows_with_undecodable_id(WEB, 400, 300))
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = tmp_path / "kept.jsonl"
+    proc = subprocess.run(
+        ["sh", "-c", '(read -r first; exec "$0" -m hatepool.cli filter --input - '
+                     '--output "$1") < "$2"', sys.executable, str(out), str(path)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"ERROR hatepool: <stdin>:300: {UNDECODABLE}\n"
+    assert not out.exists()
+
+
+# Byte sequences that UTF-8 never holds: a byte no sequence starts with, a sequence
+# cut short by the next character, and an encoded surrogate. The fourth, a
+# sequence cut short by the end of the input, only ends the last line.
+INVALID = (b"\xff", b"\xe2\x82", b"\xed\xa0\x80")
+CUT_AT_EOF = b"\xe2\x82"
+
+
+@st.composite
+def undecodable_input(draw):
+    """JSONL bytes with ``\\n``, ``\\r\\n`` and ``\\r`` line ends, blank lines among
+    them, and one line holding one invalid UTF-8 sequence at a character boundary."""
+    n = draw(st.integers(1, 30), label="lines")
+    texts = [
+        "" if draw(st.booleans()) else
+        dumps({**WEB.rows[0], "id": f"w{i}", "text": draw(st.text("xé€😀 ", max_size=5))})
+        for i in range(n)
+    ]
+    lines = [text.encode() for text in texts]
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in range(n)]
+    bad = draw(st.integers(0, n - 1), label="bad line")
+    if bad == n - 1 and draw(st.booleans(), label="cut at the end"):
+        lines[bad], ends[bad] = lines[bad] + CUT_AT_EOF, b""
+    else:
+        at = draw(st.integers(0, len(texts[bad])), label="at")
+        lines[bad] = (texts[bad][:at].encode() + draw(st.sampled_from(INVALID))
+                      + texts[bad][at:].encode())
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def strict_error(data, source):
+    """The error for ``data`` from one strict decode of all of it: its line is 1 plus the
+    line ends before the bad byte, ``\\r\\n`` counting once, as text mode counts them."""
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8")
+    exc = info.value
+    before = data[: exc.start]
+    line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    reason = f"can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
+    return f"{source}:{line}: not valid UTF-8: {reason}"
+
+
+def piped(data):
+    """A text stream named ``<stdin>`` over a pipe holding ``data``, which must fit in
+    the pipe's buffer: it is written before it is read."""
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as fp:
+        fp.write(data)
+    raw = open(read_fd, "rb", buffering=0)
+    raw.name = "<stdin>"
+    return io.TextIOWrapper(io.BufferedReader(raw))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=undecodable_input(), range_bytes=st.integers(1, 400))
+def test_undecodable_line_is_the_strict_decoders(data, range_bytes, small_ranges, monkeypatch,
+                                                 caplog):
+    # A file streamed in this process, the same file in ranges on two fork workers,
+    # and a pipe on stdin, which cannot seek, all name the line a strict decode names.
+    small_ranges(range_bytes)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, WEB.name)
+        with open(path, "wb") as fp:
+            fp.write(data)
+        out = os.path.join(directory, "kept.jsonl")
+        for workers, source in ((0, path), (2, path), (0, "-")):
+            monkeypatch.setattr(filtering, "_filter_workers", lambda _: workers)
+            caplog.clear()
+            if source == "-":
+                monkeypatch.setattr(sys, "stdin", piped(data))
+                with sys.stdin:
+                    code = main(["filter", "--input", "-", "--output", out])
+            else:
+                code = main(["filter", "--input", path, "--output", out])
+            messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            expected = strict_error(data, "<stdin>" if source == "-" else path)
+            assert (code, messages) == (2, [expected]), workers
+            assert not os.path.exists(out)
+
+
+def test_string_stream_keeps_a_lone_surrogate():
+    # Only a stream of decoded bytes can hold escaped ones; text handed over as a
+    # string is read as it is.
+    assert list(numbered_lines(io.StringIO("a\n\ud800b\n"))) == [(1, "a\n"), (2, "\ud800b\n")]

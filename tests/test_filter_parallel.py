@@ -105,14 +105,6 @@ class _Collect(logging.Handler):
         self.messages.append((record.levelname, record.getMessage()))
 
 
-@pytest.fixture
-def small_ranges(monkeypatch):
-    def use(n):
-        monkeypatch.setattr(filtering, "RANGE_BYTES", n)
-
-    return use
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(
