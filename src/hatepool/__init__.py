@@ -13,6 +13,10 @@ import importlib
 
 # Submodule -> the public names it provides.
 _EXPORTS = {
+    "annotations": (
+        "AnnotationChunk",
+        "read_annotation_chunks",
+    ),
     "datasets": (
         "BinaryLabel",
         "DatasetSpec",

@@ -23,14 +23,17 @@ labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
 (each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
-for what it runs: ``ingest`` and ``evaluate`` never load numpy, and only
-``annotate`` loads the HTTP client and a thread pool.
+for what it runs: ``ingest``, ``annotate``, ``evaluate``, and ``ensemble
+--strategy vote|mean`` and ``stats --strategies vote,mean`` without a
+``--model`` never load numpy or the tree code; only ``annotate`` loads the
+HTTP client and a thread pool.
 
 ``filter``, ``ensemble`` and ``stats`` stream their input, so memory does
 not grow with it. ``filter --quota`` spools each record that passes
 through or enters a reservoir to an anonymous temporary file next to the
 output (in the temp directory for ``--output -``) and holds only spool
-line numbers in its reservoirs; ``ensemble`` and ``stats`` score 4,096 rows
+line numbers in its reservoirs; ``ensemble`` and ``stats`` read annotations
+with :func:`hatepool.annotations.read_annotation_chunks` and score 4,096 rows
 at a time.
 
 A JSONL input, standard input included, and a CSV/TSV export must be
@@ -45,7 +48,6 @@ import logging
 import math
 import os
 import sys
-from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from ._jsonl import (
@@ -64,6 +66,7 @@ from ._jsonl import (
 if TYPE_CHECKING:
     from .datasets import LabeledExample
     from .gateway import AnnotatorEndpoint
+    from .meta import MetaLearnerModel
     from .metrics import GroupSpec
     from .prompt import PromptTemplate
 
@@ -293,59 +296,75 @@ def _load_labels(path: str) -> dict[str, LabeledExample]:
 def cmd_train_meta(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .gateway import read_annotations
+    import numpy as np
+
+    from .annotations import read_annotation_chunks
+    from .ensemble import feature_names
     from .gbdt import MetaLearnerConfig
-    from .meta import save_model, train_meta_on_vectors
+    from .meta import save_model, train_meta
 
     labels = _load_labels(args.labels)
+    blocks, golds = [], []
     with open_input(args.annotations) as fp:
-        _, rows = read_annotations(fp)
-        joined = [(row, labels[row.id]) for row in rows if row.id in labels]
-    if not joined:
+        model_order, chunks = read_annotation_chunks(fp)
+        for chunk in chunks:
+            joined = [(row, labels[i].gold) for i, row in zip(chunk.ids, chunk.rows) if i in labels]
+            if joined:
+                rows, chunk_golds = zip(*joined)
+                blocks.append(np.array(rows, dtype=np.float64))
+                golds += chunk_golds
+    if not golds:
         raise ValueError("annotations and labels share no ids")
     config = MetaLearnerConfig()
     if args.config:
         config = read_json_file(args.config, MetaLearnerConfig.from_dict)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    vectors = [row.vector for row, _ in joined]
-    golds = [example.gold for _, example in joined]
-    model = train_meta_on_vectors(vectors, golds, config)
+    features = np.concatenate(blocks)
+    model = train_meta(features, golds, config, feature_order=feature_names(sorted(model_order)))
     save_model(model, args.model_out)
     log.info(
         "trained meta-learner on %d joined examples (%d trees + %d trees)",
-        len(joined),
+        len(golds),
         len(model.hate_head.trees),
         len(model.neutral_head.trees),
     )
     return EXIT_OK
 
 
+def _load_model(path: str | None) -> MetaLearnerModel | None:
+    if not path:
+        return None
+    from .meta import load_model
+
+    return load_model(path)
+
+
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    from .annotations import read_annotation_chunks
     from .datasets import BinaryLabel
-    from .ensemble import CHUNK_ROWS, features_matrix
-    from .gateway import read_annotations
-    from .meta import check_feature_order, load_model, score_matrix
+    from .ensemble import feature_names, score_rows
 
     if args.strategy == "lgb" and not args.model:
         raise ValueError("strategy 'lgb' requires --model")
-    model = load_model(args.model) if args.model else None
+    model = _load_model(args.model)
     labels = _load_labels(args.labels) if args.labels else None
     count = 0
     with open_input(args.annotations) as in_fp, atomic_output(args.output) as out_fp:
-        _, rows = read_annotations(in_fp)
-        while chunk := [(r.id, r.lang, r.vector) for r in islice(rows, CHUNK_ROWS)]:
-            ids, langs, vectors = zip(*chunk)
-            if args.strategy == "lgb":
-                check_feature_order(model, vectors[0].feature_names())
-            is_hate, scores = score_matrix(features_matrix(vectors), args.strategy, model)
-            for text_id, lang, hate, score in zip(ids, langs, is_hate.tolist(), scores.tolist()):
+        model_order, chunks = read_annotation_chunks(in_fp)
+        for chunk in chunks:
+            if args.strategy == "lgb" and count == 0:
+                from .meta import check_feature_order
+
+                check_feature_order(model, feature_names(sorted(model_order)))
+            is_hate, scores = score_rows(chunk.rows, args.strategy, model)
+            for text_id, lang, hate, score_hate in zip(chunk.ids, chunk.langs, is_hate, scores):
                 out: dict = {
                     "id": text_id,
                     "lang": lang,
                     "strategy": args.strategy,
                     "label": (BinaryLabel.HATE if hate else BinaryLabel.NEUTRAL).value,
-                    "score_hate": score,
+                    "score_hate": score_hate,
                 }
                 if labels is not None:
                     example = labels.get(text_id)
@@ -355,7 +374,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                         out["dataset"] = example.dataset
                         out["gold"] = example.gold.value
                 write_jsonl_line(out_fp, out)
-            count += len(chunk)
+            count += len(chunk.ids)
         # Raised inside the block so that no empty output file is committed.
         if count == 0:
             raise ValueError("no annotation rows to label")
@@ -420,17 +439,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .gateway import read_annotations
-    from .meta import load_model
-    from .poolstats import pool_statistics, render_pool_table
+    from .annotations import read_annotation_chunks
+    from .poolstats import render_pool_table, summarize_pool
 
     if "lgb" in args.strategies and not args.model:
         raise ValueError("strategy 'lgb' requires --model")
-    model = load_model(args.model) if args.model else None
+    model = _load_model(args.model)
     with open_input(args.annotations) as fp:
-        _, rows = read_annotations(fp)
-        pool = ((r.lang if r.lang is not None else "und", r.vector, r.raw_label) for r in rows)
-        summary = pool_statistics(pool, strategies=args.strategies, model=model)
+        model_order, chunks = read_annotation_chunks(fp)
+        pool = (
+            (["und" if lang is None else lang for lang in c.langs], c.raw_labels, c.rows)
+            for c in chunks
+        )
+        summary = summarize_pool(sorted(model_order), pool, args.strategies, model)
     write_json_file(args.output, summary.to_dict())
     if args.table:
         if args.output == "-":

@@ -43,10 +43,12 @@ import time
 from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
+from itertools import starmap
 from typing import Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
-from ._jsonl import from_json_object, iter_jsonl, typed_value, write_jsonl_line
+from ._jsonl import from_json_object, write_jsonl_line
+from .annotations import read_annotation_rows
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector
 from .prompt import (
     ExtractionError,
@@ -416,10 +418,7 @@ def annotate_batch(
 
 # --- annotation JSONL wire format ------------------------------------------
 #
-# First line: {"model_order": [...]}  (sorted model ids)
-# Then one row per text:
-#   {"id": ..., "lang": ..., "models": {model_id: {"hate": h, "neutral": n,
-#    "raw": {token: weight, ...}}}, ...optional "raw_label"}
+# Laid out, and read without numpy, in :mod:`hatepool.annotations`.
 
 
 def write_annotations(
@@ -458,39 +457,18 @@ def write_annotations(
 
 
 def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
-    """Read the header and return (model_order, row iterator)."""
-    expected: tuple[str, ...] | None = None
+    """Read the header and return (model_order, row iterator).
 
-    def decode(row: dict):
-        nonlocal expected
-        if expected is None:
-            if "model_order" not in row:
-                raise ValueError("annotation file must start with a model_order header line")
-            model_order = list(typed_value(row["model_order"], "tuple[str, ...]", "model_order"))
-            expected = tuple(sorted(model_order))
-            return model_order
-        models = row["models"]
-        if tuple(sorted(models)) != expected:
-            raise ValueError(f"model set {sorted(models)} does not match header")
+    Rows are read and checked by :func:`hatepool.annotations.read_annotation_rows`.
+    """
+    model_order, rows = read_annotation_rows(fp)
+    model_ids = sorted(model_order)
+
+    def annotation_row(text_id, lang, raw_label, features, raw) -> AnnotationRow:
         entries = tuple(
-            ModelProbability(
-                model_id=mid,
-                p_hate=float(typed_value(models[mid]["hate"], "float", f"{mid} hate")),
-                p_neutral=float(typed_value(models[mid]["neutral"], "float", f"{mid} neutral")),
-            )
-            for mid in expected
+            ModelProbability(mid, features[2 * i], features[2 * i + 1])
+            for i, mid in enumerate(model_ids)
         )
-        raw = {mid: dict(models[mid].get("raw", {})) for mid in expected}
-        return AnnotationRow(
-            id=typed_value(row["id"], "str", "id"),
-            lang=typed_value(row.get("lang"), "str | None", "lang"),
-            vector=ProbabilityVector(entries),
-            raw_weights=raw,
-            raw_label=typed_value(row.get("raw_label"), "str | None", "raw_label"),
-        )
+        return AnnotationRow(text_id, lang, ProbabilityVector(entries), raw, raw_label)
 
-    stream = iter_jsonl(fp, decode)
-    model_order = next(stream, None)
-    if model_order is None:
-        raise ValueError("annotation file is empty")
-    return model_order, stream
+    return model_order, starmap(annotation_row, rows)

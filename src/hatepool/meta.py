@@ -139,10 +139,12 @@ def check_feature_order(model: MetaLearnerModel, feature_names: Sequence[str]) -
 
 def score_matrix(
     X: np.ndarray, strategy: str, model: MetaLearnerModel | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Sequence, Sequence]:
     """Score an (n, 8) feature matrix with ``vote``, ``mean`` or ``lgb``: (is_hate, score_hate).
 
-    ``lgb`` needs ``model``; check its feature layout with :func:`check_feature_order`.
+    ``vote`` and ``mean`` take any feature rows and give lists; ``lgb`` gives
+    arrays and needs ``model``, whose feature layout :func:`check_feature_order`
+    checks.
     """
     if strategy == "vote":
         return vote_scores(X)

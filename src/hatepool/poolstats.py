@@ -10,17 +10,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import ensemble
-from .meta import MetaLearnerModel, check_feature_order, score_matrix
 from .metrics import _scaled_mean, _scaled_sum
+
+if TYPE_CHECKING:
+    from .meta import MetaLearnerModel
 
 ALL_KEY = "All"
 
 PoolRow = tuple  # (lang, ProbabilityVector) or (lang, ProbabilityVector, raw_label)
+
+# (languages, raw labels or None, feature rows), one entry per text in each
+PoolChunk = tuple[Sequence[str], Sequence["str | None"], ensemble.FeatureRows]
 
 
 @dataclass
@@ -61,42 +64,68 @@ def pool_statistics(
     source label as a third field; when any row carries one, a per-label
     breakdown over the labeled rows is included. All vectors must share
     one model set. ``pool`` may be any iterable: it is read and scored
-    ``ensemble.CHUNK_ROWS`` rows at a time into integer counts and exact
-    sums, so memory does not grow with the pool.
+    ``ensemble.CHUNK_ROWS`` rows at a time by :func:`summarize_pool`, so
+    memory does not grow with the pool.
     """
     rows = map(_unpack, pool)
-    model_ids: tuple[str, ...] | None = None
+    chunk = list(islice(rows, ensemble.CHUNK_ROWS))
+    if not chunk:
+        raise ValueError("cannot summarize an empty pool")
+    model_ids = chunk[0][1].model_ids
+
+    def chunks() -> Iterable[PoolChunk]:
+        nonlocal chunk
+        while chunk:
+            langs, vectors, raw_labels = zip(*chunk)
+            if vectors[0].model_ids != model_ids:
+                raise ValueError(
+                    f"vector model set {vectors[0].model_ids} differs from {model_ids}"
+                )
+            yield langs, raw_labels, ensemble.feature_rows(vectors)
+            chunk = list(islice(rows, ensemble.CHUNK_ROWS))
+
+    return summarize_pool(model_ids, chunks(), strategies, model)
+
+
+def summarize_pool(
+    model_ids: Sequence[str],
+    chunks: Iterable[PoolChunk],
+    strategies: Sequence[str] = ("vote", "mean"),
+    model: MetaLearnerModel | None = None,
+) -> PoolSummary:
+    """:func:`pool_statistics` over chunks of rows whose features follow the sorted
+    ``model_ids``, as :func:`hatepool.annotations.read_annotation_chunks` gives them.
+
+    Each chunk is tallied into integer counts and exact sums, so the summary
+    does not depend on how the rows are cut into chunks.
+    """
     counts: Counter[str] = Counter()
     labeled: Counter[str] = Counter()  # rows with a raw label, per language
     label_counts: Counter[tuple[str, str]] = Counter()  # (raw label, language)
     p_hate_sums: Counter[tuple[int, str]] = Counter()  # (model slot, language), scaled
     votes: Counter[tuple[int, str]] = Counter()
     strategy_hits: Counter[tuple[str, str]] = Counter()  # (strategy, language)
-    while chunk := list(islice(rows, ensemble.CHUNK_ROWS)):
-        chunk_langs, vectors, raw_labels = zip(*chunk)
-        if model_ids is None:
-            model_ids = vectors[0].model_ids
-            if "lgb" in strategies and model is not None:
-                check_feature_order(model, vectors[0].feature_names())
-        elif vectors[0].model_ids != model_ids:
-            raise ValueError(f"vector model set {vectors[0].model_ids} differs from {model_ids}")
-        X = ensemble.features_matrix(vectors)
-        counts.update(chunk_langs)
-        pairs = [pair for pair in zip(raw_labels, chunk_langs) if pair[0] is not None]
+    for langs, raw_labels, rows in chunks:
+        if not counts and "lgb" in strategies and model is not None:
+            from .meta import check_feature_order
+
+            check_feature_order(model, ensemble.feature_names(model_ids))
+        counts.update(langs)
+        pairs = [pair for pair in zip(raw_labels, langs) if pair[0] is not None]
         label_counts.update(pairs)
         labeled.update(lang for _, lang in pairs)
-        row_langs = np.array(chunk_langs, dtype=object)
-        masks = [(lang, row_langs == lang) for lang in set(chunk_langs)]
-        chunk_votes = ensemble.hate_votes(X)
-        for slot in range(len(model_ids)):
-            for lang, mask in masks:
-                p_hate_sums[slot, lang] += _scaled_sum(X[mask, 2 * slot].tolist())
-                votes[slot, lang] += int(chunk_votes[mask, slot].sum())
-        for name in strategies:
-            is_hate = score_matrix(X, name, model)[0]
-            for lang, mask in masks:
-                strategy_hits[name, lang] += int(is_hate[mask].sum())
-    if model_ids is None:
+        rows_of: dict[str, list[int]] = {}
+        for i, lang in enumerate(langs):
+            rows_of.setdefault(lang, []).append(i)
+        chunk_votes = ensemble.hate_votes(rows)
+        hits = [(name, ensemble.score_rows(rows, name, model)[0]) for name in strategies]
+        for lang, index in rows_of.items():
+            for slot in range(len(model_ids)):
+                p_hate_sums[slot, lang] += _scaled_sum(rows[i][2 * slot] for i in index)
+                votes[slot, lang] += int(sum(chunk_votes[i][slot] for i in index))
+            for name, is_hate in hits:
+                strategy_hits[name, lang] += int(sum(is_hate[i] for i in index))
+    if not counts:
         raise ValueError("cannot summarize an empty pool")
 
     languages = dict(sorted(counts.items()))

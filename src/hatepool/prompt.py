@@ -94,13 +94,16 @@ class ModelProbability:
     p_neutral: float
 
     def __post_init__(self) -> None:
-        for name, p in (("p_hate", self.p_hate), ("p_neutral", self.p_neutral)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} out of range: {p}")
-        if abs(self.p_hate + self.p_neutral - 1.0) > 1e-9:
-            raise ValueError(
-                f"probabilities must sum to 1, got {self.p_hate} + {self.p_neutral}"
-            )
+        check_probabilities(self.p_hate, self.p_neutral)
+
+
+def check_probabilities(p_hate: float, p_neutral: float) -> None:
+    """Refuse a probability outside 0-1, or a pair that does not sum to 1 within 1e-9."""
+    for name, p in (("p_hate", p_hate), ("p_neutral", p_neutral)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} out of range: {p}")
+    if abs(p_hate + p_neutral - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {p_hate} + {p_neutral}")
 
 
 def extract_label_probabilities(

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hatepool import filtering
+from hatepool import ensemble, filtering
 from hatepool._jsonl import dumps, numbered_lines
 from hatepool.cli import main
 
@@ -1050,3 +1050,77 @@ def test_string_stream_keeps_a_lone_surrogate():
     # Only a stream of decoded bytes can hold escaped ones; text handed over as a
     # string is read as it is.
     assert list(numbered_lines(io.StringIO("a\n\ud800b\n"))) == [(1, "a\n"), (2, "\ud800b\n")]
+
+
+# Every command that reads annotations, with the valid inputs it needs besides.
+# The model's one tree splits on a feature, so ``lgb`` walks it.
+SCORING_MODEL = model_with(
+    feature_order=[f"{m}:p_{c}" for m in sorted(MODEL_IDS) for c in ("hate", "neutral")],
+    trees=[[TREE], []],
+)
+ANNOTATION_COMMANDS = {
+    "ensemble-vote": ["ensemble", "--annotations", "{ann.jsonl}", "--strategy", "vote",
+                      "--output", "{out.jsonl}"],
+    "ensemble-mean": ["ensemble", "--annotations", "{ann.jsonl}", "--strategy", "mean",
+                      "--labels", "{labels.jsonl}", "--output", "{out.jsonl}"],
+    "ensemble-lgb": ["ensemble", "--annotations", "{ann.jsonl}", "--strategy", "lgb",
+                     "--model", "{model.json}", "--output", "{out.jsonl}"],
+    "train-meta": ["train-meta", "--annotations", "{ann.jsonl}", "--labels", "{labels.jsonl}",
+                   "--model-out", "{out.json}"],
+    "stats": ["stats", "--annotations", "{ann.jsonl}", "--strategies", "vote,mean,lgb",
+              "--model", "{model.json}", "--output", "{summary.json}"],
+}
+
+# One bad probability pair per kind of check: the value's type, then the range
+# and the sum, which hold for the pair.
+BAD_PAIRS = {
+    "type": ({"hate": "x", "neutral": 0.5}, "Llama3.1-8B hate must be a number, got 'x'"),
+    "range": ({"hate": 1.5, "neutral": -0.5}, "p_hate out of range: 1.5"),
+    "sum": ({"hate": 0.5, "neutral": 0.25}, "probabilities must sum to 1, got 0.5 + 0.25"),
+}
+
+
+def refused_annotations(command, directory, n_rows, bad):
+    """Run ``command`` on ``n_rows`` annotation rows, row ``i`` given the pair ``bad[i]``.
+
+    The file has no blank line, so row ``i`` is on line ``i + 2``. Returns the
+    annotation path and the logged errors, after checking exit 2 and no output.
+    """
+    rows = [{"model_order": sorted(MODEL_IDS)}]
+    for i in range(n_rows):
+        models = {m: model_entry(p) for m, p in zip(MODEL_IDS, (0.25, 0.625, 0.75, 0.5))}
+        if i in bad:
+            models["Llama3.1-8B"] = {**models["Llama3.1-8B"], **BAD_PAIRS[bad[i]][0]}
+        rows.append({"id": f"t{i}", "lang": "eng", "models": models})
+    path = directory / "ann.jsonl"
+    path.write_text("".join(dumps(row) + "\n" for row in rows), encoding="utf-8")
+    (directory / "labels.jsonl").write_text("".join(
+        dumps({"id": f"t{i}", "dataset": "AHSD", "text": "x", "gold": ("Hate", "Neutral")[i % 2]})
+        + "\n" for i in range(n_rows)))
+    (directory / "model.json").write_text(json.dumps(SCORING_MODEL))
+    inputs = sorted(os.listdir(directory))
+    code = run(ANNOTATION_COMMANDS[command], str(directory))
+    assert code == 2
+    assert sorted(os.listdir(directory)) == inputs, "an output file was committed"
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(ANNOTATION_COMMANDS))
+@pytest.mark.parametrize(
+    "first, second", [("type", "range"), ("type", "sum"), ("range", "type"), ("sum", "type")]
+)
+def test_first_bad_row_of_a_chunk_is_named(command, first, second, tmp_path, caplog):
+    path = refused_annotations(command, tmp_path, 12, {5: first, 9: second})
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:7 (id 't5'): {BAD_PAIRS[first][1]}"]
+
+
+@pytest.mark.parametrize("command", sorted(ANNOTATION_COMMANDS))
+def test_bad_first_row_of_the_second_chunk_is_named(command, tmp_path, caplog):
+    first_of_second = ensemble.CHUNK_ROWS
+    assert first_of_second + 2 == 4098
+    path = refused_annotations(
+        command, tmp_path, first_of_second + 4, {first_of_second: "sum", first_of_second + 2: "type"}
+    )
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:4098 (id 't4096'): {BAD_PAIRS['sum'][1]}"]

@@ -889,3 +889,46 @@ class TestBatchedScoringCmds:
         assert code == 2
         assert not out.exists()
         assert "Gemma2-9B:p_hate" in caplog.text and "w:p_hate" in caplog.text
+
+
+class TestGoldenScoringDigests:
+    """The scoring commands' output bytes pinned across commits, not just across runs.
+
+    ``tests/data/scoring_annotations.jsonl`` holds 64 rows with integer and
+    subnormal probabilities, exact vote and mean ties, null and missing
+    ``lang`` and ``raw_label``, and a model without ``raw``; 56 of its ids have
+    a gold label. The digests were taken before the annotation reader and the
+    vote and mean rules stopped using numpy. Like the model digests in
+    ``tests/test_meta.py``, the model and ``lgb`` ones pin this platform's numpy.
+    """
+
+    DIGESTS = {
+        "model.json": "7b70f30926a8c862415ae81b61a314887e58f0c558c82de11cb0f3b19661ffd3",
+        "pred_vote.jsonl": "e283dd4d416c38e7df58517e3a6fbb4922c66f46a0eeeca178112d6234801dbc",
+        "pred_mean.jsonl": "f678308f3d65d3c33d90bbab08d44ab3a0f4af9e833031e78b883f745be5538b",
+        "pred_lgb.jsonl": "130d8bae8e46b72b923f560fc56b4de64d56d4ac47dded27d3fc2961a9c3e1c2",
+        "summary.json": "2d384a2e11d08b3e8c2bbe1c454b2d981dec62efb690b661fbe8aabc2b9f1432",
+    }
+
+    def test_outputs_match_the_pinned_digests(self, tmp_path):
+        import hashlib
+
+        data = os.path.join(os.path.dirname(__file__), "data")
+        annotations = os.path.join(data, "scoring_annotations.jsonl")
+        labels = os.path.join(data, "scoring_labels.jsonl")
+        config = tmp_path / "meta_config.json"
+        config.write_text(json.dumps(SMALL_META_CONFIG))
+        model = str(tmp_path / "model.json")
+        assert main(["train-meta", "--annotations", annotations, "--labels", labels,
+                     "--model-out", model, "--config", str(config), "--seed", "5"]) == 0
+        for strategy in ("vote", "mean", "lgb"):
+            assert main(["ensemble", "--annotations", annotations, "--strategy", strategy,
+                         "--labels", labels, "--model", model,
+                         "--output", str(tmp_path / f"pred_{strategy}.jsonl")]) == 0
+        assert main(["stats", "--annotations", annotations, "--strategies", "vote,mean,lgb",
+                     "--model", model, "--output", str(tmp_path / "summary.json")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS

@@ -180,14 +180,14 @@ class TestBatchedRules:
 
     def test_exact_ties_go_neutral(self):
         X = np.array([[0.9, 0.3, 0.2, 0.6, 0.6, 0.2, 0.3, 0.9]])
-        assert mean_scores(X)[0].tolist() == [False]
+        assert mean_scores(X)[0] == [False]
 
     def test_empty_matrix(self):
         X = np.empty((0, 8))
         for is_hate, score in (vote_scores(X), mean_scores(X)):
-            assert is_hate.shape == score.shape == (0,)
+            assert is_hate == score == []
 
     def test_hate_votes_are_the_model_votes(self):
         vectors = [make_vector(p) for p in ((0.9, 0.2, 0.6, 0.4), (0.5, 0.51, 0.1, 1.0))]
         votes = hate_votes(features_matrix(vectors))
-        assert [tuple(r) for r in votes.tolist()] == [model_votes(v) for v in vectors]
+        assert [tuple(r) for r in votes] == [model_votes(v) for v in vectors]

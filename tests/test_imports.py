@@ -36,21 +36,29 @@ WATCHED = (
     "statistics",
     "concurrent.futures",
     "multiprocessing",
+    "hatepool.gateway",
+    "hatepool.gbdt",
+    "hatepool.meta",
 )
 
 # Watched module -> the commands allowed to load it. filter keeps numpy for
-# its reservoir RNG; the scoring commands need it for the vector math.
-# statistics (with fractions) costs about 5 ms to import; exact means come
-# from metrics' integer sums instead. Only annotate runs a thread pool, and
-# only filter a process pool (for a large input file on more than one CPU).
+# its reservoir RNG; the commands that walk trees (train-meta, ensemble with
+# lgb, stats with lgb) need it and the tree code, and vote and mean need
+# neither. statistics (with fractions) costs about 5 ms to import; exact means
+# come from metrics' integer sums instead. Only annotate runs a thread pool and
+# sends requests, and only filter a process pool (for a large input file on
+# more than one CPU).
 ALLOWED = {
-    "numpy": {"filter", "annotate", "train-meta", "ensemble", "stats"},
+    "numpy": {"filter", "train-meta", "ensemble", "stats"},
     "requests": set(),
     "http.server": set(),
     "http.client": {"annotate"},
     "statistics": set(),
     "concurrent.futures": {"annotate"},
     "multiprocessing": {"filter"},
+    "hatepool.gateway": {"annotate"},
+    "hatepool.gbdt": {"train-meta", "ensemble", "stats"},
+    "hatepool.meta": {"train-meta", "ensemble", "stats"},
 }
 
 PROBE = f"""
@@ -135,16 +143,23 @@ def command_args(command, r):
                        "--config", f"{r}/meta.json"],
         "ensemble": ["ensemble", "--annotations", f"{r}/ann.jsonl", "--strategy", "lgb",
                      "--model", f"{r}/model.json", "--output", f"{r}/out-pred.jsonl"],
+        "ensemble-vote": ["ensemble", "--annotations", f"{r}/ann.jsonl", "--strategy", "vote",
+                          "--labels", f"{r}/labels.jsonl", "--output", f"{r}/out-vote.jsonl"],
+        "ensemble-mean": ["ensemble", "--annotations", f"{r}/ann.jsonl", "--strategy", "mean",
+                          "--labels", f"{r}/labels.jsonl", "--output", f"{r}/out-mean.jsonl"],
         "evaluate": ["evaluate", "--predictions", f"{r}/pred.jsonl", "--report",
                      f"{r}/out-report.json"],
         "stats": ["stats", "--annotations", f"{r}/ann.jsonl", "--strategies", "vote,mean,lgb",
                   "--model", f"{r}/model.json", "--output", f"{r}/out-summary.json"],
+        "stats-vote-mean": ["stats", "--annotations", f"{r}/ann.jsonl", "--strategies",
+                            "vote,mean", "--output", f"{r}/out-summary-vm.json"],
     }[command]
 
 
 @pytest.mark.parametrize(
     "command",
-    ["version", "filter", "ingest", "annotate", "train-meta", "ensemble", "evaluate", "stats"],
+    ["version", "filter", "ingest", "annotate", "train-meta", "ensemble", "ensemble-vote",
+     "ensemble-mean", "evaluate", "stats", "stats-vote-mean"],
 )
 def test_command_import_budget(command, inputs):
     report = json.loads(run_python(["-c", PROBE, *command_args(command, inputs)], inputs))
