@@ -87,16 +87,14 @@ def read_annotation_rows(fp: TextIO) -> tuple[list[str], Iterator[tuple]]:
     return model_order, stream
 
 
-def read_annotation_chunks(
-    fp: TextIO, chunk_rows: int | None = None
-) -> tuple[list[str], Iterator[AnnotationChunk]]:
+def read_annotation_chunks(fp: TextIO) -> tuple[list[str], Iterator[AnnotationChunk]]:
     """Read the header; return (model_order, iterator of chunks of checked rows).
 
-    Chunks hold ``chunk_rows`` rows (default ``ensemble.CHUNK_ROWS``), the last
-    one fewer. A bad row raises before the chunk that would hold it is given.
+    Chunks hold ``ensemble.CHUNK_ROWS`` rows, the last one fewer. A bad row
+    raises before the chunk that would hold it is given.
     """
     model_order, rows = read_annotation_rows(fp)
-    size = chunk_rows or ensemble.CHUNK_ROWS
+    size = ensemble.CHUNK_ROWS
 
     def chunks() -> Iterator[AnnotationChunk]:
         # Each row's raw weights are dropped as it is read, not held for the chunk.

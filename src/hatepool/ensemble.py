@@ -122,18 +122,23 @@ def score_rows(
 ) -> tuple[list[bool], list[float]]:
     """Score feature rows with ``vote``, ``mean`` or ``lgb``: (is_hate, score_hate) lists.
 
-    Only ``lgb`` loads numpy and the tree code, to score the rows as one
-    float64 array with :func:`hatepool.meta.score_matrix`; it needs ``model``.
+    Only ``lgb`` loads numpy and the tree code, to walk the trees of ``model``
+    once over the rows as a float64 array; check the model's feature layout
+    with :func:`hatepool.meta.check_feature_order`.
     """
     if strategy == "vote":
         return vote_scores(rows)
     if strategy == "mean":
         return mean_scores(rows)
+    if strategy != "lgb":
+        raise ValueError(f"unknown ensemble strategy {strategy!r}")
+    if model is None:
+        raise ValueError("strategy 'lgb' needs a trained meta-learner model")
     import numpy as np
 
-    from .meta import score_matrix
+    from .meta import lgb_scores
 
-    is_hate, scores = score_matrix(np.array(rows, dtype=np.float64), strategy, model)
+    is_hate, scores, _ = lgb_scores(model, np.array(rows, dtype=np.float64))
     return is_hate.tolist(), scores.tolist()
 
 

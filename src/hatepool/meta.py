@@ -7,8 +7,9 @@ loss with a shared seed, a booster fit to ``1 - y`` mirrors the Hate
 head, so a second fit would only repeat the first. Prediction compares
 the two sigmoid head scores, breaking exact ties toward Neutral; model
 files with independently fit heads still load and score through both.
-:func:`score_matrix` scores a feature matrix with any of the three
-ensemble strategies (vote, mean, lgb). Every lgb score,
+:func:`score_matrix` gives the scores of
+:func:`hatepool.ensemble.score_rows`, with any of the three ensemble
+strategies (vote, mean, lgb), as arrays. Every lgb score,
 :func:`predict_meta`'s one row included, comes from the one batched tree
 walk in :mod:`hatepool.gbdt`, so a row scores the same bit for bit alone
 or in any batch. A model file's nested trees are read into the flat
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._jsonl import read_json_file, typed_value, write_json_file
 from .datasets import BinaryLabel
-from .ensemble import ProbabilityVector, features_matrix, mean_scores, vote_scores
+from .ensemble import ProbabilityVector, features_matrix, score_rows
 from .gbdt import BoostedTrees, MetaLearnerConfig, gbdt_fit, gbdt_predict_proba_many
 
 FEATURE_COUNT = 8
@@ -114,7 +115,7 @@ def predict_meta(
     return labels[0], float(scores_hate[0]), float(scores_neutral[0])
 
 
-def _lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(is_hate, hate scores, neutral scores); an exact tie of the heads goes to Neutral."""
     scores_hate = gbdt_predict_proba_many(model.hate_head, X)
     scores_neutral = gbdt_predict_proba_many(model.neutral_head, X)
@@ -123,7 +124,7 @@ def _lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.
 
 def predict_meta_many(model: MetaLearnerModel, X: np.ndarray) -> tuple[list[BinaryLabel], np.ndarray, np.ndarray]:
     """Vectorized :func:`predict_meta` over a feature matrix."""
-    is_hate, scores_hate, scores_neutral = _lgb_scores(model, X)
+    is_hate, scores_hate, scores_neutral = lgb_scores(model, X)
     labels = [BinaryLabel.HATE if h else BinaryLabel.NEUTRAL for h in is_hate.tolist()]
     return labels, scores_hate, scores_neutral
 
@@ -139,23 +140,10 @@ def check_feature_order(model: MetaLearnerModel, feature_names: Sequence[str]) -
 
 def score_matrix(
     X: np.ndarray, strategy: str, model: MetaLearnerModel | None = None
-) -> tuple[Sequence, Sequence]:
-    """Score an (n, 8) feature matrix with ``vote``, ``mean`` or ``lgb``: (is_hate, score_hate).
-
-    ``vote`` and ``mean`` take any feature rows and give lists; ``lgb`` gives
-    arrays and needs ``model``, whose feature layout :func:`check_feature_order`
-    checks.
-    """
-    if strategy == "vote":
-        return vote_scores(X)
-    if strategy == "mean":
-        return mean_scores(X)
-    if strategy == "lgb":
-        if model is None:
-            raise ValueError("strategy 'lgb' needs a trained meta-learner model")
-        is_hate, scores_hate, _ = _lgb_scores(model, X)
-        return is_hate, scores_hate
-    raise ValueError(f"unknown ensemble strategy {strategy!r}")
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hatepool.ensemble.score_rows` over an (n, 8) feature matrix, as arrays."""
+    is_hate, scores_hate = score_rows(X, strategy, model)
+    return np.array(is_hate, dtype=bool), np.array(scores_hate, dtype=np.float64)
 
 
 def model_to_dict(model: MetaLearnerModel) -> dict:

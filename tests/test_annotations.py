@@ -2,12 +2,13 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatepool import read_annotations
+from hatepool import ensemble, read_annotations
 from hatepool._jsonl import dumps
 from hatepool.annotations import read_annotation_chunks
 from hatepool.ensemble import features_matrix
@@ -62,9 +63,10 @@ def annotation_files(draw):
 
 
 def read_in_chunks(text, chunk_rows):
-    """The reader's header and chunks, with every chunk's size checked."""
-    model_order, chunks = read_annotation_chunks(io.StringIO(text), chunk_rows)
-    chunks = list(chunks)
+    """The reader's header and chunks of ``chunk_rows`` rows, every chunk's size checked."""
+    with mock.patch.object(ensemble, "CHUNK_ROWS", chunk_rows):
+        model_order, chunks = read_annotation_chunks(io.StringIO(text))
+        chunks = list(chunks)
     assert all(len(chunk.ids) == chunk_rows for chunk in chunks[:-1])
     assert all(0 < len(chunk.ids) <= chunk_rows for chunk in chunks[-1:])
     return model_order, chunks

@@ -277,8 +277,8 @@ class TestBatchedScoring:
             ("mean", mean_label, mean_hate_score),
         ):
             is_hate, score = score_matrix(X, name)
-            assert is_hate == [label_fn(v) is BinaryLabel.HATE for v in vectors]
-            assert score == [score_fn(v) for v in vectors]
+            assert is_hate.tolist() == [label_fn(v) is BinaryLabel.HATE for v in vectors]
+            assert score.tolist() == [score_fn(v) for v in vectors]
 
     def test_score_matrix_rejects_bad_strategies(self, trained_model):
         X = np.stack([v.features() for v in random_vectors(3, seed=12)])
