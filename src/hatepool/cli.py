@@ -26,7 +26,9 @@ Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest``, ``annotate``, ``evaluate``, and ``ensemble
 --strategy vote|mean`` and ``stats --strategies vote,mean`` without a
 ``--model`` never load numpy or the tree code; only ``annotate`` loads the
-HTTP client and a thread pool.
+HTTP client and a thread pool. No step calls BLAS, so :func:`main` sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, and numpy's
+OpenBLAS starts no worker thread.
 
 ``filter``, ``ensemble`` and ``stats`` stream their input, so memory does
 not grow with it. ``filter --quota`` spools each record that passes
@@ -566,6 +568,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # OpenBLAS reads this when numpy is first imported. By default it starts a
+    # worker thread for each CPU but the caller's, which costs CPU for no call
+    # and would still be running when ``filter`` forks.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -519,7 +519,8 @@ def filter_file(
         lines = 0
         pool = None
         try:
-            # Fork, not spawn: the command runs no other thread when it forks, and
+            # Fork, not spawn: under ``cli.main`` the command runs no other thread
+            # when it forks, since numpy starts with one OpenBLAS thread there, and
             # a spawned worker would pay for an interpreter start and the imports.
             with _sigint_held():
                 pool = multiprocessing.get_context("fork").Pool(workers)

@@ -14,9 +14,13 @@ XGBoost (Chen & Guestrin 2016, arXiv:1603.02754). Each fit sorts every
 feature once. Each round filters those orders down to the bagged rows
 and drawn features, and every leaf carries a (features, rows) block
 whose row ``i`` lists the leaf's rows sorted by the ``i``-th drawn
-feature. A split divides the block with a boolean mask, which keeps
-every order, so no node sorts anything. Equal feature values therefore
-accumulate in row-index order in the gradient sums.
+feature. A split gathers one mask, an entry per block entry marking the
+rows that go left, and compresses the flat block by it and by its
+negation into the two children's blocks. That keeps every order, so no
+node sorts anything, and equal feature values accumulate in row-index
+order in the gradient sums. The split search reads gradients, hessians
+and feature values with flat 1-D gathers. Nothing reads the best split
+of the children of a tree's last split, so they are not searched.
 
 A booster is its nodes in flat, read-only arrays, as XGBoost and LightGBM
 keep it: ``roots[t]`` is tree ``t``'s root, and a node's two children sit
@@ -277,12 +281,17 @@ class _Leaf:
 
 
 def _filter_block(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Rows of ``block`` whose id is marked in ``keep``, each feature's order kept.
+    """Rows of ``block`` whose id is marked in ``keep``, each feature's order kept."""
+    return _cut(block, keep.take(block).ravel())
+
+
+def _cut(block: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The entries of ``block`` where the flat ``mask``, one per entry, is set.
 
     Every row of a block lists the same row set, so each keeps the same
     count and the flat result reshapes exactly.
     """
-    return block[keep[block]].reshape(len(block), -1)
+    return block.compress(mask).reshape(len(block), -1)
 
 
 def _best_split(
@@ -310,24 +319,33 @@ def _best_split(
     m = block.shape[1]
     if m < 2 * min_data:
         return None
-    g_total = float(g[block[0]].sum())
-    h_total = float(h[block[0]].sum())
+    rows = block[0]
+    g_total = float(g.take(rows).sum())
+    h_total = float(h.take(rows).sum())
     parent_score = g_total * g_total / (h_total + l2)
 
     # Cut c sends sorted positions 0..c left; lo..hi-1 are the cuts that
     # leave at least min_data rows on each side.
     lo, hi = min_data - 1, m - min_data
-    xs = X[block, features[:, None]]
-    g_left = np.cumsum(g[block], axis=1)[:, lo:hi]
-    h_left = np.cumsum(h[block], axis=1)[:, lo:hi]
+    xs = X.ravel().take(block * X.shape[1] + features[:, None])
+    g_left = np.cumsum(g.take(block), axis=1)[:, lo:hi]
+    h_left = np.cumsum(h.take(block), axis=1)[:, lo:hi]
     g_right = g_total - g_left
     h_right = h_total - h_left
-    gains = 0.5 * (
-        g_left * g_left / (h_left + l2)
-        + g_right * g_right / (h_right + l2)
-        - parent_score
-    )
-    gains[xs[:, lo:hi] == xs[:, lo + 1 : hi + 1]] = -np.inf
+    # In place, with the operations and their order of
+    # 0.5 * (g_left**2 / (h_left + l2) + g_right**2 / (h_right + l2) - parent_score).
+    if l2:
+        h_left += l2
+        h_right += l2
+    g_left *= g_left
+    g_left /= h_left
+    g_right *= g_right
+    g_right /= h_right
+    gains = g_left
+    gains += g_right
+    gains -= parent_score
+    gains *= 0.5
+    np.copyto(gains, -np.inf, where=xs[:, lo:hi] == xs[:, lo + 1 : hi + 1])
     cuts = np.argmax(gains, axis=1)
     best = gains[np.arange(len(features)), cuts]
     pos = int(np.argmax(best))
@@ -381,17 +399,22 @@ def _grow_tree(
         threshold += (math.nan, math.nan)
         value += (0.0, 0.0)
         leaves.remove(leaf)
+        # Nothing reads the best split of the last split's children, so they
+        # are not searched and keep only the row list their values need.
+        last = len(leaves) + 2 == config.num_leaves
+        cut_from = leaf.block[:1] if last else leaf.block
         goes_left = np.zeros(len(X), dtype=bool)
         goes_left[cand.left_rows] = True
+        mask = goes_left.take(cut_from).ravel()
         for child_block, child in (
-            (_filter_block(leaf.block, goes_left), right + 1),
-            (_filter_block(leaf.block, ~goes_left), right),
+            (_cut(cut_from, mask), right + 1),
+            (_cut(cut_from, ~mask), right),
         ):
-            best = _best_split(X, g, h, child_block, features, l2, min_data)
+            best = None if last else _best_split(X, g, h, child_block, features, l2, min_data)
             leaves.append(_Leaf(child_block, child, best))
     for leaf in leaves:
-        g_sum = float(g[leaf.block[0]].sum())
-        h_sum = float(h[leaf.block[0]].sum())
+        g_sum = float(g.take(leaf.block[0]).sum())
+        h_sum = float(h.take(leaf.block[0]).sum())
         value[leaf.node] = -g_sum / (h_sum + l2) * config.learning_rate
     return BoostedTrees(0.0, [0], first, feature, threshold, value)
 
@@ -456,6 +479,8 @@ def gbdt_fit(
         raise ValueError("labels must be 0 or 1")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
+    # The split search gathers from X.ravel(), which copies an X not in C order.
+    X = np.ascontiguousarray(X)
 
     n, d = X.shape
     base_rate = clamp_probability(float(y.mean()))

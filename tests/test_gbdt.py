@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hatepool.gbdt
 from hatepool import MetaLearnerConfig, gbdt_fit
 from hatepool.gbdt import (
     _WALK_POSITIONS,
@@ -238,6 +239,27 @@ class TestSplitOracle:
         assert model.trees
         assert all(count_leaves(t) <= 5 for t in model.trees)
 
+    def test_last_split_children_are_not_searched(self, monkeypatch):
+        # The root, then two children per split but the last: nothing reads
+        # the best split of the last split's children.
+        rng = np.random.default_rng(9)
+        X = rng.random((200, 4))
+        g = rng.uniform(-1.0, 1.0, 200)
+        h = rng.uniform(0.05, 0.25, 200)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _best_split(*args)
+
+        monkeypatch.setattr(hatepool.gbdt, "_best_split", counted)
+        for num_leaves in (2, 3, 8, 34):
+            calls.clear()
+            block = np.argsort(X, axis=0, kind="stable").T
+            tree = _grow_tree(X, g, h, block, np.arange(4), full_batch_config(num_leaves=num_leaves))
+            assert count_leaves(tree.trees[0]) == num_leaves
+            assert len(calls) == 2 * num_leaves - 3
+
     def test_exact_gain_tie_splits_the_earlier_created_leaf(self):
         # Feature 0 splits the rows into two halves whose gradients are exact
         # negatives of each other, so both children have the same best split
@@ -334,6 +356,24 @@ class TestDeterminism:
         pa = gbdt_predict_proba_many(a, X)
         pb = gbdt_predict_proba_many(b, X)
         np.testing.assert_allclose(pa, pb, atol=1e-9)
+
+
+    def test_memory_layout_does_not_change_the_fit(self):
+        # The split search gathers from the flat C-order buffer of X; a
+        # Fortran-ordered X and a column slice must fit the same booster.
+        rng = np.random.default_rng(12)
+        X = np.round(rng.random((150, 5)), 1)
+        y = (X[:, 0] + 0.5 * rng.random(150) > 0.7).astype(float)
+        wide = np.zeros((150, 10))
+        wide[:, 1::2] = X
+        config = MetaLearnerConfig(num_rounds=15, min_data_in_leaf=3, seed=2)
+        fits = [gbdt_fit(x, y, config) for x in (X, np.asfortranarray(X), wide[:, 1::2])]
+        assert fits[0].roots.size > 0
+        for fit in fits[1:]:
+            assert fit.base_score == fits[0].base_score
+            assert fit.train_logloss == fits[0].train_logloss
+            for name in ("roots", "first", "feature", "threshold", "value"):
+                assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
 
 
 class TestPrediction:

@@ -72,8 +72,13 @@ print(json.dumps({{"code": code, "loaded": [m for m in {WATCHED!r} if m in sys.m
 """
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **env_overrides):
+    """Run a fresh interpreter on ``src``; an override of None unsets that variable."""
     env = dict(os.environ)
+    for name, value in env_overrides.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
@@ -166,6 +171,33 @@ def test_command_import_budget(command, inputs):
     assert report["code"] == 0
     allowed = {module for module, commands in ALLOWED.items() if command in commands}
     assert set(report["loaded"]) <= allowed
+
+
+TASK_PROBE = """
+import json, os, sys
+from hatepool import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "tasks": len(os.listdir("/proc/self/task")),
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc/self/task")
+@pytest.mark.parametrize(
+    "command, preset",
+    [("train-meta", None), ("stats", None), ("train-meta", "2")],
+)
+def test_numpy_commands_run_one_thread(command, preset, inputs):
+    # No step calls BLAS, so cli.main has OpenBLAS start no worker thread;
+    # filter relies on this when it forks. A value the caller set is kept.
+    report = json.loads(run_python(["-c", TASK_PROBE, *command_args(command, inputs)], inputs,
+                                   OPENBLAS_NUM_THREADS=preset))
+    assert report["code"] == 0 and report["numpy"]
+    if preset is None:
+        assert report == {"code": 0, "numpy": True, "tasks": 1, "openblas": "1"}
+    else:
+        assert report["openblas"] == preset
 
 
 def test_import_loads_no_submodule(tmp_path):

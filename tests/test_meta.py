@@ -297,7 +297,9 @@ class TestBatchedScoring:
 class TestGoldenDigest:
     """Model bytes and lgb scores pinned across commits, not just across runs.
 
-    The digests were taken before the tree representation changed; a refactor
+    The first digests were taken before the tree representation changed, the
+    second fit's (l2 > 0, feature and row subsampling, one-row leaves) before
+    the split search moved to flat gathers and in-place gains; a refactor
     that reorders nodes, or moves one rounding, changes them. They pin the
     float results of this platform's numpy, so a different numpy or CPU may
     need them taken again from a known-good commit.
@@ -305,6 +307,8 @@ class TestGoldenDigest:
 
     MODEL_SHA256 = "ded780b821cc817f54f757c3fff1fdfe073c86d556fda548b9eae9f226492921"
     SCORES_SHA256 = "d7b9a1897a71b4a9320dc8559aac948f2c4d1e305224cf2b45f029a336b97b6d"
+    SUBSAMPLED_MODEL_SHA256 = "93b541fca0c445c704ac9fafccf502a7c26e4145626fa7a39fc867dd6f87c39c"
+    SUBSAMPLED_SCORES_SHA256 = "f9baea19ed9f11d8887d7b0403bf4f3ac8ac937f473b11e030ec1df495b52c59"
 
     @staticmethod
     def synthetic_set():
@@ -316,12 +320,25 @@ class TestGoldenDigest:
         golds = [BinaryLabel.HATE if v > 0.45 else BinaryLabel.NEUTRAL for v in noisy]
         return X, golds
 
-    def test_model_and_score_bytes_match_the_pinned_digests(self, tmp_path):
+    def digests(self, config, tmp_path):
+        """SHA-256 of the saved model file, and of the lgb labels and scores."""
         X, golds = self.synthetic_set()
-        model = train_meta(X, golds, MetaLearnerConfig(num_rounds=60, seed=11))
+        model = train_meta(X, golds, config)
         path = tmp_path / "model.json"
         save_model(model, str(path))
         is_hate, scores = score_matrix(X, "lgb", model)
-        digest = hashlib.sha256(is_hate.tobytes() + scores.tobytes()).hexdigest()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.MODEL_SHA256
-        assert digest == self.SCORES_SHA256
+        return (hashlib.sha256(path.read_bytes()).hexdigest(),
+                hashlib.sha256(is_hate.tobytes() + scores.tobytes()).hexdigest())
+
+    def test_model_and_score_bytes_match_the_pinned_digests(self, tmp_path):
+        config = MetaLearnerConfig(num_rounds=60, seed=11)
+        assert self.digests(config, tmp_path) == (self.MODEL_SHA256, self.SCORES_SHA256)
+
+    def test_subsampled_l2_fit_matches_the_pinned_digests(self, tmp_path):
+        config = MetaLearnerConfig(
+            num_rounds=40, seed=23, l2_leaf_regularization=1.5, feature_fraction=0.6,
+            bagging_fraction=0.7, bagging_freq=3, min_data_in_leaf=1,
+        )
+        assert self.digests(config, tmp_path) == (
+            self.SUBSAMPLED_MODEL_SHA256, self.SUBSAMPLED_SCORES_SHA256,
+        )
