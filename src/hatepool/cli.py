@@ -19,8 +19,8 @@ wrong-typed field, and so is an endpoint ``timeout``
 over ``threading.TIMEOUT_MAX``. An empty ``text`` or a repeated ``id`` in
 the ``annotate`` input is a bad row, and so is a repeated ``id`` in a
 labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
---quota`` each language once, and ``stats --strategies`` only known names
-(each exit 1).
+--quota`` each language once, and ``stats --strategies`` only known names,
+each once (each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest``, ``annotate``, ``evaluate``, and ``ensemble
@@ -141,6 +141,8 @@ def _parse_strategies(raw: str) -> list[str]:
             raise argparse.ArgumentTypeError(
                 f"unknown ensemble strategy {name!r} (choose from {', '.join(STRATEGIES)})"
             )
+        if strategies.count(name) > 1:
+            raise argparse.ArgumentTypeError(f"ensemble strategy {name!r} given twice")
     return strategies
 
 
@@ -328,8 +330,8 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
     log.info(
         "trained meta-learner on %d joined examples (%d trees + %d trees)",
         len(golds),
-        len(model.hate_head.trees),
-        len(model.neutral_head.trees),
+        len(model.hate_head.roots),
+        len(model.neutral_head.roots),
     )
     return EXIT_OK
 

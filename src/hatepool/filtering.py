@@ -35,7 +35,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, Mapping, MutableSequence, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 from urllib.parse import unquote, urlparse
 
 import numpy as np
@@ -273,41 +273,32 @@ def language_rng(seed: int, lang: str) -> np.random.Generator:
 
 
 class _Reservoirs:
-    """One Algorithm R reservoir per quota'd language, holding the caller's items.
+    """``held``: one Algorithm R reservoir per quota'd language, an ``array("q")``
+    of the caller's integer items; each language draws from its own :func:`language_rng`."""
 
-    Each language draws from its own :func:`language_rng`. ``new_reservoir``
-    makes a language's reservoir at its first arrival, and ``held`` maps each
-    language that has one to it.
-    """
-
-    def __init__(self, quotas: Mapping[str, int], seed: int, new_reservoir=list) -> None:
+    def __init__(self, quotas: Mapping[str, int], seed: int) -> None:
         for lang, quota in quotas.items():
             if quota < 0:
                 raise ValueError(f"negative quota for language {lang!r}: {quota}")
         self._quotas = quotas
-        self._seed = seed
-        self._new_reservoir = new_reservoir
-        self._seen: dict[str, int] = {}
-        self._rngs: dict[str, np.random.Generator] = {}
-        self.held: dict[str, MutableSequence] = {}
+        self._seen = dict.fromkeys(quotas, 0)
+        self._rngs = {lang: language_rng(seed, lang) for lang in quotas}
+        self.held = {lang: array("q") for lang in quotas}
 
-    def offer(self, lang: str, item) -> bool:
+    def offer(self, lang: str, item: int) -> bool:
         """Offer ``item`` as the next record of the quota'd ``lang``; True if it enters.
 
         An item that enters takes a free slot, or evicts the holder of the
         slot that Algorithm R draws.
         """
         quota = self._quotas[lang]
-        position = self._seen.get(lang, 0)
+        position = self._seen[lang]
         self._seen[lang] = position + 1
-        if quota == 0:
-            return False
-        if position == 0:
-            self._rngs[lang] = language_rng(self._seed, lang)
-            self.held[lang] = self._new_reservoir()
         if position < quota:
             self.held[lang].append(item)
             return True
+        if quota == 0:
+            return False
         slot = int(self._rngs[lang].integers(0, position + 1))
         if slot >= quota:
             return False
@@ -323,18 +314,14 @@ def subsample_by_language(
     Uses Algorithm R with one seeded generator per language, so a language's
     sample does not depend on which other languages are present. Languages
     absent from ``quotas`` pass through untouched. Output preserves the
-    input order of the surviving records.
+    input order of the surviving records, which are the caller's own
+    objects. The input is held as a list, and each record's index goes
+    through :func:`write_kept` as one line.
     """
-    reservoirs = _Reservoirs(quotas, seed)
-    passthrough: list[tuple[int, WebRecord]] = []
-    for index, record in enumerate(records):
-        if record.lang in quotas:
-            reservoirs.offer(record.lang, (index, record))
-        else:
-            passthrough.append((index, record))
-    survivors = passthrough + [pair for pairs in reservoirs.held.values() for pair in pairs]
-    survivors.sort(key=lambda pair: pair[0])
-    return [record for _, record in survivors]
+    records = list(records)
+    out = io.BytesIO()
+    write_kept(((b"%d\n" % i, (r.lang,)) for i, r in enumerate(records)), quotas, seed, out)
+    return [records[int(line)] for line in out.getvalue().splitlines()]
 
 
 def write_kept(
@@ -348,9 +335,11 @@ def write_kept(
 
     Each chunk is ``(data, langs)``: records serialised one per line in
     UTF-8, each line ending in ``\n``, and their languages. Without
-    ``quotas`` the data is written as it comes. With ``quotas`` the records
-    written are :func:`subsample_by_language`'s, and memory is bounded by
-    the quotas, not by the input: each record that passes through or enters
+    ``quotas`` the data is written as it comes. With ``quotas`` each quota'd
+    language is cut to its quota by Algorithm R, drawing from its own
+    :func:`language_rng`, and every other language passes through; the
+    records written keep their input order. Memory is bounded by the
+    quotas, not by the input: each record that passes through or enters
     a reservoir is copied, on arrival, to an anonymous spool file in
     ``spool_dir`` (the default temp directory when None), behind a
     one-character tag: ``p`` passes through, ``r`` entered a reservoir. The
@@ -364,7 +353,7 @@ def write_kept(
             out.write(data)
             written += len(langs)
         return written
-    reservoirs = _Reservoirs(quotas, seed, lambda: array("q"))
+    reservoirs = _Reservoirs(quotas, seed)
     spooled = 0
     with tempfile.TemporaryFile(dir=spool_dir) as spool:
         for data, langs in chunks:

@@ -97,8 +97,12 @@ def summarize_pool(
     ``model_ids``, as :func:`hatepool.annotations.read_annotation_chunks` gives them.
 
     Each chunk is tallied into integer counts and exact sums, so the summary
-    does not depend on how the rows are cut into chunks.
+    does not depend on how the rows are cut into chunks. A strategy named
+    twice raises ``ValueError``.
     """
+    for name in strategies:
+        if strategies.count(name) > 1:
+            raise ValueError(f"ensemble strategy {name!r} given twice")
     counts: Counter[str] = Counter()
     labeled: Counter[str] = Counter()  # rows with a raw label, per language
     label_counts: Counter[tuple[str, str]] = Counter()  # (raw label, language)

@@ -1,13 +1,20 @@
-"""Reference URL-keyword and schema-type rules for the filter tests.
+"""Reference URL-keyword and schema-type rules and reservoir sample for the filter tests.
 
-These are the per-record rules the filter used before it derived its match
+The rules are the per-record ones the filter used before it derived its match
 rules once per config: every URL is split by ``urlparse``, every keyword
 spelling is rebuilt and tested as a substring, and every declared type is
 stripped of its first matching schema.org prefix, for each record. The
 property tests in ``test_filtering.py`` require the same paths and verdicts.
+
+:func:`reservoir_sample` replays Algorithm R (Vitter, "Random Sampling with a
+Reservoir", ACM TOMS 1985) one language at a time, deriving each language's
+generator itself, so the ``filter --quota`` tests compare the sampler with a
+replay that shares none of its code.
 """
 
 from urllib.parse import unquote, urlparse
+
+import numpy as np
 
 from hatepool.filtering import FilterConfig, UrlParseError
 
@@ -57,3 +64,28 @@ def schema_type_match(schema_types, config: FilterConfig | None = None) -> bool:
         if name in config.schema_whitelist:
             return True
     return False
+
+
+def reservoir_sample(records, quotas, seed):
+    """The ``records`` (each with a ``lang``) left after Algorithm R cuts each language
+    in ``quotas`` to its quota, in input order.
+
+    Language ``lang`` draws from ``np.random.default_rng([seed mod 2**64, key])``,
+    where ``key`` is ``lang``'s UTF-8 bytes read as a big-endian integer (0 for
+    ``""``). Its first ``quota`` records fill the reservoir; record ``pos`` (from
+    0) after them draws ``j`` in ``[0, pos]`` and replaces slot ``j`` if
+    ``j < quota``.
+    """
+    records = list(records)
+    dropped = set()
+    for lang, quota in quotas.items():
+        positions = [i for i, record in enumerate(records) if record.lang == lang]
+        key = int.from_bytes(lang.encode(), "big") if lang else 0
+        rng = np.random.default_rng([seed & (2**64 - 1), key])
+        reservoir = positions[:quota]
+        for pos in range(quota, len(positions)):
+            j = int(rng.integers(0, pos + 1))
+            if j < quota:
+                reservoir[j] = positions[pos]
+        dropped.update(set(positions) - set(reservoir))
+    return [record for i, record in enumerate(records) if i not in dropped]

@@ -6,7 +6,7 @@ import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatepool import (
@@ -19,7 +19,6 @@ from hatepool import (
     load_model,
     mean_label,
     read_annotations,
-    subsample_by_language,
     write_annotations,
 )
 from hatepool import ensemble
@@ -27,6 +26,7 @@ from hatepool._jsonl import dumps
 from hatepool.cli import main
 
 from conftest import MODEL_IDS
+from filter_oracle import reservoir_sample
 
 SMALL_META_CONFIG = {
     "num_rounds": 10,
@@ -197,6 +197,15 @@ class TestFilterCmd:
         assert not (tmp_path / "kept.jsonl").exists()
 
 
+def web_dicts(rows):
+    """Web records ``r0``, ``r1``, ... from ``(lang, text, kept by the URL rule)`` triples."""
+    return [
+        {"id": f"r{i}", "url": f"https://ex.org/{'forum' if kept else 'about'}/{i}",
+         "lang": lang, "schema_types": ["Comment"], "text": text}
+        for i, (lang, text, kept) in enumerate(rows)
+    ]
+
+
 # Web records in languages a-d, some failing the URL rule; texts hold
 # characters a line reader could mistake for line ends.
 WEB_ROWS = st.lists(
@@ -206,13 +215,7 @@ WEB_ROWS = st.lists(
         st.booleans(),
     ),
     max_size=40,
-).map(
-    lambda rows: [
-        {"id": f"r{i}", "url": f"https://ex.org/{'forum' if kept else 'about'}/{i}",
-         "lang": lang, "schema_types": ["Comment"], "text": text}
-        for i, (lang, text, kept) in enumerate(rows)
-    ]
-)
+).map(web_dicts)
 
 
 def quota_args(quotas):
@@ -234,6 +237,9 @@ class TestFilterQuotaSpool:
         quotas=st.dictionaries(st.sampled_from("abc"), st.integers(0, 12), min_size=1),
         seed=st.integers(-(2**63), 2**64),
     )
+    # One language of 40 kept records and a quota of 1 draws at every record after
+    # the first, so a wrong draw range shows whatever the drawn examples are.
+    @example(rows=web_dicts([("a", "x", True)] * 40), quotas={"a": 1}, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_kept_file_is_the_library_sample_byte_for_byte(self, rows, quotas, seed):
         with tempfile.TemporaryDirectory() as tmp:
@@ -246,7 +252,7 @@ class TestFilterQuotaSpool:
                 written = fp.read()
             assert sorted(os.listdir(tmp)) == ["kept.jsonl", "stats.json", "web.jsonl"]
         kept, _ = filter_records(WebRecord.from_dict(row) for row in rows)
-        sample = subsample_by_language(kept, quotas, seed)
+        sample = reservoir_sample(kept, quotas, seed)
         assert written == "".join(dumps(r.to_dict()) + "\n" for r in sample).encode("utf-8")
 
     def test_success_leaves_only_the_outputs(self, tmp_path):
@@ -767,11 +773,13 @@ class TestUsageAndVersion:
     def test_unknown_stats_strategy_is_usage_error_before_any_input_is_read(
         self, tmp_path, capsys
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["stats", "--annotations", str(tmp_path / "absent.jsonl"), "--output",
-                  str(tmp_path / "summary.json"), "--strategies", "vote,bogus"])
-        assert exc.value.code == 1
-        assert "unknown ensemble strategy 'bogus'" in capsys.readouterr().err
+        for raw, message in (("vote,bogus", "unknown ensemble strategy 'bogus'"),
+                             ("vote, mean,vote", "ensemble strategy 'vote' given twice")):
+            with pytest.raises(SystemExit) as exc:
+                main(["stats", "--annotations", str(tmp_path / "absent.jsonl"), "--output",
+                      str(tmp_path / "summary.json"), "--strategies", raw])
+            assert exc.value.code == 1
+            assert message in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

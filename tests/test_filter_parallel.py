@@ -9,6 +9,7 @@ does not grow with the input.
 """
 
 import gc
+import json
 import logging
 import os
 import signal
@@ -18,6 +19,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,8 @@ from hypothesis import strategies as st
 from hatepool import cli, filtering
 from hatepool._jsonl import dumps
 from hatepool.cli import main
+
+from filter_oracle import reservoir_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,10 +175,19 @@ def web_lines(n_bytes):
 def test_input_cat_twice_at_default_range_size(tmp_path):
     write_input(tmp_path, web_lines(filtering.RANGE_BYTES * 3 // 4) * 2)
     assert (tmp_path / "web.jsonl").stat().st_size > filtering.RANGE_BYTES
-    for quotas in ((), (("a", 100), ("b", 0))):
-        expected = run_filter(tmp_path, 0, quotas, 7)
+    quotas = (("a", 100), ("b", 0))
+    kept = {}
+    for run_quotas in ((), quotas):
+        expected = run_filter(tmp_path, 0, run_quotas, 7)
         assert expected[0] == 0 and len(expected[3]) == 6
-        assert run_filter(tmp_path, 2, quotas, 7) == expected
+        on_workers = run_filter(tmp_path, 2, run_quotas, 7)
+        assert on_workers == expected
+        kept[run_quotas] = on_workers[1]
+    # The workers' sample is the reference replay of Algorithm R over their unquota'd output.
+    lines = [SimpleNamespace(lang=json.loads(line)["lang"], line=line)
+             for line in kept[()].splitlines(keepends=True)]
+    sample = reservoir_sample(lines, dict(quotas), 7)
+    assert kept[quotas] == b"".join(record.line for record in sample)
 
 
 def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):

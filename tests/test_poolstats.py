@@ -72,6 +72,12 @@ class TestPoolStatistics:
         with pytest.raises(ValueError, match="lgb"):
             pool_statistics(pool, strategies=("lgb",))
 
+    def test_repeated_strategy_rejected(self):
+        # Tallied once per listing, a repeated strategy would read 200% Hate.
+        pool = [("eng", make_vector((0.9, 0.9, 0.9, 0.9)))] * 3
+        with pytest.raises(ValueError, match="strategy 'vote' given twice"):
+            pool_statistics(pool, strategies=("vote", "vote"))
+
     def test_mixed_model_sets_rejected(self):
         good = make_vector((0.1, 0.2, 0.3, 0.4))
         other = make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("a", "b", "c", "d"))
