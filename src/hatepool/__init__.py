@@ -66,7 +66,6 @@ _EXPORTS = {
         "predict_meta",
         "predict_meta_many",
         "save_model",
-        "score_matrix",
         "train_meta",
         "train_meta_on_vectors",
     ),

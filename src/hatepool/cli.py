@@ -336,8 +336,11 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str | None) -> MetaLearnerModel | None:
+def _load_model(path: str | None, strategies: Sequence[str]) -> MetaLearnerModel | None:
+    """The ``--model`` file, loaded whenever it is given; ``lgb`` refuses to run without it."""
     if not path:
+        if "lgb" in strategies:
+            raise ValueError("strategy 'lgb' requires --model")
         return None
     from .meta import load_model
 
@@ -347,21 +350,16 @@ def _load_model(path: str | None) -> MetaLearnerModel | None:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     from .annotations import read_annotation_chunks
     from .datasets import BinaryLabel
-    from .ensemble import feature_names, score_rows
+    from .ensemble import score_rows
 
-    if args.strategy == "lgb" and not args.model:
-        raise ValueError("strategy 'lgb' requires --model")
-    model = _load_model(args.model)
+    model = _load_model(args.model, (args.strategy,))
     labels = _load_labels(args.labels) if args.labels else None
     count = 0
     with open_input(args.annotations) as in_fp, atomic_output(args.output) as out_fp:
         model_order, chunks = read_annotation_chunks(in_fp)
+        model_ids = sorted(model_order)
         for chunk in chunks:
-            if args.strategy == "lgb" and count == 0:
-                from .meta import check_feature_order
-
-                check_feature_order(model, feature_names(sorted(model_order)))
-            is_hate, scores = score_rows(chunk.rows, args.strategy, model)
+            is_hate, scores = score_rows(chunk.rows, model_ids, args.strategy, model)
             for text_id, lang, hate, score_hate in zip(chunk.ids, chunk.langs, is_hate, scores):
                 out: dict = {
                     "id": text_id,
@@ -446,15 +444,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .annotations import read_annotation_chunks
     from .poolstats import render_pool_table, summarize_pool
 
-    if "lgb" in args.strategies and not args.model:
-        raise ValueError("strategy 'lgb' requires --model")
-    model = _load_model(args.model)
+    model = _load_model(args.model, args.strategies)
     with open_input(args.annotations) as fp:
         model_order, chunks = read_annotation_chunks(fp)
-        pool = (
-            (["und" if lang is None else lang for lang in c.langs], c.raw_labels, c.rows)
-            for c in chunks
-        )
+        pool = ((c.langs, c.raw_labels, c.rows) for c in chunks)
         summary = summarize_pool(sorted(model_order), pool, args.strategies, model)
     write_json_file(args.output, summary.to_dict())
     if args.table:

@@ -118,13 +118,17 @@ def mean_scores(rows: FeatureRows) -> tuple[list[bool], list[float]]:
 
 
 def score_rows(
-    rows: FeatureRows, strategy: str, model: MetaLearnerModel | None = None
+    rows: FeatureRows,
+    model_ids: Sequence[str],
+    strategy: str,
+    model: MetaLearnerModel | None = None,
 ) -> tuple[list[bool], list[float]]:
-    """Score feature rows with ``vote``, ``mean`` or ``lgb``: (is_hate, score_hate) lists.
+    """Score feature rows over the sorted ``model_ids`` with ``vote``, ``mean`` or
+    ``lgb``: (is_hate, score_hate) lists.
 
-    Only ``lgb`` loads numpy and the tree code, to walk the trees of ``model``
-    once over the rows as a float64 array; check the model's feature layout
-    with :func:`hatepool.meta.check_feature_order`.
+    Only ``lgb`` loads numpy and the tree code. It refuses a missing ``model``
+    and one fit on another feature layout than ``feature_names(model_ids)``,
+    then walks the trees once over the rows as a float64 array.
     """
     if strategy == "vote":
         return vote_scores(rows)
@@ -136,8 +140,9 @@ def score_rows(
         raise ValueError("strategy 'lgb' needs a trained meta-learner model")
     import numpy as np
 
-    from .meta import lgb_scores
+    from .meta import check_feature_order, lgb_scores
 
+    check_feature_order(model, feature_names(model_ids))
     is_hate, scores, _ = lgb_scores(model, np.array(rows, dtype=np.float64))
     return is_hate.tolist(), scores.tolist()
 

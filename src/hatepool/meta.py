@@ -7,12 +7,11 @@ loss with a shared seed, a booster fit to ``1 - y`` mirrors the Hate
 head, so a second fit would only repeat the first. Prediction compares
 the two sigmoid head scores, breaking exact ties toward Neutral; model
 files with independently fit heads still load and score through both.
-:func:`score_matrix` gives the scores of
-:func:`hatepool.ensemble.score_rows`, with any of the three ensemble
-strategies (vote, mean, lgb), as arrays. Every lgb score,
-:func:`predict_meta`'s one row included, comes from the one batched tree
-walk in :mod:`hatepool.gbdt`, so a row scores the same bit for bit alone
-or in any batch. A model file's nested trees are read into the flat
+Feature rows are scored with :func:`hatepool.ensemble.score_rows`, which
+refuses a model fit on another layout (:func:`check_feature_order`). Every
+lgb score, :func:`predict_meta`'s one row included, comes from the one
+batched tree walk in :mod:`hatepool.gbdt`, so a row scores the same bit for
+bit alone or in any batch. A model file's nested trees are read into the flat
 arrays and written from them with loops. A model file is checked while it
 is decoded, by ``typed_value`` and :meth:`BoostedTrees.from_dicts`: a
 split on a feature outside ``feature_order`` and a base score, threshold,
@@ -30,10 +29,10 @@ import numpy as np
 
 from ._jsonl import read_json_file, typed_value, write_json_file
 from .datasets import BinaryLabel
-from .ensemble import ProbabilityVector, features_matrix, score_rows
+from .ensemble import ENSEMBLE_SIZE, ProbabilityVector, features_matrix
 from .gbdt import BoostedTrees, MetaLearnerConfig, gbdt_fit, gbdt_predict_proba_many
 
-FEATURE_COUNT = 8
+FEATURE_COUNT = 2 * ENSEMBLE_SIZE
 
 HEAD_NAMES = ("hate", "neutral")
 
@@ -136,14 +135,6 @@ def check_feature_order(model: MetaLearnerModel, feature_names: Sequence[str]) -
             f"model was trained on features {list(model.feature_order)}, "
             f"but the annotations give {list(feature_names)}"
         )
-
-
-def score_matrix(
-    X: np.ndarray, strategy: str, model: MetaLearnerModel | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hatepool.ensemble.score_rows` over an (n, 8) feature matrix, as arrays."""
-    is_hate, scores_hate = score_rows(X, strategy, model)
-    return np.array(is_hate, dtype=bool), np.array(scores_hate, dtype=np.float64)
 
 
 def model_to_dict(model: MetaLearnerModel) -> dict:

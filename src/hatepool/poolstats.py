@@ -22,8 +22,8 @@ ALL_KEY = "All"
 
 PoolRow = tuple  # (lang, ProbabilityVector) or (lang, ProbabilityVector, raw_label)
 
-# (languages, raw labels or None, feature rows), one entry per text in each
-PoolChunk = tuple[Sequence[str], Sequence["str | None"], ensemble.FeatureRows]
+# (languages or None, raw labels or None, feature rows), one entry per text in each
+PoolChunk = tuple[Sequence["str | None"], Sequence["str | None"], ensemble.FeatureRows]
 
 
 @dataclass
@@ -43,13 +43,17 @@ class PoolSummary:
         return out
 
 
-def _unpack(row: PoolRow) -> tuple[str, ensemble.ProbabilityVector, str | None]:
+def _text(value: object) -> str | None:
+    return None if value is None else str(value)
+
+
+def _unpack(row: PoolRow) -> tuple[str | None, ensemble.ProbabilityVector, str | None]:
     if len(row) == 2:
         lang, vector = row
-        return str(lang), vector, None
+        return _text(lang), vector, None
     if len(row) == 3:
         lang, vector, raw = row
-        return str(lang), vector, None if raw is None else str(raw)
+        return _text(lang), vector, _text(raw)
     raise ValueError(f"pool rows must have 2 or 3 fields, got {len(row)}")
 
 
@@ -97,8 +101,10 @@ def summarize_pool(
     ``model_ids``, as :func:`hatepool.annotations.read_annotation_chunks` gives them.
 
     Each chunk is tallied into integer counts and exact sums, so the summary
-    does not depend on how the rows are cut into chunks. A strategy named
-    twice raises ``ValueError``.
+    does not depend on how the rows are cut into chunks. A missing language
+    (``None``) is counted as ``"und"``. A strategy named twice, and a language
+    named ``All`` (the pooled column), raise ``ValueError``; ``lgb`` refuses a
+    model fit on another feature layout (:func:`hatepool.ensemble.score_rows`).
     """
     for name in strategies:
         if strategies.count(name) > 1:
@@ -110,11 +116,10 @@ def summarize_pool(
     votes: Counter[tuple[int, str]] = Counter()
     strategy_hits: Counter[tuple[str, str]] = Counter()  # (strategy, language)
     for langs, raw_labels, rows in chunks:
-        if not counts and "lgb" in strategies and model is not None:
-            from .meta import check_feature_order
-
-            check_feature_order(model, ensemble.feature_names(model_ids))
+        langs = ["und" if lang is None else lang for lang in langs]
         counts.update(langs)
+        if ALL_KEY in counts:
+            raise ValueError(f"language {ALL_KEY!r} is the name of the pooled column")
         pairs = [pair for pair in zip(raw_labels, langs) if pair[0] is not None]
         label_counts.update(pairs)
         labeled.update(lang for _, lang in pairs)
@@ -122,7 +127,7 @@ def summarize_pool(
         for i, lang in enumerate(langs):
             rows_of.setdefault(lang, []).append(i)
         chunk_votes = ensemble.hate_votes(rows)
-        hits = [(name, ensemble.score_rows(rows, name, model)[0]) for name in strategies]
+        hits = [(name, ensemble.score_rows(rows, model_ids, name, model)[0]) for name in strategies]
         for lang, index in rows_of.items():
             for slot in range(len(model_ids)):
                 p_hate_sums[slot, lang] += _scaled_sum(rows[i][2 * slot] for i in index)

@@ -729,6 +729,20 @@ class TestStatsCmd:
         )
         assert code == 2
 
+    def test_language_named_all_is_refused(self, tmp_path, caplog):
+        rows = [{"model_order": list(MODEL_IDS)}]
+        for i, lang in enumerate(["All", "All", "eng"]):
+            rows.append({
+                "id": f"t{i}",
+                "lang": lang,
+                "models": {m: {"hate": 0.9, "neutral": 0.1} for m in MODEL_IDS},
+            })
+        annotations = write_jsonl(tmp_path / "ann.jsonl", rows)
+        out = tmp_path / "summary.json"
+        assert main(["stats", "--annotations", annotations, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "language 'All'" in caplog.text
+
     def test_lgb_strategy_with_model_and_table(self, pipeline, tmp_path, capsys):
         out = tmp_path / "summary.json"
         code = main(

@@ -17,16 +17,16 @@ from hatepool import (
     mean_label,
     predict_meta,
     save_model,
-    score_matrix,
     train_meta,
     train_meta_on_vectors,
     vote_hate_score,
     vote_label,
 )
 import hatepool.meta
+from hatepool.ensemble import score_rows
 from hatepool.meta import check_feature_order, model_from_dict, model_to_dict, predict_meta_many
 
-from conftest import make_vector, random_vectors
+from conftest import MODEL_IDS, make_vector, random_vectors
 from tree_walk_reference import gbdt_predict_proba
 
 
@@ -265,27 +265,32 @@ class TestBatchedScoring:
         for i, v in enumerate(vectors):
             assert predict_meta(trained_model, v) == (labels[i], s_h[i], s_n[i])
 
-    def test_score_matrix_dispatches_to_each_rule(self, trained_model):
+    def test_score_rows_dispatches_to_each_rule(self, trained_model):
         vectors = random_vectors(40, seed=11)
         X = np.stack([v.features() for v in vectors])
         labels, s_h, _ = predict_meta_many(trained_model, X)
-        is_hate, score = score_matrix(X, "lgb", trained_model)
-        assert is_hate.tolist() == [label is BinaryLabel.HATE for label in labels]
-        assert score.tolist() == s_h.tolist()
+        is_hate, score = score_rows(X, sorted(MODEL_IDS), "lgb", trained_model)
+        assert is_hate == [label is BinaryLabel.HATE for label in labels]
+        assert score == s_h.tolist()
         for name, label_fn, score_fn in (
             ("vote", vote_label, vote_hate_score),
             ("mean", mean_label, mean_hate_score),
         ):
-            is_hate, score = score_matrix(X, name)
-            assert is_hate.tolist() == [label_fn(v) is BinaryLabel.HATE for v in vectors]
-            assert score.tolist() == [score_fn(v) for v in vectors]
+            is_hate, score = score_rows(X, sorted(MODEL_IDS), name)
+            assert is_hate == [label_fn(v) is BinaryLabel.HATE for v in vectors]
+            assert score == [score_fn(v) for v in vectors]
 
-    def test_score_matrix_rejects_bad_strategies(self, trained_model):
+    def test_score_rows_rejects_bad_strategies(self, trained_model):
         X = np.stack([v.features() for v in random_vectors(3, seed=12)])
         with pytest.raises(ValueError, match="lgb"):
-            score_matrix(X, "lgb")
+            score_rows(X, sorted(MODEL_IDS), "lgb")
         with pytest.raises(ValueError, match="median"):
-            score_matrix(X, "median", trained_model)
+            score_rows(X, sorted(MODEL_IDS), "median", trained_model)
+
+    def test_score_rows_refuses_model_of_other_features(self, trained_model):
+        rows = [make_vector((0.1, 0.2, 0.3, 0.4), model_ids=("w", "x", "y", "z")).feature_row()]
+        with pytest.raises(ValueError, match="Gemma2-9B:p_hate.*w:p_hate"):
+            score_rows(rows, ("w", "x", "y", "z"), "lgb", trained_model)
 
     def test_feature_order_check_names_both_layouts(self, trained_model):
         check_feature_order(trained_model, random_vectors(1, seed=13)[0].feature_names())
@@ -326,7 +331,7 @@ class TestGoldenDigest:
         model = train_meta(X, golds, config)
         path = tmp_path / "model.json"
         save_model(model, str(path))
-        is_hate, scores = score_matrix(X, "lgb", model)
+        is_hate, scores = hatepool.meta.lgb_scores(model, X)[:2]
         return (hashlib.sha256(path.read_bytes()).hexdigest(),
                 hashlib.sha256(is_hate.tobytes() + scores.tobytes()).hexdigest())
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatepool import BinaryLabel, pool_statistics, render_pool_table, vote_label
+from hatepool import (
+    BinaryLabel,
+    MetaLearnerConfig,
+    pool_statistics,
+    render_pool_table,
+    train_meta_on_vectors,
+    vote_label,
+)
 from hatepool import ensemble
 from hatepool.metrics import _scaled_mean, _scaled_sum
 from hatepool.poolstats import ALL_KEY
@@ -71,6 +78,29 @@ class TestPoolStatistics:
         pool = random_pool(10, seed=6)
         with pytest.raises(ValueError, match="lgb"):
             pool_statistics(pool, strategies=("lgb",))
+
+    def test_lgb_refuses_model_of_other_features(self):
+        vectors, golds = zip(*[
+            (make_vector((p, p, p, p), model_ids=("w", "x", "y", "z")), gold)
+            for p, gold in ((0.1, BinaryLabel.NEUTRAL), (0.9, BinaryLabel.HATE))
+        ] * 5)
+        model = train_meta_on_vectors(
+            vectors, golds, MetaLearnerConfig(num_rounds=2, min_data_in_leaf=1)
+        )
+        pool = random_pool(5, seed=6)
+        with pytest.raises(ValueError, match="w:p_hate.*Gemma2-9B:p_hate"):
+            pool_statistics(pool, ("vote", "lgb"), model=model)
+
+    def test_language_named_all_rejected(self):
+        # Counted as a language, it would be overwritten by the pooled column.
+        hate, neutral = make_vector((0.9,) * 4), make_vector((0.1,) * 4)
+        with pytest.raises(ValueError, match="language 'All'"):
+            pool_statistics([(ALL_KEY, hate)] * 3 + [("eng", neutral)])
+
+    def test_missing_language_counts_as_und(self):
+        summary = pool_statistics([(None, make_vector((0.9,) * 4)), ("eng", make_vector((0.1,) * 4))])
+        assert summary.languages == {"eng": 1, "und": 1}
+        assert summary.per_strategy["vote"]["pct_hate"] == {"eng": 0.0, "und": 100.0, ALL_KEY: 50.0}
 
     def test_repeated_strategy_rejected(self):
         # Tallied once per listing, a repeated strategy would read 200% Hate.
