@@ -1,8 +1,8 @@
 """Pipeline command line: filter, ingest, annotate, train-meta, ensemble, evaluate, stats.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 partial annotation
-(some texts quarantined). All diagnostics go to stderr; only requested
-output goes to stdout. Every line of a JSONL input must be one JSON
+Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
+3 partial annotation (some texts quarantined). All diagnostics go to stderr;
+only requested output goes to stdout. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
 ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. Only ``filter`` skips lines that are
@@ -224,7 +224,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     # Called for each row after the rows before it were added to ``texts``.
     def text_row(row: dict) -> tuple:
-        text_id = str(row["id"])
+        text_id = typed_value(row["id"], "str", "id")
         if text_id in texts:
             raise ValueError(f"duplicate text id {text_id!r}")
         text = typed_value(row["text"], "str", "text")

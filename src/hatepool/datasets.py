@@ -76,7 +76,7 @@ class LabeledExample:
     @classmethod
     def from_dict(cls, row: Mapping) -> "LabeledExample":
         return cls(
-            id=str(row["id"]),
+            id=typed_value(row["id"], "str", "id"),
             dataset=typed_value(row["dataset"], "str", "dataset"),
             text=typed_value(row["text"], "str", "text"),
             gold=BinaryLabel(row["gold"]),

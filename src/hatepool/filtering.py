@@ -10,15 +10,15 @@ RFC 3986 characters other than ``;``, ``@``, ``[`` and ``]``, has its path
 read by one regular expression; any other URL goes through ``urlparse``.
 Both give the same path, so the fast path changes no verdict.
 
-``filter`` on a regular file of more than one range
-(:data:`RANGE_BYTES`, 2.5 MiB), when ``os.sched_getaffinity`` gives
-more than one CPU, runs one fork worker process per CPU: each decodes,
-filters and serialises one byte range of the input at a time, and this
-process keeps the counters, the warnings and the reservoirs in input
-order, holding at most one range's results more than there are workers.
-Standard input and smaller files are filtered in this process. Either
-way the output, the stats and every message are the same. Only ``filter``
-loads ``multiprocessing``, and only on that path.
+``filter`` on a regular file of more than one range (:data:`RANGE_BYTES`,
+2.5 MiB), when ``os.sched_getaffinity`` gives more than one CPU, runs one
+fork worker process per CPU: each decodes, filters and serialises one byte
+range of the input at a time, and this process keeps the counters, the
+warnings and the reservoirs in input order, holding at most one range's
+results more than there are workers. A worker that dies fails the command.
+Standard input and smaller files are filtered in this process. Either way
+the output, the stats and every message are the same. Only ``filter`` loads
+``multiprocessing`` and ``concurrent.futures``, and only on that path.
 """
 
 from __future__ import annotations
@@ -484,14 +484,15 @@ def filter_file(
     records come as :func:`write_kept` chunks.
 
     On workers, the file is cut into byte ranges of about :data:`RANGE_BYTES`, each
-    ending just after a ``\n``, and a fork ``multiprocessing.Pool`` decodes,
+    ending just after a ``\n``, and a fork ``ProcessPoolExecutor`` decodes,
     filters and serialises each range. This process takes the results in
     input order, at most ``workers + 1`` ranges ahead of the consumer: it
     calls ``on_error`` with each malformed-line error, raises a range's fatal
     error after the errors before it, and adds up the counters, with line
     numbers counted from the start of the file, so every message is the
     one-process path's. The stats are complete once the iterator is exhausted;
-    the workers are stopped when it ends, fails or is closed.
+    the workers are stopped when it ends, fails or is closed. If a worker dies,
+    the pool kills the others and ``ValueError`` names the range awaited.
     """
     stats = FilterStats()
     workers = _filter_workers(path)
@@ -504,22 +505,22 @@ def filter_file(
 
     def generate() -> Iterator[tuple[bytes, list[str]]]:
         import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         lines = 0
-        pool = None
+        # Fork, not spawn: under ``cli.main`` the command runs no other thread
+        # when it forks, since numpy starts with one OpenBLAS thread there, and
+        # a spawned worker would pay for an interpreter start and the imports.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        jobs = ((offset, length, pool.submit(_filter_range, path, offset, length, config))
+                for offset, length in _byte_ranges(path))
+        pending = deque()
         try:
-            # Fork, not spawn: under ``cli.main`` the command runs no other thread
-            # when it forks, since numpy starts with one OpenBLAS thread there, and
-            # a spawned worker would pay for an interpreter start and the imports.
-            with _sigint_held():
-                pool = multiprocessing.get_context("fork").Pool(workers)
-            jobs = (
-                pool.apply_async(_filter_range, (path, offset, length, config))
-                for offset, length in _byte_ranges(path)
-            )
-            pending = deque(islice(jobs, workers + 1))
+            with _sigint_held():  # the first submit forks every worker, then starts a thread
+                pending.extend(islice(jobs, workers + 1))
             while pending:
-                part, line_ends, malformed, error, kept, langs = pending.popleft().get()
+                part, line_ends, malformed, error, kept, langs = pending[0][2].result()
+                pending.popleft()
                 for exc in malformed:
                     on_error(shifted(exc, path, lines))
                 if error is not None:
@@ -529,13 +530,12 @@ def filter_file(
                 yield kept, langs
                 del kept, langs  # held ranges stay at most ``workers + 1``
                 pending.extend(islice(jobs, 1))  # the next range, if there is one
+        except BrokenProcessPool:  # it fails every pending range, not just the dead worker's
+            offset, length, _ = pending[0]
+            raise ValueError(f"{path}: a filter worker died before the result for bytes "
+                             f"{offset}-{offset + length} came back") from None
         finally:
-            # Not ``terminate()``: a worker killed while it sends a result leaves the
-            # result queue locked, and the pool's own threads then wait on it forever.
-            # The ranges already handed out are at most ``workers + 1``.
-            if pool is not None:
-                with _sigint_held():
-                    pool.close()
-                    pool.join()
+            with _sigint_held():
+                pool.shutdown(cancel_futures=True)
 
     return (generate() if workers else stream()), stats

@@ -178,7 +178,7 @@ class PredictionRow:
         if not 0.0 <= score_hate <= 1.0:
             raise ValueError(f"score_hate out of range: {score_hate}")
         return cls(
-            id=str(row["id"]),
+            id=typed_value(row["id"], "str", "id"),
             dataset=typed_value(row["dataset"], "str", "dataset"),
             score_hate=score_hate,
             gold=BinaryLabel(row["gold"]),

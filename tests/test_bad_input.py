@@ -128,6 +128,7 @@ TEXTS = FileKind(
     rows=tuple({"id": f"t{i}", "text": f"some text {i}", "lang": "eng"} for i in range(4)),
     corruptions=lambda index: (
         drop("id", "text")
+        | set_field("id", NOT_TEXT)
         | set_field("text", NOT_TEXT | st.just(""))
         | set_field("id", st.just("t0") if index else st.nothing())
         | replace_row(NON_OBJECTS)
@@ -143,6 +144,7 @@ LABELS = FileKind(
     ),
     corruptions=lambda index: (
         drop("id", "dataset", "text", "gold")
+        | set_field("id", NOT_TEXT)
         | set_field("dataset", NOT_TEXT)
         | set_field("text", NOT_TEXT)
         | set_field("gold", BAD_LABELS)
@@ -190,6 +192,7 @@ PREDICTIONS = FileKind(
     ),
     corruptions=lambda index: (
         drop("id", "dataset", "score_hate", "gold")
+        | set_field("id", NOT_TEXT)
         | set_field("dataset", NOT_TEXT)
         | set_field("score_hate", BAD_NUMBERS)
         | set_field("gold", BAD_LABELS)
@@ -398,10 +401,12 @@ def test_filter_warning_names_the_file_the_line_and_the_reason(tmp_path, caplog)
 
 @pytest.mark.parametrize(
     "case_id, field",
-    [("ensemble-labels", "dataset"), ("ensemble-labels", "text"), ("evaluate", "dataset")],
+    [("annotate", "id"), ("ensemble-labels", "id"), ("ensemble-labels", "dataset"),
+     ("ensemble-labels", "text"), ("evaluate", "id"), ("evaluate", "dataset")],
 )
 def test_null_string_field_names_its_line(case_id, field, tmp_path, caplog):
-    # Read with str(), null became the dataset or text "None" and the command exited 0.
+    # Read with str(), null became the id, dataset or text "None": the command exited 0,
+    # or for annotate went on to send the text.
     case = next(c for c in CASES if c.id == case_id)
     rows = [dict(row) for row in case.target.rows]
     rows[2][field] = None
@@ -409,6 +414,7 @@ def test_null_string_field_names_its_line(case_id, field, tmp_path, caplog):
     write_lines(path, rows)
     for kind in case.valid:
         write_lines(tmp_path / kind.name, kind.rows)
+    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
     inputs = os.listdir(tmp_path)
     code = run(case.argv, str(tmp_path))
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]

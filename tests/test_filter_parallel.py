@@ -4,18 +4,21 @@ Each input runs through ``cli.main`` with ``filtering._filter_workers`` replaced
 streams it in this process, 1 or 2 cut it into ranges for that many fork
 workers. Kept records, the stats file, the warnings in order and the exit-2
 message must be the same bytes. The subprocess tests check that no worker
-outlives the command, and the ``tracemalloc`` test that the parent's memory
-does not grow with the input.
+outlives the command and that a worker that dies ends it, the ``tracemalloc``
+test that the parent's memory does not grow with the input, and an at-fork
+hook that the workers fork while the command runs one thread.
 """
 
 import gc
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -190,6 +193,27 @@ def test_input_cat_twice_at_default_range_size(tmp_path):
     assert kept[quotas] == b"".join(record.line for record in sample)
 
 
+def test_every_fork_finds_one_thread(small_ranges, tmp_path):
+    # A child of fork runs only the forking thread: a lock that another thread held
+    # at the fork stays held in the child for good.
+    forks = []
+    recording = threading.Event()
+    recording.set()
+
+    def before_fork():
+        if recording.is_set():
+            forks.append(threading.active_count())
+
+    os.register_at_fork(before=before_fork)
+    small_ranges(4096)
+    write_input(tmp_path, web_lines(8 * 4096))
+    try:
+        code, *_ = run_filter(tmp_path, 2)
+    finally:
+        recording.clear()  # an at-fork hook cannot be removed
+    assert code == 0 and forks == [1, 1]
+
+
 def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):
     small_ranges(4096)
 
@@ -228,6 +252,18 @@ def web_file(tmp_path_factory):
     path.with_name("bad.jsonl").write_bytes(
         data[:cut] + BAD_ROW + b"\n" + data[cut:]
     )
+    return path
+
+
+@pytest.fixture(scope="module")
+def loud_file(tmp_path_factory):
+    """An input that ``filter`` cannot finish while its stderr is not read: it starts
+    with 4,000 malformed lines, whose warnings overfill a pipe. It holds at least two
+    ranges more than there are CPUs, so ranges are still handed out after the first
+    ``workers + 1``."""
+    path = tmp_path_factory.mktemp("loud") / "web.jsonl"
+    cpus = len(os.sched_getaffinity(0))
+    path.write_bytes(b"{oops\n" * 4000 + web_lines((cpus + 2) * filtering.RANGE_BYTES))
     return path
 
 
@@ -277,19 +313,76 @@ def children(pid):
         return None
 
 
-@needs_cpus
-def test_no_worker_left_after_sigint(web_file, tmp_path):
-    proc = start_filter(web_file, tmp_path / "out")
+def wait_for(condition):
     deadline = time.monotonic() + 60
-    while not children(proc.pid) and proc.poll() is None and time.monotonic() < deadline:
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
         time.sleep(0.002)
-    if children(proc.pid) is None:
-        proc.kill()
-        proc.wait()
+
+
+def first_worker(proc):
+    """The pid of the first worker of the ``filter`` run ``proc``, once there is one."""
+    wait_for(lambda: children(proc.pid) != [] or proc.poll() is not None)
+    pids = children(proc.pid)
+    if pids is None:
+        end_session(proc)
         pytest.skip("this system does not list child processes")
     assert proc.poll() is None, "filter ended before its workers were seen"
-    proc.send_signal(signal.SIGINT)
-    proc.communicate(timeout=120)
-    assert proc.returncode != 0
-    assert_session_is_empty(proc)
+    return int(pids[0])
+
+
+def cpu_ticks(pid):
+    """The CPU time that ``pid`` has used, in clock ticks."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return int(fields[11]) + int(fields[12])  # utime and stime
+
+
+def end_session(proc):
+    """Kill whatever is left of the session of ``proc``, so that a failed test leaves nothing."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
+@needs_cpus
+def test_no_worker_left_after_sigint(loud_file, tmp_path):
+    # The run blocks on its stderr until it is read, so it cannot end before the signal.
+    proc = start_filter(loud_file, tmp_path / "out")
+    try:
+        first_worker(proc)
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=120)
+        assert proc.returncode != 0
+        assert_session_is_empty(proc)
+    finally:
+        end_session(proc)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@needs_cpus
+@pytest.mark.parametrize("moment", ["worker-busy", "command-blocked"])
+def test_dead_worker_ends_the_command(moment, loud_file, tmp_path):
+    # multiprocessing.Pool replaced a killed worker but never finished the range it
+    # held, so the command waited for that result forever. A worker killed while it
+    # filters fails the result being awaited; one killed while the command is blocked
+    # on its stderr breaks the pool before the command's next submit, which raises.
+    proc = start_filter(loud_file, tmp_path / "out")
+    try:
+        worker = first_worker(proc)
+        if moment == "worker-busy":
+            wait_for(lambda: cpu_ticks(worker) >= 2)
+        else:
+            wait_for(lambda: "write" in Path(f"/proc/{proc.pid}/wchan").read_text())
+        os.kill(worker, signal.SIGKILL)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, err[-2000:]
+        assert_session_is_empty(proc)
+    finally:
+        end_session(proc)
+    errors = [line for line in err.splitlines() if not line.startswith("WARNING ")]
+    assert len(errors) == 1 and re.fullmatch(
+        rf"ERROR hatepool: {re.escape(str(loud_file))}: a filter worker died before the "
+        r"result for bytes \d+-\d+ came back", errors[0]), errors
     assert list((tmp_path / "out").iterdir()) == []
