@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
@@ -36,11 +37,23 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
     fp.write("\n")
 
 
+def loads(text: str) -> Any:
+    """``json.loads(text)``, refusing a string with a lone surrogate such as ``"\\ud800"``
+    (I-JSON, RFC 7493 section 2.1), which no command could write back as UTF-8."""
+    value = json.loads(text)
+    if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):  # no escape, no surrogate
+        try:
+            dumps(value).encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"lone surrogate \\u{ord(exc.object[exc.start]):04x}") from None
+    return value
+
+
 def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
-    Invalid JSON, JSON nested too deeply to decode, or an integer with too many
-    digits to decode raises ``ValueError("<file>:<line>: invalid JSON: <reason>")``,
+    Invalid JSON (see :func:`loads`), JSON nested too deeply to decode, or an integer with
+    too many digits to decode raises ``ValueError("<file>:<line>: invalid JSON: <reason>")``,
     or with ``on_error`` is skipped after ``on_error`` is called with that error.
     A non-object line, or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``,
     raises ``ValueError("<file>:<line> (id ...): <reason>")``; blank lines count.
@@ -53,7 +66,7 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
             continue
         # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.
         try:
-            row = json.loads(stripped)
+            row = loads(stripped)
         except (ValueError, RecursionError) as exc:
             reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
             error = ValueError(f"{source}:{lineno}: invalid JSON: {reason}")
@@ -134,18 +147,22 @@ def open_input(path: str) -> Iterator[TextIO]:
         yield fp
 
 
-def _create_temp_file(directory: str) -> tuple[int, str]:
-    """Create a new, uniquely named file in ``directory`` and open it for writing.
+def _create_temp_file(path: str) -> tuple[int, str]:
+    """Create a new, uniquely named file next to ``path`` and open it for writing.
 
     The mode is ``0o666`` less the umask, as ``open(path, "w")`` would give;
-    ``tempfile.mkstemp`` would force ``0o600`` onto every output.
+    ``tempfile.mkstemp`` would force ``0o600`` onto every output. Errors name ``path``.
     """
+    directory = os.path.dirname(os.path.abspath(path))
     while True:
         tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
         try:
             return os.open(tmp_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666), tmp_path
         except FileExistsError:
             continue
+        except OSError as exc:
+            exc.filename = path
+            raise
 
 
 @contextmanager
@@ -160,8 +177,7 @@ def atomic_output(path: str) -> Iterator[TextIO]:
         yield sys.stdout
         sys.stdout.flush()
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = _create_temp_file(directory)
+    fd, tmp_path = _create_temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
@@ -193,14 +209,14 @@ def read_json_file(path: str, decode=None) -> Any:
     """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
 
     Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, a
-    ``KeyError``/``TypeError``/``ValueError`` from ``decode`` ``ValueError("<file>: ...")``,
-    and a value nested too deeply to decode or convert ``ValueError("<file>: JSON nested
-    too deeply")``.
+    lone surrogate (see :func:`loads`) or a ``KeyError``/``TypeError``/``ValueError`` from
+    ``decode`` ``ValueError("<file>: ...")``, and a value nested too deeply to decode or
+    convert ``ValueError("<file>: JSON nested too deeply")``.
     """
     with open_input(path) as fp:
         source = getattr(fp, "name", path)
         try:
-            value = json.load(fp)
+            value = loads(fp.read())
             return value if decode is None else decode(value)
         except json.JSONDecodeError as exc:
             where = f"{source}:{exc.lineno}:{exc.colno}"

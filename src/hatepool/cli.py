@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
 3 partial annotation (some texts quarantined). All diagnostics go to stderr;
-only requested output goes to stdout. Every line of a JSONL input must be one JSON
+only requested output goes to stdout. A command that exits 2 commits no file:
+``filter``'s ``--stats`` and ``annotate``'s dead letters are committed with the
+main output, just before its rename, which alone can still fail after them. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
 ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
-``ingest``, as ``file:line: reason``. Only ``filter`` skips lines that are
+``ingest``, as ``file:line: reason``. A string holding a lone surrogate escape,
+such as ``\\ud800``, is not valid JSON (I-JSON, RFC 7493). Only ``filter`` skips lines that are
 not valid JSON, are nested too deeply or hold an integer of more than
 4,300 digits, counting them in ``malformed_lines``. A JSON file (a config, the endpoints, groups,
 registry, model or baseline) that is not valid JSON exits 2 with
-``file:line:col``, and one nested too deeply with ``file``; one with an
+``file:line:col``, one nested too deeply or holding a lone surrogate with ``file``; one with an
 unknown key, a wrong-typed field or a value out of range exits 2 with
 ``file: reason`` naming the field, and the entry that holds it
 (``dataset 'X'``, ``endpoints[i]``, ``config``) where there is one. A
@@ -50,6 +53,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
 from ._jsonl import (
@@ -173,17 +177,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
         log.warning("%s; skipped", error)
 
     out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
-    chunks, stats = filter_file(args.input, config, on_bad_line)
-    with atomic_output(args.output) as out_fp:
+    stats_sink = atomic_output(args.stats) if args.stats else nullcontext(sys.stderr)
+    with atomic_output(args.output) as out_fp, stats_sink as stats_fp:
+        chunks, stats = filter_file(args.input, config, on_bad_line)
         # Only kept records go to the output, as UTF-8 bytes.
         written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
-    payload = stats.to_dict()
-    payload["malformed_lines"] = malformed[0]
-    payload["written"] = written
-    if args.stats:
-        write_json_file(args.stats, payload)
-    else:
-        print(dumps_pretty(payload), file=sys.stderr)
+        payload = {**stats.to_dict(), "malformed_lines": malformed[0], "written": written}
+        out_fp.flush()  # on stdout, the records come out before the stats
+        stats_fp.write(dumps_pretty(payload) + "\n")
     log.info("kept %d of %d records", stats.kept, stats.records_seen)
     return EXIT_OK
 
@@ -247,31 +248,21 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     results, quarantined = annotate_batch(list(texts.items()), endpoints, template, seed=args.seed)
     model_order = sorted(ep.model_id for ep in endpoints)
-    with atomic_output(args.output) as out_fp:
-        write_annotations(
-            out_fp,
-            results,
-            lang_by_id=lang_by_id,
-            raw_label_by_id=raw_label_by_id,
-            model_order=model_order,
+    dead_path = args.dead_letter or (
+        f"{args.output}.deadletter.jsonl" if args.output != "-" else "-"
+    )
+    dead_file = bool(quarantined) and dead_path != "-"
+    dead_sink = atomic_output(dead_path) if dead_file else nullcontext(sys.stderr)
+    with atomic_output(args.output) as out_fp, dead_sink as dead_fp:
+        write_annotations(out_fp, results, lang_by_id, raw_label_by_id, model_order)
+        out_fp.flush()  # on stdout, the annotations come out before the dead letters
+        for q in quarantined:
+            write_jsonl_line(dead_fp, q.to_dict())
+    if dead_file:
+        log.warning(
+            "%d of %d texts quarantined; details in %s", len(quarantined), len(texts), dead_path
         )
     if quarantined:
-        dead_path = args.dead_letter or (
-            f"{args.output}.deadletter.jsonl" if args.output != "-" else "-"
-        )
-        if dead_path == "-":
-            for q in quarantined:
-                write_jsonl_line(sys.stderr, q.to_dict())
-        else:
-            with atomic_output(dead_path) as dead_fp:
-                for q in quarantined:
-                    write_jsonl_line(dead_fp, q.to_dict())
-            log.warning(
-                "%d of %d texts quarantined; details in %s",
-                len(quarantined),
-                len(texts),
-                dead_path,
-            )
         return EXIT_PARTIAL
     log.info("annotated %d texts on %d endpoints", len(results), len(endpoints))
     return EXIT_OK

@@ -34,6 +34,9 @@ class LabelMappingError(ValueError):
 class UnknownDatasetError(KeyError):
     """Raised when a dataset name is not in the registry."""
 
+    def __str__(self) -> str:  # a KeyError's str() is the repr of its message
+        return str(self.args[0])
+
 
 @dataclass(frozen=True)
 class DatasetSpec:

@@ -35,12 +35,13 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 from urllib.parse import unquote, urlparse
 
-import numpy as np
-
 from ._jsonl import dumps, from_json_object, iter_jsonl, open_input, shifted, typed_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_URL_KEYWORDS = (
     "thread",
@@ -268,6 +269,7 @@ def filter_records(
 
 def language_rng(seed: int, lang: str) -> np.random.Generator:
     """Per-language generator: independent streams, stable across runs."""
+    import numpy as np  # only ``--quota`` pays for numpy
     lang_key = int.from_bytes(lang.encode("utf-8"), "big") if lang else 0
     return np.random.default_rng([seed & _SEED_MASK, lang_key])
 

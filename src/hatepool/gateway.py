@@ -449,10 +449,11 @@ def write_annotations(
                 for entry in result.vector.entries
             },
         }
-        if lang_by_id is not None:
-            row["lang"] = lang_by_id.get(result.id)
-        if raw_label_by_id is not None and result.id in raw_label_by_id:
-            row["raw_label"] = raw_label_by_id[result.id]
+        if lang_by_id is not None or result.lang is not None:
+            row["lang"] = result.lang if lang_by_id is None else lang_by_id.get(result.id)
+        raw_label = result.raw_label if raw_label_by_id is None else raw_label_by_id.get(result.id)
+        if raw_label is not None:
+            row["raw_label"] = raw_label
         write_jsonl_line(fp, row)
 
 

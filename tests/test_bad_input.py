@@ -422,6 +422,31 @@ def test_null_string_field_names_its_line(case_id, field, tmp_path, caplog):
     assert f"{field} must be a string, got None" in messages[0]
 
 
+@pytest.mark.parametrize(
+    "case_id, field",
+    [("annotate", "text"), ("train-meta-labels", "text"), ("train-meta-annotations", "lang"),
+     ("ensemble", "lang"), ("ensemble-labels", "dataset"), ("evaluate", "dataset"),
+     ("stats", "lang"), ("ingest", "text")],
+)
+def test_lone_surrogate_is_invalid_json_naming_its_line(case_id, field, tmp_path, caplog):
+    # json read "\ud800" into a str that cannot be written as UTF-8: a command that
+    # wrote it back exited 2 naming no file or line, and the others exited 0.
+    case = next(c for c in CASES if c.id == case_id)
+    lines = [dumps(row) for row in case.target.rows]
+    lines[2] = json.dumps({**case.target.rows[2], field: "\ud800"})  # ASCII, so "\\ud800"
+    path = tmp_path / case.target.name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for kind in case.valid:
+        write_lines(tmp_path / kind.name, kind.rows)
+    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
+    inputs = os.listdir(tmp_path)
+    code = run(case.argv, str(tmp_path))
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2, messages
+    assert sorted(os.listdir(tmp_path)) == sorted(inputs), "an output file was committed"
+    assert messages == [f"{path}:3: invalid JSON: lone surrogate \\ud800"]
+
+
 GOOD_MODELS = {m: model_entry(0.5) for m in "abcd"}
 
 # Inputs that exited 1 with a traceback, or exited 2 without naming the line.

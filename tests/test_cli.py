@@ -2,8 +2,10 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +19,12 @@ from hatepool import (
     annotate_batch,
     filter_records,
     load_model,
+    load_registry,
     mean_label,
     read_annotations,
     write_annotations,
 )
-from hatepool import ensemble
+from hatepool import ensemble, filtering
 from hatepool._jsonl import dumps
 from hatepool.cli import main
 
@@ -47,6 +50,20 @@ def write_jsonl(path, rows):
 def read_jsonl(path):
     with open(path, encoding="utf-8") as fp:
         return [json.loads(line) for line in fp if line.strip()]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(args, **kwargs):
+    """``python -m hatepool.cli ARGS`` on ``src`` in a fresh interpreter, output as text.
+
+    Its stdout is block-buffered on a pipe, as Python has it by default.
+    """
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hatepool.cli", *args], text=True, timeout=120,
+                          env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +199,37 @@ class TestFilterCmd:
         )
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["web.jsonl"]
+
+    def test_unwritable_stats_fails_before_the_input_is_read(self, tmp_path, monkeypatch):
+        # The whole input was filtered and kept.jsonl committed before --stats failed.
+        in_path = self.make_input(tmp_path)
+        monkeypatch.setattr(filtering, "filter_file", lambda *args: pytest.fail("input read"))
+        code = main(["filter", "--input", str(in_path), "--output", str(tmp_path / "kept.jsonl"),
+                     "--stats", str(tmp_path / "missing" / "s.json")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["web.jsonl"]
+
+    def test_unwritable_output_is_named_as_given(self, tmp_path):
+        # The error named the temp file beside it, ".../missing/.tmp-<hex>.part".
+        in_path = self.make_input(tmp_path)
+        stats_path = tmp_path / "missing" / "s.json"
+        proc = run_cli(["filter", "--input", str(in_path), "--output",
+                        str(tmp_path / "kept.jsonl"), "--stats", str(stats_path)],
+                       capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"ERROR hatepool: [Errno 2] No such file or directory: '{stats_path}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["web.jsonl"]
+
+    def test_stdout_gets_the_records_before_stderr_gets_the_stats(self, tmp_path):
+        in_path = self.make_input(tmp_path)
+        proc = run_cli(["filter", "--input", str(in_path), "--output", "-"],
+                       stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("WARNING hatepool: ") and lines[0].endswith("; skipped")
+        assert [json.loads(line)["id"] for line in lines[1:4]] == ["a", "b", "c"]
+        assert json.loads("\n".join(lines[4:]))["written"] == 3
 
     def test_filter_bad_quota_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +380,16 @@ class TestIngestCmd:
         out = tmp_path / "y.jsonl"
         assert main(["ingest", "--dataset", "Nope", "--input", str(src), "--output", str(out)]) == 2
 
+    def test_unknown_dataset_error_is_one_plain_line(self, tmp_path):
+        # str() of the KeyError put the message in quotes.
+        src = tmp_path / "x.csv"
+        src.write_text("text,label\nhey,0\n")
+        proc = run_cli(["ingest", "--dataset", "Nope", "--input", str(src), "--output",
+                        str(tmp_path / "y.jsonl")], capture_output=True)
+        assert proc.returncode == 2
+        names = ", ".join(sorted(load_registry()))
+        assert proc.stderr == f"ERROR hatepool: unknown dataset 'Nope'; registered: {names}\n"
+
     def test_unmapped_label_is_data_error(self, tmp_path):
         src = tmp_path / "ahsd.csv"
         src.write_text("tweet,class\nhello,sarcastic\n")
@@ -415,6 +473,35 @@ class TestAnnotateCmd:
         assert [d["id"] for d in dead] == ["bad"]
         assert len(dead[0]["errors"]) == 4
         assert all(e["attempts"] == 1 for e in dead[0]["errors"])
+
+    def test_unwritable_dead_letter_commits_no_output(self, tmp_path):
+        # ann.jsonl was committed before the dead letters failed.
+        in_path = write_jsonl(
+            tmp_path / "texts.jsonl",
+            [{"id": "ok", "text": "fine"}, {"id": "bad", "text": "poison"}],
+        )
+        script = lambda model, prompt: 500 if "poison" in prompt else {"1": 0.7, "2": 0.3}
+        with MockAnnotatorServer(script=script) as server:
+            code = main(["annotate", "--input", in_path, "--output", str(tmp_path / "ann.jsonl"),
+                         "--endpoints", self.endpoints_file(tmp_path, server),
+                         "--dead-letter", str(tmp_path / "missing" / "dead.jsonl")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
+
+    def test_stdout_gets_the_annotations_before_stderr_gets_the_dead_letters(self, tmp_path):
+        in_path = write_jsonl(
+            tmp_path / "texts.jsonl",
+            [{"id": "ok", "text": "fine"}, {"id": "bad", "text": "poison"}],
+        )
+        script = lambda model, prompt: 500 if "poison" in prompt else {"1": 0.7, "2": 0.3}
+        with MockAnnotatorServer(script=script) as server:
+            proc = run_cli(["annotate", "--input", in_path, "--output", "-",
+                            "--endpoints", self.endpoints_file(tmp_path, server)],
+                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert proc.returncode == 3
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert rows[0] == {"model_order": sorted(MODEL_IDS)} and rows[1]["id"] == "ok"
+        assert rows[2]["id"] == "bad" and "errors" in rows[2] and len(rows) == 3
 
     def test_missing_text_field_is_data_error(self, tmp_path):
         in_path = write_jsonl(tmp_path / "texts.jsonl", [{"id": "t1"}])

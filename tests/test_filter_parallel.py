@@ -48,6 +48,9 @@ def web_row(i, lang="eng", kept=True, text="t"):
 BAD_ROW = dumps({**web_row(0), "id": "bad", "lang": None}).encode()
 
 
+# A kept web record whose text is a lone surrogate escape, which is not valid JSON.
+LONE_SURROGATE_ROW = json.dumps(web_row(0, text="\ud800"))
+
 # A line of the input, before its line end: a web record (kept or not, in one
 # of three languages, with text that holds characters a line reader could take
 # for line ends), a blank line, a line that is not JSON, or a bad row, which is
@@ -58,7 +61,8 @@ LINES = st.one_of(
         st.booleans(),
         st.text(st.sampled_from("x\u00e9 \u2028\u0085\r\n\"\\"), max_size=6),
     ).map(lambda row: ("row",) + row),
-    st.sampled_from(["", "  ", "\u2028", "\u0085", "{oops", "[1", "nul"]).map(lambda s: ("raw", s)),
+    st.sampled_from(["", "  ", "\u2028", "\u0085", "{oops", "[1", "nul", LONE_SURROGATE_ROW])
+    .map(lambda s: ("raw", s)),
     st.sampled_from([BAD_ROW.decode(), "[1, 2]", '{"id": "x"}']).map(lambda s: ("raw", s)),
 )
 

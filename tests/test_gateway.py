@@ -245,6 +245,16 @@ class TestAnnotationWireFormat:
             assert row.vector.p_hate == pytest.approx(original.vector.p_hate, abs=1e-12)
             assert row.raw_weights.keys() == original.raw_weights.keys()
 
+    def test_rows_read_back_are_written_with_the_same_bytes(self):
+        # Without lang_by_id and raw_label_by_id, each row lost its lang and raw_label.
+        buffer = io.StringIO()
+        write_annotations(buffer, self.make_results(), lang_by_id={"a": "eng", "b": "deu"},
+                          raw_label_by_id={"a": "Hate"})
+        model_order, rows = read_annotations(io.StringIO(buffer.getvalue()))
+        again = io.StringIO()
+        write_annotations(again, list(rows), model_order=model_order)
+        assert again.getvalue() == buffer.getvalue()
+
     def test_model_set_mismatch_detected(self):
         results = self.make_results()
         buffer = io.StringIO()

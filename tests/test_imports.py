@@ -41,13 +41,13 @@ WATCHED = (
     "hatepool.meta",
 )
 
-# Watched module -> the commands allowed to load it. filter keeps numpy for
-# its reservoir RNG; the commands that walk trees (train-meta, ensemble with
-# lgb, stats with lgb) need it and the tree code, and vote and mean need
-# neither. statistics (with fractions) costs about 5 ms to import; exact means
-# come from metrics' integer sums instead. Only annotate runs a thread pool and
-# sends requests, and only filter a process pool (for a large input file on
-# more than one CPU).
+# Watched module -> the commands allowed to load it. filter --quota loads numpy
+# for its reservoir RNG, and filter without it does not; the commands that walk
+# trees (train-meta, ensemble with lgb, stats with lgb) need it and the tree
+# code, and vote and mean need neither. statistics (with fractions) costs
+# about 5 ms to import; exact means come from metrics' integer sums instead.
+# Only annotate runs a thread pool and sends requests, and only filter a
+# process pool (for a large input file on more than one CPU).
 ALLOWED = {
     "numpy": {"filter", "train-meta", "ensemble", "stats"},
     "requests": set(),
@@ -139,6 +139,8 @@ def command_args(command, r):
         "version": ["--version"],
         "filter": ["filter", "--input", f"{r}/web.jsonl", "--output", f"{r}/out-kept.jsonl",
                    "--quota", "eng=1", "--stats", f"{r}/out-filter.json"],
+        "filter-no-quota": ["filter", "--input", f"{r}/web.jsonl", "--output",
+                            f"{r}/out-kept-all.jsonl"],
         "ingest": ["ingest", "--dataset", "AHSD", "--input", f"{r}/ahsd.csv",
                    "--output", f"{r}/out-labeled.jsonl"],
         "annotate": ["annotate", "--input", f"{r}/texts.jsonl", "--output", f"{r}/out-ann.jsonl",
@@ -163,8 +165,8 @@ def command_args(command, r):
 
 @pytest.mark.parametrize(
     "command",
-    ["version", "filter", "ingest", "annotate", "train-meta", "ensemble", "ensemble-vote",
-     "ensemble-mean", "evaluate", "stats", "stats-vote-mean"],
+    ["version", "filter", "filter-no-quota", "ingest", "annotate", "train-meta", "ensemble",
+     "ensemble-vote", "ensemble-mean", "evaluate", "stats", "stats-vote-mean"],
 )
 def test_command_import_budget(command, inputs):
     report = json.loads(run_python(["-c", PROBE, *command_args(command, inputs)], inputs))

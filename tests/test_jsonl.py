@@ -102,6 +102,29 @@ class TestIterJsonl:
         ]
         assert all(type(error) is ValueError for error in skipped)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [(r'"\ud83d\ude00"', "\U0001f600"), (r'"\uD83D\uDE00"', "\U0001f600"),
+         (r'"\\ud800"', "\\ud800"), (r'"\u00e9"', "\u00e9")],
+        ids=["pair", "upper-case-pair", "escaped-backslash", "bmp"],
+    )
+    def test_escapes_that_are_no_lone_surrogate_are_read(self, text, value):
+        assert list(iter_jsonl(io.StringIO('{"t": ' + text + "}\n"))) == [{"t": value}]
+
+    @pytest.mark.parametrize(
+        "line, shown",
+        [(r'{"t": "\ud800"}', r"\ud800"), (r'{"t": "a\uDFFFb"}', r"\udfff"),
+         (r'{"t": "\ude00\ud83d"}', r"\ude00"), (r'{"t": "\\\ud800"}', r"\ud800"),
+         (r'{"\udbff": 1}', r"\udbff")],
+        ids=["high", "low", "reversed-pair", "after-escaped-backslash", "key"],
+    )
+    def test_lone_surrogate_is_invalid_json(self, line, shown):
+        # json read it into a str that no command could write back as UTF-8.
+        skipped = []
+        stream = io.StringIO(line + '\n{"t": 1}\n')
+        assert list(iter_jsonl(stream, on_error=skipped.append)) == [{"t": 1}]
+        assert [str(e) for e in skipped] == [f"<stream>:1: invalid JSON: lone surrogate {shown}"]
+
     def test_decoder_rejection_stays_fatal_with_on_error(self):
         skipped = []
         stream = io.StringIO('{oops\n{"id": "a"}\n')
@@ -288,6 +311,13 @@ class TestReadJsonFile:
         with pytest.raises(ValueError) as info:
             read_json_file(str(path), lambda value: value)
         assert str(info.value) == f"{path}:3:8: invalid JSON: Expecting value"
+
+    def test_lone_surrogate_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"endpoints": [{"model_id": "\\ud800"}]}')
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path))
+        assert str(info.value) == f"{path}: lone surrogate \\ud800"
 
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "c.json"
