@@ -13,6 +13,7 @@ config decoder.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -171,17 +172,24 @@ def atomic_output(path: str) -> Iterator[TextIO]:
 
     The rename only happens when the body completes without raising, so a
     crashed run never leaves a truncated output file behind. The output gets
-    the same permissions as a file made with ``open(path, "w")``.
+    the same permissions as a file made with ``open(path, "w")``. An existing
+    directory is refused before the temp file is made, and an error in making or
+    renaming that file names ``path`` as given.
     """
     if path == "-":
         yield sys.stdout
         sys.stdout.flush()
         return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     fd, tmp_path = _create_temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         try:
             os.unlink(tmp_path)

@@ -3,8 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
 3 partial annotation (some texts quarantined). All diagnostics go to stderr;
 only requested output goes to stdout. A command that exits 2 commits no file:
-``filter``'s ``--stats`` and ``annotate``'s dead letters are committed with the
-main output, just before its rename, which alone can still fail after them. Every line of a JSONL input must be one JSON
+``filter`` and ``annotate`` open both their outputs before they read their
+input, so an output that cannot be written costs no filtering and no request.
+Each commits its side output (``filter``'s ``--stats``, ``annotate``'s dead
+letters) just before its main output, whose rename alone can still fail after
+it. ``annotate`` commits its dead-letter file on every run, empty when no text
+was quarantined. Every line of a JSONL input must be one JSON
 object (blank lines are skipped); a bad row exits 2 with
 ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. A string holding a lone surrogate escape,
@@ -22,8 +26,9 @@ wrong-typed field, and so is an endpoint ``timeout``
 over ``threading.TIMEOUT_MAX``. An empty ``text`` or a repeated ``id`` in
 the ``annotate`` input is a bad row, and so is a repeated ``id`` in a
 labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
---quota`` each language once, and ``stats --strategies`` only known names,
-each once (each exit 1).
+--quota`` each language once, ``stats --strategies`` only known names, each
+once, and ``filter --stats`` and ``annotate --dead-letter`` only a file other
+than ``--output`` (each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest``, ``annotate``, ``evaluate``, and ``ensemble
@@ -219,6 +224,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     from .gateway import annotate_batch, write_annotations
 
     endpoints, template = read_json_file(args.endpoints, _decode_endpoints)
+    dead_path = args.dead_letter or (
+        f"{args.output}.deadletter.jsonl" if args.output != "-" else "-"
+    )
+    dead_sink = nullcontext(sys.stderr) if dead_path == "-" else atomic_output(dead_path)
     texts: dict[str, str] = {}
     lang_by_id: dict[str, str] = {}
     raw_label_by_id: dict[str, str] = {}
@@ -236,36 +245,34 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             raw_label = row.get("gold")
         return text_id, text, row.get("lang"), raw_label
 
-    with open_input(args.input) as in_fp:
-        for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
-            texts[text_id] = text
-            if lang is not None:
-                lang_by_id[text_id] = str(lang)
-            if raw_label is not None:
-                raw_label_by_id[text_id] = str(raw_label)
-    if not texts:
-        raise ValueError("no texts to annotate")
-
-    results, quarantined = annotate_batch(list(texts.items()), endpoints, template, seed=args.seed)
-    model_order = sorted(ep.model_id for ep in endpoints)
-    dead_path = args.dead_letter or (
-        f"{args.output}.deadletter.jsonl" if args.output != "-" else "-"
-    )
-    dead_file = bool(quarantined) and dead_path != "-"
-    dead_sink = atomic_output(dead_path) if dead_file else nullcontext(sys.stderr)
+    # Both outputs are opened before the input is read, so one that cannot be
+    # written costs no request.
     with atomic_output(args.output) as out_fp, dead_sink as dead_fp:
-        write_annotations(out_fp, results, lang_by_id, raw_label_by_id, model_order)
+        with open_input(args.input) as in_fp:
+            for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
+                texts[text_id] = text
+                if lang is not None:
+                    lang_by_id[text_id] = str(lang)
+                if raw_label is not None:
+                    raw_label_by_id[text_id] = str(raw_label)
+        if not texts:
+            raise ValueError("no texts to annotate")
+        results, quarantined = annotate_batch(
+            list(texts.items()), endpoints, template, seed=args.seed
+        )
+        write_annotations(out_fp, results, lang_by_id, raw_label_by_id,
+                          sorted(ep.model_id for ep in endpoints))
         out_fp.flush()  # on stdout, the annotations come out before the dead letters
         for q in quarantined:
             write_jsonl_line(dead_fp, q.to_dict())
-    if dead_file:
+    if not quarantined:
+        log.info("annotated %d texts on %d endpoints", len(results), len(endpoints))
+        return EXIT_OK
+    if dead_path != "-":
         log.warning(
             "%d of %d texts quarantined; details in %s", len(quarantined), len(texts), dead_path
         )
-    if quarantined:
-        return EXIT_PARTIAL
-    log.info("annotated %d texts on %d endpoints", len(results), len(endpoints))
-    return EXIT_OK
+    return EXIT_PARTIAL
 
 
 def _load_labels(path: str) -> dict[str, LabeledExample]:
@@ -560,6 +567,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The side output would be committed and then renamed over by the main one.
+    for flag in ("stats", "dead_letter"):
+        side = getattr(args, flag, None)
+        if side and "-" not in (side, args.output) and (
+            os.path.realpath(side) == os.path.realpath(args.output)
+        ):
+            parser.error(f"--{flag.replace('_', '-')} and --output name the same file")
     logging.basicConfig(
         stream=sys.stderr,
         level=getattr(logging, args.log_level.upper()),

@@ -12,10 +12,11 @@ Both give the same path, so the fast path changes no verdict.
 
 ``filter`` on a regular file of more than one range (:data:`RANGE_BYTES`,
 2.5 MiB), when ``os.sched_getaffinity`` gives more than one CPU, runs one
-fork worker process per CPU: each decodes, filters and serialises one byte
-range of the input at a time, and this process keeps the counters, the
-warnings and the reservoirs in input order, holding at most one range's
-results more than there are workers. A worker that dies fails the command.
+fork worker process per CPU, but no more than there are ranges: each
+decodes, filters and serialises one byte range of the input at a time,
+and this process keeps the counters, the warnings and the reservoirs in
+input order, holding at most one range's results more than there are
+workers. A worker that dies fails the command.
 Standard input and smaller files are filtered in this process. Either way
 the output, the stats and every message are the same. Only ``filter`` loads
 ``multiprocessing`` and ``concurrent.futures``, and only on that path.
@@ -467,15 +468,16 @@ def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
 
 def _filter_workers(path: str) -> int:
     """Worker processes for :func:`filter_file` on ``path``: one per CPU this process
-    may run on, for a regular file of more than one range on more than one CPU;
-    0, to stream the input in this process, otherwise."""
+    may run on, but no more than the file has ranges, for a regular file of more
+    than one range on more than one CPU; 0, to stream the input in this process,
+    otherwise."""
     if path == "-" or not hasattr(os, "sched_getaffinity"):
         return 0
     info = os.stat(path)
     cpus = len(os.sched_getaffinity(0))
     if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size <= RANGE_BYTES:
         return 0
-    return cpus
+    return min(cpus, -(-info.st_size // RANGE_BYTES))  # the ranges, at most
 
 
 def filter_file(

@@ -221,6 +221,27 @@ class TestFilterCmd:
             f"ERROR hatepool: [Errno 2] No such file or directory: '{stats_path}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["web.jsonl"]
 
+    @pytest.mark.parametrize("flag", ["--output", "--stats"])
+    def test_directory_output_is_refused_as_given(self, tmp_path, flag):
+        # The kept records' rename named the temp file, and a directory --stats
+        # was only refused after the whole input was filtered.
+        self.make_input(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        args = ["filter", "--input", "web.jsonl", "--output", "kept.jsonl", "--stats", "s.json"]
+        args[args.index(flag) + 1] = "outdir"
+        proc = run_cli(args, capture_output=True, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "ERROR hatepool: [Errno 21] Is a directory: 'outdir'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "web.jsonl"]
+        assert list((tmp_path / "outdir").iterdir()) == []
+
+    def test_output_and_stats_may_both_go_to_stdout(self, tmp_path, capsys):
+        in_path = self.make_input(tmp_path)
+        assert main(["filter", "--input", str(in_path), "--output", "-", "--stats", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["id"] for line in lines[:3]] == ["a", "b", "c"]
+        assert json.loads("\n".join(lines[3:]))["written"] == 3
+
     def test_stdout_gets_the_records_before_stderr_gets_the_stats(self, tmp_path):
         in_path = self.make_input(tmp_path)
         proc = run_cli(["filter", "--input", str(in_path), "--output", "-"],
@@ -474,18 +495,92 @@ class TestAnnotateCmd:
         assert len(dead[0]["errors"]) == 4
         assert all(e["attempts"] == 1 for e in dead[0]["errors"])
 
+    @staticmethod
+    def counting_poison(calls):
+        """A script that fails every request for a text holding "poison", noting each model."""
+
+        def script(model, prompt):
+            calls.append(model)
+            return 500 if "poison" in prompt else {"1": 0.7, "2": 0.3}
+
+        return script
+
     def test_unwritable_dead_letter_commits_no_output(self, tmp_path):
-        # ann.jsonl was committed before the dead letters failed.
+        # ann.jsonl was committed before the dead letters failed, after every request.
         in_path = write_jsonl(
             tmp_path / "texts.jsonl",
             [{"id": "ok", "text": "fine"}, {"id": "bad", "text": "poison"}],
         )
-        script = lambda model, prompt: 500 if "poison" in prompt else {"1": 0.7, "2": 0.3}
-        with MockAnnotatorServer(script=script) as server:
+        calls = []
+        with MockAnnotatorServer(script=self.counting_poison(calls)) as server:
             code = main(["annotate", "--input", in_path, "--output", str(tmp_path / "ann.jsonl"),
                          "--endpoints", self.endpoints_file(tmp_path, server),
                          "--dead-letter", str(tmp_path / "missing" / "dead.jsonl")])
         assert code == 2
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
+
+    def test_unwritable_output_makes_no_request(self, tmp_path):
+        # Every text went to all four endpoints before the output failed.
+        in_path = write_jsonl(
+            tmp_path / "texts.jsonl",
+            [{"id": "t1", "text": "first"}, {"id": "t2", "text": "second"}],
+        )
+        calls = []
+        with MockAnnotatorServer(script=self.counting_poison(calls)) as server:
+            code = main(["annotate", "--input", in_path,
+                         "--output", str(tmp_path / "missing" / "ann.jsonl"),
+                         "--endpoints", self.endpoints_file(tmp_path, server)])
+        assert code == 2
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--output", "outdir"], ["--output", "ann.jsonl", "--dead-letter", "outdir"]],
+        ids=["output", "dead-letter"],
+    )
+    def test_directory_output_is_refused_before_any_request(self, tmp_path, outputs):
+        # --output outdir made every request, exited 2 and committed
+        # outdir.deadletter.jsonl; --dead-letter outdir named its temp file.
+        write_jsonl(tmp_path / "texts.jsonl",
+                    [{"id": "ok", "text": "fine"}, {"id": "bad", "text": "poison"}])
+        (tmp_path / "outdir").mkdir()
+        calls = []
+        with MockAnnotatorServer(script=self.counting_poison(calls)) as server:
+            self.endpoints_file(tmp_path, server)
+            proc = run_cli(["annotate", "--input", "texts.jsonl", "--endpoints", "endpoints.json",
+                            *outputs], capture_output=True, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "ERROR hatepool: [Errno 21] Is a directory: 'outdir'\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "endpoints.json", "outdir", "texts.jsonl"]
+        assert list((tmp_path / "outdir").iterdir()) == []
+
+    def test_clean_run_empties_stale_dead_letters(self, tmp_path):
+        # An earlier run's dead letters were left beside the fresh annotations.
+        in_path = write_jsonl(tmp_path / "texts.jsonl", [{"id": "t1", "text": "first"}])
+        out_path = tmp_path / "ann.jsonl"
+        stale = tmp_path / "ann.jsonl.deadletter.jsonl"
+        stale.write_text('{"id": "t1", "errors": []}\n')
+        with MockAnnotatorServer() as server:
+            code = main(["annotate", "--input", in_path, "--output", str(out_path),
+                         "--endpoints", self.endpoints_file(tmp_path, server)])
+        assert code == 0
+        assert stale.read_text() == ""
+
+    def test_clean_stdout_run_prints_no_dead_letters(self, tmp_path):
+        write_jsonl(tmp_path / "texts.jsonl",
+                    [{"id": "t1", "text": "first"}, {"id": "t2", "text": "second"}])
+        with MockAnnotatorServer() as server:
+            self.endpoints_file(tmp_path, server)
+            proc = run_cli(["annotate", "--input", "texts.jsonl", "--endpoints", "endpoints.json",
+                            "--output", "-"], capture_output=True, cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert [json.loads(line).get("id") for line in proc.stdout.splitlines()] == [
+            None, "t1", "t2"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
 
     def test_stdout_gets_the_annotations_before_stderr_gets_the_dead_letters(self, tmp_path):
@@ -881,6 +976,23 @@ class TestUsageAndVersion:
                       str(tmp_path / "summary.json"), "--strategies", raw])
             assert exc.value.code == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("filter", "--stats"),
+                                               ("annotate", "--dead-letter")])
+    def test_side_output_naming_the_output_is_usage_error_before_any_input_is_read(
+        self, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        # filter's kept records overwrote its stats; annotate's dead letters were lost.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.jsonl").symlink_to("out.jsonl")
+        args = [command, "--input", "absent.jsonl", "--output", "out.jsonl", flag, "link.jsonl"]
+        if command == "annotate":
+            args += ["--endpoints", "absent.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert f"{flag} and --output name the same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

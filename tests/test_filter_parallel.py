@@ -85,7 +85,8 @@ def write_input(directory, data):
 
 def run_filter(directory, workers, quotas=(), seed=0):
     """Exit code, kept bytes, stats bytes, and warnings and errors of ``filter`` on
-    ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process)."""
+    ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process;
+    None: as many as ``filtering._filter_workers`` gives)."""
     path, kept, stats = (os.path.join(directory, name)
                          for name in ("web.jsonl", "kept.jsonl", "stats.json"))
     for output in (kept, stats):
@@ -97,7 +98,8 @@ def run_filter(directory, workers, quotas=(), seed=0):
     handler = _Collect()
     logging.getLogger("hatepool").addHandler(handler)
     saved = filtering._filter_workers
-    filtering._filter_workers = lambda _: workers
+    if workers is not None:
+        filtering._filter_workers = lambda _: workers
     try:
         code = main(args)
     finally:
@@ -216,6 +218,29 @@ def test_every_fork_finds_one_thread(small_ranges, tmp_path):
     finally:
         recording.clear()  # an at-fork hook cannot be removed
     assert code == 0 and forks == [1, 1]
+
+
+def test_no_more_workers_than_ranges(small_ranges, monkeypatch, tmp_path):
+    # Eight CPUs forked eight workers for two ranges, six of them idle.
+    forks = []
+    recording = threading.Event()
+    recording.set()
+
+    def before_fork():
+        if recording.is_set():
+            forks.append(threading.active_count())
+
+    os.register_at_fork(before=before_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    small_ranges(4096)
+    write_input(tmp_path, web_lines(4096 + 2048))
+    expected = run_filter(tmp_path, 0)
+    try:
+        on_workers = run_filter(tmp_path, None)
+    finally:
+        recording.clear()  # an at-fork hook cannot be removed
+    assert len(forks) == 2
+    assert on_workers == expected and expected[0] == 0
 
 
 def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):

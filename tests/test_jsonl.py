@@ -64,6 +64,24 @@ class TestAtomicOutput:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
+    def test_directory_is_refused_before_the_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            with atomic_output(str(tmp_path / "out")):
+                pytest.fail("body ran")
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{tmp_path / 'out'}'"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_rename_names_the_path_and_removes_temp(self, tmp_path):
+        # The error named the temp file: "'.../.tmp-<hex>.part' -> '.../out'".
+        path = tmp_path / "out"
+        with pytest.raises(IsADirectoryError) as exc:
+            with atomic_output(str(path)) as fp:
+                fp.write("x")
+                path.mkdir()  # made while the output is written
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert os.listdir(tmp_path) == ["out"]
+
 
 class TestIterJsonl:
     def test_blank_lines_count_toward_line_numbers(self):
