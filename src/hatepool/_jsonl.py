@@ -23,9 +23,14 @@ from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
 
 
+# ``encode`` keeps no state between calls (each builds its own circular-reference
+# markers), so one encoder serves every thread.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps(obj: Any) -> str:
     """Serialize ``obj`` to a canonical single-line JSON string."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def dumps_pretty(obj: Any) -> str:
@@ -198,19 +203,25 @@ def atomic_output(path: str) -> Iterator[TextIO]:
         raise
 
 
-def write_json_file(path: str, obj: Any) -> None:
-    """Atomically write ``obj`` as indented JSON with a trailing newline.
+def write_json(fp: TextIO, obj: Any, path: str) -> None:
+    """Write ``obj`` to ``fp``, the output ``path``, as indented JSON with a trailing newline.
 
-    A value nested too deeply to encode raises ``ValueError("<file>: JSON nested too
-    deeply")`` and leaves no file behind.
+    A value nested too deeply to encode raises ``ValueError("<path>: JSON nested too
+    deeply")`` before anything is written.
     """
     try:
         text = dumps_pretty(obj)
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
+    fp.write(text)
+    fp.write("\n")
+
+
+def write_json_file(path: str, obj: Any) -> None:
+    """Atomically write ``obj`` to ``path`` with :func:`write_json`; an error leaves no
+    file behind."""
     with atomic_output(path) as fp:
-        fp.write(text)
-        fp.write("\n")
+        write_json(fp, obj, path)
 
 
 def read_json_file(path: str, decode=None) -> Any:

@@ -3,14 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
 3 partial annotation (some texts quarantined). All diagnostics go to stderr;
 only requested output goes to stdout. A command that exits 2 commits no file:
-``filter`` and ``annotate`` open both their outputs before they read their
-input, so an output that cannot be written costs no filtering and no request.
-Each commits its side output (``filter``'s ``--stats``, ``annotate``'s dead
-letters) just before its main output, whose rename alone can still fail after
-it. ``annotate`` commits its dead-letter file on every run, empty when no text
-was quarantined. Every line of a JSONL input must be one JSON
-object (blank lines are skipped); a bad row exits 2 with
-``file:line (id ...): reason``, and so does a bad CSV/TSV row for
+``filter``, ``annotate`` and ``train-meta`` open their outputs before they read
+their input, so an output that cannot be written costs no filtering, no request
+and no fit. ``filter`` and ``annotate`` each commit their side output
+(``filter``'s ``--stats``, ``annotate``'s dead letters) just before their main
+output, whose rename alone can still fail after it. ``annotate`` commits its
+dead-letter file on every run, empty when no text was quarantined. Every line of
+a JSONL input must be one JSON object (blank lines are skipped); a bad row
+exits 2 with ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. A string holding a lone surrogate escape,
 such as ``\\ud800``, is not valid JSON (I-JSON, RFC 7493). Only ``filter`` skips lines that are
 not valid JSON, are nested too deeply or hold an integer of more than
@@ -70,6 +70,7 @@ from ._jsonl import (
     open_input,
     read_json_file,
     typed_value,
+    write_json,
     write_json_file,
     write_jsonl_line,
 )
@@ -303,28 +304,33 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
     from .annotations import read_annotation_chunks
     from .ensemble import feature_names
     from .gbdt import MetaLearnerConfig
-    from .meta import save_model, train_meta
+    from .meta import model_to_dict, train_meta
 
-    labels = _load_labels(args.labels)
-    blocks, golds = [], []
-    with open_input(args.annotations) as fp:
-        model_order, chunks = read_annotation_chunks(fp)
-        for chunk in chunks:
-            joined = [(row, labels[i].gold) for i, row in zip(chunk.ids, chunk.rows) if i in labels]
-            if joined:
-                rows, chunk_golds = zip(*joined)
-                blocks.append(np.array(rows, dtype=np.float64))
-                golds += chunk_golds
-    if not golds:
-        raise ValueError("annotations and labels share no ids")
     config = MetaLearnerConfig()
     if args.config:
         config = read_json_file(args.config, MetaLearnerConfig.from_dict)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    features = np.concatenate(blocks)
-    model = train_meta(features, golds, config, feature_order=feature_names(sorted(model_order)))
-    save_model(model, args.model_out)
+    # The model file is opened before the input is read, so one that cannot be
+    # written costs no fit.
+    with atomic_output(args.model_out) as out_fp:
+        labels = _load_labels(args.labels)
+        blocks, golds = [], []
+        with open_input(args.annotations) as fp:
+            model_order, chunks = read_annotation_chunks(fp)
+            for chunk in chunks:
+                joined = [(row, labels[i].gold)
+                          for i, row in zip(chunk.ids, chunk.rows) if i in labels]
+                if joined:
+                    rows, chunk_golds = zip(*joined)
+                    blocks.append(np.array(rows, dtype=np.float64))
+                    golds += chunk_golds
+        if not golds:
+            raise ValueError("annotations and labels share no ids")
+        features = np.concatenate(blocks)
+        model = train_meta(features, golds, config,
+                           feature_order=feature_names(sorted(model_order)))
+        write_json(out_fp, model_to_dict(model), args.model_out)
     log.info(
         "trained meta-learner on %d joined examples (%d trees + %d trees)",
         len(golds),

@@ -10,6 +10,12 @@ RFC 3986 characters other than ``;``, ``@``, ``[`` and ``]``, has its path
 read by one regular expression; any other URL goes through ``urlparse``.
 Both give the same path, so the fast path changes no verdict.
 
+``filter`` reads its input in one loop: ``iter_jsonl`` decodes each line, the
+record's five fields are checked on the decoded dict, the keep rule counts it,
+and a kept record's five fields are encoded once by :func:`_jsonl.dumps`, with no
+:class:`WebRecord` in between. :func:`filter_records` applies the same keep rule
+to records, and :meth:`WebRecord.from_dict` the same field checks.
+
 ``filter`` on a regular file of more than one range (:data:`RANGE_BYTES`,
 2.5 MiB), when ``os.sched_getaffinity`` gives more than one CPU, runs one
 fork worker process per CPU, but no more than there are ranges: each
@@ -89,6 +95,31 @@ class UrlParseError(ValueError):
     """Raised when a record URL is not an absolute parseable URL."""
 
 
+# A web record's fields, in the order they are checked, and their kinds.
+_RECORD_KINDS = (("id", "str"), ("url", "str"), ("lang", "str"),
+                 ("schema_types", "tuple[str, ...]"), ("text", "str"))
+
+
+def _record_fields(row: Mapping) -> tuple[str, str, str, Sequence[str], str]:
+    """``(id, url, lang, schema_types, text)`` of the web record ``row``.
+
+    The first field, in that order, that is missing or of the wrong type raises
+    ``KeyError`` or ``typed_value``'s ``ValueError``.
+    """
+    try:
+        fields = row["id"], row["url"], row["lang"], row["schema_types"], row["text"]
+    except KeyError:
+        pass
+    else:
+        id_, url, lang, schema_types, text = fields
+        if (type(id_) is str and type(url) is str and type(lang) is str
+                and type(text) is str and type(schema_types) is list
+                and all(type(t) is str for t in schema_types)):
+            return fields
+    # Some field is missing or wrong: check them one by one for the message.
+    return tuple(typed_value(row[name], kind, name) for name, kind in _RECORD_KINDS)
+
+
 @dataclass(frozen=True)
 class WebRecord:
     """One exported web-index record."""
@@ -101,13 +132,8 @@ class WebRecord:
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "WebRecord":
-        return cls(
-            id=typed_value(row["id"], "str", "id"),
-            url=typed_value(row["url"], "str", "url"),
-            lang=typed_value(row["lang"], "str", "lang"),
-            schema_types=typed_value(row["schema_types"], "tuple[str, ...]", "schema_types"),
-            text=typed_value(row["text"], "str", "text"),
-        )
+        id_, url, lang, schema_types, text = _record_fields(row)
+        return cls(id_, url, lang, tuple(schema_types), text)
 
     def to_dict(self) -> dict:
         return {
@@ -248,24 +274,31 @@ def filter_records(
 
     def generate() -> Iterator[WebRecord]:
         for record in records:
-            stats.records_seen += 1
-            try:
-                url_ok = url_keyword_match(record.url, config)
-            except UrlParseError:
-                stats.dropped_url += 1
-                stats.parse_failures += 1
-                continue
-            if not url_ok:
-                stats.dropped_url += 1
-                continue
-            if not schema_type_match(record.schema_types, config):
-                stats.dropped_schema += 1
-                continue
-            stats.kept += 1
-            stats.kept_by_language[record.lang] = stats.kept_by_language.get(record.lang, 0) + 1
-            yield record
+            if _keep(record.url, record.lang, record.schema_types, config, stats):
+                yield record
 
     return generate(), stats
+
+
+def _keep(url: str, lang: str, schema_types: Iterable[str], config: FilterConfig,
+          stats: FilterStats) -> bool:
+    """True when the record is kept; counts it into ``stats`` either way."""
+    stats.records_seen += 1
+    try:
+        url_ok = url_keyword_match(url, config)
+    except UrlParseError:
+        stats.dropped_url += 1
+        stats.parse_failures += 1
+        return False
+    if not url_ok:
+        stats.dropped_url += 1
+        return False
+    if not schema_type_match(schema_types, config):
+        stats.dropped_schema += 1
+        return False
+    stats.kept += 1
+    stats.kept_by_language[lang] = stats.kept_by_language.get(lang, 0) + 1
+    return True
 
 
 def language_rng(seed: int, lang: str) -> np.random.Generator:
@@ -427,10 +460,22 @@ def _sigint_held() -> Iterator[None]:
 def _kept_chunks(
     fp: TextIO, config: FilterConfig, on_error
 ) -> tuple[Iterator[tuple[bytes, tuple[str]]], FilterStats]:
-    """:func:`filter_records` over ``iter_jsonl`` of ``fp``, each kept record as a
-    chunk for :func:`write_kept`: its JSON line and its language."""
-    kept, stats = filter_records(iter_jsonl(fp, WebRecord.from_dict, on_error), config)
-    return ((dumps(r.to_dict()).encode() + b"\n", (r.lang,)) for r in kept), stats
+    """The records of ``iter_jsonl`` of ``fp`` that :func:`filter_records` would keep,
+    each as a chunk for :func:`write_kept`: its JSON line and its language.
+
+    One loop takes each row's fields from :func:`_record_fields` and encodes a
+    kept record's five fields once, with no :class:`WebRecord` in between.
+    """
+    stats = FilterStats()
+
+    def generate() -> Iterator[tuple[bytes, tuple[str]]]:
+        for id_, url, lang, schema_types, text in iter_jsonl(fp, _record_fields, on_error):
+            if _keep(url, lang, schema_types, config, stats):
+                record = {"id": id_, "url": url, "lang": lang, "schema_types": schema_types,
+                          "text": text}
+                yield dumps(record).encode() + b"\n", (lang,)
+
+    return generate(), stats
 
 
 def _filter_range(path: str, offset: int, length: int, config: FilterConfig):

@@ -1,7 +1,13 @@
+import io
+import logging
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from hatepool import ModelProbability, ProbabilityVector, filtering
+from hatepool.cli import main
 
 MODEL_IDS = ("Gemma2-9B", "Llama3.1-8B", "Mistral-7B", "Qwen2.5-14B")
 
@@ -32,3 +38,61 @@ def small_ranges(monkeypatch):
         monkeypatch.setattr(filtering, "RANGE_BYTES", n)
 
     return use
+
+
+def piped(data):
+    """A text stream named ``<stdin>`` over a pipe holding ``data``, which must fit in
+    the pipe's buffer: it is written before it is read."""
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as fp:
+        fp.write(data)
+    raw = open(read_fd, "rb", buffering=0)
+    raw.name = "<stdin>"
+    return io.TextIOWrapper(io.BufferedReader(raw))
+
+
+class _Collect(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelname, record.getMessage()))
+
+
+def run_filter(directory, workers, quotas=(), seed=0, stdin=None):
+    """Exit code, kept bytes, stats bytes, and warnings and errors of ``filter`` on
+    ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process;
+    None: as many as ``filtering._filter_workers`` gives), or on ``stdin``, the
+    bytes of a pipe, if given."""
+    path, kept, stats = (os.path.join(directory, name)
+                         for name in ("web.jsonl", "kept.jsonl", "stats.json"))
+    for output in (kept, stats):
+        if os.path.exists(output):
+            os.unlink(output)
+    args = ["filter", "--input", path if stdin is None else "-", "--output", kept,
+            "--stats", stats, "--seed", str(seed)]
+    for lang, n in quotas:
+        args += ["--quota", f"{lang}={n}"]
+    handler = _Collect()
+    logging.getLogger("hatepool").addHandler(handler)
+    saved = filtering._filter_workers, sys.stdin
+    if workers is not None:
+        filtering._filter_workers = lambda _: workers
+    if stdin is not None:
+        sys.stdin = piped(stdin)
+    try:
+        code = main(args)
+    finally:
+        if stdin is not None:
+            sys.stdin.close()
+        filtering._filter_workers, sys.stdin = saved
+        logging.getLogger("hatepool").removeHandler(handler)
+    outputs = []
+    for output in (kept, stats):
+        if os.path.exists(output):
+            with open(output, "rb") as fp:
+                outputs.append(fp.read())
+        else:
+            outputs.append(None)
+    return code, *outputs, handler.messages

@@ -26,7 +26,7 @@ from hatepool import ensemble, filtering
 from hatepool._jsonl import dumps, numbered_lines
 from hatepool.cli import main
 
-from conftest import MODEL_IDS
+from conftest import MODEL_IDS, piped
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -867,30 +867,53 @@ def test_csv_row_error_names_its_line(name, tmp_path, caplog):
     assert len(messages) == 1 and messages[0].startswith(f"{path}:{line}: {reason}"), messages
 
 
+MISSING = object()  # a field value that drops the field
+
+
+def must_be(name, value, kind="a string"):
+    return f"{name} must be {kind}, got {value!r}"
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "changes, reason",
     [
-        *(pytest.param("lang", value, id=name)
+        *(pytest.param({"lang": value}, must_be("lang", value), id=name)
           for name, value in (("null", None), ("list", ["eng"]), ("number", 5), ("object", {"k": 1}))),
-        pytest.param("id", 5, id="id-number"),
-        pytest.param("id", None, id="id-null"),
-        pytest.param("url", None, id="url-null"),
-        pytest.param("url", ["https://ex.org/forum/2"], id="url-list"),
+        pytest.param({"id": 5}, must_be("id", 5), id="id-number"),
+        pytest.param({"id": None}, must_be("id", None), id="id-null"),
+        pytest.param({"url": None}, must_be("url", None), id="url-null"),
+        pytest.param({"url": ["https://ex.org/forum/2"]},
+                     must_be("url", ["https://ex.org/forum/2"]), id="url-list"),
+        pytest.param({"text": 5}, must_be("text", 5), id="text-number"),
+        pytest.param({"schema_types": "Comment"},
+                     must_be("schema_types", "Comment", "a list of strings"),
+                     id="schema-types-a-string"),
+        pytest.param({"schema_types": ["Comment", 5]},
+                     must_be("schema_types", ["Comment", 5], "a list of strings"),
+                     id="schema-types-holding-a-number"),
+        pytest.param({"id": True}, must_be("id", True), id="id-true"),
+        pytest.param({"text": MISSING}, "missing key 'text'", id="text-missing"),
+        pytest.param({"id": 5, "url": MISSING}, must_be("id", 5), id="id-number-and-url-missing"),
     ],
 )
-def test_web_record_lang_must_be_a_string(field, value, tmp_path, caplog):
+def test_web_record_lang_must_be_a_string(changes, reason, tmp_path, caplog):
     # Read with str(), a null language was kept as "None" (which --quota None=1
     # matched) and ["eng"] as "['eng']"; the id 5 was written out as "5", and a
-    # null URL was counted as a URL parse failure with exit 0.
+    # null URL was counted as a URL parse failure with exit 0. The first field
+    # that is wrong, in the order id, url, lang, schema_types, text, is named.
     rows = [dict(row) for row in WEB.rows]
-    rows[2][field] = value
+    for field, value in changes.items():
+        if value is MISSING:
+            del rows[2][field]
+        else:
+            rows[2][field] = value
     path = tmp_path / WEB.name
     write_lines(path, rows)
     kept = tmp_path / "kept.jsonl"
     assert main(["filter", "--input", str(path), "--output", str(kept), "--quota", "None=1"]) == 2
     assert not kept.exists()
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-    assert messages == [f"{path}:4 (id {rows[2]['id']!r}): {field} must be a string, got {value!r}"]
+    assert messages == [f"{path}:4 (id {rows[2]['id']!r}): {reason}"]
 
 
 UNDECODABLE = "not valid UTF-8: can't decode byte 0xff: invalid start byte"
@@ -1036,17 +1059,6 @@ def strict_error(data, source):
     line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
     reason = f"can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
     return f"{source}:{line}: not valid UTF-8: {reason}"
-
-
-def piped(data):
-    """A text stream named ``<stdin>`` over a pipe holding ``data``, which must fit in
-    the pipe's buffer: it is written before it is read."""
-    read_fd, write_fd = os.pipe()
-    with open(write_fd, "wb") as fp:
-        fp.write(data)
-    raw = open(read_fd, "rb", buffering=0)
-    raw.name = "<stdin>"
-    return io.TextIOWrapper(io.BufferedReader(raw))
 
 
 @settings(max_examples=40, deadline=None,

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -24,7 +25,7 @@ from hatepool import (
     read_annotations,
     write_annotations,
 )
-from hatepool import ensemble, filtering
+from hatepool import cli, ensemble, filtering, meta
 from hatepool._jsonl import dumps
 from hatepool.cli import main
 
@@ -691,6 +692,28 @@ class TestTrainMetaCmd:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "model_out, error",
+        [("outdir", "[Errno 21] Is a directory: 'outdir'"),
+         ("missing/m.json", "[Errno 2] No such file or directory: 'missing/m.json'")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unwritable_model_out_fails_before_the_input_is_read(
+        self, pipeline, tmp_path, monkeypatch, caplog, model_out, error
+    ):
+        # The labels and annotations were read and the model fit before the
+        # model file was opened.
+        (tmp_path / "outdir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_load_labels", lambda path: pytest.fail("labels read"))
+        monkeypatch.setattr(meta, "train_meta", lambda *args, **kwargs: pytest.fail("fit ran"))
+        code = main(["train-meta", "--annotations", pipeline["annotations"],
+                     "--labels", pipeline["labels"], "--model-out", model_out])
+        assert code == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [error]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
 
     def test_seed_flag_changes_the_model_bytes(self, pipeline, tmp_path):
         out_a = tmp_path / "a.json"

@@ -11,7 +11,6 @@ hook that the workers fork while the command runs one thread.
 
 import gc
 import json
-import logging
 import os
 import re
 import signal
@@ -30,8 +29,8 @@ from hypothesis import strategies as st
 
 from hatepool import cli, filtering
 from hatepool._jsonl import dumps
-from hatepool.cli import main
 
+from conftest import run_filter
 from filter_oracle import reservoir_sample
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,41 +80,6 @@ def render(lines, ends, final_end):
 def write_input(directory, data):
     with open(os.path.join(directory, "web.jsonl"), "wb") as fp:
         fp.write(data)
-
-
-def run_filter(directory, workers, quotas=(), seed=0):
-    """Exit code, kept bytes, stats bytes, and warnings and errors of ``filter`` on
-    ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process;
-    None: as many as ``filtering._filter_workers`` gives)."""
-    path, kept, stats = (os.path.join(directory, name)
-                         for name in ("web.jsonl", "kept.jsonl", "stats.json"))
-    for output in (kept, stats):
-        if os.path.exists(output):
-            os.unlink(output)
-    args = ["filter", "--input", path, "--output", kept, "--stats", stats, "--seed", str(seed)]
-    for lang, n in quotas:
-        args += ["--quota", f"{lang}={n}"]
-    handler = _Collect()
-    logging.getLogger("hatepool").addHandler(handler)
-    saved = filtering._filter_workers
-    if workers is not None:
-        filtering._filter_workers = lambda _: workers
-    try:
-        code = main(args)
-    finally:
-        filtering._filter_workers = saved
-        logging.getLogger("hatepool").removeHandler(handler)
-    outputs = [Path(p).read_bytes() if os.path.exists(p) else None for p in (kept, stats)]
-    return code, *outputs, handler.messages
-
-
-class _Collect(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append((record.levelname, record.getMessage()))
 
 
 @settings(max_examples=60, deadline=None,

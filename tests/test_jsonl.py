@@ -10,10 +10,13 @@ import sys
 from dataclasses import asdict, dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatepool import AnnotatorEndpoint, DatasetSpec, FilterConfig, MetaLearnerConfig
 from hatepool._jsonl import (
     atomic_output,
+    dumps,
     from_json_object,
     iter_jsonl,
     iter_jsonl_tolerant,
@@ -192,6 +195,25 @@ class TestIterJsonl:
         assert [str(e).split(": ")[0] for e in seen] == ["<stream>:2"]
         with pytest.raises(ValueError, match="^<stream>:1: not a JSON object$"):
             list(iter_jsonl_tolerant(io.StringIO("[]\n"), seen.append))
+
+
+# JSON values, nested, with keys in any order, non-ASCII text and the numbers a
+# formatter can get wrong.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, 10**30, -(2**70),
+                       "é\u2028😀"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+def test_dumps_is_json_dumps_with_its_settings(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
+                                      separators=(",", ":"))
 
 
 @dataclass(frozen=True)
