@@ -11,6 +11,8 @@ loads no submodule and each CLI step imports only what it runs.
 
 import importlib
 
+__version__ = "0.1.0"
+
 # Submodule -> the public names it provides.
 _EXPORTS = {
     "annotations": (

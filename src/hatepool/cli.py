@@ -2,15 +2,20 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
 3 partial annotation (some texts quarantined). All diagnostics go to stderr;
-only requested output goes to stdout. A command that exits 2 commits no file:
-``filter``, ``annotate`` and ``train-meta`` open their outputs before they read
-their input, so an output that cannot be written costs no filtering, no request
-and no fit. ``filter`` and ``annotate`` each commit their side output
-(``filter``'s ``--stats``, ``annotate``'s dead letters) just before their main
-output, whose rename alone can still fail after it. ``annotate`` commits its
-dead-letter file on every run, empty when no text was quarantined. Every line of
-a JSONL input must be one JSON object (blank lines are skipped); a bad row
-exits 2 with ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
+only requested output goes to stdout.
+
+Every command has one shape: it decodes its config files (``--config``,
+``--endpoints``, ``--groups``, ``--registry``), then opens every output, then
+reads only the data inputs its work uses. An output that cannot be written is
+named before any data is read and costs no filtering, request or fit, and a
+command that exits 2 commits no file. ``filter`` and ``annotate`` each commit
+their side output (``filter``'s ``--stats``, ``annotate``'s dead letters) just
+before their main output, whose rename alone can still fail after it.
+``annotate`` commits its dead-letter file on every run, empty when no text was
+quarantined.
+
+Every line of a JSONL input must be one JSON object (blank lines are
+skipped); a bad row exits 2 with ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
 ``ingest``, as ``file:line: reason``. A string holding a lone surrogate escape,
 such as ``\\ud800``, is not valid JSON (I-JSON, RFC 7493). Only ``filter`` skips lines that are
 not valid JSON, are nested too deeply or hold an integer of more than
@@ -32,8 +37,8 @@ than ``--output`` (each exit 1).
 
 Each command imports its modules inside its handler, so a step pays only
 for what it runs: ``ingest``, ``annotate``, ``evaluate``, and ``ensemble
---strategy vote|mean`` and ``stats --strategies vote,mean`` without a
-``--model`` never load numpy or the tree code; only ``annotate`` loads the
+--strategy vote|mean`` and ``stats --strategies vote,mean`` never load numpy or
+the tree code, and only ``lgb`` reads ``--model``; only ``annotate`` loads the
 HTTP client and a thread pool. No step calls BLAS, so :func:`main` sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, and numpy's
 OpenBLAS starts no worker thread.
@@ -61,6 +66,7 @@ import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
+from . import __version__
 from ._jsonl import (
     atomic_output,
     dumps_pretty,
@@ -71,7 +77,6 @@ from ._jsonl import (
     read_json_file,
     typed_value,
     write_json,
-    write_json_file,
     write_jsonl_line,
 )
 
@@ -98,26 +103,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _package_version() -> str:
-    from importlib import metadata
-
-    try:
-        return metadata.version("hatepool")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
-class _VersionAction(argparse.Action):
-    """``--version``, with the installed version looked up only when the flag is given."""
-
-    def __init__(self, option_strings, dest, help="show program's version number and exit"):
-        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS, help=help)
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        sys.stdout.write(f"{parser.prog} {_package_version()}\n")
-        parser.exit()
 
 
 def _parse_quota(raw: str) -> tuple[str, int]:
@@ -246,8 +231,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             raw_label = row.get("gold")
         return text_id, text, row.get("lang"), raw_label
 
-    # Both outputs are opened before the input is read, so one that cannot be
-    # written costs no request.
     with atomic_output(args.output) as out_fp, dead_sink as dead_fp:
         with open_input(args.input) as in_fp:
             for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
@@ -311,8 +294,6 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
         config = read_json_file(args.config, MetaLearnerConfig.from_dict)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    # The model file is opened before the input is read, so one that cannot be
-    # written costs no fit.
     with atomic_output(args.model_out) as out_fp:
         labels = _load_labels(args.labels)
         blocks, golds = [], []
@@ -341,11 +322,11 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
 
 
 def _load_model(path: str | None, strategies: Sequence[str]) -> MetaLearnerModel | None:
-    """The ``--model`` file, loaded whenever it is given; ``lgb`` refuses to run without it."""
-    if not path:
-        if "lgb" in strategies:
-            raise ValueError("strategy 'lgb' requires --model")
+    """The ``--model`` file, read only when ``lgb`` runs; ``lgb`` refuses to run without it."""
+    if "lgb" not in strategies:
         return None
+    if not path:
+        raise ValueError("strategy 'lgb' requires --model")
     from .meta import load_model
 
     return load_model(path)
@@ -356,31 +337,33 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     from .datasets import BinaryLabel
     from .ensemble import score_rows
 
-    model = _load_model(args.model, (args.strategy,))
-    labels = _load_labels(args.labels) if args.labels else None
     count = 0
-    with open_input(args.annotations) as in_fp, atomic_output(args.output) as out_fp:
-        model_order, chunks = read_annotation_chunks(in_fp)
-        model_ids = sorted(model_order)
-        for chunk in chunks:
-            is_hate, scores = score_rows(chunk.rows, model_ids, args.strategy, model)
-            for text_id, lang, hate, score_hate in zip(chunk.ids, chunk.langs, is_hate, scores):
-                out: dict = {
-                    "id": text_id,
-                    "lang": lang,
-                    "strategy": args.strategy,
-                    "label": (BinaryLabel.HATE if hate else BinaryLabel.NEUTRAL).value,
-                    "score_hate": score_hate,
-                }
-                if labels is not None:
-                    example = labels.get(text_id)
-                    if example is None:
-                        log.warning("id %s has no gold label; row emitted without one", text_id)
-                    else:
-                        out["dataset"] = example.dataset
-                        out["gold"] = example.gold.value
-                write_jsonl_line(out_fp, out)
-            count += len(chunk.ids)
+    with atomic_output(args.output) as out_fp:
+        model = _load_model(args.model, (args.strategy,))
+        labels = _load_labels(args.labels) if args.labels else None
+        with open_input(args.annotations) as in_fp:
+            model_order, chunks = read_annotation_chunks(in_fp)
+            model_ids = sorted(model_order)
+            for chunk in chunks:
+                is_hate, scores = score_rows(chunk.rows, model_ids, args.strategy, model)
+                for text_id, lang, hate, score_hate in zip(chunk.ids, chunk.langs, is_hate, scores):
+                    out: dict = {
+                        "id": text_id,
+                        "lang": lang,
+                        "strategy": args.strategy,
+                        "label": (BinaryLabel.HATE if hate else BinaryLabel.NEUTRAL).value,
+                        "score_hate": score_hate,
+                    }
+                    if labels is not None:
+                        example = labels.get(text_id)
+                        if example is None:
+                            log.warning("id %s has no gold label; row emitted without one",
+                                        text_id)
+                        else:
+                            out["dataset"] = example.dataset
+                            out["gold"] = example.gold.value
+                    write_jsonl_line(out_fp, out)
+                count += len(chunk.ids)
         # Raised inside the block so that no empty output file is committed.
         if count == 0:
             raise ValueError("no annotation rows to label")
@@ -409,8 +392,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         render_report_table,
     )
 
-    with open_input(args.predictions) as fp:
-        rows = list(iter_jsonl(fp, PredictionRow.from_dict))
     if args.groups:
         groups = read_json_file(args.groups, _decode_groups)
         known = set().union(*(g.members for g in groups))
@@ -419,23 +400,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         groups = default_groups(registry)
         known = set(registry)
     mode, fixed = args.threshold
-    report = build_report(
-        rows,
-        groups=groups,
-        threshold_mode=mode,
-        threshold_scope=args.threshold_scope,
-        fixed_threshold=fixed,
-        known_datasets=known,
-    )
-    payload = report.to_dict()
-    if args.baseline:
-        # The deltas are computed while the baseline is decoded, so its errors name the file.
-        deltas = read_json_file(
-            args.baseline,
-            lambda b: delta_report(payload, typed_value(b, "dict", "baseline"), "macro_f1"),
+    with atomic_output(args.report) as out_fp:
+        with open_input(args.predictions) as fp:
+            rows = list(iter_jsonl(fp, PredictionRow.from_dict))
+        report = build_report(
+            rows,
+            groups=groups,
+            threshold_mode=mode,
+            threshold_scope=args.threshold_scope,
+            fixed_threshold=fixed,
+            known_datasets=known,
         )
-        payload["deltas"] = {"macro_f1": deltas}
-    write_json_file(args.report, payload)
+        payload = report.to_dict()
+        if args.baseline:
+            # The deltas are computed while the baseline is decoded, so its errors name the file.
+            deltas = read_json_file(
+                args.baseline,
+                lambda b: delta_report(payload, typed_value(b, "dict", "baseline"), "macro_f1"),
+            )
+            payload["deltas"] = {"macro_f1": deltas}
+        write_json(out_fp, payload, args.report)
     if args.table:
         if args.report == "-":
             log.warning("--table skipped because the report went to stdout")
@@ -448,12 +432,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .annotations import read_annotation_chunks
     from .poolstats import render_pool_table, summarize_pool
 
-    model = _load_model(args.model, args.strategies)
-    with open_input(args.annotations) as fp:
-        model_order, chunks = read_annotation_chunks(fp)
-        pool = ((c.langs, c.raw_labels, c.rows) for c in chunks)
-        summary = summarize_pool(sorted(model_order), pool, args.strategies, model)
-    write_json_file(args.output, summary.to_dict())
+    with atomic_output(args.output) as out_fp:
+        model = _load_model(args.model, args.strategies)
+        with open_input(args.annotations) as fp:
+            model_order, chunks = read_annotation_chunks(fp)
+            pool = ((c.langs, c.raw_labels, c.rows) for c in chunks)
+            summary = summarize_pool(sorted(model_order), pool, args.strategies, model)
+        write_json(out_fp, summary.to_dict(), args.output)
     if args.table:
         if args.output == "-":
             log.warning("--table skipped because the summary went to stdout")
@@ -468,7 +453,7 @@ def build_parser() -> _Parser:
         description="Filter web text, annotate it with a four-model LLM ensemble, "
         "train the boosted-tree combiner, and evaluate against benchmarks.",
     )
-    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
         "--log-level",
         default="warning",
@@ -523,7 +508,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ensemble", help="turn annotations into per-text labels and scores")
     p.add_argument("--annotations", required=True, help="annotations JSONL")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--model", help="model JSON (required for lgb)")
+    p.add_argument("--model", help="model JSON; read only by lgb, which requires it")
     p.add_argument("--labels", help="labeled examples JSONL; adds dataset/gold to rows")
     p.add_argument("--output", required=True, help="predictions JSONL")
     p.set_defaults(func=cmd_ensemble)
@@ -559,7 +544,7 @@ def build_parser() -> _Parser:
         default="vote,mean",
         help="comma-separated ensemble strategies (default: vote,mean)",
     )
-    p.add_argument("--model", help="model JSON (needed when strategies include lgb)")
+    p.add_argument("--model", help="model JSON; read only by lgb, which requires it")
     p.add_argument("--table", action="store_true", help="also print a text table to stdout")
     p.set_defaults(func=cmd_stats)
 

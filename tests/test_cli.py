@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hatepool
 from hatepool import (
     AnnotatorEndpoint,
     LabeledExample,
@@ -1018,10 +1019,12 @@ class TestUsageAndVersion:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl"]
 
     def test_version_flag(self, capsys):
+        # From a checkout this printed "hatepool unknown": the version came from
+        # the installed package's metadata.
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "hatepool" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"hatepool {hatepool.__version__}\n"
 
     def test_console_script_is_installed(self):
         exe = shutil.which("hatepool")
@@ -1058,7 +1061,42 @@ def foreign_annotations(tmp_path):
     return write_jsonl(tmp_path / "foreign.jsonl", rows)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["ensemble", "--strategy", "lgb", "--model", "absent.json", "--labels", "absent.jsonl",
+      "--annotations", "absent.jsonl", "--output"],
+     ["evaluate", "--predictions", "absent.jsonl", "--baseline", "absent.json", "--report"],
+     ["stats", "--strategies", "vote,lgb", "--model", "absent.json",
+      "--annotations", "absent.jsonl", "--output"]],
+    ids=["ensemble", "evaluate", "stats"],
+)
+def test_directory_output_is_refused_before_any_input_is_read(tmp_path, args):
+    # Each read its data inputs before it opened its output, so the missing
+    # input was named and the directory never.
+    (tmp_path / "outdir").mkdir()
+    proc = run_cli([*args, "outdir"], capture_output=True, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "ERROR hatepool: [Errno 21] Is a directory: 'outdir'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
 class TestBatchedScoringCmds:
+    @pytest.mark.parametrize(
+        "args",
+        [["ensemble", "--strategy", "vote"], ["ensemble", "--strategy", "mean"],
+         ["stats", "--strategies", "vote,mean"]],
+        ids=["ensemble-vote", "ensemble-mean", "stats"],
+    )
+    def test_vote_and_mean_never_read_the_model(self, pipeline, tmp_path, args):
+        # Any --model was loaded, so a missing one exited 2 though neither rule uses it.
+        without, missing = tmp_path / "without.out", tmp_path / "missing.out"
+        assert main([*args, "--annotations", pipeline["annotations"],
+                     "--output", str(without)]) == 0
+        assert main([*args, "--annotations", pipeline["annotations"], "--output", str(missing),
+                     "--model", str(tmp_path / "absent.json")]) == 0
+        assert missing.read_bytes() == without.read_bytes()
+
     @pytest.mark.parametrize("strategy", ["vote", "mean", "lgb"])
     def test_chunk_size_does_not_change_output(self, pipeline, tmp_path, monkeypatch, strategy):
         default = tmp_path / "default.jsonl"

@@ -16,8 +16,11 @@ import urllib.parse
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hatepool import (
+    DEFAULT_TEMPLATE_TEXT,
     AnnotatorEndpoint,
     MockAnnotatorServer,
     PromptTemplate,
@@ -28,6 +31,7 @@ from hatepool import (
 )
 from hatepool.cli import main
 
+from annotate_oracle import MALFORMED, replay
 from conftest import MODEL_IDS
 from stub_server import StubServer, completion
 
@@ -755,3 +759,63 @@ class TestDispatch:
         served = collections.Counter((model, prompt) for model, prompt, _ in server.served)
         assert served == {(m, p): 3 if p in flaky else 1 for m in MODEL_IDS for p in prompts}
         assert all(peak <= 4 for peak in server.max_in_flight.values())
+
+
+LOGPROBS = st.floats(-30.0, 0.0)
+# One answer to one request. Most score the text, the rest cover each way an
+# attempt can fail: no label token (final), an unreadable completion, and
+# statuses 4xx and 5xx (all retried).
+ANSWERS = st.one_of(
+    st.builds(lambda h, n: (200, completion({"1": h, "2": n, " yes": -3.0})), LOGPROBS, LOGPROBS),
+    st.builds(lambda w, token: (200, completion({token: w})), LOGPROBS, st.sampled_from("12")),
+    st.one_of(
+        st.just((200, completion({" yes": -0.5}))),
+        st.sampled_from([(200, {}), (200, {"choices": []})]),
+        st.sampled_from([400, 404, 429, 500, 503]).map(lambda status: (status, {"error": "x"})),
+    ),
+)
+
+
+@st.composite
+def scripted_batches(draw):
+    """(texts, {model: (max_in_flight, retry_limit)}, {(model, text index): answers})."""
+    n_texts = draw(st.integers(1, 30))
+    limits = {m: (draw(st.integers(1, 4)), draw(st.integers(0, 3))) for m in MODEL_IDS}
+    answers = {
+        (m, i): draw(st.lists(ANSWERS, min_size=retries + 1, max_size=retries + 1))
+        for m, (_, retries) in limits.items()
+        for i in range(n_texts)
+    }
+    return [(f"t{i}", f"text {i}") for i in range(n_texts)], limits, answers
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(batch=scripted_batches())
+def test_batch_equals_the_oracle_replay(batch):
+    # Each dispatcher test above checks one fixed fault script; this one
+    # derives the outcome of any script from a replay without threads.
+    texts, limits, answers = batch
+    index = {render_prompt(PromptTemplate(), text): i for i, (_, text) in enumerate(texts)}
+
+    def respond(model, prompt, attempt):
+        script = answers[model, index[prompt]]
+        return script[attempt] if attempt < len(script) else (200, GOOD)
+
+    with StubServer(respond) as server:
+        endpoints = [AnnotatorEndpoint(model_id=m, base_url=server.base_url, max_in_flight=cap,
+                                       retry_limit=retries, backoff_base=0.0)
+                     for m, (cap, retries) in limits.items()]
+        results, quarantined = annotate_batch(texts, endpoints, sleep=lambda seconds: None)
+    rows, expected_quarantined, requests = replay(
+        texts, {m: retries for m, (_, retries) in limits.items()}, respond, DEFAULT_TEMPLATE_TEXT)
+
+    def cut(error):
+        return MALFORMED if error.startswith(MALFORMED) else error
+
+    assert [(r.id, [(e.model_id, e.p_hate, e.p_neutral, r.raw_weights[e.model_id])
+                    for e in r.vector.entries]) for r in results] == rows
+    assert [{**q, "errors": [{**e, "error": cut(e["error"])} for e in q["errors"]]}
+            for q in (q.to_dict() for q in quarantined)] == expected_quarantined
+    assert collections.Counter((m, p) for m, p, _ in server.served) == requests
+    assert all(server.max_in_flight[m] <= cap for m, (cap, _) in limits.items())

@@ -39,13 +39,16 @@ WATCHED = (
     "hatepool.gateway",
     "hatepool.gbdt",
     "hatepool.meta",
+    "importlib.metadata",
 )
 
 # Watched module -> the commands allowed to load it. filter --quota loads numpy
 # for its reservoir RNG, and filter without it does not; the commands that walk
 # trees (train-meta, ensemble with lgb, stats with lgb) need it and the tree
-# code, and vote and mean need neither. statistics (with fractions) costs
-# about 5 ms to import; exact means come from metrics' integer sums instead.
+# code, and vote and mean need neither, even given a --model, which only lgb
+# reads. The version is a constant of the package, so --version looks up no
+# installed metadata. statistics (with fractions) costs about 5 ms to import;
+# exact means come from metrics' integer sums instead.
 # Only annotate runs a thread pool and sends requests, and only filter a
 # process pool (for a large input file on more than one CPU).
 ALLOWED = {
@@ -59,6 +62,7 @@ ALLOWED = {
     "hatepool.gateway": {"annotate"},
     "hatepool.gbdt": {"train-meta", "ensemble", "stats"},
     "hatepool.meta": {"train-meta", "ensemble", "stats"},
+    "importlib.metadata": set(),
 }
 
 PROBE = f"""
@@ -154,19 +158,26 @@ def command_args(command, r):
                           "--labels", f"{r}/labels.jsonl", "--output", f"{r}/out-vote.jsonl"],
         "ensemble-mean": ["ensemble", "--annotations", f"{r}/ann.jsonl", "--strategy", "mean",
                           "--labels", f"{r}/labels.jsonl", "--output", f"{r}/out-mean.jsonl"],
+        "ensemble-vote-model": ["ensemble", "--annotations", f"{r}/ann.jsonl", "--strategy",
+                                "vote", "--model", f"{r}/model.json", "--output",
+                                f"{r}/out-vote-model.jsonl"],
         "evaluate": ["evaluate", "--predictions", f"{r}/pred.jsonl", "--report",
                      f"{r}/out-report.json"],
         "stats": ["stats", "--annotations", f"{r}/ann.jsonl", "--strategies", "vote,mean,lgb",
                   "--model", f"{r}/model.json", "--output", f"{r}/out-summary.json"],
         "stats-vote-mean": ["stats", "--annotations", f"{r}/ann.jsonl", "--strategies",
                             "vote,mean", "--output", f"{r}/out-summary-vm.json"],
+        "stats-vote-mean-model": ["stats", "--annotations", f"{r}/ann.jsonl", "--strategies",
+                                  "vote,mean", "--model", f"{r}/model.json", "--output",
+                                  f"{r}/out-summary-vm-model.json"],
     }[command]
 
 
 @pytest.mark.parametrize(
     "command",
     ["version", "filter", "filter-no-quota", "ingest", "annotate", "train-meta", "ensemble",
-     "ensemble-vote", "ensemble-mean", "evaluate", "stats", "stats-vote-mean"],
+     "ensemble-vote", "ensemble-mean", "ensemble-vote-model", "evaluate", "stats",
+     "stats-vote-mean", "stats-vote-mean-model"],
 )
 def test_command_import_budget(command, inputs):
     report = json.loads(run_python(["-c", PROBE, *command_args(command, inputs)], inputs))
