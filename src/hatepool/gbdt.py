@@ -18,9 +18,16 @@ feature. A split gathers one mask, an entry per block entry marking the
 rows that go left, and compresses the flat block by it and by its
 negation into the two children's blocks. That keeps every order, so no
 node sorts anything, and equal feature values accumulate in row-index
-order in the gradient sums. The split search reads gradients, hessians
-and feature values with flat 1-D gathers. Nothing reads the best split
-of the children of a tree's last split, so they are not searched.
+order in the gradient sums. Each round packs every row's gradient and
+hessian into one complex number, its real and imaginary parts, so a
+search makes one gather and one cumulative sum over the block where it
+would make two of each; complex addition adds the parts apart, so each
+sum is bit for bit the real one. A cut between two equal feature values
+is no split. The search takes the best cut without regard to ties, and
+masks the tied cuts and searches again only when that cut is a tie:
+masking only lowers gains, so a best cut that is not a tie stays the
+first maximum after masking. Nothing reads the best split of the
+children of a tree's last split, so they are not searched.
 
 A booster is its nodes in flat, read-only arrays, as XGBoost and LightGBM
 keep it: ``roots[t]`` is tree ``t``'s root, and a node's two children sit
@@ -260,8 +267,12 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logloss(raw: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(_sigmoid_array(raw), PROB_EPS, 1.0 - PROB_EPS)
+def _clipped_probabilities(raw: np.ndarray) -> np.ndarray:
+    return np.clip(_sigmoid_array(raw), PROB_EPS, 1.0 - PROB_EPS)
+
+
+def _logloss(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss of clipped probabilities ``p`` against labels ``y``."""
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
@@ -294,10 +305,20 @@ def _cut(block: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return block.compress(mask).reshape(len(block), -1)
 
 
+def _mask_ties(gains: np.ndarray, X: np.ndarray, block: np.ndarray, features: np.ndarray,
+               lo: int) -> None:
+    """Set to -inf each gain whose cut falls between two equal feature values.
+
+    ``gains[i, j]`` is the gain of cut ``lo + j`` in row ``i`` of ``block``.
+    """
+    hi = lo + gains.shape[1]
+    xs = X.ravel().take(block * X.shape[1] + features[:, None])
+    np.copyto(gains, -np.inf, where=xs[:, lo:hi] == xs[:, lo + 1 : hi + 1])
+
+
 def _best_split(
     X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    gh: np.ndarray,
     block: np.ndarray,
     features: np.ndarray,
     l2: float,
@@ -305,14 +326,15 @@ def _best_split(
 ) -> _Candidate | None:
     """Exact best split of a leaf; None when no split has positive gain.
 
-    ``block`` is the leaf's (len(features), m) column block: row ``i``
-    lists the leaf's row ids sorted by feature ``features[i]``, with equal
-    values in row-index order for blocks cut from the per-fit presort.
-    All features are scored in one vectorised pass over cumulative
-    gradient sums, so no sort happens here. Candidate thresholds are
-    midpoints between consecutive distinct sorted values; both children
-    must keep at least ``min_data`` rows. Ties break toward the lower
-    feature index, then the lower threshold. Gains must clear
+    ``gh`` packs each row's gradient and hessian as the real and imaginary
+    parts of one complex number. ``block`` is the leaf's (len(features), m)
+    column block: row ``i`` lists the leaf's row ids sorted by feature
+    ``features[i]``, with equal values in row-index order for blocks cut
+    from the per-fit presort. All features are scored in one vectorised
+    pass over cumulative gradient sums, so no sort happens here. Candidate
+    thresholds are midpoints between consecutive distinct sorted values;
+    both children must keep at least ``min_data`` rows. Ties break toward
+    the lower feature index, then the lower threshold. Gains must clear
     ``GAIN_NOISE_REL`` times the parent score, which rejects true-zero
     gains inflated by cancellation noise.
     """
@@ -320,16 +342,19 @@ def _best_split(
     if m < 2 * min_data:
         return None
     rows = block[0]
-    g_total = float(g.take(rows).sum())
-    h_total = float(h.take(rows).sum())
+    g_total = float(gh.real.take(rows).sum())
+    h_total = float(gh.imag.take(rows).sum())
     parent_score = g_total * g_total / (h_total + l2)
 
     # Cut c sends sorted positions 0..c left; lo..hi-1 are the cuts that
     # leave at least min_data rows on each side.
     lo, hi = min_data - 1, m - min_data
-    xs = X.ravel().take(block * X.shape[1] + features[:, None])
-    g_left = np.cumsum(g.take(block), axis=1)[:, lo:hi]
-    h_left = np.cumsum(h.take(block), axis=1)[:, lo:hi]
+    # Complex addition adds the two parts apart, so one cumulative sum
+    # gives both. The parts are copied out: in-place arithmetic on their
+    # strided views is slower.
+    left = np.cumsum(gh.take(block), axis=1)[:, lo:hi]
+    g_left = left.real.copy()
+    h_left = left.imag.copy()
     g_right = g_total - g_left
     h_right = h_total - h_left
     # In place, with the operations and their order of
@@ -345,25 +370,29 @@ def _best_split(
     gains += g_right
     gains -= parent_score
     gains *= 0.5
-    np.copyto(gains, -np.inf, where=xs[:, lo:hi] == xs[:, lo + 1 : hi + 1])
-    cuts = np.argmax(gains, axis=1)
-    best = gains[np.arange(len(features)), cuts]
-    pos = int(np.argmax(best))
-    if not best[pos] > GAIN_NOISE_REL * abs(parent_score):
+    # The first maximum in row-major order: the lowest feature, then the
+    # lowest cut. A cut between equal values is no split; masking only
+    # lowers gains, so a winner off a tie also wins once ties are masked.
+    pos, cut = divmod(int(np.argmax(gains)), hi - lo)
+    if X[block[pos, lo + cut], features[pos]] == X[block[pos, lo + cut + 1], features[pos]]:
+        _mask_ties(gains, X, block, features, lo)
+        pos, cut = divmod(int(np.argmax(gains)), hi - lo)
+    gain = gains[pos, cut]
+    if not gain > GAIN_NOISE_REL * abs(parent_score):
         return None
-    cut = lo + int(cuts[pos])
+    cut += lo
+    below, above = X[block[pos, cut : cut + 2], features[pos]]
     return _Candidate(
-        gain=float(best[pos]),
+        gain=float(gain),
         feature=int(features[pos]),
-        threshold=float((xs[pos, cut] + xs[pos, cut + 1]) / 2.0),
+        threshold=float((below + above) / 2.0),
         left_rows=block[pos, : cut + 1],
     )
 
 
 def _grow_tree(
     X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    gh: np.ndarray,
     block: np.ndarray,
     features: np.ndarray,
     config: MetaLearnerConfig,
@@ -376,7 +405,7 @@ def _grow_tree(
     """
     l2 = config.l2_leaf_regularization
     min_data = config.min_data_in_leaf
-    root = _Leaf(block, 0, _best_split(X, g, h, block, features, l2, min_data))
+    root = _Leaf(block, 0, _best_split(X, gh, block, features, l2, min_data))
     if root.best is None:
         return None
     # Every node starts as a leaf: its own first, feature 0, a NaN threshold.
@@ -410,11 +439,11 @@ def _grow_tree(
             (_cut(cut_from, mask), right + 1),
             (_cut(cut_from, ~mask), right),
         ):
-            best = None if last else _best_split(X, g, h, child_block, features, l2, min_data)
+            best = None if last else _best_split(X, gh, child_block, features, l2, min_data)
             leaves.append(_Leaf(child_block, child, best))
     for leaf in leaves:
-        g_sum = float(g.take(leaf.block[0]).sum())
-        h_sum = float(h.take(leaf.block[0]).sum())
+        g_sum = float(gh.real.take(leaf.block[0]).sum())
+        h_sum = float(gh.imag.take(leaf.block[0]).sum())
         value[leaf.node] = -g_sum / (h_sum + l2) * config.learning_rate
     return BoostedTrees(0.0, [0], first, feature, threshold, value)
 
@@ -489,11 +518,13 @@ def gbdt_fit(
     rng = np.random.default_rng(config.seed & _SEED_MASK)
     # The nodes of every tree so far, in the arrays of BoostedTrees.
     roots, first, feature, threshold, value = [], [], [], [], []
-    losses = [_logloss(raw, y)]
+    p = _clipped_probabilities(raw)
+    losses = [_logloss(p, y)]
     # Column blocks: row ids sorted by each feature, equal values in
     # row-index order. Sorted once per fit; each round filters them.
     presorted = np.argsort(X, axis=0, kind="stable").T
     in_bag = np.ones(n, dtype=bool)
+    gh = np.empty(n, dtype=np.complex128)
     for round_index in range(config.num_rounds):
         if config.bagging_fraction < 1 and round_index % config.bagging_freq == 0:
             k = math.ceil(config.bagging_fraction * n)
@@ -504,19 +535,19 @@ def gbdt_fit(
             features_used = np.sort(rng.choice(d, size=kf, replace=False))
         else:
             features_used = np.arange(d)
-        p = np.clip(_sigmoid_array(raw), PROB_EPS, 1.0 - PROB_EPS)
-        g = p - y
-        h = p * (1.0 - p)
+        gh.real = p - y
+        gh.imag = p * (1.0 - p)
         block = _filter_block(presorted[features_used], in_bag)
-        tree = _grow_tree(X, g, h, block, features_used, config)
+        tree = _grow_tree(X, gh, block, features_used, config)
         if tree is not None:
             _add_leaf_values(tree, X, raw)
+            p = _clipped_probabilities(raw)
             roots.append(len(first))
             first += (tree.first + roots[-1]).tolist()
             feature += tree.feature.tolist()
             threshold += tree.threshold.tolist()
             value += tree.value.tolist()
-        losses.append(_logloss(raw, y))
+        losses.append(_logloss(p, y))
     return BoostedTrees(base_score, roots, first, feature, threshold, value, losses)
 
 

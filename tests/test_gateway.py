@@ -16,7 +16,7 @@ import urllib.parse
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from hatepool import (
@@ -789,7 +789,10 @@ def scripted_batches(draw):
     return [(f"t{i}", f"text {i}") for i in range(n_texts)], limits, answers
 
 
+# No shrink phase: each example starts stub servers and a batch, so shrinking
+# a failure took minutes; the unshrunk example is still reported.
 @settings(max_examples=60, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink],
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(batch=scripted_batches())
 def test_batch_equals_the_oracle_replay(batch):

@@ -15,15 +15,18 @@ from hatepool.gbdt import (
     BoostedTrees,
     _add_leaf_values,
     _best_split,
+    _clipped_probabilities,
     _filter_block,
     _grow_tree,
     _logloss,
+    _mask_ties,
     _sigmoid_array,
     clamp_probability,
     gbdt_predict_proba_many,
 )
 
 import gbdt_oracle
+import split_search_reference
 import tree_walk_reference
 
 
@@ -38,6 +41,13 @@ def full_batch_config(**overrides):
     )
     defaults.update(overrides)
     return MetaLearnerConfig(**defaults)
+
+
+def packed(g, h):
+    """Gradients and hessians as the one complex array the split search reads."""
+    gh = np.empty(len(g), dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    return gh
 
 
 def count_leaves(node):
@@ -67,7 +77,7 @@ class TestSplitGain:
         X = np.array(x, dtype=float)[:, None]
         block = np.argsort(X[:, 0], kind="stable")[None, :]
         h = np.full(len(g), 0.25)
-        return _best_split(X, np.array(g), h, block, np.array([0]), l2, 1)
+        return _best_split(X, packed(g, h), block, np.array([0]), l2, 1)
 
     def test_hand_value(self):
         # g = [0.5, 0.5, -0.5, -0.5], h = 0.25 each, split in the middle:
@@ -183,7 +193,7 @@ class TestSplitOracle:
             min_data = int(rng.choice([1, m // 2, m // 2 + 1]))
             l2 = float(rng.uniform(0.1, 2.0))
             block = rows[np.argsort(X[rows][:, features], axis=0, kind="stable")].T
-            cand = _best_split(X, g, h, block, features, l2, min_data)
+            cand = _best_split(X, packed(g, h), block, features, l2, min_data)
             Xs, gs, hs = X[rows][:, features], g[rows], h[rows]
             oracle_gain, oracle_key = gbdt_oracle.best_split(Xs, gs, hs, min_data, l2)
             if cand is None:
@@ -256,7 +266,8 @@ class TestSplitOracle:
         for num_leaves in (2, 3, 8, 34):
             calls.clear()
             block = np.argsort(X, axis=0, kind="stable").T
-            tree = _grow_tree(X, g, h, block, np.arange(4), full_batch_config(num_leaves=num_leaves))
+            tree = _grow_tree(X, packed(g, h), block, np.arange(4),
+                              full_batch_config(num_leaves=num_leaves))
             assert count_leaves(tree.trees[0]) == num_leaves
             assert len(calls) == 2 * num_leaves - 3
 
@@ -271,10 +282,10 @@ class TestSplitOracle:
         features = np.arange(2)
         block = np.argsort(X, axis=0, kind="stable").T
         halves = [_filter_block(block, X[:, 0] == side) for side in (0, 1)]
-        gains = [_best_split(X, g, h, half, features, 0.0, 1).gain for half in halves]
+        gains = [_best_split(X, packed(g, h), half, features, 0.0, 1).gain for half in halves]
         assert gains[0] == gains[1] > 0
         config = full_batch_config(num_leaves=3)
-        tree = _grow_tree(X, g, h, block, features, config)
+        tree = _grow_tree(X, packed(g, h), block, features, config)
         assert tree.roots.tolist() == [0] and tree.base_score == 0.0
         root = tree.trees[0]
         assert (root.feature_index, root.threshold) == (0, 0.5)
@@ -286,6 +297,51 @@ class TestSplitOracle:
         y = np.array([0, 1] * 5, dtype=float)
         model = gbdt_fit(X, y, full_batch_config(min_data_in_leaf=6, num_rounds=3))
         assert model.trees == []
+
+    def test_lazy_tie_mask_matches_the_always_masked_search(self, monkeypatch):
+        # The search masks tied cuts only when its first winner lands on one.
+        # Against the search that always masks: continuous values, integer
+        # grids with heavy ties, blocks where every cut is a tie, l2 at 0 and
+        # above, and min_data at 1, at the largest value that still allows a
+        # split, and one above it.
+        masked = []
+
+        def counted(*args):
+            masked.append(args)
+            return _mask_ties(*args)
+
+        monkeypatch.setattr(hatepool.gbdt, "_mask_ties", counted)
+        rng = np.random.default_rng(45)
+        splits = {"unmasked": 0, "masked": 0}
+        for kind in ("continuous", "grid", "all ties") * 150:
+            n = int(rng.integers(2, 80))
+            d = int(rng.integers(1, 5))
+            if kind == "continuous":
+                X = rng.normal(size=(n, d))
+            elif kind == "grid":
+                X = rng.integers(0, 3, size=(n, d)).astype(float)
+            else:
+                X = np.repeat(rng.integers(0, 3, size=(1, d)).astype(float), n, axis=0)
+            g = rng.uniform(-1.0, 1.0, n)
+            h = rng.uniform(0.05, 0.25, n)
+            rows = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+            features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            block = rows[np.argsort(X[rows][:, features], axis=0, kind="stable")].T
+            m = len(rows)
+            for min_data in sorted({1, m // 2, m // 2 + 1}):
+                for l2 in (0.0, float(rng.uniform(0.1, 2.0))):
+                    calls = len(masked)
+                    cand = _best_split(X, packed(g, h), block, features, l2, min_data)
+                    want = split_search_reference.best_split(X, g, h, block, features, l2, min_data)
+                    if want is None:
+                        assert cand is None
+                        continue
+                    gain, feature, threshold, left_rows = want
+                    assert (cand.gain.hex(), cand.feature, cand.threshold.hex()) == (
+                        gain.hex(), feature, threshold.hex())
+                    assert cand.left_rows.tobytes() == left_rows.tobytes()
+                    splits["masked" if len(masked) > calls else "unmasked"] += 1
+        assert splits["unmasked"] >= 100 and splits["masked"] >= 100
 
 
 class TestLossTrace:
@@ -489,7 +545,7 @@ class TestWalk:
         y = (X[:, 0] + 0.3 * rng.random(200) > 0.6).astype(float)
         model = gbdt_fit(X, y, full_batch_config(num_rounds=8, num_leaves=12, learning_rate=0.3))
         raw = np.array([tree_walk_reference.raw_score(model, x) for x in X])
-        assert model.train_logloss[-1] == _logloss(raw, y)
+        assert model.train_logloss[-1] == _logloss(_clipped_probabilities(raw), y)
 
 
 class TestTreeSerialization:
