@@ -43,13 +43,13 @@ HTTP client and a thread pool. No step calls BLAS, so :func:`main` sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, and numpy's
 OpenBLAS starts no worker thread.
 
-``filter``, ``ensemble`` and ``stats`` stream their input, so memory does
-not grow with it. ``filter --quota`` spools each record that passes
-through or enters a reservoir to an anonymous temporary file next to the
-output (in the temp directory for ``--output -``) and holds only spool
-line numbers in its reservoirs; ``ensemble`` and ``stats`` read annotations
-with :func:`hatepool.annotations.read_annotation_chunks` and score 4,096 rows
-at a time.
+``filter``, ``ensemble``, ``evaluate`` and ``stats`` stream their input, so memory
+does not grow with it. ``filter --quota`` spools each record that passes through
+or enters a reservoir to an anonymous temporary file next to the output (in the
+temp directory for ``--output -``) and holds only spool line numbers in its
+reservoirs; ``ensemble`` and ``stats`` read annotations with
+:func:`hatepool.annotations.read_annotation_chunks` and score 4,096 rows at a
+time; ``evaluate`` keeps only each dataset's scores, 8 bytes a row.
 
 A JSONL input, standard input included, and a CSV/TSV export must be
 UTF-8: the first line that is not exits 2 with ``file:line: not valid
@@ -63,6 +63,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
@@ -81,7 +82,7 @@ from ._jsonl import (
 )
 
 if TYPE_CHECKING:
-    from .datasets import LabeledExample
+    from .datasets import BinaryLabel
     from .gateway import AnnotatorEndpoint
     from .meta import MetaLearnerModel
     from .metrics import GroupSpec
@@ -259,10 +260,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL
 
 
-def _load_labels(path: str) -> dict[str, LabeledExample]:
+def _load_labels(path: str) -> dict[str, tuple[str, BinaryLabel]]:
     from .datasets import LabeledExample
 
-    labels: dict[str, LabeledExample] = {}
+    labels: dict[str, tuple[str, BinaryLabel]] = {}
 
     # Called for each row after the rows before it were added to ``labels``.
     def example_row(row: dict) -> LabeledExample:
@@ -273,7 +274,7 @@ def _load_labels(path: str) -> dict[str, LabeledExample]:
 
     with open_input(path) as fp:
         for example in iter_jsonl(fp, example_row):
-            labels[example.id] = example
+            labels[example.id] = (sys.intern(example.dataset), example.gold)
     if not labels:
         raise ValueError(f"no labeled examples in {path}")
     return labels
@@ -300,7 +301,7 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
         with open_input(args.annotations) as fp:
             model_order, chunks = read_annotation_chunks(fp)
             for chunk in chunks:
-                joined = [(row, labels[i].gold)
+                joined = [(row, labels[i][1])
                           for i, row in zip(chunk.ids, chunk.rows) if i in labels]
                 if joined:
                     rows, chunk_golds = zip(*joined)
@@ -355,13 +356,13 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                         "score_hate": score_hate,
                     }
                     if labels is not None:
-                        example = labels.get(text_id)
-                        if example is None:
+                        label = labels.get(text_id)
+                        if label is None:
                             log.warning("id %s has no gold label; row emitted without one",
                                         text_id)
                         else:
-                            out["dataset"] = example.dataset
-                            out["gold"] = example.gold.value
+                            out["dataset"], gold = label
+                            out["gold"] = gold.value
                     write_jsonl_line(out_fp, out)
                 count += len(chunk.ids)
         # Raised inside the block so that no empty output file is committed.
@@ -402,15 +403,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mode, fixed = args.threshold
     with atomic_output(args.report) as out_fp:
         with open_input(args.predictions) as fp:
-            rows = list(iter_jsonl(fp, PredictionRow.from_dict))
-        report = build_report(
-            rows,
-            groups=groups,
-            threshold_mode=mode,
-            threshold_scope=args.threshold_scope,
-            fixed_threshold=fixed,
-            known_datasets=known,
-        )
+            report = build_report(
+                iter_jsonl(fp, PredictionRow.from_dict),
+                groups=groups,
+                threshold_mode=mode,
+                threshold_scope=args.threshold_scope,
+                fixed_threshold=fixed,
+                known_datasets=known,
+            )
         payload = report.to_dict()
         if args.baseline:
             # The deltas are computed while the baseline is decoded, so its errors name the file.
@@ -570,11 +570,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
+    # A library warning, such as a group that matched no prediction, is one log line.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: log.warning("%s", message)
+        try:
+            return args.func(args)
+        except (ValueError, KeyError, OSError) as exc:
+            log.error("%s", exc)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """Accuracy, macro-F1, mean-probability thresholding and the evaluation report.
 
 Hate is the positive class throughout. :func:`build_report` scores every
-dataset and every group; group scores are always recomputed from the
-pooled per-text predictions of the member datasets, never by averaging
-per-dataset scores.
+dataset and every group; a group is scored from the sum of its members'
+confusion counts, which are its pooled per-text predictions, never from an
+average of per-dataset scores.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -202,10 +205,7 @@ class EvaluationReport:
         return asdict(self)
 
 
-def _score_entry(
-    predicted: Sequence[BinaryLabel], gold: Sequence[BinaryLabel], threshold: float | None
-) -> dict:
-    counts = confusion(predicted, gold)
+def _score_entry(counts: ConfusionCounts, threshold: float | None) -> dict:
     return {
         "n": counts.total,
         "threshold": threshold,
@@ -216,7 +216,7 @@ def _score_entry(
 
 
 def build_report(
-    rows: Sequence[PredictionRow],
+    rows: Iterable[PredictionRow],
     groups: Sequence[GroupSpec] | None = None,
     threshold_mode: str = "mean",
     threshold_scope: str = "group",
@@ -235,68 +235,65 @@ def build_report(
       pool those per-dataset labels;
     - ``global``: one mean over all rows everywhere.
 
-    With ``fixed`` mode the scope is irrelevant.
+    With ``fixed`` mode the scope is irrelevant. ``rows`` is read once and only
+    each dataset's scores are kept. An error raised while reading it comes first,
+    then an unknown dataset (the first in ``rows``), then an empty ``rows``.
     """
-    if not rows:
-        raise ValueError("cannot build a report from zero prediction rows")
     if threshold_mode not in ("mean", "fixed"):
         raise ValueError(f"unknown threshold mode {threshold_mode!r}")
     if threshold_scope not in THRESHOLD_SCOPES:
         raise ValueError(f"unknown threshold scope {threshold_scope!r}")
-    if threshold_mode == "fixed" and fixed_threshold is None:
-        raise ValueError("fixed threshold mode requires a threshold value")
+    if threshold_mode == "fixed" and (fixed_threshold is None or math.isnan(fixed_threshold)):
+        raise ValueError(f"fixed threshold mode requires a threshold value, got {fixed_threshold}")
+    # Each dataset's scores by gold class, (Neutral, Hate), in order of first appearance.
+    scores: dict[str, tuple[array, array]] = {}
+    for row in rows:
+        if row.dataset not in scores:
+            scores[row.dataset] = (array("d"), array("d"))
+        scores[row.dataset][row.gold is BinaryLabel.HATE].append(row.score_hate)
     if known_datasets is not None:
         known = set(known_datasets)
-        for row in rows:
-            if row.dataset not in known:
-                raise ValueError(f"prediction row references unknown dataset {row.dataset!r}")
+        for name in scores:
+            if name not in known:
+                raise ValueError(f"prediction row references unknown dataset {name!r}")
+    if not scores:
+        raise ValueError("cannot build a report from zero prediction rows")
 
-    datasets_present = sorted({r.dataset for r in rows})
-    if groups is None:
-        groups = [GroupSpec(name="All", members=frozenset(datasets_present))]
-    global_threshold = (
-        fixed_threshold
-        if threshold_mode == "fixed"
-        else mean_probability_threshold([r.score_hate for r in rows])
-    )
+    for name, by_gold in scores.items():
+        scores[name] = tuple(array("d", sorted(part)) for part in by_gold)
+    # Scaled sums are exact, so a unit's mean from its datasets' sums is its pooled mean.
+    sums = {name: (sum(map(_scaled_sum, by_gold)), sum(map(len, by_gold)))
+            for name, by_gold in scores.items()}
 
-    by_dataset: dict[str, list[PredictionRow]] = {}
-    for row in rows:
-        by_dataset.setdefault(row.dataset, []).append(row)
+    def mean_of(names: Iterable[str]) -> float:
+        totals, counts = zip(*(sums[name] for name in names))
+        return _scaled_mean(sum(totals), sum(counts))
 
-    def unit_threshold(unit_rows: Sequence[PredictionRow]) -> float:
-        if threshold_mode == "fixed":
-            return fixed_threshold
-        if threshold_scope == "global":
-            return global_threshold
-        return mean_probability_threshold([r.score_hate for r in unit_rows])
+    def counts_at(name: str, threshold: float) -> ConfusionCounts:
+        # Hate where score >= threshold, so the scores below it are the Neutral predictions.
+        neutral, hate = scores[name]
+        tn, fn = bisect_left(neutral, threshold), bisect_left(hate, threshold)
+        return ConfusionCounts(tp=len(hate) - fn, fp=len(neutral) - tn, fn=fn, tn=tn)
 
-    def score_unit(unit_rows: Sequence[PredictionRow]) -> tuple[list[BinaryLabel], dict]:
-        t = unit_threshold(unit_rows)
-        predicted = apply_threshold([r.score_hate for r in unit_rows], t)
-        return predicted, _score_entry(predicted, [r.gold for r in unit_rows], t)
+    global_threshold = fixed_threshold if threshold_mode == "fixed" else mean_of(scores)
+    shared_cut = threshold_mode == "fixed" or threshold_scope == "global"
 
-    per_dataset: dict[str, dict] = {}
-    dataset_labels: dict[str, list[BinaryLabel]] = {}
-    for name in datasets_present:
-        dataset_labels[name], per_dataset[name] = score_unit(by_dataset[name])
+    def score_unit(members: list[str], member_cuts: bool = False) -> dict:
+        # With ``member_cuts`` each member is cut at its own mean, and the unit has no threshold.
+        t = None if member_cuts else global_threshold if shared_cut else mean_of(members)
+        cuts = (mean_of([name]) if member_cuts else t for name in members)
+        return _score_entry(sum(map(counts_at, members, cuts), ConfusionCounts()), t)
 
+    per_dataset = {name: score_unit([name]) for name in sorted(scores)}
+    member_cuts = threshold_mode == "mean" and threshold_scope == "dataset"
     per_group: dict[str, dict] = {}
-    for group in groups:
-        members = sorted(n for n in group.members if n in by_dataset)
+    for group in groups if groups is not None else [GroupSpec("All", frozenset(scores))]:
+        members = [name for name in group.members if name in scores]
         if not members:
-            warnings.warn(
-                f"group {group.name!r} matched no predictions; skipped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"group {group.name!r} matched no predictions; skipped",
+                          RuntimeWarning, stacklevel=2)
             continue
-        pooled_rows = [row for name in members for row in by_dataset[name]]
-        if threshold_scope == "dataset" and threshold_mode == "mean":
-            predicted = [label for name in members for label in dataset_labels[name]]
-            per_group[group.name] = _score_entry(predicted, [r.gold for r in pooled_rows], None)
-        else:
-            per_group[group.name] = score_unit(pooled_rows)[1]
+        per_group[group.name] = score_unit(members, member_cuts)
     return EvaluationReport(
         threshold_mode=threshold_mode,
         threshold_scope=threshold_scope,

@@ -909,6 +909,106 @@ class TestEvaluateCmd:
         assert "All" in table
         assert "macro_f1" in table
 
+    def test_warnings_are_log_lines(self, tmp_path):
+        predictions = write_jsonl(tmp_path / "pred.jsonl", [
+            {"id": f"r{i}", "dataset": dataset, "score_hate": score, "gold": gold}
+            for i, (dataset, score, gold) in enumerate([
+                ("AHSD", 0.9, "Hate"), ("AHSD", 0.1, "Neutral"),
+                ("HateXplain", 0.6, "Hate"), ("HateXplain", 0.2, "Neutral"),
+            ])
+        ])
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({
+            "per_dataset": {"AHSD": {"macro_f1": 0.5}, "Other": {"macro_f1": 0.1}},
+            "per_group": {},
+        }))
+        args = ["evaluate", "--predictions", predictions, "--report", str(tmp_path / "r.json"),
+                "--baseline", str(baseline)]
+        proc = run_cli(args, capture_output=True)
+        assert proc.returncode == 0
+        skipped = ["per_dataset:HateXplain", "per_dataset:Other", "per_group:All",
+                   "per_group:EN", "per_group:Rest", "per_group:SevenSet"]
+        assert proc.stderr.splitlines() == [
+            *(f"WARNING hatepool: group {g!r} matched no predictions; skipped"
+              for g in ("DE", "ES", "VI")),
+            *(f"WARNING hatepool: unit {u!r} present on only one side; skipped in deltas"
+              for u in skipped),
+        ]
+        proc = run_cli(["--log-level", "error", *args], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestEvaluateStreams:
+    """``evaluate`` reads its predictions once and keeps only each dataset's scores."""
+
+    def write_predictions(self, path, datasets, bad_line=None):
+        rows = [{"id": f"r{i}", "dataset": d, "score_hate": 0.5, "gold": "Hate"}
+                for i, d in enumerate(datasets, start=1)]
+        if bad_line is not None:
+            rows[bad_line - 1]["score_hate"] = "high"
+        return write_jsonl(path, rows)
+
+    def test_bad_row_after_an_unknown_dataset_is_named_first(self, tmp_path, caplog):
+        path = self.write_predictions(tmp_path / "pred.jsonl",
+                                      ["AHSD", "Mystery", "AHSD", "AHSD", "AHSD"], bad_line=4)
+        report = tmp_path / "r.json"
+        assert main(["evaluate", "--predictions", path, "--report", str(report)]) == 2
+        assert not report.exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"{path}:4 (id 'r4'): ")
+
+    def test_first_unknown_dataset_in_input_order_is_named(self, tmp_path, caplog):
+        # "Zeta" sorts after "Alpha" but comes first in the file.
+        path = self.write_predictions(tmp_path / "pred.jsonl", ["AHSD", "Zeta", "Alpha", "Zeta"])
+        assert main(["evaluate", "--predictions", path, "--report", str(tmp_path / "r.json")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["prediction row references unknown dataset 'Zeta'"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM in /proc")
+    def test_peak_rss_does_not_grow_with_the_rows(self, tmp_path):
+        """A child's peak RSS on 4*10**5 rows against 10**5, over the 16 bundled datasets.
+
+        The scores are kept at 8 bytes a row, so 3*10**5 more rows add about
+        2.4 MB. Sorting a dataset's scores also holds a sorted list of them, about
+        32 bytes a row: with the rows spread over 16 datasets that is 0.8 MB here,
+        but a file with one dataset holds it for every row while it sorts.
+
+        The peak is the child's ``VmHWM``. Its ``ru_maxrss`` would not do: Linux
+        carries the forking process's high-water mark, here the test runner's,
+        into the child across ``exec``.
+        """
+        import random
+
+        names = sorted(load_registry())
+        rng = random.Random(7)
+        probe = ("import sys\n"
+                 "from hatepool.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "with open('/proc/self/status') as fp:\n"
+                 "    print(next(line.split()[1] for line in fp if line.startswith('VmHWM:')))\n"
+                 "sys.exit(code)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def peak_kib(n):
+            path = tmp_path / f"pred{n}.jsonl"
+            with open(path, "w", encoding="utf-8") as fp:
+                for i in range(n):
+                    gold = "Hate" if rng.random() < 0.4 else "Neutral"
+                    fp.write(f'{{"id":"r{i}","dataset":"{names[i % len(names)]}",'
+                             f'"score_hate":{rng.random()!r},"gold":"{gold}"}}\n')
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, "evaluate", "--predictions", str(path),
+                 "--report", str(tmp_path / f"report{n}.json")],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            path.unlink()
+            return int(proc.stdout)
+
+        small, large = peak_kib(100_000), peak_kib(400_000)
+        assert large - small < 8 * 1024, (small, large)
+
 
 class TestStatsCmd:
     def test_summary_payload(self, pipeline, tmp_path):
@@ -1214,3 +1314,62 @@ class TestGoldenScoringDigests:
             for name in self.DIGESTS
         }
         assert digests == self.DIGESTS
+
+    # Four datasets, one of them (GermEval) not in the registry, so the groups
+    # file names the universe; "Mixed" overlaps "EN" and "All".
+    GROUPS = {
+        "All": ["AHSD", "GermEval", "HateXplain", "ViHSD"],
+        "EN": ["AHSD", "HateXplain"],
+        "Mixed": ["GermEval", "HateXplain", "ViHSD"],
+        "DE": ["GermEval"],
+    }
+    THRESHOLDS = {
+        "group": ["--threshold-scope", "group"],
+        "dataset": ["--threshold-scope", "dataset"],
+        "global": ["--threshold-scope", "global"],
+        "fixed": ["--threshold", "fixed:0.5"],
+    }
+    # Taken before build_report stopped holding prediction rows.
+    REPORT_DIGESTS = {
+        "report_vote_group.json":
+            "ce07d80aae7d715f65c31fd453f2f3d0b55eaedb1e05bfe1ed571eb679adc3f5",
+        "report_vote_dataset.json":
+            "c85594bb334d1242a060ee4d50b38e267dad0073e919bcd584ed6443cec5b90c",
+        "report_vote_global.json":
+            "46c24218c2f547f4d5df70abf76ca418d27c1a72462dce257f88f9317283c506",
+        "report_vote_fixed.json":
+            "9913b7fe62f91056adb53fbb186847d49a638aed55c58c6b0b1d8bdd40e17101",
+        "report_mean_group.json":
+            "aba6aff0f42946e5e7d20993e458764b09b30fcce3991845bc43894cd93c1d9a",
+        "report_mean_dataset.json":
+            "f5b84651449c818282a1091834adf56da5befffcfbd8f26f273dd0bc7ee1874b",
+        "report_mean_global.json":
+            "b6c6bf4de4e2356fa9fe68cf8d18243563ae78efafda2b9eba1d1d440998fedf",
+        "report_mean_fixed.json":
+            "daf5c344ad44f5d9438bf623c737c0b5b9ea96d2a9dda2a32e6567eff01ddbf2",
+    }
+
+    def test_evaluate_reports_match_the_pinned_digests(self, tmp_path):
+        import hashlib
+
+        data = os.path.join(os.path.dirname(__file__), "data")
+        annotations = os.path.join(data, "scoring_annotations.jsonl")
+        labels = os.path.join(data, "scoring_labels.jsonl")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps(self.GROUPS))
+        digests = {}
+        for strategy in ("vote", "mean"):
+            emitted = tmp_path / f"pred_{strategy}.jsonl"
+            assert main(["ensemble", "--annotations", annotations, "--strategy", strategy,
+                         "--labels", labels, "--output", str(emitted)]) == 0
+            # The 56 rows that have a gold label, as ensemble wrote them.
+            predictions = tmp_path / f"gold_{strategy}.jsonl"
+            predictions.write_text("".join(
+                line for line in emitted.read_text().splitlines(keepends=True) if '"gold":' in line
+            ))
+            for name, flags in self.THRESHOLDS.items():
+                report = tmp_path / f"report_{strategy}_{name}.json"
+                assert main(["evaluate", "--predictions", str(predictions), "--report", str(report),
+                             "--groups", str(groups), *flags]) == 0
+                digests[report.name] = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digests == self.REPORT_DIGESTS

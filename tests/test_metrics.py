@@ -1,4 +1,5 @@
 import statistics
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,9 @@ from hatepool import (
     macro_f1,
     mean_probability_threshold,
 )
+from hatepool.metrics import THRESHOLD_SCOPES
+
+import report_reference
 
 H, N = BinaryLabel.HATE, BinaryLabel.NEUTRAL
 
@@ -263,6 +267,54 @@ class TestBuildReport:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_report([])
+
+
+NAMES = ("d1", "d2", "d3", "d4")
+# Many scores land exactly on a unit's mean, where ">=" and ">" part ways.
+GRID_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324])
+SCORES = st.one_of(GRID_SCORES, st.floats(0.0, 1.0))
+PREDICTIONS = st.lists(st.tuples(st.sampled_from(NAMES), SCORES, st.sampled_from([H, N])),
+                       max_size=40)
+# Overlapping groups, and groups that match no prediction ("ghost").
+GROUPS = st.none() | st.lists(
+    st.frozensets(st.sampled_from(NAMES + ("ghost",)), min_size=1), max_size=5
+).map(lambda members: [GroupSpec(f"g{i}", m) for i, m in enumerate(members)])
+
+
+def hex_floats(value):
+    """``value`` with every float replaced by its ``float.hex``, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: hex_floats(v) for k, v in value.items()}
+    return value
+
+
+def report_or_error(build, data, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = hex_floats(build(data, **kwargs).to_dict())
+        except ValueError as exc:
+            result = ("error", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+class TestBuildReportAgainstReference:
+    @given(
+        spec=PREDICTIONS,
+        groups=GROUPS,
+        fixed=st.none() | SCORES,
+        scope=st.sampled_from(THRESHOLD_SCOPES),
+        known=st.none() | st.frozensets(st.sampled_from(NAMES), min_size=2),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_streamed_report_is_the_row_list_report(self, spec, groups, fixed, scope, known):
+        kwargs = dict(groups=groups, threshold_scope=scope, known_datasets=known,
+                      threshold_mode="mean" if fixed is None else "fixed",
+                      fixed_threshold=fixed)
+        want = report_or_error(report_reference.build_report, rows(spec), **kwargs)
+        assert report_or_error(build_report, iter(rows(spec)), **kwargs) == want
 
 
 class TestDeltaReport:
