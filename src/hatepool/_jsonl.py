@@ -6,9 +6,9 @@ non-ASCII text is written verbatim, and separators carry no whitespace.
 
 Every JSONL file is read by :func:`iter_jsonl` and every JSON file by
 :func:`read_json_file`; a bad row or file raises ``ValueError`` naming the
-file. :func:`numbered_lines` reads JSONL and CSV/TSV lines alike and names the
-first that is not UTF-8. :func:`from_json_object` is the one JSON object to
-config decoder.
+file. :func:`numbered_lines` reads JSONL and CSV/TSV lines alike, from text or
+binary streams, and names the first that is not UTF-8. :func:`from_json_object`
+is the one JSON object to config decoder.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import Any, Iterator, TextIO
+from typing import Any, BinaryIO, Iterator, TextIO
 
 
 # ``encode`` keeps no state between calls (each builds its own circular-reference
@@ -43,10 +43,25 @@ def write_jsonl_line(fp: TextIO, obj: Any) -> None:
     fp.write("\n")
 
 
+# The C scanner that ``json.loads`` calls, called directly (it keeps no state
+# between calls).
+_scan_once = json.JSONDecoder().scan_once
+
+
 def loads(text: str) -> Any:
     """``json.loads(text)``, refusing a string with a lone surrogate such as ``"\\ud800"``
-    (I-JSON, RFC 7493 section 2.1), which no command could write back as UTF-8."""
-    value = json.loads(text)
+    (I-JSON, RFC 7493 section 2.1), which no command could write back as UTF-8.
+
+    A text that is one JSON value from its first character to its last is decoded by
+    one scanner call; any other text, such as one with surrounding whitespace, a BOM or
+    extra data, goes to ``json.loads``, which gives its value or its error.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text):
+        value = json.loads(text)
     if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):  # no escape, no surrogate
         try:
             dumps(value).encode()
@@ -55,7 +70,7 @@ def loads(text: str) -> Any:
     return value
 
 
-def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
+def iter_jsonl(fp: TextIO | BinaryIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
     Invalid JSON (see :func:`loads`), JSON nested too deeply to decode, or an integer with
@@ -93,16 +108,31 @@ def iter_jsonl(fp: TextIO, decode=None, on_error=None) -> Iterator[Any]:
         yield row
 
 
-def numbered_lines(fp: TextIO) -> Iterator[tuple[int, str]]:
+def numbered_lines(fp: TextIO | BinaryIO) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for the lines of ``fp``, up to the first that is not valid
     UTF-8, which raises ``ValueError("<file>:<line>: not valid UTF-8: ...")``.
 
-    A ``TextIOWrapper`` is read with ``errors="surrogateescape"``, so the first line
-    holding U+DC80-U+DCFF, which strict decoding never yields, holds the first bad
-    byte, on a pipe as on a file; decoding that line's bytes strictly gives the
-    byte and the reason. Other streams, such as ``io.StringIO``, are read as they are.
+    A binary stream, such as ``io.BytesIO``, is cut where text mode cuts, at ``\\n``,
+    ``\\r\\n`` and a lone ``\\r``, and each line is decoded strictly with its line
+    end, which it keeps; so a character cut short by its line end is named as text
+    mode names it. A ``TextIOWrapper`` is read with ``errors="surrogateescape"``, so
+    the first line holding U+DC80-U+DCFF, which strict decoding never yields, holds
+    the first bad byte, on a pipe as on a file; decoding that line's bytes strictly
+    gives the byte and the reason. Other streams, such as ``io.StringIO``, are read as
+    they are.
     """
     source = getattr(fp, "name", "<stream>")
+    if isinstance(fp, io.BufferedIOBase):
+        lineno = 0
+        for chunk in fp:
+            for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+                lineno += 1
+                try:
+                    line = raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise _not_utf8(source, lineno, exc) from exc
+                yield lineno, line
+        return
     escaped = isinstance(fp, io.TextIOWrapper)
     if escaped:
         fp.reconfigure(errors="surrogateescape")
@@ -114,9 +144,13 @@ def numbered_lines(fp: TextIO) -> Iterator[tuple[int, str]]:
                 try:
                     line.encode(errors="surrogateescape").decode()
                 except UnicodeDecodeError as exc:
-                    reason = f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-                    raise ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}") from exc
+                    raise _not_utf8(source, lineno, exc) from exc
         yield lineno, line
+
+
+def _not_utf8(source: str, lineno: int, exc: UnicodeDecodeError) -> ValueError:
+    reason = f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+    return ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}")
 
 
 def shifted(error: ValueError, source: str, lines: int) -> ValueError:

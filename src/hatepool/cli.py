@@ -171,7 +171,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
     stats_sink = atomic_output(args.stats) if args.stats else nullcontext(sys.stderr)
     with atomic_output(args.output) as out_fp, stats_sink as stats_fp:
-        chunks, stats = filter_file(args.input, config, on_bad_line)
+        chunks, stats = filter_file(args.input, config, on_bad_line, out_dir)
         # Only kept records go to the output, as UTF-8 bytes.
         written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
         payload = {**stats.to_dict(), "malformed_lines": malformed[0], "written": written}

@@ -20,7 +20,9 @@ to records, and :meth:`WebRecord.from_dict` the same field checks.
 2.5 MiB), when ``os.sched_getaffinity`` gives more than one CPU, runs one
 fork worker process per CPU, but no more than there are ranges: each
 decodes, filters and serialises one byte range of the input at a time,
-and this process keeps the counters, the warnings and the reservoirs in
+decoding each line once, strictly, from the range's bytes, and pickles
+the range's results into a part file, whose name is all it sends back.
+This process keeps the counters, the warnings and the reservoirs in
 input order, holding at most one range's results more than there are
 workers. A worker that dies fails the command.
 Standard input and smaller files are filtered in this process. Either way
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 import io
 import os
+import pickle
 import re
+import shutil
 import signal
 import stat
 import sys
@@ -236,7 +240,8 @@ def normalize_url_path(url: str) -> str:
     """
     plain = _PLAIN_URL.fullmatch(url)
     if plain is not None:
-        return unquote(plain[1]).lower()
+        path = plain[1]
+        return (unquote(path) if "%" in path else path).lower()
     try:
         parsed = urlparse(url)
     except ValueError as exc:
@@ -285,15 +290,15 @@ def _keep(url: str, lang: str, schema_types: Iterable[str], config: FilterConfig
     """True when the record is kept; counts it into ``stats`` either way."""
     stats.records_seen += 1
     try:
-        url_ok = url_keyword_match(url, config)
+        path = normalize_url_path(url)
     except UrlParseError:
         stats.dropped_url += 1
         stats.parse_failures += 1
         return False
-    if not url_ok:
+    if config._search_path(path) is None:
         stats.dropped_url += 1
         return False
-    if not schema_type_match(schema_types, config):
+    if config._accepted_types.isdisjoint(schema_types):
         stats.dropped_schema += 1
         return False
     stats.kept += 1
@@ -417,8 +422,9 @@ def write_kept(
 
 # Size of the byte ranges :func:`filter_file` hands to its workers, 2.5 MiB.
 # On 2 vCPUs and a 90 MB input that keeps 30% of its bytes, ranges of 2.5,
-# 3 and 4 MiB took the same wall and CPU time, while the parent's peak RSS
-# grew with the range (40.3, 41.0 and 41.3 MB; 37.0 MB in one process).
+# 3 and 4 MiB took the same wall and CPU time, while the workers' peak RSS
+# grew with the range (27.2-28.9, 28.1-28.2 and 29.7-32.4 MB). The parent's
+# was 38.4-40.3 MB at each size, and 36.8 MB in one process.
 RANGE_BYTES = 5 << 19
 
 
@@ -478,13 +484,30 @@ def _kept_chunks(
     return generate(), stats
 
 
-def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
+def _filter_range(path: str, offset: int, length: int, config: FilterConfig,
+                  parts: str) -> str:
+    """The name of a new file in the directory ``parts`` holding the
+    :func:`_range_result` of this range of ``path``, pickled.
+
+    Only the name goes back through the pool's result pipe, in one write no larger
+    than ``PIPE_BUF``: a worker killed while it sent a larger message would leave
+    the pool's reader waiting for the rest of it for good.
+    """
+    part = os.path.join(parts, f"{offset}.part")
+    with open(part, "wb") as fp:
+        # The range's bytes and lines are freed before the result is written.
+        pickle.dump(_range_result(path, offset, length, config), fp, pickle.HIGHEST_PROTOCOL)
+    return part
+
+
+def _range_result(path: str, offset: int, length: int, config: FilterConfig):
     r"""Filter one byte range of ``path`` as the one-process path reads it.
 
-    Returns the range's ``FilterStats``, its count of line ends (``\n``,
-    ``\r\n`` or ``\r``, the ends text mode reads), its malformed-line
-    errors and its first fatal error (or None), both with line numbers
-    counted from the range's start, and its kept records as one
+    The range's bytes go to ``iter_jsonl`` as they are, so each line is decoded
+    once, strictly, from them. Returns the range's ``FilterStats``, its count of
+    line ends (``\n``, ``\r\n`` or ``\r``, the ends text mode reads), its
+    malformed-line errors and its first fatal error (or None), both with line
+    numbers counted from the range's start, and its kept records as one
     :func:`write_kept` chunk.
     """
     with open(path, "rb") as fp:
@@ -493,8 +516,7 @@ def _filter_range(path: str, offset: int, length: int, config: FilterConfig):
     buffer = io.BytesIO(data)
     buffer.name = path
     malformed: list[ValueError] = []
-    kept, stats = _kept_chunks(io.TextIOWrapper(buffer, encoding="utf-8"), config,
-                               malformed.append)
+    kept, stats = _kept_chunks(buffer, config, malformed.append)
     lines: list[bytes] = []
     langs: list[str] = []
     error = None
@@ -526,7 +548,7 @@ def _filter_workers(path: str) -> int:
 
 
 def filter_file(
-    path: str, config: FilterConfig, on_error
+    path: str, config: FilterConfig, on_error, spool_dir: str | None = None
 ) -> tuple[Iterator[tuple[bytes, Sequence[str]]], FilterStats]:
     r""":func:`filter_records` over ``iter_jsonl`` of ``path`` (``-`` means stdin),
     in this process or on :func:`_filter_workers` worker processes; the kept
@@ -534,7 +556,9 @@ def filter_file(
 
     On workers, the file is cut into byte ranges of about :data:`RANGE_BYTES`, each
     ending just after a ``\n``, and a fork ``ProcessPoolExecutor`` decodes,
-    filters and serialises each range. This process takes the results in
+    filters and serialises each range into a file of a new directory in
+    ``spool_dir`` (the default temp directory when None), which is removed when
+    the iterator ends, fails or is closed. This process takes the results in
     input order, at most ``workers + 1`` ranges ahead of the consumer: it
     calls ``on_error`` with each malformed-line error, raises a range's fatal
     error after the errors before it, and adds up the counters, with line
@@ -560,16 +584,20 @@ def filter_file(
         # Fork, not spawn: under ``cli.main`` the command runs no other thread
         # when it forks, since numpy starts with one OpenBLAS thread there, and
         # a spawned worker would pay for an interpreter start and the imports.
+        parts = tempfile.mkdtemp(prefix=".filter-", dir=spool_dir)
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        jobs = ((offset, length, pool.submit(_filter_range, path, offset, length, config))
+        jobs = ((offset, length, pool.submit(_filter_range, path, offset, length, config, parts))
                 for offset, length in _byte_ranges(path))
         pending = deque()
         try:
             with _sigint_held():  # the first submit forks every worker, then starts a thread
                 pending.extend(islice(jobs, workers + 1))
             while pending:
-                part, line_ends, malformed, error, kept, langs = pending[0][2].result()
+                result = pending[0][2].result()
                 pending.popleft()
+                with open(result, "rb") as fp:
+                    part, line_ends, malformed, error, kept, langs = pickle.load(fp)
+                os.unlink(result)
                 for exc in malformed:
                     on_error(shifted(exc, path, lines))
                 if error is not None:
@@ -586,5 +614,6 @@ def filter_file(
         finally:
             with _sigint_held():
                 pool.shutdown(cancel_futures=True)
+                shutil.rmtree(parts, ignore_errors=True)  # a dead worker's part is never read
 
     return (generate() if workers else stream()), stats

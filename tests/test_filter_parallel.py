@@ -50,10 +50,15 @@ BAD_ROW = dumps({**web_row(0), "id": "bad", "lang": None}).encode()
 # A kept web record whose text is a lone surrogate escape, which is not valid JSON.
 LONE_SURROGATE_ROW = json.dumps(web_row(0, text="\ud800"))
 
+# Raw lines that are not UTF-8, each fatal: a bad start byte, a character cut
+# short by the line end after it, and an encoded surrogate; and a kept record
+# behind a BOM, which is not JSON.
+BYTE_LINES = [b"\xff", b"\xe4\xb8", b"\xed\xa0\x80", b"\xef\xbb\xbf" + dumps(web_row(0)).encode()]
+
 # A line of the input, before its line end: a web record (kept or not, in one
 # of three languages, with text that holds characters a line reader could take
-# for line ends), a blank line, a line that is not JSON, or a bad row, which is
-# fatal.
+# for line ends), a blank line, a line that is not JSON, a bad row or a line
+# that is not UTF-8, which are fatal, or a record behind a BOM.
 LINES = st.one_of(
     st.tuples(
         st.sampled_from("abc"),
@@ -63,6 +68,7 @@ LINES = st.one_of(
     st.sampled_from(["", "  ", "\u2028", "\u0085", "{oops", "[1", "nul", LONE_SURROGATE_ROW])
     .map(lambda s: ("raw", s)),
     st.sampled_from([BAD_ROW.decode(), "[1, 2]", '{"id": "x"}']).map(lambda s: ("raw", s)),
+    st.sampled_from(BYTE_LINES).map(lambda b: ("raw", b)),
 )
 
 
@@ -73,8 +79,9 @@ def render(lines, ends, final_end):
         if line[0] == "row":
             _, lang, kept, text = line
             line = ("raw", dumps(web_row(index, lang, kept, text)))
-        parts.append(line[1] + (end if index < len(lines) - 1 else final_end))
-    return "".join(parts).encode("utf-8")
+        text = line[1] if isinstance(line[1], bytes) else line[1].encode()
+        parts.append(text + (end if index < len(lines) - 1 else final_end).encode())
+    return b"".join(parts)
 
 
 def write_input(directory, data):
@@ -129,6 +136,22 @@ def test_undecodable_line_is_named_with_its_file_line(small_ranges, tmp_path):
     assert expected[0] == 2
     assert expected[3] == [("ERROR", f"{tmp_path}/web.jsonl:26: not valid UTF-8: "
                                      "can't decode byte 0xff: invalid start byte")]
+    for workers in (1, 2):
+        assert run_filter(tmp_path, workers) == expected
+
+
+@pytest.mark.parametrize("bad", BYTE_LINES, ids=["ff", "cut-short", "surrogate", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""], ids=["lf", "crlf", "cr", "eof"])
+def test_bad_bytes_at_a_range_start(bad, end, small_ranges, tmp_path):
+    # With 60-byte ranges every line is a range of its own: the bad line starts one,
+    # and its line end, or the end of the file, ends it.
+    rows = [dumps(web_row(i)).encode() for i in range(6)]
+    data = b"\n".join(rows[:3] + [bad]) + (end.encode() + b"\n".join(rows[3:]) + b"\n" if end else b"")
+    write_input(tmp_path, data)
+    small_ranges(60)
+    expected = run_filter(tmp_path, 0)
+    assert expected[0] == (0 if bad.startswith(b"\xef\xbb\xbf") else 2)
+    assert expected[3][0][1].startswith(f"{tmp_path}/web.jsonl:4: ")
     for workers in (1, 2):
         assert run_filter(tmp_path, workers) == expected
 
@@ -228,6 +251,58 @@ def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):
     assert large - small < 32 * 1024, (small, large)
 
 
+def test_worker_memory_does_not_grow_with_the_ranges(small_ranges, tmp_path):
+    # A range held in a reference cycle outlives its call until a full collection:
+    # one did, and a worker's peak grew by a range with each range until then.
+    range_bytes = 64 * 1024
+    small_ranges(range_bytes)
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    config = filtering.FilterConfig()
+
+    def peak_bytes(n_ranges):
+        write_input(tmp_path, web_lines(n_ranges * range_bytes))
+        path = str(tmp_path / "web.jsonl")
+        gc.collect()  # the peak of this run, not of garbage left by the one before
+        tracemalloc.reset_peak()
+        for offset, length in filtering._byte_ranges(path):
+            os.unlink(filtering._filter_range(path, offset, length, config, str(parts)))
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak_bytes(8)  # warm-up: imports and first-use caches
+        small, large = peak_bytes(8), peak_bytes(32)
+    finally:
+        tracemalloc.stop()
+    assert large - small < range_bytes, (small, large)
+
+
+@pytest.mark.parametrize("output", ["file", "stdout"])
+def test_part_files_are_removed(output, small_ranges, monkeypatch, tmp_path):
+    # The workers' part files go next to the output, or to the temp directory when
+    # the output is stdout, like the quota spool, and go when the command ends.
+    made = []
+
+    def mkdtemp(**kwargs):
+        made.append(real_mkdtemp(**kwargs))
+        return made[-1]
+
+    real_mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(filtering, "_filter_workers", lambda _: 2)
+    (tmp_path / "tmp").mkdir()
+    (tmp_path / "out").mkdir()
+    small_ranges(4096)
+    write_input(tmp_path, web_lines(8 * 4096))
+    kept = "-" if output == "stdout" else str(tmp_path / "out" / "kept.jsonl")
+    assert cli.main(["filter", "--input", str(tmp_path / "web.jsonl"), "--output", kept]) == 0
+    assert len(made) == 1 and not os.path.exists(made[0])
+    assert os.path.dirname(made[0]) == str(tmp_path / ("tmp" if output == "stdout" else "out"))
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
 # --- no worker outlives the command ------------------------------------------
 
 
@@ -286,6 +361,7 @@ def test_no_worker_left_after_success(web_file, tmp_path):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert_session_is_empty(proc)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["kept.jsonl", "stats.json"]
 
 
 @needs_cpus
@@ -377,5 +453,47 @@ def test_dead_worker_ends_the_command(moment, loud_file, tmp_path):
     errors = [line for line in err.splitlines() if not line.startswith("WARNING ")]
     assert len(errors) == 1 and re.fullmatch(
         rf"ERROR hatepool: {re.escape(str(loud_file))}: a filter worker died before the "
+        r"result for bytes \d+-\d+ came back", errors[0]), errors
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def state(pid):
+    """The one-letter state of ``pid``: ``R`` running, ``S`` sleeping, and so on."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+
+
+def idle(pid):
+    """True once ``pid`` sleeps and has used no CPU for 0.2 s."""
+    ticks = cpu_ticks(pid)
+    time.sleep(0.2)
+    return state(pid) == "S" and cpu_ticks(pid) == ticks
+
+
+@needs_cpus
+def test_worker_killed_while_the_command_is_stopped(web_file, tmp_path):
+    # With the command stopped, a worker that sent a range's kept records, about
+    # 1.7 MB here, blocked on the full result pipe in the middle of its message.
+    # Killed there, it left the pool's reader waiting for the rest of the message
+    # for good: the command and the other worker still held the pipe open, so the
+    # reader never saw the end of it, nor the dead worker. Here every worker is
+    # killed once none is running, and the command must still end.
+    proc = start_filter(web_file, tmp_path / "out")
+    try:
+        worker = first_worker(proc)
+        wait_for(lambda: cpu_ticks(worker) >= 2)
+        os.kill(proc.pid, signal.SIGSTOP)
+        workers = children(proc.pid)
+        wait_for(lambda: all(idle(pid) for pid in workers))
+        for pid in workers:
+            os.kill(int(pid), signal.SIGKILL)
+        os.kill(proc.pid, signal.SIGCONT)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2, err[-2000:]
+        assert_session_is_empty(proc)
+    finally:
+        end_session(proc)
+    errors = [line for line in err.splitlines() if not line.startswith("WARNING ")]
+    assert len(errors) == 1 and re.fullmatch(
+        rf"ERROR hatepool: {re.escape(str(web_file))}: a filter worker died before the "
         r"result for bytes \d+-\d+ came back", errors[0]), errors
     assert list((tmp_path / "out").iterdir()) == []

@@ -20,6 +20,8 @@ from hatepool._jsonl import (
     from_json_object,
     iter_jsonl,
     iter_jsonl_tolerant,
+    loads,
+    numbered_lines,
     read_json_file,
     write_json_file,
 )
@@ -214,6 +216,79 @@ JSON_VALUES = st.recursive(
 def test_dumps_is_json_dumps_with_its_settings(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
                                       separators=(",", ":"))
+
+
+# JSON texts as a reader meets them: a value's text, compact or indented, or text
+# that json reads but never writes, or not JSON at all, with whitespace or a BOM
+# before it and whitespace or junk after it. Nesting is either well inside the
+# recursion limit or far past it: near it, the depth that decodes depends on how
+# deep the caller's stack already is.
+JSON_TEXTS = st.tuples(
+    st.sampled_from(["", "", " ", "\t\n\r ", "\ufeff", "\ufeff "]),
+    st.one_of(
+        JSON_VALUES.map(json.dumps),
+        JSON_VALUES.map(lambda value: json.dumps(value, indent=1, ensure_ascii=False)),
+        st.tuples(st.sampled_from(["[", '{"a":']), st.sampled_from([1, 50, 200, 10**5]))
+        .map(lambda nest: nest[0] * nest[1] + "0" + ("]" if nest[0] == "[" else "}") * nest[1]),
+        st.integers(4290, 4310).map(lambda digits: "-" * (digits % 2) + "7" * digits),
+        st.sampled_from(["NaN", "-Infinity", "Infinity", "nan", "1e400", "-0", "01", "1.",
+                         "tru", "{", "[1,]", '{"a" 1}', '"a\tb"', '"\\x"', '{"a":1,"a":2}',
+                         '"\\ud800"', '["\\udfff", 1]', '"\\ud83d\\ude00"', "", "\x00"]),
+    ),
+    st.sampled_from(["", "", " ", "\n", "\r\n", "x", "]", ",1", " {}", "\x00", "\ufeff"]),
+).map("".join)
+
+
+def decoded(load, text):
+    """``("value", json text of the value)`` or ``(exception type, message)``."""
+    try:
+        value = load(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return "value", json.dumps(value)
+
+
+@settings(max_examples=400)
+@given(JSON_TEXTS)
+def test_loads_is_json_loads(text):
+    expected = decoded(json.loads, text)
+    if expected[0] == "value":
+        try:
+            dumps(json.loads(text)).encode()
+        except UnicodeEncodeError as exc:  # a lone surrogate: the one value loads refuses
+            expected = ValueError, f"lone surrogate \\u{ord(exc.object[exc.start]):04x}"
+    assert decoded(loads, text) == expected
+
+
+# Bytes a line reader can trip on: line ends, characters that other readers take
+# for line ends, and bytes that are not UTF-8 (a bad start byte, characters cut
+# short, an encoded surrogate), beside a BOM and ordinary text.
+LINE_BYTES = [b"a", b"{}", b" ", b"\xc3\xa9", b"\xf0\x9f\x98\x80", b"\n", b"\r", b"\r\n",
+              b"\xe2\x80\xa8", b"\xc2\x85", b"\x0b\x0c\x1c", b"\xef\xbb\xbf", b"\xff",
+              b"\xe4\xb8", b"\xf0\x9f", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+def read_lines(fp):
+    """The ``numbered_lines`` of ``fp`` until the first error, and that error's message."""
+    lines = []
+    try:
+        for lineno, line in numbered_lines(fp):
+            lines.append((lineno, line))
+    except ValueError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(LINE_BYTES), max_size=12).map(b"".join))
+def test_binary_lines_are_text_modes(data):
+    # A binary stream's lines keep their line ends; text mode turns each into "\n".
+    binary, text = io.BytesIO(data), io.BytesIO(data)
+    binary.name = text.name = "web.jsonl"
+    lines, error = read_lines(binary)
+    text_lines, text_error = read_lines(io.TextIOWrapper(text, encoding="utf-8"))
+    assert error == text_error
+    assert [(n, line.replace("\r\n", "\n").replace("\r", "\n")) for n, line in lines] == text_lines
 
 
 @dataclass(frozen=True)
