@@ -34,8 +34,92 @@ def dumps(obj: Any) -> str:
 
 
 def dumps_pretty(obj: Any) -> str:
-    """Serialize ``obj`` to indented JSON with sorted keys (for reports)."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
+    """Serialize ``obj`` to indented JSON with sorted keys (for models and reports).
+
+    The text is ``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)``, but
+    written in one recursive pass that appends to one list: with an indent, json
+    drops its C encoder for Python generators, one per level, through which every
+    chunk is yielded. The pass takes values of exactly the types json reads as
+    themselves: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``, strings written as json writes them and floats as
+    ``repr`` gives them, with ``NaN`` and ``±Infinity`` as json spells them. Any other
+    type or key, a subclass included, is left to ``json.dumps``, which gives its text or
+    its error. A value nested about 1,000 levels deep, or one that contains itself,
+    also goes to ``json.dumps``, which raises ``RecursionError`` or ``ValueError``.
+    """
+    chunks: list[str] = []
+    try:
+        _write_pretty(obj, chunks.append, "\n")
+    except (_NotPlain, RecursionError):
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
+    return "".join(chunks)
+
+
+class _NotPlain(Exception):
+    """A value :func:`_write_pretty` leaves to ``json.dumps``."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+_encode_str = json.encoder.encode_basestring
+
+# Scalar type -> its JSON text, as json's encoder writes it.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_pretty(value: Any, out, newline: str) -> None:
+    """Pass the text of ``value`` to ``out``, its nested lines starting with ``newline``
+    and two more spaces a level; raise ``_NotPlain`` on a type it does not write."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise _NotPlain
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out(f"{separator}{_encode_str(key)}: ")
+                _write_pretty(item, out, inner)
+            else:
+                out(f"{separator}{_encode_str(key)}: {scalar(item)}")
+            separator = "," + inner
+        out(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                out(separator)
+                _write_pretty(item, out, inner)
+            else:
+                out(separator + scalar(item))
+            separator = "," + inner
+        out(newline + "]")
+    else:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise _NotPlain
+        out(scalar(value))
 
 
 def write_jsonl_line(fp: TextIO, obj: Any) -> None:
@@ -238,10 +322,11 @@ def atomic_output(path: str) -> Iterator[TextIO]:
 
 
 def write_json(fp: TextIO, obj: Any, path: str) -> None:
-    """Write ``obj`` to ``fp``, the output ``path``, as indented JSON with a trailing newline.
+    """Write ``obj`` to ``fp``, the output ``path``, as :func:`dumps_pretty` gives it,
+    with a trailing newline.
 
-    A value nested too deeply to encode raises ``ValueError("<path>: JSON nested too
-    deeply")`` before anything is written.
+    A value nested too deeply to encode, about 1,000 levels, raises
+    ``ValueError("<path>: JSON nested too deeply")`` before anything is written.
     """
     try:
         text = dumps_pretty(obj)

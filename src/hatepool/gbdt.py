@@ -202,6 +202,25 @@ class BoostedTrees:
         """A view of each tree's root node, in tree order."""
         return [TreeNode(self, root) for root in self.roots.tolist()]
 
+    def negates(self, other: "BoostedTrees") -> bool:
+        """Whether this booster is ``other`` negated, as the Neutral head of a fit is.
+
+        The roots, children, split features and thresholds must be equal (NaN
+        equal to NaN), and the base score and every leaf value the negation of
+        ``other``'s, compared as bits. Split nodes' values are never read, and a
+        negated copy holds ``-0.0`` where the original holds ``0.0``, so they are
+        not compared.
+        """
+        if not (np.array_equal(self.roots, other.roots)
+                and np.array_equal(self.first, other.first)
+                and np.array_equal(self.feature, other.feature)
+                and np.array_equal(self.threshold, other.threshold, equal_nan=True)):
+            return False
+        leaves = self.first == np.arange(len(self.first))
+        mine = np.append(self.base_score, self.value[leaves])
+        theirs = np.append(-other.base_score, -other.value[leaves])
+        return np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
     def check_features(self, n_features: int) -> None:
         """Refuse a split on a feature outside ``[0, n_features)``."""
         low, high = self._feature_span
@@ -551,9 +570,14 @@ def gbdt_fit(
     return BoostedTrees(base_score, roots, first, feature, threshold, value, losses)
 
 
-def gbdt_predict_proba_many(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
-    """Predicted positive-class probabilities for an (n, d) feature matrix."""
+def gbdt_raw_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
+    """Raw (log-odds) scores for an (n, d) feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     raw = np.full(len(X), model.base_score, dtype=np.float64)
     _add_leaf_values(model, X, raw)
-    return _sigmoid_array(raw)
+    return raw
+
+
+def gbdt_predict_proba_many(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
+    """Predicted positive-class probabilities for an (n, d) feature matrix."""
+    return _sigmoid_array(gbdt_raw_scores(model, X))

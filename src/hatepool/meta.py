@@ -5,8 +5,14 @@ head is its exact negation, a copy with negated base score and leaf
 values that shares the Hate head's read-only tree arrays: under logistic
 loss with a shared seed, a booster fit to ``1 - y`` mirrors the Hate
 head, so a second fit would only repeat the first. Prediction compares
-the two sigmoid head scores, breaking exact ties toward Neutral; model
-files with independently fit heads still load and score through both.
+the two sigmoid head scores, breaking exact ties toward Neutral. A
+Neutral head that mirrors the Hate head, as every fit makes it and its
+model file keeps it, is not walked: :func:`lgb_scores` walks the Hate
+head once and takes the Neutral scores from the negated raw scores,
+which are the ones a second walk would sum, bit for bit. Whether the
+heads mirror is checked on every call, since a model can be changed
+after it is loaded; model files with independently fit heads still load
+and score through both.
 Feature rows are scored with :func:`hatepool.ensemble.score_rows`, which
 refuses a model fit on another layout (:func:`check_feature_order`). Every
 lgb score, :func:`predict_meta`'s one row included, comes from the one
@@ -17,7 +23,7 @@ is decoded, by ``typed_value`` and :meth:`BoostedTrees.from_dicts`: a
 split on a feature outside ``feature_order`` and a base score, threshold,
 leaf value or loss that is not finite are refused, and no pass over the
 built booster follows. Saving refuses trees nested too deeply for the
-JSON encoder (about 1,000 splits).
+JSON writer (about 1,000 splits).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from ._jsonl import read_json_file, typed_value, write_json_file
 from .datasets import BinaryLabel
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector, features_matrix
-from .gbdt import BoostedTrees, MetaLearnerConfig, gbdt_fit, gbdt_predict_proba_many
+from .gbdt import BoostedTrees, MetaLearnerConfig, _sigmoid_array, gbdt_fit, gbdt_raw_scores
 
 FEATURE_COUNT = 2 * ENSEMBLE_SIZE
 
@@ -115,9 +121,20 @@ def predict_meta(
 
 
 def lgb_scores(model: MetaLearnerModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(is_hate, hate scores, neutral scores); an exact tie of the heads goes to Neutral."""
-    scores_hate = gbdt_predict_proba_many(model.hate_head, X)
-    scores_neutral = gbdt_predict_proba_many(model.neutral_head, X)
+    """(is_hate, hate scores, neutral scores); an exact tie of the heads goes to Neutral.
+
+    The Hate head is walked once. A Neutral head that mirrors it
+    (:meth:`BoostedTrees.negates`) scores the negation of the Hate head's raw scores; any other Neutral head is walked too.
+    """
+    raw_hate = gbdt_raw_scores(model.hate_head, X)
+    if model.neutral_head.negates(model.hate_head):
+        # Negation commutes with round-to-nearest, so a walk of the Neutral head
+        # would sum every tree to ``-raw_hate``, bar the sign of an exact zero,
+        # which the sigmoid does not read.
+        raw_neutral = -raw_hate
+    else:
+        raw_neutral = gbdt_raw_scores(model.neutral_head, X)
+    scores_hate, scores_neutral = _sigmoid_array(raw_hate), _sigmoid_array(raw_neutral)
     return scores_hate > scores_neutral, scores_hate, scores_neutral
 
 

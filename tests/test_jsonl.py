@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import enum
 import io
 import json
 import math
@@ -17,6 +19,7 @@ from hatepool import AnnotatorEndpoint, DatasetSpec, FilterConfig, MetaLearnerCo
 from hatepool._jsonl import (
     atomic_output,
     dumps,
+    dumps_pretty,
     from_json_object,
     iter_jsonl,
     iter_jsonl_tolerant,
@@ -203,10 +206,10 @@ class TestIterJsonl:
 # formatter can get wrong.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, 10**30, -(2**70),
-                       "é\u2028😀"]),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=4),
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e300, -1e-300, math.nan, math.inf, -math.inf,
+                       10**30, -(2**70), "é\u2028😀", "\x00\x1f\x7f\"\\/"]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -216,6 +219,61 @@ JSON_VALUES = st.recursive(
 def test_dumps_is_json_dumps_with_its_settings(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, ensure_ascii=False,
                                       separators=(",", ":"))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Half(float):
+    def __repr__(self):
+        return "half"
+
+
+class Name(str):
+    pass
+
+
+# Values json reads by ``isinstance`` or refuses: subclasses of its types, keys that
+# are not strings, mixed key types that cannot be sorted, and types it cannot write.
+FOREIGN_VALUES = st.recursive(
+    JSON_VALUES
+    | st.sampled_from([Level.LOW, Half(0.5), Name("n"), b"x", {1}, collections.OrderedDict(b=1)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2) | st.integers() | st.floats() | st.booleans()
+                      | st.none() | st.sampled_from([Level.LOW, Name("k")]), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def encoded(dump, value):
+    """``("text", text)`` or ``(exception type, message)``."""
+    try:
+        return "text", dump(value)
+    except (TypeError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def json_pretty(value):
+    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+
+
+@settings(max_examples=300)
+@given(JSON_VALUES | FOREIGN_VALUES)
+def test_dumps_pretty_is_json_dumps_with_indent(value):
+    assert encoded(dumps_pretty, value) == encoded(json_pretty, value)
+
+
+def test_dumps_pretty_refuses_what_json_refuses():
+    looped = []
+    looped.append({"a": looped})
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    for value in (looped, deep):
+        assert encoded(dumps_pretty, value) == encoded(json_pretty, value)
+    assert encoded(dumps_pretty, looped)[0] is ValueError
+    assert encoded(dumps_pretty, deep)[0] is RecursionError
 
 
 # JSON texts as a reader meets them: a value's text, compact or indented, or text

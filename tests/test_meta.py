@@ -22,6 +22,7 @@ from hatepool import (
     vote_hate_score,
     vote_label,
 )
+import hatepool.gbdt
 import hatepool.meta
 from hatepool.ensemble import score_rows
 from hatepool.meta import check_feature_order, model_from_dict, model_to_dict, predict_meta_many
@@ -299,6 +300,76 @@ class TestBatchedScoring:
             check_feature_order(trained_model, other.feature_names())
 
 
+def count_walks(monkeypatch):
+    """The number of ``_add_leaf_values`` calls made so far, as a one-item list."""
+    calls = [0]
+    walk = hatepool.gbdt._add_leaf_values
+
+    def spy(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(hatepool.gbdt, "_add_leaf_values", spy)
+    return calls
+
+
+class TestMirroredHeads:
+    """A Neutral head that is the Hate head negated is scored from the Hate head's walk."""
+
+    @staticmethod
+    def assert_reference_scores(model, X):
+        """Both heads' lgb scores equal the two-walk reference's, bit for bit."""
+        _, s_h, s_n = hatepool.meta.lgb_scores(model, X)
+        for head, scores in ((model.hate_head, s_h), (model.neutral_head, s_n)):
+            assert [float.hex(s) for s in scores.tolist()] == [
+                float.hex(gbdt_predict_proba(head, x)) for x in X
+            ]
+
+    def test_fit_and_reloaded_model_walk_once(self, monkeypatch, tmp_path):
+        vectors, golds = separable_data()
+        model = train_meta_on_vectors(vectors, golds, fast_config(seed=4))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        X = np.stack([v.features() for v in random_vectors(60, seed=14)])
+        walks = count_walks(monkeypatch)
+        for scored in (model, load_model(str(path))):
+            assert scored.neutral_head.negates(scored.hate_head)
+            walks[0] = 0
+            self.assert_reference_scores(scored, X)
+            assert walks[0] == 1
+
+    @pytest.mark.parametrize("change", ["leaf_ulp", "threshold"])
+    def test_a_head_off_by_one_change_walks_twice(self, monkeypatch, change):
+        vectors, golds = separable_data()
+        payload = model_to_dict(train_meta_on_vectors(vectors, golds, fast_config(seed=4)))
+        tree = payload["trees"][1][3]
+        if change == "leaf_ulp":
+            leaf = tree
+            while "value" not in leaf:
+                leaf = leaf["left"]
+            leaf["value"] = float(np.nextafter(leaf["value"], np.inf))
+        else:
+            tree["threshold"] += 0.125
+        model = model_from_dict(payload)
+        assert not model.neutral_head.negates(model.hate_head)
+        walks = count_walks(monkeypatch)
+        self.assert_reference_scores(model, np.stack([v.features() for v in vectors]))
+        assert walks[0] == 2
+
+    @pytest.mark.parametrize("hate_rows,label", [(15, BinaryLabel.NEUTRAL), (16, BinaryLabel.HATE)])
+    def test_zero_tree_model_scores_its_base_rates(self, monkeypatch, hate_rows, label):
+        # Balanced labels give base scores 0.0 and -0.0, an exact tie that goes to Neutral.
+        vectors, _ = separable_data(n=30)
+        golds = [BinaryLabel.HATE] * hate_rows + [BinaryLabel.NEUTRAL] * (30 - hate_rows)
+        model = train_meta_on_vectors(vectors, golds, MetaLearnerConfig(num_rounds=0))
+        assert not model.hate_head.trees
+        walks = count_walks(monkeypatch)
+        X = np.stack([v.features() for v in vectors])
+        self.assert_reference_scores(model, X)
+        assert walks[0] == 1
+        assert predict_meta_many(model, X)[0] == [label] * 30
+
+
 class TestGoldenDigest:
     """Model bytes and lgb scores pinned across commits, not just across runs.
 
@@ -314,6 +385,9 @@ class TestGoldenDigest:
     SCORES_SHA256 = "d7b9a1897a71b4a9320dc8559aac948f2c4d1e305224cf2b45f029a336b97b6d"
     SUBSAMPLED_MODEL_SHA256 = "93b541fca0c445c704ac9fafccf502a7c26e4145626fa7a39fc867dd6f87c39c"
     SUBSAMPLED_SCORES_SHA256 = "f9baea19ed9f11d8887d7b0403bf4f3ac8ac937f473b11e030ec1df495b52c59"
+    # Taken while model files were still written by json's own indenting encoder.
+    DEEP_MODEL_SHA256 = "d83306914fc7ddac0d38b1fde19b8e1326ceba5702a905ac22be783277f65ba2"
+    DEEP_SCORES_SHA256 = "5ad7b8468ab98eb621d31bb9bf425d78ea5b9c8a25f76921c25ed5a034da7883"
 
     @staticmethod
     def synthetic_set():
@@ -325,9 +399,20 @@ class TestGoldenDigest:
         golds = [BinaryLabel.HATE if v > 0.45 else BinaryLabel.NEUTRAL for v in noisy]
         return X, golds
 
-    def digests(self, config, tmp_path):
+    @staticmethod
+    def deep_set():
+        """600 rows of distinct feature values, which grow trees over 20 splits deep."""
+        rng = np.random.default_rng(600)
+        p_hate = rng.random((600, 4))
+        X = np.empty((600, 8))
+        X[:, 0::2], X[:, 1::2] = p_hate, 1.0 - p_hate
+        noisy = p_hate.mean(axis=1) + 0.2 * rng.standard_normal(600)
+        golds = [BinaryLabel.HATE if v > 0.5 else BinaryLabel.NEUTRAL for v in noisy]
+        return X, golds
+
+    def digests(self, config, tmp_path, data=None):
         """SHA-256 of the saved model file, and of the lgb labels and scores."""
-        X, golds = self.synthetic_set()
+        X, golds = data or self.synthetic_set()
         model = train_meta(X, golds, config)
         path = tmp_path / "model.json"
         save_model(model, str(path))
@@ -347,3 +432,11 @@ class TestGoldenDigest:
         assert self.digests(config, tmp_path) == (
             self.SUBSAMPLED_MODEL_SHA256, self.SUBSAMPLED_SCORES_SHA256,
         )
+
+    def test_deep_trees_match_the_pinned_digests(self, tmp_path):
+        config = MetaLearnerConfig(min_data_in_leaf=5, seed=3)
+        assert self.digests(config, tmp_path, self.deep_set()) == (
+            self.DEEP_MODEL_SHA256, self.DEEP_SCORES_SHA256,
+        )
+        lines = (tmp_path / "model.json").read_text("utf-8").splitlines()
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) >= 50
