@@ -6,9 +6,10 @@ non-ASCII text is written verbatim, and separators carry no whitespace.
 
 Every JSONL file is read by :func:`iter_jsonl` and every JSON file by
 :func:`read_json_file`; a bad row or file raises ``ValueError`` naming the
-file. :func:`numbered_lines` reads JSONL and CSV/TSV lines alike, from text or
-binary streams, and names the first that is not UTF-8. :func:`from_json_object`
-is the one JSON object to config decoder.
+file. Every input, a file or standard input, is read as bytes (see
+:func:`open_input`), and :func:`numbered_lines` cuts JSONL and CSV/TSV lines
+alike at ``\\n``, ``\\r\\n`` and a lone ``\\r`` and names the first that is not
+UTF-8. :func:`from_json_object` is the one JSON object to config decoder.
 """
 
 from __future__ import annotations
@@ -193,48 +194,29 @@ def iter_jsonl(fp: TextIO | BinaryIO, decode=None, on_error=None) -> Iterator[An
 
 
 def numbered_lines(fp: TextIO | BinaryIO) -> Iterator[tuple[int, str]]:
-    """``(lineno, line)`` for the lines of ``fp``, up to the first that is not valid
-    UTF-8, which raises ``ValueError("<file>:<line>: not valid UTF-8: ...")``.
+    """``(lineno, line)`` for the lines of ``fp``.
 
-    A binary stream, such as ``io.BytesIO``, is cut where text mode cuts, at ``\\n``,
-    ``\\r\\n`` and a lone ``\\r``, and each line is decoded strictly with its line
-    end, which it keeps; so a character cut short by its line end is named as text
-    mode names it. A ``TextIOWrapper`` is read with ``errors="surrogateescape"``, so
-    the first line holding U+DC80-U+DCFF, which strict decoding never yields, holds
-    the first bad byte, on a pipe as on a file; decoding that line's bytes strictly
-    gives the byte and the reason. Other streams, such as ``io.StringIO``, are read as
-    they are.
+    A binary stream, such as :func:`open_input` gives or ``io.BytesIO``, is cut at
+    ``\\n``, ``\\r\\n`` and a lone ``\\r``, and each line is decoded strictly with its
+    line end, which it keeps; the first line that is not valid UTF-8 raises
+    ``ValueError("<file>:<line>: not valid UTF-8: ...")`` with the byte and the
+    reason one strict decode of all the bytes gives. Any other stream, such as
+    ``io.StringIO`` or a file opened in text mode, is read as it is.
     """
-    source = getattr(fp, "name", "<stream>")
-    if isinstance(fp, io.BufferedIOBase):
-        lineno = 0
-        for chunk in fp:
-            for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
-                lineno += 1
-                try:
-                    line = raw.decode()
-                except UnicodeDecodeError as exc:
-                    raise _not_utf8(source, lineno, exc) from exc
-                yield lineno, line
+    if not isinstance(fp, io.BufferedIOBase):
+        yield from enumerate(fp, start=1)
         return
-    escaped = isinstance(fp, io.TextIOWrapper)
-    if escaped:
-        fp.reconfigure(errors="surrogateescape")
-    for lineno, line in enumerate(fp, start=1):
-        if escaped and not line.isascii():
+    source = getattr(fp, "name", "<stream>")
+    lineno = 0
+    for chunk in fp:
+        for raw in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+            lineno += 1
             try:
-                line.encode()
-            except UnicodeEncodeError:
-                try:
-                    line.encode(errors="surrogateescape").decode()
-                except UnicodeDecodeError as exc:
-                    raise _not_utf8(source, lineno, exc) from exc
-        yield lineno, line
-
-
-def _not_utf8(source: str, lineno: int, exc: UnicodeDecodeError) -> ValueError:
-    reason = f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
-    return ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}")
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                reason = f"can't decode byte 0x{raw[exc.start]:02x}: {exc.reason}"
+                raise ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}") from exc
+            yield lineno, line
 
 
 def shifted(error: ValueError, source: str, lines: int) -> ValueError:
@@ -257,17 +239,16 @@ def iter_jsonl_tolerant(fp: TextIO, on_error) -> Iterator[Any]:
 
 
 @contextmanager
-def open_input(path: str) -> Iterator[TextIO]:
-    """Open ``path`` for reading as UTF-8; ``-`` means stdin, read as UTF-8 too.
+def open_input(path: str) -> Iterator[BinaryIO]:
+    """Open ``path`` for reading as bytes; ``-`` means the bytes of stdin.
 
-    Stdin is read strictly: under the C locale Python would escape bytes that are
-    not UTF-8 and pass them on to :func:`read_json_file` as text.
+    The bytes go to :func:`numbered_lines` or :func:`read_json_file`, which cut and
+    decode a pipe's lines as they do a file's.
     """
     if path == "-":
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-        yield sys.stdin
+        yield sys.stdin.buffer
         return
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "rb") as fp:
         yield fp
 
 
@@ -346,6 +327,7 @@ def write_json_file(path: str, obj: Any) -> None:
 def read_json_file(path: str, decode=None) -> Any:
     """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
 
+    Errors count ``\\n``, ``\\r\\n`` and a lone ``\\r`` as line ends, on stdin as on a file.
     Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, a
     lone surrogate (see :func:`loads`) or a ``KeyError``/``TypeError``/``ValueError`` from
     ``decode`` ``ValueError("<file>: ...")``, and a value nested too deeply to decode or
@@ -354,7 +336,9 @@ def read_json_file(path: str, decode=None) -> Any:
     with open_input(path) as fp:
         source = getattr(fp, "name", path)
         try:
-            value = loads(fp.read())
+            # Line ends become "\n", as text mode makes them, for the line numbers.
+            text = fp.read().decode().replace("\r\n", "\n").replace("\r", "\n")
+            value = loads(text)
             return value if decode is None else decode(value)
         except json.JSONDecodeError as exc:
             where = f"{source}:{exc.lineno}:{exc.colno}"

@@ -21,7 +21,7 @@ as it is read, in this order: the model set against the header; each model's
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterator, NamedTuple, TextIO
 
 from . import ensemble
 from ._jsonl import iter_jsonl, typed_value
@@ -45,7 +45,7 @@ def _probability(value: object, name: str) -> float:
     return float(typed_value(value, "float", name))
 
 
-def read_annotation_rows(fp: TextIO) -> tuple[list[str], Iterator[tuple]]:
+def read_annotation_rows(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[tuple]]:
     """Read the header; return (model_order, iterator of checked rows).
 
     Each row is ``(id, lang, raw_label, features, raw)``, ``raw`` being the
@@ -87,7 +87,7 @@ def read_annotation_rows(fp: TextIO) -> tuple[list[str], Iterator[tuple]]:
     return model_order, stream
 
 
-def read_annotation_chunks(fp: TextIO) -> tuple[list[str], Iterator[AnnotationChunk]]:
+def read_annotation_chunks(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[AnnotationChunk]]:
     """Read the header; return (model_order, iterator of chunks of checked rows).
 
     Chunks hold ``ensemble.CHUNK_ROWS`` rows, the last one fewer. A bad row

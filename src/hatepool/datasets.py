@@ -163,8 +163,9 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
 
     Each row is checked as it is read, so a bad row raises
     ``ValueError("<file>:<line>: <reason>")``. A CSV/TSV row shorter than
-    the header lacks its missing columns. The lines come from
-    :func:`numbered_lines`, which refuses the first that is not UTF-8.
+    the header lacks its missing columns. The file is read as bytes, and its lines,
+    ends kept, come from :func:`numbered_lines`, which refuses the first that is
+    not UTF-8.
     """
     if fmt is None:
         lowered = path.lower()
@@ -175,7 +176,7 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
         else:
             fmt = "jsonl"
     if fmt in ("csv", "tsv"):
-        with open(path, "r", encoding="utf-8", newline="") as fp:
+        with open(path, "rb") as fp:
             lines = (line for _, line in numbered_lines(fp))
             reader = csv.DictReader(lines, delimiter="\t" if fmt == "tsv" else ",")
             for row in reader:
@@ -186,7 +187,7 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
                     raise decode_error(f"{path}:{reader.line_num}", exc) from exc
                 yield row
     elif fmt == "jsonl":
-        with open(path, "r", encoding="utf-8") as fp:
+        with open(path, "rb") as fp:
             yield from iter_jsonl(fp, lambda row: _checked_row(spec, row))
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")

@@ -25,8 +25,9 @@ the range's results into a part file, whose name is all it sends back.
 This process keeps the counters, the warnings and the reservoirs in
 input order, holding at most one range's results more than there are
 workers. A worker that dies fails the command.
-Standard input and smaller files are filtered in this process. Either way
-the output, the stats and every message are the same. Only ``filter`` loads
+Standard input and smaller files are filtered in this process, read as bytes
+and cut into lines as the workers cut them. Either way the output, the stats
+and every message are the same. Only ``filter`` loads
 ``multiprocessing`` and ``concurrent.futures``, and only on that path.
 """
 
@@ -46,7 +47,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
 from ._jsonl import dumps, from_json_object, iter_jsonl, open_input, shifted, typed_value
@@ -464,7 +465,7 @@ def _sigint_held() -> Iterator[None]:
 
 
 def _kept_chunks(
-    fp: TextIO, config: FilterConfig, on_error
+    fp: BinaryIO, config: FilterConfig, on_error
 ) -> tuple[Iterator[tuple[bytes, tuple[str]]], FilterStats]:
     """The records of ``iter_jsonl`` of ``fp`` that :func:`filter_records` would keep,
     each as a chunk for :func:`write_kept`: its JSON line and its language.
@@ -505,7 +506,7 @@ def _range_result(path: str, offset: int, length: int, config: FilterConfig):
 
     The range's bytes go to ``iter_jsonl`` as they are, so each line is decoded
     once, strictly, from them. Returns the range's ``FilterStats``, its count of
-    line ends (``\n``, ``\r\n`` or ``\r``, the ends text mode reads), its
+    line ends (``\n``, ``\r\n`` or ``\r``, the ends ``numbered_lines`` cuts at), its
     malformed-line errors and its first fatal error (or None), both with line
     numbers counted from the range's start, and its kept records as one
     :func:`write_kept` chunk.

@@ -44,7 +44,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from itertools import starmap
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
 from ._jsonl import from_json_object, write_jsonl_line
@@ -457,7 +457,7 @@ def write_annotations(
         write_jsonl_line(fp, row)
 
 
-def read_annotations(fp: TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
+def read_annotations(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
     """Read the header and return (model_order, row iterator).
 
     Rows are read and checked by :func:`hatepool.annotations.read_annotation_rows`.

@@ -42,13 +42,28 @@ def small_ranges(monkeypatch):
 
 def piped(data):
     """A text stream named ``<stdin>`` over a pipe holding ``data``, which must fit in
-    the pipe's buffer: it is written before it is read."""
+    the pipe's buffer: it is written before it is read. It is built as CPython builds
+    ``sys.stdin`` on POSIX, whose lines end at ``\\n`` alone."""
     read_fd, write_fd = os.pipe()
     with open(write_fd, "wb") as fp:
         fp.write(data)
     raw = open(read_fd, "rb", buffering=0)
     raw.name = "<stdin>"
-    return io.TextIOWrapper(io.BufferedReader(raw))
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="\n")
+
+
+def strict_error(data, source):
+    """The error for ``data`` from one strict decode of all of it, or None if all of it
+    decodes: its line is 1 plus the line ends before the bad byte, ``\\r\\n`` counting
+    once."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        reason = f"can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
+        return f"{source}:{line}: not valid UTF-8: {reason}"
+    return None
 
 
 class _Collect(logging.Handler):

@@ -26,7 +26,7 @@ from hatepool import ensemble, filtering
 from hatepool._jsonl import dumps, numbered_lines
 from hatepool.cli import main
 
-from conftest import MODEL_IDS, piped
+from conftest import MODEL_IDS, piped, strict_error
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -561,19 +561,20 @@ def test_json_array_row_is_a_data_error(command, tmp_path, caplog):
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "m.json").exists()
 
 
-def test_stderr_names_file_line_and_id(tmp_path):
-    path = write_annotations_with(tmp_path / "ann.jsonl", line5=ANNOTATION_CASES["raw-is-a-number"])
+def run_module(argv, **kwargs):
+    """``python -m hatepool.cli argv`` in a new process with this checkout's ``src``
+    first on its path, its output captured."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hatepool.cli", "ensemble", "--annotations", path,
-         "--strategy", "mean", "--output", str(tmp_path / "pred.jsonl")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "hatepool.cli", *argv], env=env,
+                          capture_output=True, timeout=60, **kwargs)
+
+
+def test_stderr_names_file_line_and_id(tmp_path):
+    path = write_annotations_with(tmp_path / "ann.jsonl", line5=ANNOTATION_CASES["raw-is-a-number"])
+    proc = run_module(["ensemble", "--annotations", path, "--strategy", "mean",
+                       "--output", str(tmp_path / "pred.jsonl")], text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -983,17 +984,8 @@ def test_undecodable_export_row_names_its_file_and_line(name, sep, tmp_path, cap
 
 
 def test_undecodable_stdin_is_named(tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hatepool.cli", "filter", "--input", "-",
-         "--output", str(tmp_path / "kept.jsonl")],
-        input=rows_with_undecodable_id(WEB, 200, 149),
-        env=env,
-        capture_output=True,
-        timeout=60,
-    )
+    proc = run_module(["filter", "--input", "-", "--output", str(tmp_path / "kept.jsonl")],
+                      input=rows_with_undecodable_id(WEB, 200, 149))
     assert proc.returncode == 2
     assert proc.stderr.decode() == f"ERROR hatepool: <stdin>:150: {UNDECODABLE}\n"
     assert list(tmp_path.iterdir()) == []
@@ -1018,6 +1010,55 @@ def test_stdin_left_past_its_start_is_numbered_from_there(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.decode() == f"ERROR hatepool: <stdin>:300: {UNDECODABLE}\n"
     assert not out.exists()
+
+
+def cr_ended(rows, split_first=False):
+    """``rows`` as JSON lines, each ended by a lone ``\\r``; with ``split_first``, the
+    first row's first ``",`` is followed by a lone ``\\r`` too, which json reads as
+    whitespace."""
+    lines = [dumps(row) for row in rows]
+    if split_first:
+        lines[0] = lines[0].replace('",', '",\r', 1)
+    return "".join(line + "\r" for line in lines).encode()
+
+
+# Each case: the bytes on stdin or in the file, and the command line, "{in}" standing
+# for "-" or the file's path and "{web}" for a valid web records file. Every input
+# ends its lines with a lone "\r".
+PIPE_CASES = {
+    "filter": (cr_ended(WEB.rows[:2], split_first=True),
+               ["filter", "--input", "{in}", "--output", "kept.jsonl", "--stats", "stats.json"]),
+    "ensemble": (cr_ended(ANNOTATIONS.rows),
+                 ["ensemble", "--strategy", "mean", "--annotations", "{in}",
+                  "--output", "pred.jsonl"]),
+    "config": (b'{\r  "url_keywords": ["forum"],\r  "oops"\r}\r',
+               ["filter", "--config", "{in}", "--input", "{web}", "--output", "kept.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPE_CASES))
+def test_pipe_on_stdin_reads_as_its_file(name, tmp_path):
+    # The same bytes through a real pipe and from a file give the same outputs, exit
+    # code and stderr, but for the source's name. Read as text, stdin split lines at
+    # "\n" alone, so each input was one line: filter kept no record where the file
+    # kept one, ensemble refused the header, and the config's error was at "1:41"
+    # where the file's was at "4:1".
+    data, argv = PIPE_CASES[name]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    web = tmp_path / WEB.name
+    write_lines(web, WEB.rows)
+    runs = []
+    for source in (str(path), "-"):
+        out = tmp_path / ("pipe" if source == "-" else "file")
+        out.mkdir()
+        # Both get the bytes on stdin; only the "-" run reads them.
+        proc = run_module([arg.format(**{"in": source, "web": web}) for arg in argv],
+                          input=data, cwd=out)
+        outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((proc.returncode, proc.stderr.decode().replace(str(path), "<stdin>"),
+                     outputs))
+    assert runs[0] == runs[1]
 
 
 # Byte sequences that UTF-8 never holds: a byte no sequence starts with, a sequence
@@ -1047,18 +1088,6 @@ def undecodable_input(draw):
         lines[bad] = (texts[bad][:at].encode() + draw(st.sampled_from(INVALID))
                       + texts[bad][at:].encode())
     return b"".join(line + end for line, end in zip(lines, ends))
-
-
-def strict_error(data, source):
-    """The error for ``data`` from one strict decode of all of it: its line is 1 plus the
-    line ends before the bad byte, ``\\r\\n`` counting once, as text mode counts them."""
-    with pytest.raises(UnicodeDecodeError) as info:
-        data.decode("utf-8")
-    exc = info.value
-    before = data[: exc.start]
-    line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-    reason = f"can't decode byte 0x{data[exc.start]:02x}: {exc.reason}"
-    return f"{source}:{line}: not valid UTF-8: {reason}"
 
 
 @settings(max_examples=40, deadline=None,

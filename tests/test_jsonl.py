@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import enum
 import io
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,8 @@ from hatepool._jsonl import (
     write_json_file,
 )
 from hatepool.prompt import PromptTemplate
+
+from conftest import strict_error
 
 
 def file_mode(path):
@@ -340,12 +343,17 @@ def read_lines(fp):
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(LINE_BYTES), max_size=12).map(b"".join))
 def test_binary_lines_are_text_modes(data):
-    # A binary stream's lines keep their line ends; text mode turns each into "\n".
-    binary, text = io.BytesIO(data), io.BytesIO(data)
-    binary.name = text.name = "web.jsonl"
+    # A binary stream's lines are text mode's up to the first that holds a byte that
+    # is not UTF-8, which a text stream escapes to U+DC80-U+DCFF; they keep their line
+    # ends, where text mode turns each into "\n". The error names the byte, the
+    # reason and the line that one strict decode of all the bytes gives.
+    binary = io.BytesIO(data)
+    binary.name = "web.jsonl"
     lines, error = read_lines(binary)
-    text_lines, text_error = read_lines(io.TextIOWrapper(text, encoding="utf-8"))
-    assert error == text_error
+    escaped = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    text_lines = list(itertools.takewhile(lambda item: not re.search("[\udc80-\udcff]", item[1]),
+                                          enumerate(escaped, start=1)))
+    assert error == strict_error(data, "web.jsonl")
     assert [(n, line.replace("\r\n", "\n").replace("\r", "\n")) for n, line in lines] == text_lines
 
 
@@ -485,6 +493,15 @@ class TestReadJsonFile:
             read_json_file(str(path), lambda value: value)
         assert str(info.value) == f"{path}:3:8: invalid JSON: Expecting value"
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_each_line_end_counts_once(self, end, tmp_path):
+        # As text mode counts them; stdin, read as bytes too, counts them the same way.
+        path = tmp_path / "c.json"
+        path.write_bytes(end.join(['{', '  "a": 1,', '  "b": }', '']).encode())
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path), lambda value: value)
+        assert str(info.value) == f"{path}:3:8: invalid JSON: Expecting value"
+
     def test_lone_surrogate_names_the_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"endpoints": [{"model_id": "\\ud800"}]}')
@@ -495,8 +512,10 @@ class TestReadJsonFile:
     def test_undecodable_bytes_name_the_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_bytes(b'{"a": "\xff"}')
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: 'utf-8' codec"):
+        with pytest.raises(ValueError) as info:
             read_json_file(str(path), lambda value: value)
+        assert str(info.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 7: "
+                                   "invalid start byte")
 
     @pytest.mark.parametrize(
         "error, reason",
