@@ -51,6 +51,7 @@ write_annotations(buffer, results, lang_by_id={"t1": "eng", "t2": "eng", "t3": "
 print("\nwire format:")
 print(buffer.getvalue()[:300] + "...")
 
-buffer.seek(0)
-model_order, rows = read_annotations(buffer)
+# Read back as bytes, as the commands read a file: lines are cut and checked
+# as UTF-8 the same way.
+model_order, rows = read_annotations(io.BytesIO(buffer.getvalue().encode()))
 print(f"re-read {len(list(rows))} rows, model order {model_order}")

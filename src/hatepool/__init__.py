@@ -43,9 +43,7 @@ _EXPORTS = {
         "WebRecord",
         "filter_records",
         "normalize_url_path",
-        "schema_type_match",
         "subsample_by_language",
-        "url_keyword_match",
     ),
     "gateway": (
         "AnnotationRow",

@@ -137,15 +137,16 @@ def loads(text: str) -> Any:
     """``json.loads(text)``, refusing a string with a lone surrogate such as ``"\\ud800"``
     (I-JSON, RFC 7493 section 2.1), which no command could write back as UTF-8.
 
-    A text that is one JSON value from its first character to its last is decoded by
-    one scanner call; any other text, such as one with surrounding whitespace, a BOM or
-    extra data, goes to ``json.loads``, which gives its value or its error.
+    A text that is one JSON value from its first character, followed by nothing but
+    JSON whitespace (``" \\t\\n\\r"``), is decoded by one scanner call; any other text,
+    such as one with leading whitespace, a BOM or extra data, goes to ``json.loads``,
+    which gives its value or its error.
     """
     try:
         value, end = _scan_once(text, 0)
     except (StopIteration, ValueError):
-        end = -1
-    if end != len(text):
+        end = 0
+    if not end or text[end:].strip(" \t\n\r"):
         value = json.loads(text)
     if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):  # no escape, no surrogate
         try:
@@ -214,9 +215,24 @@ def numbered_lines(fp: TextIO | BinaryIO) -> Iterator[tuple[int, str]]:
             try:
                 line = raw.decode()
             except UnicodeDecodeError as exc:
-                reason = f"can't decode byte 0x{raw[exc.start]:02x}: {exc.reason}"
-                raise ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}") from exc
+                raise _not_utf8(source, lineno, exc) from exc
             yield lineno, line
+
+
+def _not_utf8(source: str, lineno: int, exc: UnicodeDecodeError) -> ValueError:
+    """``ValueError("<source>:<lineno>: not valid UTF-8: ...")`` naming the byte and the
+    reason of ``exc``."""
+    reason = f"can't decode byte 0x{exc.object[exc.start]:02x}: {exc.reason}"
+    return ValueError(f"{source}:{lineno}: not valid UTF-8: {reason}")
+
+
+def line_ends(data: bytes) -> int:
+    r"""The line ends in ``data``, as :func:`numbered_lines` cuts them: ``\n``, ``\r\n``
+    and a lone ``\r``."""
+    ends = data.count(b"\n")
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
 
 
 def shifted(error: ValueError, source: str, lines: int) -> ValueError:
@@ -328,17 +344,23 @@ def read_json_file(path: str, decode=None) -> Any:
     """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
 
     Errors count ``\\n``, ``\\r\\n`` and a lone ``\\r`` as line ends, on stdin as on a file.
-    Invalid JSON raises ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, a
-    lone surrogate (see :func:`loads`) or a ``KeyError``/``TypeError``/``ValueError`` from
-    ``decode`` ``ValueError("<file>: ...")``, and a value nested too deeply to decode or
+    A byte that is not UTF-8 raises the error :func:`numbered_lines` gives,
+    ``ValueError("<file>:<line>: not valid UTF-8: ...")``. Invalid JSON raises
+    ``ValueError("<file>:<line>:<col>: invalid JSON: ...")``, a lone surrogate (see
+    :func:`loads`) or a ``KeyError``/``TypeError``/``ValueError`` from ``decode``
+    ``ValueError("<file>: ...")``, and a value nested too deeply to decode or
     convert ``ValueError("<file>: JSON nested too deeply")``.
     """
     with open_input(path) as fp:
         source = getattr(fp, "name", path)
+        data = fp.read()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(source, line_ends(data[: exc.start]) + 1, exc) from exc
         try:
             # Line ends become "\n", as text mode makes them, for the line numbers.
-            text = fp.read().decode().replace("\r\n", "\n").replace("\r", "\n")
-            value = loads(text)
+            value = loads(text.replace("\r\n", "\n").replace("\r", "\n"))
             return value if decode is None else decode(value)
         except json.JSONDecodeError as exc:
             where = f"{source}:{exc.lineno}:{exc.colno}"

@@ -51,9 +51,9 @@ reservoirs; ``ensemble`` and ``stats`` read annotations with
 :func:`hatepool.annotations.read_annotation_chunks` and score 4,096 rows at a
 time; ``evaluate`` keeps only each dataset's scores, 8 bytes a row.
 
-A JSONL input, standard input included, and a CSV/TSV export must be
-UTF-8: the first line that is not exits 2 with ``file:line: not valid
-UTF-8: ...``.
+A JSONL input, standard input included, a CSV/TSV export and a JSON file
+must be UTF-8: the first line that is not exits 2 with ``file:line: not
+valid UTF-8: ...``, its line counted as ``numbered_lines`` counts it.
 """
 
 from __future__ import annotations

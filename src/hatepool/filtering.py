@@ -50,7 +50,8 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
-from ._jsonl import dumps, from_json_object, iter_jsonl, open_input, shifted, typed_value
+from ._jsonl import dumps, from_json_object, iter_jsonl, line_ends, open_input, shifted
+from ._jsonl import typed_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -252,28 +253,17 @@ def normalize_url_path(url: str) -> str:
     return unquote(parsed.path).lower()
 
 
-def url_keyword_match(url: str, config: FilterConfig | None = None) -> bool:
-    """True when the URL path contains any configured keyword as a substring."""
-    path = normalize_url_path(url)
-    return (config or _DEFAULT_CONFIG)._search_path(path) is not None
-
-
-def schema_type_match(schema_types: Iterable[str], config: FilterConfig | None = None) -> bool:
-    """True when any declared type is whitelisted (bare or schema.org-prefixed).
-
-    Type names are compared case-sensitively.
-    """
-    return not (config or _DEFAULT_CONFIG)._accepted_types.isdisjoint(schema_types)
-
-
 def filter_records(
     records: Iterable[WebRecord], config: FilterConfig | None = None
 ) -> tuple[Iterator[WebRecord], FilterStats]:
     """Lazily filter ``records``, updating the returned stats as you consume.
 
-    The URL criterion is checked first, so a record failing both counts
-    only as ``dropped_url``. The stats object is complete once the
-    iterator is exhausted.
+    A record is kept when its :func:`normalize_url_path` holds a keyword of
+    ``config`` as a substring and any of its declared types is whitelisted.
+    Types are compared case-sensitively, bare or behind one ``https://schema.org/``
+    or ``http://schema.org/`` prefix. The URL criterion is checked first, so a
+    record failing both counts only as ``dropped_url``. The stats object is
+    complete once the iterator is exhausted.
     """
     config = config or _DEFAULT_CONFIG
     stats = FilterStats()
@@ -465,24 +455,20 @@ def _sigint_held() -> Iterator[None]:
 
 
 def _kept_chunks(
-    fp: BinaryIO, config: FilterConfig, on_error
-) -> tuple[Iterator[tuple[bytes, tuple[str]]], FilterStats]:
+    fp: BinaryIO, config: FilterConfig, on_error, stats: FilterStats
+) -> Iterator[tuple[bytes, tuple[str]]]:
     """The records of ``iter_jsonl`` of ``fp`` that :func:`filter_records` would keep,
-    each as a chunk for :func:`write_kept`: its JSON line and its language.
+    each as a chunk for :func:`write_kept`: its JSON line and its language. Every
+    record read is counted into ``stats``.
 
     One loop takes each row's fields from :func:`_record_fields` and encodes a
     kept record's five fields once, with no :class:`WebRecord` in between.
     """
-    stats = FilterStats()
-
-    def generate() -> Iterator[tuple[bytes, tuple[str]]]:
-        for id_, url, lang, schema_types, text in iter_jsonl(fp, _record_fields, on_error):
-            if _keep(url, lang, schema_types, config, stats):
-                record = {"id": id_, "url": url, "lang": lang, "schema_types": schema_types,
-                          "text": text}
-                yield dumps(record).encode() + b"\n", (lang,)
-
-    return generate(), stats
+    for id_, url, lang, schema_types, text in iter_jsonl(fp, _record_fields, on_error):
+        if _keep(url, lang, schema_types, config, stats):
+            record = {"id": id_, "url": url, "lang": lang, "schema_types": schema_types,
+                      "text": text}
+            yield dumps(record).encode() + b"\n", (lang,)
 
 
 def _filter_range(path: str, offset: int, length: int, config: FilterConfig,
@@ -505,11 +491,10 @@ def _range_result(path: str, offset: int, length: int, config: FilterConfig):
     r"""Filter one byte range of ``path`` as the one-process path reads it.
 
     The range's bytes go to ``iter_jsonl`` as they are, so each line is decoded
-    once, strictly, from them. Returns the range's ``FilterStats``, its count of
-    line ends (``\n``, ``\r\n`` or ``\r``, the ends ``numbered_lines`` cuts at), its
-    malformed-line errors and its first fatal error (or None), both with line
-    numbers counted from the range's start, and its kept records as one
-    :func:`write_kept` chunk.
+    once, strictly, from them. Returns the range's ``FilterStats``, its
+    :func:`line_ends`, its malformed-line errors and its first fatal error (or
+    None), both with line numbers counted from the range's start, and its kept
+    records as one :func:`write_kept` chunk.
     """
     with open(path, "rb") as fp:
         fp.seek(offset)
@@ -517,21 +502,18 @@ def _range_result(path: str, offset: int, length: int, config: FilterConfig):
     buffer = io.BytesIO(data)
     buffer.name = path
     malformed: list[ValueError] = []
-    kept, stats = _kept_chunks(buffer, config, malformed.append)
+    stats = FilterStats()
     lines: list[bytes] = []
     langs: list[str] = []
     error = None
     try:
-        for line, (lang,) in kept:
+        for line, (lang,) in _kept_chunks(buffer, config, malformed.append, stats):
             lines.append(line)
             # One object per language, so each is pickled once.
             langs.append(sys.intern(lang))
     except ValueError as exc:
         error = exc
-    line_ends = data.count(b"\n")
-    if b"\r" in data:
-        line_ends += data.count(b"\r") - data.count(b"\r\n")
-    return stats, line_ends, malformed, error, b"".join(lines), langs
+    return stats, line_ends(data), malformed, error, b"".join(lines), langs
 
 
 def _filter_workers(path: str) -> int:
@@ -573,9 +555,7 @@ def filter_file(
 
     def stream() -> Iterator[tuple[bytes, tuple[str]]]:
         with open_input(path) as fp:
-            kept, part = _kept_chunks(fp, config, on_error)
-            yield from kept
-        stats.add(part)
+            yield from _kept_chunks(fp, config, on_error, stats)
 
     def generate() -> Iterator[tuple[bytes, list[str]]]:
         import multiprocessing
@@ -597,14 +577,14 @@ def filter_file(
                 result = pending[0][2].result()
                 pending.popleft()
                 with open(result, "rb") as fp:
-                    part, line_ends, malformed, error, kept, langs = pickle.load(fp)
+                    part, ends, malformed, error, kept, langs = pickle.load(fp)
                 os.unlink(result)
                 for exc in malformed:
                     on_error(shifted(exc, path, lines))
                 if error is not None:
                     raise shifted(error, path, lines)
                 stats.add(part)
-                lines += line_ends
+                lines += ends
                 yield kept, langs
                 del kept, langs  # held ranges stay at most ``workers + 1``
                 pending.extend(islice(jobs, 1))  # the next range, if there is one

@@ -1,4 +1,5 @@
 import os
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from hatepool import (
     WebRecord,
     filter_records,
     normalize_url_path,
-    schema_type_match,
     subsample_by_language,
-    url_keyword_match,
 )
 
 import filter_fixture
@@ -23,6 +22,26 @@ import filter_oracle
 def make_record(id="r", url="https://example.com/thread/1", lang="eng",
                 schema_types=("Comment",), text="hello"):
     return WebRecord(id=id, url=url, lang=lang, schema_types=tuple(schema_types), text=text)
+
+
+def verdict(url="https://example.com/thread/1", schema_types=("Comment",), config=None):
+    """How ``filter_records`` counts one record of ``url`` and ``schema_types``:
+    ``"kept"``, ``"dropped_url"`` or ``"dropped_schema"``."""
+    record = make_record(url=url, schema_types=schema_types)
+    kept, stats = filter_records([record], config)
+    assert list(kept) == ([record] if stats.kept else [])
+    (outcome,) = [name for name in ("kept", "dropped_url", "dropped_schema")
+                  if getattr(stats, name)]
+    return outcome
+
+
+def reference_verdict(url, schema_types, config=None):
+    """:func:`verdict` from ``filter_oracle``'s two rules, the URL rule first."""
+    if not filter_oracle.url_keyword_match(url, config):
+        return "dropped_url"
+    if not filter_oracle.schema_type_match(schema_types, config):
+        return "dropped_schema"
+    return "kept"
 
 
 class TestNormalizeUrlPath:
@@ -164,7 +183,7 @@ class TestUrlKeywordMatch:
         ],
     )
     def test_matches(self, url):
-        assert url_keyword_match(url)
+        assert verdict(url) == "kept"
 
     @pytest.mark.parametrize(
         "url",
@@ -177,12 +196,12 @@ class TestUrlKeywordMatch:
         ],
     )
     def test_non_matches(self, url):
-        assert not url_keyword_match(url)
+        assert verdict(url) == "dropped_url"
 
     def test_expansion_can_be_disabled(self):
         strict = FilterConfig(expand_multiword_keywords=False)
-        assert not url_keyword_match("https://example.com/status-update", strict)
-        assert url_keyword_match("https://example.com/status%20update", strict)
+        assert verdict("https://example.com/status-update", config=strict) == "dropped_url"
+        assert verdict("https://example.com/status%20update", config=strict) == "kept"
 
     def test_rejects_uppercase_keywords(self):
         with pytest.raises(ValueError):
@@ -191,18 +210,18 @@ class TestUrlKeywordMatch:
 
 class TestSchemaTypeMatch:
     def test_bare_and_both_url_prefixes(self):
-        assert schema_type_match(["Comment"])
-        assert schema_type_match(["https://schema.org/Comment"])
-        assert schema_type_match(["http://schema.org/Comment"])
+        assert verdict(schema_types=["Comment"]) == "kept"
+        assert verdict(schema_types=["https://schema.org/Comment"]) == "kept"
+        assert verdict(schema_types=["http://schema.org/Comment"]) == "kept"
 
     def test_case_sensitive(self):
-        assert not schema_type_match(["comment"])
-        assert not schema_type_match(["HTTPS://schema.org/Comment"])
+        assert verdict(schema_types=["comment"]) == "dropped_schema"
+        assert verdict(schema_types=["HTTPS://schema.org/Comment"]) == "dropped_schema"
 
     def test_any_declared_type_suffices(self):
-        assert schema_type_match(["Product", "QAPage"])
-        assert not schema_type_match(["Product", "Recipe"])
-        assert not schema_type_match([])
+        assert verdict(schema_types=["Product", "QAPage"]) == "kept"
+        assert verdict(schema_types=["Product", "Recipe"]) == "dropped_schema"
+        assert verdict(schema_types=[]) == "dropped_schema"
 
 
 class TestFilterRecords:
@@ -304,9 +323,13 @@ CONFIGS = st.builds(
 @settings(max_examples=400, deadline=None)
 def test_match_rules_equal_the_per_record_reference(config, path, declared):
     url = "https://example.com/" + "".join(path)
-    assert url_keyword_match(url, config) == filter_oracle.url_keyword_match(url, config)
-    assert schema_type_match(declared, config) == filter_oracle.schema_type_match(declared, config)
-    assert schema_type_match(declared) == filter_oracle.schema_type_match(declared)
+    # URLs that hold a keyword, so the schema rule decides.
+    keyword_url = "https://example.com/" + quote(config.url_keywords[0], safe="")
+    assert filter_oracle.url_keyword_match(keyword_url, config)
+    cases = [(url, config), (keyword_url, config), ("https://example.com/thread", None)]
+    for case_url, case_config in cases:
+        assert verdict(case_url, declared, case_config) == reference_verdict(
+            case_url, declared, case_config)
 
 
 class TestSubsampleByLanguage:

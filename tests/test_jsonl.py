@@ -321,6 +321,21 @@ def test_loads_is_json_loads(text):
     assert decoded(loads, text) == expected
 
 
+# What may follow a value: JSON whitespace, which ``loads`` reads past in its one
+# scan, and other whitespace, which json refuses as extra data.
+SUFFIXES = ["\n", "\r\n", " \t", " \t\n\r", "\x0c", "\xa0", "\u2028", "\n\x0c", " \xa0"]
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES, st.sampled_from(SUFFIXES))
+def test_loads_is_json_loads_before_whitespace(value, suffix):
+    text = json.dumps(value, ensure_ascii=False) + suffix
+    expected = decoded(json.loads, text)
+    assert decoded(loads, text) == expected
+    if suffix.strip(" \t\n\r"):
+        assert expected[0] is json.JSONDecodeError and expected[1].startswith("Extra data")
+
+
 # Bytes a line reader can trip on: line ends, characters that other readers take
 # for line ends, and bytes that are not UTF-8 (a bad start byte, characters cut
 # short, an encoded surrogate), beside a BOM and ordinary text.
@@ -514,8 +529,28 @@ class TestReadJsonFile:
         path.write_bytes(b'{"a": "\xff"}')
         with pytest.raises(ValueError) as info:
             read_json_file(str(path), lambda value: value)
-        assert str(info.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 7: "
+        assert str(info.value) == (f"{path}:1: not valid UTF-8: can't decode byte 0xff: "
                                    "invalid start byte")
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_undecodable_byte_is_named_as_numbered_lines_names_it(self, end, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(end.join([b"{", b'  "a": 1,', b'  "b": "\xe4\xb8"', b"}", b""]))
+        with open(path, "rb") as fp:
+            _, expected = read_lines(fp)
+        assert expected.startswith(f"{path}:3: not valid UTF-8: can't decode byte 0xe4")
+        with pytest.raises(ValueError) as info:
+            read_json_file(str(path))
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", " \t"], ids=["LF", "CRLF", "space-tab"])
+    def test_a_valid_file_is_parsed_once(self, end, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text(dumps_pretty({"a": [1, 2.5, "é"], "b": None}) + end, newline="")
+        calls = []
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args))
+        assert read_json_file(str(path)) == {"a": [1, 2.5, "é"], "b": None}
+        assert calls == []
 
     @pytest.mark.parametrize(
         "error, reason",
