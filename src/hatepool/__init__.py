@@ -17,7 +17,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "annotations": (
         "AnnotationChunk",
+        "AnnotationRow",
         "read_annotation_chunks",
+        "read_annotations",
+        "write_annotations",
     ),
     "datasets": (
         "BinaryLabel",
@@ -46,12 +49,9 @@ _EXPORTS = {
         "subsample_by_language",
     ),
     "gateway": (
-        "AnnotationRow",
         "AnnotatorEndpoint",
         "QuarantinedText",
         "annotate_batch",
-        "read_annotations",
-        "write_annotations",
     ),
     "gbdt": (
         "BoostedTrees",

@@ -159,6 +159,10 @@ def loads(text: str) -> Any:
 def iter_jsonl(fp: TextIO | BinaryIO, decode=None, on_error=None) -> Iterator[Any]:
     """Yield each non-blank line of ``fp`` as a dict, or as ``decode(dict)`` if given.
 
+    A blank line holds nothing but JSON whitespace (``" \\t\\n\\r"``), which is also
+    all that is stripped around a line's value: any other space, such as U+00A0, is
+    invalid JSON.
+
     Invalid JSON (see :func:`loads`), JSON nested too deeply to decode, or an integer with
     too many digits to decode raises ``ValueError("<file>:<line>: invalid JSON: <reason>")``,
     or with ``on_error`` is skipped after ``on_error`` is called with that error.
@@ -168,7 +172,7 @@ def iter_jsonl(fp: TextIO | BinaryIO, decode=None, on_error=None) -> Iterator[An
     """
     source = getattr(fp, "name", "<stream>")
     for lineno, line in numbered_lines(fp):
-        stripped = line.strip()
+        stripped = line.strip(" \t\n\r")
         if not stripped:
             continue
         # Past ``sys.get_int_max_str_digits()`` digits, json raises a bare ValueError.

@@ -14,9 +14,12 @@ before their main output, whose rename alone can still fail after it.
 ``annotate`` commits its dead-letter file on every run, empty when no text was
 quarantined.
 
-Every line of a JSONL input must be one JSON object (blank lines are
-skipped); a bad row exits 2 with ``file:line (id ...): reason``, and so does a bad CSV/TSV row for
-``ingest``, as ``file:line: reason``. A string holding a lone surrogate escape,
+Every line of a JSONL input must be one JSON object. Blank lines, which hold
+only JSON whitespace (space, tab, CR, LF), are skipped; any other space, such as
+U+00A0, makes a line invalid JSON. A bad row exits 2 with ``file:line (id ...):
+reason``, and so does a bad CSV/TSV row for ``ingest``, as ``file:line: reason``.
+Every data input, ``ingest``'s export included, takes ``-`` for standard input,
+named ``<stdin>`` in messages. A string holding a lone surrogate escape,
 such as ``\\ud800``, is not valid JSON (I-JSON, RFC 7493). Only ``filter`` skips lines that are
 not valid JSON, are nested too deeply or hold an integer of more than
 4,300 digits, counting them in ``malformed_lines``. A JSON file (a config, the endpoints, groups,
@@ -28,9 +31,10 @@ unknown key, a wrong-typed field or a value out of range exits 2 with
 number read from any file must be finite as a double: JSON ``NaN``,
 ``Infinity`` and an integer too large for a double are refused like a
 wrong-typed field, and so is an endpoint ``timeout``
-over ``threading.TIMEOUT_MAX``. An empty ``text`` or a repeated ``id`` in
-the ``annotate`` input is a bad row, and so is a repeated ``id`` in a
-labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
+over ``threading.TIMEOUT_MAX``. An empty ``text``, a repeated ``id``, or a ``lang``,
+``raw_label`` or ``gold`` (read when ``raw_label`` is absent or null) that is
+neither a string nor null in the ``annotate`` input is a bad row, and so is a
+repeated ``id`` in a labels file. ``evaluate --threshold fixed:V`` takes only a finite V, ``filter
 --quota`` each language once, ``stats --strategies`` only known names, each
 once, and ``filter --stats`` and ``annotate --dead-letter`` only a file other
 than ``--output`` (each exit 1).
@@ -208,7 +212,8 @@ def _decode_endpoints(cfg: object) -> tuple[list[AnnotatorEndpoint], PromptTempl
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    from .gateway import annotate_batch, write_annotations
+    from .annotations import write_annotations
+    from .gateway import annotate_batch
 
     endpoints, template = read_json_file(args.endpoints, _decode_endpoints)
     dead_path = args.dead_letter or (
@@ -227,19 +232,20 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         text = typed_value(row["text"], "str", "text")
         if not text:
             raise ValueError("text must be a nonempty string")
-        raw_label = row.get("raw_label")
+        lang = typed_value(row.get("lang"), "str | None", "lang")
+        raw_label = typed_value(row.get("raw_label"), "str | None", "raw_label")
         if raw_label is None:
-            raw_label = row.get("gold")
-        return text_id, text, row.get("lang"), raw_label
+            raw_label = typed_value(row.get("gold"), "str | None", "gold")
+        return text_id, text, lang, raw_label
 
     with atomic_output(args.output) as out_fp, dead_sink as dead_fp:
         with open_input(args.input) as in_fp:
             for text_id, text, lang, raw_label in iter_jsonl(in_fp, text_row):
                 texts[text_id] = text
                 if lang is not None:
-                    lang_by_id[text_id] = str(lang)
+                    lang_by_id[text_id] = lang
                 if raw_label is not None:
-                    raw_label_by_id[text_id] = str(raw_label)
+                    raw_label_by_id[text_id] = raw_label
         if not texts:
             raise ValueError("no texts to annotate")
         results, quarantined = annotate_batch(

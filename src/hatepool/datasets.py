@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-from ._jsonl import decode_error, from_json_object, iter_jsonl, numbered_lines, read_json_file
-from ._jsonl import typed_value
+from ._jsonl import decode_error, from_json_object, iter_jsonl, numbered_lines, open_input
+from ._jsonl import read_json_file, typed_value
 
 
 class BinaryLabel(str, Enum):
@@ -159,13 +159,13 @@ def _checked_row(spec: DatasetSpec, row: dict) -> dict:
 
 
 def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> Iterator[Mapping]:
-    """Yield raw rows from a CSV/TSV/JSONL dataset export.
+    """Yield raw rows from a CSV/TSV/JSONL dataset export (``-`` means stdin).
 
     Each row is checked as it is read, so a bad row raises
-    ``ValueError("<file>:<line>: <reason>")``. A CSV/TSV row shorter than
-    the header lacks its missing columns. The file is read as bytes, and its lines,
-    ends kept, come from :func:`numbered_lines`, which refuses the first that is
-    not UTF-8.
+    ``ValueError("<file>:<line>: <reason>")``, ``<stdin>:<line>`` for stdin. A
+    CSV/TSV row shorter than the header lacks its missing columns. The input is
+    read as bytes (see :func:`open_input`), and its lines, ends kept, come from
+    :func:`numbered_lines`, which refuses the first that is not UTF-8.
     """
     if fmt is None:
         lowered = path.lower()
@@ -176,7 +176,8 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
         else:
             fmt = "jsonl"
     if fmt in ("csv", "tsv"):
-        with open(path, "rb") as fp:
+        with open_input(path) as fp:
+            source = getattr(fp, "name", path)
             lines = (line for _, line in numbered_lines(fp))
             reader = csv.DictReader(lines, delimiter="\t" if fmt == "tsv" else ",")
             for row in reader:
@@ -184,10 +185,10 @@ def read_dataset_file(path: str, spec: DatasetSpec, fmt: str | None = None) -> I
                 try:
                     _text_and_gold(spec, row)
                 except (KeyError, ValueError) as exc:
-                    raise decode_error(f"{path}:{reader.line_num}", exc) from exc
+                    raise decode_error(f"{source}:{reader.line_num}", exc) from exc
                 yield row
     elif fmt == "jsonl":
-        with open(path, "rb") as fp:
+        with open_input(path) as fp:
             yield from iter_jsonl(fp, lambda row: _checked_row(spec, row))
     else:
         raise ValueError(f"unknown dataset format {fmt!r}")

@@ -20,7 +20,9 @@ all the endpoints' ``max_in_flight`` together, however many texts or
 retries it has. An exception in the batch, an interrupt included, stops
 the dispatchers and drops the backoffs that have not started; each worker
 finishes at most its current request, and every thread is joined before
-the exception propagates.
+the exception propagates. Each annotated text comes back as an
+:class:`hatepool.annotations.AnnotationRow`; :mod:`hatepool.annotations`
+writes the annotation file and reads it back.
 
 The transport is the standard library's ``http.client``. Each worker
 has one connection object to its endpoint, an HTTP/1.1 keep-alive
@@ -43,12 +45,13 @@ import time
 from collections import deque
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
-from itertools import starmap
-from typing import BinaryIO, Iterator, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 from urllib.parse import urlsplit
 
-from ._jsonl import from_json_object, write_jsonl_line
-from .annotations import read_annotation_rows
+from ._jsonl import from_json_object
+from .annotations import AnnotationRow
+# Imported only for bench/traced.py, which imports these two from this module.
+from .annotations import read_annotations, write_annotations  # noqa: F401
 from .ensemble import ENSEMBLE_SIZE, ProbabilityVector
 from .prompt import (
     ExtractionError,
@@ -123,21 +126,6 @@ class QuarantinedText:
 
     def to_dict(self) -> dict:
         return {"id": self.id, "errors": [asdict(f) for f in self.failures]}
-
-
-@dataclass
-class AnnotationRow:
-    """One annotated text: all four model probabilities and the raw label-token weights.
-
-    :func:`annotate_batch` gives rows without ``lang`` or ``raw_label``;
-    :func:`read_annotations` gives them as the annotation file has them.
-    """
-
-    id: str
-    lang: str | None
-    vector: ProbabilityVector
-    raw_weights: dict[str, dict[str, float]]
-    raw_label: str | None = None
 
 
 def _token_weights_from_response(body: Mapping) -> dict[str, float]:
@@ -414,62 +402,3 @@ def annotate_batch(
                 )
             )
     return results, quarantined
-
-
-# --- annotation JSONL wire format ------------------------------------------
-#
-# Laid out, and read without numpy, in :mod:`hatepool.annotations`.
-
-
-def write_annotations(
-    fp: TextIO,
-    results: Sequence[AnnotationRow],
-    lang_by_id: Mapping[str, str] | None = None,
-    raw_label_by_id: Mapping[str, str] | None = None,
-    model_order: Sequence[str] | None = None,
-) -> None:
-    if model_order is None:
-        if not results:
-            raise ValueError("no annotation results and no explicit model order")
-        model_order = list(results[0].vector.model_ids)
-    else:
-        model_order = list(model_order)
-    write_jsonl_line(fp, {"model_order": model_order})
-    for result in results:
-        if list(result.vector.model_ids) != model_order:
-            raise ValueError(f"result {result.id!r} has a different model set")
-        row: dict = {
-            "id": result.id,
-            "models": {
-                entry.model_id: {
-                    "hate": entry.p_hate,
-                    "neutral": entry.p_neutral,
-                    "raw": result.raw_weights.get(entry.model_id, {}),
-                }
-                for entry in result.vector.entries
-            },
-        }
-        if lang_by_id is not None or result.lang is not None:
-            row["lang"] = result.lang if lang_by_id is None else lang_by_id.get(result.id)
-        raw_label = result.raw_label if raw_label_by_id is None else raw_label_by_id.get(result.id)
-        if raw_label is not None:
-            row["raw_label"] = raw_label
-        write_jsonl_line(fp, row)
-
-
-def read_annotations(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[AnnotationRow]]:
-    """Read the header and return (model_order, row iterator).
-
-    Rows are read and checked by :func:`hatepool.annotations.read_annotation_rows`.
-    """
-    model_order, rows = read_annotation_rows(fp)
-    model_ids = sorted(model_order)
-
-    def annotation_row(text_id, lang, raw_label, features, raw) -> AnnotationRow:
-        entries = tuple(
-            ModelProbability(mid, features[2 * i], features[2 * i + 1])
-            for i, mid in enumerate(model_ids)
-        )
-        return AnnotationRow(text_id, lang, ProbabilityVector(entries), raw, raw_label)
-
-    return model_order, starmap(annotation_row, rows)

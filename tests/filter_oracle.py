@@ -129,7 +129,8 @@ def filter_command(data, source, quotas=None, seed=0):
 
     Lines end at ``\n``, ``\r\n`` or ``\r``. A line that is not UTF-8, is not a
     JSON object or is no web record (:func:`record_error`) is fatal: exit 2, no
-    output, no stats. A blank line is skipped; a line that is not JSON, or holds a
+    output, no stats. A blank line (space, tab, CR and LF only, JSON's whitespace) is
+    skipped; a line that is not JSON, or holds a
     string with a lone surrogate, is skipped with a warning and counted in
     ``malformed_lines``. Each record then counts toward the first rule it fails,
     and a kept record is written as the sorted-key JSON of its five fields.
@@ -143,7 +144,7 @@ def filter_command(data, source, quotas=None, seed=0):
             reason = f"can't decode byte 0x{raw[exc.start]:02x}: {exc.reason}"
             messages.append(("ERROR", f"{source}:{lineno}: not valid UTF-8: {reason}"))
             return 2, None, None, messages
-        line = line.strip()
+        line = line.strip(" \t\n\r")
         if not line:
             continue
         try:

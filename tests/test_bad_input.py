@@ -365,6 +365,28 @@ def test_filter_skips_an_integer_too_long_to_read(tmp_path):
     assert json.loads(stats.read_text())["malformed_lines"] == 1
 
 
+def test_filter_skips_a_line_with_a_space_json_does_not_allow(tmp_path, caplog):
+    # Stripped with str.strip(), the first line was read as its record and the second
+    # skipped as blank; a no-break space is not JSON whitespace.
+    rows = [dumps(row) for row in WEB.rows]
+    rows[1] = "\xa0" + rows[1]
+    rows[2] = "\xa0"
+    path = tmp_path / WEB.name
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    kept, stats = tmp_path / "kept.jsonl", tmp_path / "stats.json"
+    with caplog.at_level(logging.WARNING, logger="hatepool"):
+        assert main(["filter", "--input", str(path), "--output", str(kept),
+                     "--stats", str(stats)]) == 0
+    assert [json.loads(line)["id"] for line in kept.read_text().splitlines()] == ["w0", "w3"]
+    counts = json.loads(stats.read_text())
+    assert (counts["malformed_lines"], counts["records_seen"]) == (2, 2)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"{path}:{line}: invalid JSON: Expecting value: line 1 column 1 (char 0); skipped"
+        for line in (2, 3)
+    ]
+
+
 def test_filter_skips_a_row_nested_too_deeply(tmp_path):
     # Like any line that is not valid JSON, the row is skipped and counted.
     rows = [dumps(row) for row in WEB.rows]
@@ -540,6 +562,51 @@ def test_header_that_is_a_string_names_line_1(tmp_path, caplog):
     assert main(["ensemble", "--annotations", path, "--strategy", "vote", "--output", str(out)]) == 2
     assert not out.exists()
     assert f"{path}:1: model_order must be a list of strings" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["ensemble", "stats"])
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_header_of_the_wrong_ensemble_size_names_line_1(command, n_rows, tmp_path, caplog):
+    # The size was checked on each row: a header of three models with no row after it
+    # read as an empty pool, and with one row the error named that row.
+    models = {m: model_entry(0.5) for m in "abc"}
+    lines = [dumps({"model_order": list("abc")})]
+    lines += [dumps({"id": "x", "models": models})] * n_rows
+    path = tmp_path / "h.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    argv = {"ensemble": ["ensemble", "--strategy", "vote"], "stats": ["stats"]}[command]
+    assert main([*argv, "--annotations", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{path}:1: expected 4 model entries, got 3"]
+
+
+# Fields of an annotate input row that are copied into the annotation file. Written
+# with str(), each became the Python text of its value, such as "{'k': 1}" or "False".
+ANNOTATE_FIELDS = {
+    "lang-is-an-object": ("lang", {"k": 1}),
+    "lang-is-a-list": ("lang", ["x"]),
+    "lang-is-a-number": ("lang", 5),
+    "raw-label-is-a-list": ("raw_label", ["x"]),
+    "gold-is-a-bool": ("gold", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANNOTATE_FIELDS))
+def test_annotate_field_that_is_not_a_string_names_its_line(name, tmp_path, caplog):
+    field, value = ANNOTATE_FIELDS[name]
+    case = next(c for c in CASES if c.id == "annotate")
+    rows = [dict(row) for row in case.target.rows]
+    rows[2][field] = value
+    path = tmp_path / case.target.name
+    write_lines(path, rows)
+    (tmp_path / "endpoints.json").write_text(json.dumps(ENDPOINTS))
+    inputs = os.listdir(tmp_path)
+    code = run(case.argv, str(tmp_path))
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert_refused(code, str(tmp_path), inputs, messages, str(path), 2, rows[2])
+    assert messages[0].endswith(must_be(field, value, "a string or null"))
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train-meta"])
@@ -1033,6 +1100,12 @@ PIPE_CASES = {
                   "--output", "pred.jsonl"]),
     "config": (b'{\r  "url_keywords": ["forum"],\r  "oops"\r}\r',
                ["filter", "--config", "{in}", "--input", "{web}", "--output", "kept.jsonl"]),
+    "ingest": (b"text,label\rfirst post,hate\r\"two\rlines\",normal\r",
+               ["ingest", "--dataset", "HateXplain", "--format", "csv", "--input", "{in}",
+                "--output", "out.jsonl"]),
+    "ingest-bad-row": (b"text,label\rfine,normal\rbad,banana\r",
+                       ["ingest", "--dataset", "HateXplain", "--format", "csv", "--input",
+                        "{in}", "--output", "out.jsonl"]),
 }
 
 

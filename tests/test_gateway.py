@@ -3,7 +3,6 @@ import collections
 import gc
 import hashlib
 import http.client
-import io
 import itertools
 import json
 import math
@@ -27,7 +26,6 @@ from hatepool import (
     annotate_batch,
     read_annotations,
     render_prompt,
-    write_annotations,
 )
 from hatepool.cli import main
 
@@ -215,73 +213,6 @@ class TestEndpointValidation:
     )
     def test_good_base_url_accepted(self, url):
         assert AnnotatorEndpoint(model_id="m", base_url=url).base_url == url
-
-
-class TestAnnotationWireFormat:
-    def make_results(self):
-        with MockAnnotatorServer() as server:
-            results, _ = annotate_batch(
-                [("a", "first text"), ("b", "second text")], endpoints_for(server)
-            )
-        return results
-
-    def test_header_then_rows_roundtrip(self):
-        results = self.make_results()
-        buffer = io.StringIO()
-        write_annotations(
-            buffer,
-            results,
-            lang_by_id={"a": "eng", "b": "deu"},
-            raw_label_by_id={"a": "Hate"},
-        )
-        buffer.seek(0)
-        first_line = buffer.readline()
-        assert first_line.startswith('{"model_order":')
-        buffer.seek(0)
-        model_order, rows = read_annotations(buffer)
-        rows = list(rows)
-        assert model_order == sorted(MODEL_IDS)
-        assert [r.id for r in rows] == ["a", "b"]
-        assert rows[0].lang == "eng"
-        assert rows[0].raw_label == "Hate"
-        assert rows[1].raw_label is None
-        for original, row in zip(results, rows):
-            assert row.vector.p_hate == pytest.approx(original.vector.p_hate, abs=1e-12)
-            assert row.raw_weights.keys() == original.raw_weights.keys()
-
-    def test_rows_read_back_are_written_with_the_same_bytes(self):
-        # Without lang_by_id and raw_label_by_id, each row lost its lang and raw_label.
-        buffer = io.StringIO()
-        write_annotations(buffer, self.make_results(), lang_by_id={"a": "eng", "b": "deu"},
-                          raw_label_by_id={"a": "Hate"})
-        model_order, rows = read_annotations(io.StringIO(buffer.getvalue()))
-        again = io.StringIO()
-        write_annotations(again, list(rows), model_order=model_order)
-        assert again.getvalue() == buffer.getvalue()
-
-    def test_model_set_mismatch_detected(self):
-        results = self.make_results()
-        buffer = io.StringIO()
-        write_annotations(buffer, results)
-        tampered = buffer.getvalue().replace("Mistral-7B", "Other-1B", 1)
-        _, rows = read_annotations(io.StringIO(tampered))
-        with pytest.raises(ValueError, match="model set"):
-            list(rows)
-
-    def test_missing_header_detected(self):
-        with pytest.raises(ValueError, match="model_order"):
-            read_annotations(io.StringIO('{"id": "a", "models": {}}\n'))
-
-    def test_empty_file_detected(self):
-        with pytest.raises(ValueError, match="empty"):
-            read_annotations(io.StringIO(""))
-
-    def test_header_only_writes_with_explicit_order(self):
-        buffer = io.StringIO()
-        write_annotations(buffer, [], model_order=sorted(MODEL_IDS))
-        model_order, rows = read_annotations(io.StringIO(buffer.getvalue()))
-        assert model_order == sorted(MODEL_IDS)
-        assert list(rows) == []
 
 
 GOOD = completion({"1": math.log(0.6), "2": math.log(0.4)})
@@ -596,7 +527,7 @@ class TestMalformedCompletion:
                 ["annotate", "--input", str(texts), "--output", str(out), "--endpoints", str(config)]
             )
         assert code == 3
-        with open(out, encoding="utf-8") as fp:
+        with open(out, "rb") as fp:
             _, rows = read_annotations(fp)
             assert [r.id for r in rows] == ["ok1", "ok2"]
         with open(f"{out}.deadletter.jsonl", encoding="utf-8") as fp:

@@ -103,6 +103,20 @@ class TestIterJsonl:
         with pytest.raises(ValueError, match=r"^<stream>:5: invalid JSON"):
             next(rows)
 
+    # Python's str.strip() takes each of these, but only space, tab, LF and CR are JSON
+    # whitespace (RFC 8259), so a line with one around its object, or of one alone,
+    # was read as the object or skipped as blank.
+    @pytest.mark.parametrize("space", ["\xa0", "\x0c", "\x0b", "\x85", "\u2028", "\u3000"],
+                             ids=["NBSP", "FF", "VT", "NEL", "LS", "IDEOGRAPHIC"])
+    @pytest.mark.parametrize("line", ["{0}{{\"a\": 1}}{0}", "{0}", " {0}\t"],
+                             ids=["around-an-object", "alone", "among-json-whitespace"])
+    def test_only_json_whitespace_is_stripped(self, space, line):
+        data = ' \t{"a": 1}\t \r\n \t\r' + line.format(space) + "\n"
+        rows = iter_jsonl(io.BytesIO(data.encode()))
+        assert next(rows) == {"a": 1}
+        with pytest.raises(ValueError, match=r"^<stream>:3: invalid JSON: "):
+            next(rows)
+
     def test_source_is_the_file_name(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"id": "x"}\n\n[1]\n')
