@@ -1,6 +1,6 @@
 """JSON, JSON-lines and atomic-file helpers shared by the pipeline stages.
 
-All serialization in this package goes through :func:`dumps` so that a
+Every JSON line in this package is serialized by :func:`dumps` so that a
 fixed input always produces byte-identical output: keys are sorted,
 non-ASCII text is written verbatim, and separators carry no whitespace.
 
@@ -10,6 +10,11 @@ file. Every input, a file or standard input, is read as bytes (see
 :func:`open_input`), and :func:`numbered_lines` cuts JSONL and CSV/TSV lines
 alike at ``\\n``, ``\\r\\n`` and a lone ``\\r`` and names the first that is not
 UTF-8. :func:`from_json_object` is the one JSON object to config decoder.
+
+Every indented JSON output (models, reports, summaries, ``filter``'s counters) is
+written by :func:`write_json`, which takes only the plain JSON types and writes its
+text as it makes it, so no output is ever held whole; a write that fails part-way
+on stdout leaves the text written so far.
 """
 
 from __future__ import annotations
@@ -34,32 +39,6 @@ def dumps(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
-def dumps_pretty(obj: Any) -> str:
-    """Serialize ``obj`` to indented JSON with sorted keys (for models and reports).
-
-    The text is ``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)``, but
-    written in one recursive pass that appends to one list: with an indent, json
-    drops its C encoder for Python generators, one per level, through which every
-    chunk is yielded. The pass takes values of exactly the types json reads as
-    themselves: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
-    ``float``, ``bool`` and ``None``, strings written as json writes them and floats as
-    ``repr`` gives them, with ``NaN`` and ``±Infinity`` as json spells them. Any other
-    type or key, a subclass included, is left to ``json.dumps``, which gives its text or
-    its error. A value nested about 1,000 levels deep, or one that contains itself,
-    also goes to ``json.dumps``, which raises ``RecursionError`` or ``ValueError``.
-    """
-    chunks: list[str] = []
-    try:
-        _write_pretty(obj, chunks.append, "\n")
-    except (_NotPlain, RecursionError):
-        return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
-    return "".join(chunks)
-
-
-class _NotPlain(Exception):
-    """A value :func:`_write_pretty` leaves to ``json.dumps``."""
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -81,8 +60,9 @@ _SCALARS = {
 
 
 def _write_pretty(value: Any, out, newline: str) -> None:
-    """Pass the text of ``value`` to ``out``, its nested lines starting with ``newline``
-    and two more spaces a level; raise ``_NotPlain`` on a type it does not write."""
+    """Pass the text of ``value`` to ``out`` piece by piece, its nested lines starting
+    with ``newline`` and two more spaces a level; raise ``TypeError`` on a type it does
+    not write."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -92,7 +72,7 @@ def _write_pretty(value: Any, out, newline: str) -> None:
         separator = "{" + inner
         for key, item in sorted(value.items()):
             if type(key) is not str:
-                raise _NotPlain
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             scalar = _SCALARS.get(type(item))
             if scalar is None:
                 out(f"{separator}{_encode_str(key)}: ")
@@ -119,7 +99,7 @@ def _write_pretty(value: Any, out, newline: str) -> None:
     else:
         scalar = _SCALARS.get(kind)
         if scalar is None:
-            raise _NotPlain
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         out(scalar(value))
 
 
@@ -323,17 +303,26 @@ def atomic_output(path: str) -> Iterator[TextIO]:
 
 
 def write_json(fp: TextIO, obj: Any, path: str) -> None:
-    """Write ``obj`` to ``fp``, the output ``path``, as :func:`dumps_pretty` gives it,
-    with a trailing newline.
+    """Write ``obj`` to ``fp``, the output ``path``, as
+    ``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)`` gives it, with a
+    trailing newline.
 
-    A value nested too deeply to encode, about 1,000 levels, raises
-    ``ValueError("<path>: JSON nested too deeply")`` before anything is written.
+    The text is written as it is made, one piece at a time, and never held whole:
+    with an indent, json drops its C encoder for Python generators, one per level,
+    and a joined text would be held with its UTF-8 bytes. Only the types json reads
+    as themselves are written: ``dict`` with ``str`` keys, ``list``, ``tuple``,
+    ``str``, ``int``, ``float``, ``bool`` and ``None``, floats as ``repr`` gives them
+    and ``NaN`` and ``±Infinity`` as json spells them. Any other type or key, a
+    subclass included, raises ``TypeError``. A value nested too deeply to encode,
+    about 1,000 levels, or one that contains itself raises
+    ``ValueError("<path>: JSON nested too deeply")``. Either error comes part-way
+    through: :func:`atomic_output` then commits no file, but on stdout (``-``) the
+    text written so far stays written.
     """
     try:
-        text = dumps_pretty(obj)
+        _write_pretty(obj, fp.write, "\n")
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
-    fp.write(text)
     fp.write("\n")
 
 

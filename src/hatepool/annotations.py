@@ -18,7 +18,8 @@ commands that walk trees turn a chunk into a numpy array.
 :func:`read_annotations` gives the same rows as :class:`AnnotationRow` objects.
 
 The header must hold ``model_order``, a list of ``ensemble.ENSEMBLE_SIZE``
-strings. Each row is checked as it is read, in this order: the model set
+distinct strings; a file with no header raises ``ValueError("<file>: annotation
+file is empty")``. Each row is checked as it is read, in this order: the model set
 against the header; each model's ``hate`` and ``neutral`` (a finite number, in
 0-1, summing to 1 within 1e-9, as ``ModelProbability`` has it); each ``raw``
 through ``dict()``; then ``id``, ``lang`` and ``raw_label``. A bad header
@@ -123,6 +124,9 @@ def read_annotation_rows(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[tup
             model_order = list(typed_value(row["model_order"], "tuple[str, ...]", "model_order"))
             ensemble.check_ensemble_size(len(model_order))
             expected = tuple(sorted(model_order))
+            for first, second in zip(expected, expected[1:]):
+                if first == second:
+                    raise ValueError(f"model_order names {first!r} twice")
             fields.extend((mid, f"{mid} hate", f"{mid} neutral") for mid in expected)
             return model_order
         models = row["models"]
@@ -144,7 +148,7 @@ def read_annotation_rows(fp: BinaryIO | TextIO) -> tuple[list[str], Iterator[tup
     stream = iter_jsonl(fp, decode)
     model_order = next(stream, None)
     if model_order is None:
-        raise ValueError("annotation file is empty")
+        raise ValueError(f"{getattr(fp, 'name', '<stream>')}: annotation file is empty")
     return model_order, stream
 
 

@@ -74,7 +74,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from ._jsonl import (
     atomic_output,
-    dumps_pretty,
     from_json_object,
     iter_jsonl,
     json_object,
@@ -180,7 +179,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
         payload = {**stats.to_dict(), "malformed_lines": malformed[0], "written": written}
         out_fp.flush()  # on stdout, the records come out before the stats
-        stats_fp.write(dumps_pretty(payload) + "\n")
+        write_json(stats_fp, payload, args.stats or "<stderr>")
     log.info("kept %d of %d records", stats.kept, stats.records_seen)
     return EXIT_OK
 

@@ -23,7 +23,8 @@ is decoded, by ``typed_value`` and :meth:`BoostedTrees.from_dicts`: a
 split on a feature outside ``feature_order`` and a base score, threshold,
 leaf value or loss that is not finite are refused, and no pass over the
 built booster follows. Saving refuses trees nested too deeply for the
-JSON writer (about 1,000 splits).
+JSON writer (about 1,000 splits) part-way through the write: a file output is
+not committed, but on stdout the text written before the refusal stays.
 """
 
 from __future__ import annotations

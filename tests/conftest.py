@@ -1,7 +1,9 @@
 import io
 import logging
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,30 @@ from hatepool import ModelProbability, ProbabilityVector, filtering
 from hatepool.cli import main
 
 MODEL_IDS = ("Gemma2-9B", "Llama3.1-8B", "Mistral-7B", "Qwen2.5-14B")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+needs_vm_hwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                  reason="reads VmHWM in /proc")
+
+_PEAK_KIB = ("def peak_kib():\n"
+             "    with open('/proc/self/status') as fp:\n"
+             "        return int(next(line.split()[1] for line in fp\n"
+             "                        if line.startswith('VmHWM:')))\n")
+
+
+def run_measured(script, *args):
+    """The finished child ``python -c script args``, its output captured as text, run
+    with this checkout's ``src`` first on its path and ``peak_kib()`` defined.
+
+    ``peak_kib()`` is the child's peak RSS so far in KiB, its ``VmHWM``. Its
+    ``ru_maxrss`` would not do: Linux carries the forking process's high-water mark,
+    here the test runner's, into the child across ``exec``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", _PEAK_KIB + script, *args],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def make_vector(p_hates, model_ids=MODEL_IDS):

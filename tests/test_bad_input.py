@@ -1269,3 +1269,51 @@ def test_bad_first_row_of_the_second_chunk_is_named(command, tmp_path, caplog):
     )
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert messages == [f"{path}:4098 (id 't4096'): {BAD_PAIRS['sum'][1]}"]
+
+
+def run_on_annotations(command, directory, data):
+    """The exit code of ``command`` on annotation ``data``, bytes read from
+    ``ann.jsonl`` or, when ``data`` is ``None``, from an empty pipe on stdin. Checks
+    that no output file was committed."""
+    (directory / "labels.jsonl").write_text(
+        dumps({"id": "t0", "dataset": "AHSD", "text": "x", "gold": "Hate"}) + "\n")
+    (directory / "model.json").write_text(json.dumps(SCORING_MODEL))
+    argv = ANNOTATION_COMMANDS[command]
+    saved = sys.stdin
+    if data is None:
+        argv = ["-" if arg == "{ann.jsonl}" else arg for arg in argv]
+        sys.stdin = piped(b"")
+    else:
+        (directory / "ann.jsonl").write_bytes(data)
+    inputs = sorted(os.listdir(directory))
+    try:
+        code = run(argv, str(directory))
+    finally:
+        if data is None:
+            sys.stdin.close()
+        sys.stdin = saved
+    assert sorted(os.listdir(directory)) == inputs, "an output file was committed"
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(ANNOTATION_COMMANDS))
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_header_naming_a_model_twice_names_line_1(command, n_rows, tmp_path, caplog):
+    # Four ids passed the size check: with no row the run read as an empty pool, and
+    # with one the error named line 2, "model set ['a', 'b', 'c'] does not match header".
+    models = {m: model_entry(0.5) for m in "abc"}
+    rows = [{"model_order": list("aabc")}] + [{"id": "t0", "models": models}] * n_rows
+    data = "".join(dumps(row) + "\n" for row in rows).encode()
+    assert run_on_annotations(command, tmp_path, data) == 2
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{tmp_path / 'ann.jsonl'}:1: model_order names 'a' twice"]
+
+
+@pytest.mark.parametrize("command", sorted(ANNOTATION_COMMANDS))
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_empty_annotation_file_is_named(command, source, tmp_path, caplog):
+    # The error read "annotation file is empty", naming no file.
+    name = str(tmp_path / "ann.jsonl") if source == "file" else "<stdin>"
+    assert run_on_annotations(command, tmp_path, b"" if source == "file" else None) == 2
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"{name}: annotation file is empty"]

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +29,7 @@ from hatepool import cli, ensemble, filtering, meta
 from hatepool._jsonl import dumps
 from hatepool.cli import main
 
-from conftest import MODEL_IDS
+from conftest import MODEL_IDS, SRC, needs_vm_hwm, run_measured
 from filter_oracle import reservoir_sample
 
 SMALL_META_CONFIG = {
@@ -52,9 +51,6 @@ def write_jsonl(path, rows):
 def read_jsonl(path):
     with open(path, encoding="utf-8") as fp:
         return [json.loads(line) for line in fp if line.strip()]
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, **kwargs):
@@ -964,7 +960,7 @@ class TestEvaluateStreams:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == ["prediction row references unknown dataset 'Zeta'"]
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM in /proc")
+    @needs_vm_hwm
     def test_peak_rss_does_not_grow_with_the_rows(self, tmp_path):
         """A child's peak RSS on 4*10**5 rows against 10**5, over the 16 bundled datasets.
 
@@ -972,10 +968,6 @@ class TestEvaluateStreams:
         2.4 MB. Sorting a dataset's scores also holds a sorted list of them, about
         32 bytes a row: with the rows spread over 16 datasets that is 0.8 MB here,
         but a file with one dataset holds it for every row while it sorts.
-
-        The peak is the child's ``VmHWM``. Its ``ru_maxrss`` would not do: Linux
-        carries the forking process's high-water mark, here the test runner's,
-        into the child across ``exec``.
         """
         import random
 
@@ -984,11 +976,8 @@ class TestEvaluateStreams:
         probe = ("import sys\n"
                  "from hatepool.cli import main\n"
                  "code = main(sys.argv[1:])\n"
-                 "with open('/proc/self/status') as fp:\n"
-                 "    print(next(line.split()[1] for line in fp if line.startswith('VmHWM:')))\n"
+                 "print(peak_kib())\n"
                  "sys.exit(code)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
         def peak_kib(n):
             path = tmp_path / f"pred{n}.jsonl"
@@ -997,11 +986,8 @@ class TestEvaluateStreams:
                     gold = "Hate" if rng.random() < 0.4 else "Neutral"
                     fp.write(f'{{"id":"r{i}","dataset":"{names[i % len(names)]}",'
                              f'"score_hate":{rng.random()!r},"gold":"{gold}"}}\n')
-            proc = subprocess.run(
-                [sys.executable, "-c", probe, "evaluate", "--predictions", str(path),
-                 "--report", str(tmp_path / f"report{n}.json")],
-                capture_output=True, text=True, timeout=120, env=env,
-            )
+            proc = run_measured(probe, "evaluate", "--predictions", str(path),
+                                "--report", str(tmp_path / f"report{n}.json"))
             assert proc.returncode == 0, proc.stderr
             path.unlink()
             return int(proc.stdout)

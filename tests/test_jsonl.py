@@ -10,6 +10,7 @@ import os
 import re
 import stat
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 
 import pytest
@@ -20,18 +21,18 @@ from hatepool import AnnotatorEndpoint, DatasetSpec, FilterConfig, MetaLearnerCo
 from hatepool._jsonl import (
     atomic_output,
     dumps,
-    dumps_pretty,
     from_json_object,
     iter_jsonl,
     iter_jsonl_tolerant,
     loads,
     numbered_lines,
     read_json_file,
+    write_json,
     write_json_file,
 )
 from hatepool.prompt import PromptTemplate
 
-from conftest import strict_error
+from conftest import needs_vm_hwm, run_measured, strict_error
 
 
 def file_mode(path):
@@ -263,34 +264,81 @@ FOREIGN_VALUES = st.recursive(
 )
 
 
-def encoded(dump, value):
-    """``("text", text)`` or ``(exception type, message)``."""
-    try:
-        return "text", dump(value)
-    except (TypeError, ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
+def plain(value):
+    """Whether ``value`` holds only the types ``write_json`` writes."""
+    kind = type(value)
+    if kind is dict:
+        return all(type(key) is str and plain(item) for key, item in value.items())
+    if kind is list or kind is tuple:
+        return all(map(plain, value))
+    return kind in (str, int, float, bool, type(None))
 
 
-def json_pretty(value):
-    return json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+def written(value):
+    """``("text", text)`` that :func:`write_json_file` commits for ``value``, or
+    ``(exception type, message)`` when it raises, after checking that it left no file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "out.json")
+        try:
+            write_json_file(path, value)
+        except (TypeError, ValueError) as exc:
+            assert os.listdir(directory) == []
+            return type(exc), str(exc)
+        with open(path, encoding="utf-8", newline="") as fp:
+            return "text", fp.read()
 
 
 @settings(max_examples=300)
-@given(JSON_VALUES | FOREIGN_VALUES)
-def test_dumps_pretty_is_json_dumps_with_indent(value):
-    assert encoded(dumps_pretty, value) == encoded(json_pretty, value)
+@given(JSON_VALUES)
+def test_write_json_is_json_dumps_with_indent(value):
+    text = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    assert written(value) == ("text", text)
 
 
-def test_dumps_pretty_refuses_what_json_refuses():
+@settings(max_examples=200)
+@given(FOREIGN_VALUES.filter(lambda value: not plain(value)))
+def test_write_json_refuses_what_is_not_plain(value):
+    # Subclasses and keys that are not strings, which json would write, are refused too.
+    assert written(value)[0] is TypeError
+
+
+def test_write_json_refuses_what_nests_too_deeply():
     looped = []
     looped.append({"a": looped})
     deep = []
     for _ in range(5000):
         deep = [deep]
     for value in (looped, deep):
-        assert encoded(dumps_pretty, value) == encoded(json_pretty, value)
-    assert encoded(dumps_pretty, looped)[0] is ValueError
-    assert encoded(dumps_pretty, deep)[0] is RecursionError
+        kind, message = written(value)
+        assert kind is ValueError and message.endswith("out.json: JSON nested too deeply")
+
+
+def test_write_json_to_a_stream_writes_as_it_goes():
+    # On stdout no file holds the text back: what was written before the error stays.
+    fp = io.StringIO()
+    with pytest.raises(TypeError):
+        write_json(fp, {"a": [1, 2], "b": b"x"}, "-")
+    assert fp.getvalue() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": '
+
+
+@needs_vm_hwm
+def test_write_json_file_holds_no_text_whole(tmp_path):
+    """Writing about 12 MB of indented text raises a child's peak RSS by under 2 MiB.
+
+    The text was built whole first: its pieces, their join and its UTF-8 bytes.
+    """
+    path = tmp_path / "big.json"
+    script = ("import sys\n"
+              "from hatepool._jsonl import write_json_file\n"
+              "value = [{'id': f'r{i}', 'n': i, 'score': i / 7, 'tags': ['a', 'b']}\n"
+              "         for i in range(10**5)]\n"
+              "before = peak_kib()\n"
+              "write_json_file(sys.argv[1], value)\n"
+              "print(peak_kib() - before)\n")
+    proc = run_measured(script, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert path.stat().st_size > 10**7
+    assert int(proc.stdout) < 2 * 1024
 
 
 # JSON texts as a reader meets them: a value's text, compact or indented, or text
@@ -560,7 +608,8 @@ class TestReadJsonFile:
     @pytest.mark.parametrize("end", ["\n", "\r\n", " \t"], ids=["LF", "CRLF", "space-tab"])
     def test_a_valid_file_is_parsed_once(self, end, tmp_path, monkeypatch):
         path = tmp_path / "c.json"
-        path.write_text(dumps_pretty({"a": [1, 2.5, "é"], "b": None}) + end, newline="")
+        text = json.dumps({"a": [1, 2.5, "é"], "b": None}, ensure_ascii=False, indent=2)
+        path.write_text(text + end, newline="")
         calls = []
         monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args))
         assert read_json_file(str(path)) == {"a": [1, 2.5, "é"], "b": None}
