@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error or a dead ``filter`` worker,
 3 partial annotation (some texts quarantined). All diagnostics go to stderr;
-only requested output goes to stdout.
+only requested output goes to stdout. SIGTERM stops a command as Ctrl-C does,
+committing no output and leaving no temp file or worker behind, and the process
+then ends by SIGTERM.
 
 Every command has one shape: it decodes its config files (``--config``,
 ``--endpoints``, ``--groups``, ``--registry``), then opens every output, then
@@ -66,9 +68,11 @@ import argparse
 import logging
 import math
 import os
+import signal
 import sys
+import threading
 import warnings
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
@@ -174,9 +178,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
     stats_sink = atomic_output(args.stats) if args.stats else nullcontext(sys.stderr)
     with atomic_output(args.output) as out_fp, stats_sink as stats_fp:
-        chunks, stats = filter_file(args.input, config, on_bad_line, out_dir)
-        # Only kept records go to the output, as UTF-8 bytes.
-        written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
+        chunks, stats = filter_file(args.input, config, on_bad_line)
+        # Only kept records go to the output, as UTF-8 bytes. Closing the chunks
+        # stops any workers before the outputs are cleaned up, whatever the exit.
+        with closing(chunks):
+            written = write_kept(chunks, args.quota, args.seed, out_fp.buffer, out_dir)
         payload = {**stats.to_dict(), "malformed_lines": malformed[0], "written": written}
         out_fp.flush()  # on stdout, the records come out before the stats
         write_json(stats_fp, payload, args.stats or "<stderr>")
@@ -556,6 +562,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _Terminated(BaseException):
+    """Raised in the main thread by SIGTERM, as Ctrl-C raises ``KeyboardInterrupt``."""
+
+
+def _terminated(signum, frame) -> None:
+    raise _Terminated
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # OpenBLAS reads this when numpy is first imported. By default it starts a
     # worker thread for each CPU but the caller's, which costs CPU for no call
@@ -575,6 +589,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # SIGTERM unwinds the command as Ctrl-C does, so every ``finally`` and output
+    # cleanup runs; the process then ends by SIGTERM, so a shell or ``timeout``
+    # still sees the signal. Only the main thread may set a handler.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminated) if on_main_thread else None
     # A library warning, such as a group that matched no prediction, is one log line.
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: log.warning("%s", message)
@@ -583,6 +602,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (ValueError, KeyError, OSError) as exc:
             log.error("%s", exc)
             return EXIT_DATA
+        except _Terminated:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGTERM)
+            raise  # only if SIGTERM is held in this thread
+        finally:
+            if on_main_thread:
+                signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+# As ``cli.main`` does, before numpy is first imported: OpenBLAS starts no thread,
+# so this process runs one thread when ``filter`` forks its workers in it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -2,9 +2,11 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -53,15 +55,20 @@ def read_jsonl(path):
         return [json.loads(line) for line in fp if line.strip()]
 
 
+def cli_command(args):
+    """``python -m hatepool.cli ARGS`` on ``src``, and the environment to run it in."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "hatepool.cli", *args], env
+
+
 def run_cli(args, **kwargs):
     """``python -m hatepool.cli ARGS`` on ``src`` in a fresh interpreter, output as text.
 
     Its stdout is block-buffered on a pipe, as Python has it by default.
     """
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hatepool.cli", *args], text=True, timeout=120,
-                          env=env, **kwargs)
+    command, env = cli_command(args)
+    return subprocess.run(command, text=True, timeout=120, env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +602,35 @@ class TestAnnotateCmd:
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         assert rows[0] == {"model_order": sorted(MODEL_IDS)} and rows[1]["id"] == "ok"
         assert rows[2]["id"] == "bad" and "errors" in rows[2] and len(rows) == 3
+
+    def test_sigterm_leaves_no_temp_file(self, tmp_path):
+        # The command died by the signal and left the temp files of its output and
+        # its dead letters next to them. It must still end by the signal.
+        calls = []
+
+        def script(model, prompt):
+            calls.append(model)
+            return {"1": 0.7, "2": 0.3}
+
+        in_path = write_jsonl(tmp_path / "texts.jsonl",
+                              [{"id": f"t{i}", "text": f"text {i}"} for i in range(2000)])
+        with MockAnnotatorServer(script=script, latency=0.01) as server:
+            command, env = cli_command(["annotate", "--input", in_path, "--output",
+                                        str(tmp_path / "ann.jsonl"), "--endpoints",
+                                        self.endpoints_file(tmp_path, server)])
+            proc = subprocess.Popen(command, env=env, stderr=subprocess.DEVNULL)
+            try:
+                deadline = time.monotonic() + 60
+                while len(calls) < 40 and proc.poll() is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert proc.returncode == -signal.SIGTERM
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["endpoints.json", "texts.jsonl"]
 
     def test_missing_text_field_is_data_error(self, tmp_path):
         in_path = write_jsonl(tmp_path / "texts.jsonl", [{"id": "t1"}])

@@ -4,7 +4,8 @@ Each input runs through ``cli.main`` with ``filtering._filter_workers`` replaced
 streams it in this process, 1 or 2 cut it into ranges for that many fork
 workers. Kept records, the stats file, the warnings in order and the exit-2
 message must be the same bytes. The subprocess tests check that no worker
-outlives the command and that a worker that dies ends it, the ``tracemalloc``
+outlives the command, even one ended by SIGKILL, that SIGTERM cleans up as
+Ctrl-C does, and that a worker that dies ends the command, the ``tracemalloc``
 test that the parent's memory does not grow with the input, and an at-fork
 hook that the workers fork while the command runs one thread.
 """
@@ -12,6 +13,7 @@ hook that the workers fork while the command runs one thread.
 import gc
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -168,6 +170,22 @@ def web_lines(n_bytes):
     return "".join(lines).encode()
 
 
+def test_every_line_end_cuts_the_input(small_ranges, tmp_path):
+    # Cuts fell only after "\n": a file of CR-ended lines was one range, however
+    # large, and one worker held all of it.
+    small_ranges(4096)
+    lf = web_lines(int(15.5 * 4096))
+    cuts = {}
+    for end in (b"\n", b"\r", b"\r\n"):
+        data = lf.replace(b"\n", end)
+        write_input(tmp_path, data)
+        with open(tmp_path / "web.jsonl", "rb") as fp:
+            cuts[end] = filtering._cuts(fp.fileno()).tolist()
+        assert all(data[cut - len(end):cut] == end for cut in cuts[end][1:]), end
+    assert cuts[b"\r"] == cuts[b"\n"]  # the same bytes, but for the line ends
+    assert len(cuts[b"\r\n"]) == len(cuts[b"\n"]) == 17
+
+
 def test_input_cat_twice_at_default_range_size(tmp_path):
     write_input(tmp_path, web_lines(filtering.RANGE_BYTES * 3 // 4) * 2)
     assert (tmp_path / "web.jsonl").stat().st_size > filtering.RANGE_BYTES
@@ -230,15 +248,19 @@ def test_no_more_workers_than_ranges(small_ranges, monkeypatch, tmp_path):
     assert on_workers == expected and expected[0] == 0
 
 
-def test_parent_memory_does_not_grow_with_the_input(small_ranges, tmp_path):
+def test_parent_memory_does_not_grow_with_the_input(small_ranges, monkeypatch, tmp_path):
     small_ranges(4096)
+    monkeypatch.setattr(filtering, "_filter_workers", lambda _: 2)
+    args = ["filter", "--input", str(tmp_path / "web.jsonl"), "--output",
+            str(tmp_path / "kept.jsonl"), "--stats", str(tmp_path / "stats.json"),
+            "--quota", "b=20"]
 
     def peak_bytes(n_bytes):
         write_input(tmp_path, web_lines(n_bytes))
         gc.collect()  # the peak of this run, not of garbage left by the one before
         tracemalloc.reset_peak()
-        code, *_ = run_filter(tmp_path, 2, (("b", 20),))
-        assert code == 0
+        assert cli.main(args) == 0
+        # The command's peak: reading the kept records back would add their size.
         return tracemalloc.get_traced_memory()[1]
 
     tracemalloc.start()
@@ -256,8 +278,6 @@ def test_worker_memory_does_not_grow_with_the_ranges(small_ranges, tmp_path):
     # one did, and a worker's peak grew by a range with each range until then.
     range_bytes = 64 * 1024
     small_ranges(range_bytes)
-    parts = tmp_path / "parts"
-    parts.mkdir()
     config = filtering.FilterConfig()
 
     def peak_bytes(n_ranges):
@@ -265,8 +285,10 @@ def test_worker_memory_does_not_grow_with_the_ranges(small_ranges, tmp_path):
         path = str(tmp_path / "web.jsonl")
         gc.collect()  # the peak of this run, not of garbage left by the one before
         tracemalloc.reset_peak()
-        for offset, length in filtering._byte_ranges(path):
-            os.unlink(filtering._filter_range(path, offset, length, config, str(parts)))
+        with open(path, "rb") as fp, open(os.devnull, "wb") as out:
+            cuts = filtering._cuts(fp.fileno())
+            for start, end in zip(cuts, cuts[1:]):  # a worker's loop
+                pickle.dump(filtering._range_result(fp.fileno(), path, start, end, config), out)
         return tracemalloc.get_traced_memory()[1]
 
     tracemalloc.start()
@@ -279,28 +301,38 @@ def test_worker_memory_does_not_grow_with_the_ranges(small_ranges, tmp_path):
 
 
 @pytest.mark.parametrize("output", ["file", "stdout"])
-def test_part_files_are_removed(output, small_ranges, monkeypatch, tmp_path):
-    # The workers' part files go next to the output, or to the temp directory when
-    # the output is stdout, like the quota spool, and go when the command ends.
-    made = []
-
-    def mkdtemp(**kwargs):
-        made.append(real_mkdtemp(**kwargs))
-        return made[-1]
-
-    real_mkdtemp = tempfile.mkdtemp
-    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+def test_workers_make_no_file_but_the_outputs(output, small_ranges, monkeypatch, tmp_path):
+    # The workers once handed their results back in part files, in a directory next
+    # to the output, or in the temp directory when the output is stdout. While the
+    # workers run, the output's temp file must be the only file either place holds.
+    out, tmp = tmp_path / "out", tmp_path / "tmp"
+    out.mkdir()
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     monkeypatch.setattr(filtering, "_filter_workers", lambda _: 2)
-    (tmp_path / "tmp").mkdir()
-    (tmp_path / "out").mkdir()
+    seen = []
+    real_write_kept = filtering.write_kept
+
+    def write_kept(chunks, *args):
+        def watched():
+            for chunk in chunks:
+                seen.append((sorted(p.name for p in out.iterdir()), list(tmp.iterdir())))
+                yield chunk
+
+        return real_write_kept(watched(), *args)
+
+    monkeypatch.setattr(filtering, "write_kept", write_kept)
     small_ranges(4096)
     write_input(tmp_path, web_lines(8 * 4096))
-    kept = "-" if output == "stdout" else str(tmp_path / "out" / "kept.jsonl")
+    kept = "-" if output == "stdout" else str(out / "kept.jsonl")
     assert cli.main(["filter", "--input", str(tmp_path / "web.jsonl"), "--output", kept]) == 0
-    assert len(made) == 1 and not os.path.exists(made[0])
-    assert os.path.dirname(made[0]) == str(tmp_path / ("tmp" if output == "stdout" else "out"))
-    assert list((tmp_path / "tmp").iterdir()) == []
+    assert len(seen) >= 8  # one look per range
+    for in_out, in_tmp in seen:
+        assert in_tmp == []
+        assert len(in_out) == (output == "file")
+        assert all(re.fullmatch(r"\.tmp-[0-9a-f]{16}\.part", name) for name in in_out)
+    assert [p.name for p in out.iterdir()] == ([] if output == "stdout" else ["kept.jsonl"])
+    assert list(tmp.iterdir()) == []
 
 
 # --- no worker outlives the command ------------------------------------------
@@ -496,4 +528,63 @@ def test_worker_killed_while_the_command_is_stopped(web_file, tmp_path):
     assert len(errors) == 1 and re.fullmatch(
         rf"ERROR hatepool: {re.escape(str(web_file))}: a filter worker died before the "
         r"result for bytes \d+-\d+ came back", errors[0]), errors
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# --- a signal to the command ---------------------------------------------------
+
+
+def all_workers(proc):
+    """The pids of the workers of the ``filter`` run ``proc`` on ``loud_file``, once all
+    are forked: one per CPU, as the file has more ranges than there are CPUs."""
+    first_worker(proc)
+    cpus = len(os.sched_getaffinity(0))
+    wait_for(lambda: len(children(proc.pid) or ()) >= cpus or proc.poll() is not None)
+    return [int(pid) for pid in children(proc.pid) or ()]
+
+
+def exited(pid):
+    """True once ``pid`` has exited: it is gone, or a zombie not reaped yet."""
+    try:
+        return state(pid) == "Z"
+    except OSError:
+        return True
+
+
+def assert_exited_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while not all(exited(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if not exited(pid)] == []
+
+
+@needs_cpus
+def test_no_worker_left_after_sigkill(loud_file, tmp_path):
+    # A worker of a process pool waited on the pool's call queue, whose write end
+    # every worker held too, so it never saw the command go, and slept on for good.
+    proc = start_filter(loud_file, tmp_path / "out")
+    try:
+        workers = all_workers(proc)
+        wait_for(lambda: cpu_ticks(workers[0]) >= 2)
+        proc.kill()
+        proc.wait(timeout=60)  # not its pipes, which a worker left running would hold
+        assert_exited_within(workers, 5)
+    finally:
+        end_session(proc)
+    assert [p.name for p in (tmp_path / "out").iterdir() if p.name.startswith(".filter-")] == []
+
+
+@needs_cpus
+def test_sigterm_ends_the_command_as_ctrl_c_does(loud_file, tmp_path):
+    # The command died by the signal, with no cleanup: its workers slept on, and its
+    # temp files stayed next to the output. It must still end by the signal.
+    proc = start_filter(loud_file, tmp_path / "out")
+    try:
+        workers = all_workers(proc)
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGTERM
+        assert_exited_within(workers, 5)
+    finally:
+        end_session(proc)
     assert list((tmp_path / "out").iterdir()) == []

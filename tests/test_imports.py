@@ -49,8 +49,8 @@ WATCHED = (
 # reads. The version is a constant of the package, so --version looks up no
 # installed metadata. statistics (with fractions) costs about 5 ms to import;
 # exact means come from metrics' integer sums instead.
-# Only annotate runs a thread pool and sends requests, and only filter a
-# process pool (for a large input file on more than one CPU).
+# Only annotate runs a thread pool and sends requests. No command runs a
+# process pool: filter forks its workers itself.
 ALLOWED = {
     "numpy": {"filter", "train-meta", "ensemble", "stats"},
     "requests": set(),
@@ -58,7 +58,7 @@ ALLOWED = {
     "http.client": {"annotate"},
     "statistics": set(),
     "concurrent.futures": {"annotate"},
-    "multiprocessing": {"filter"},
+    "multiprocessing": set(),
     "hatepool.gateway": {"annotate"},
     "hatepool.gbdt": {"train-meta", "ensemble", "stats"},
     "hatepool.meta": {"train-meta", "ensemble", "stats"},
