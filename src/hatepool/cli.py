@@ -177,8 +177,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
     out_dir = None if args.output == "-" else os.path.dirname(os.path.abspath(args.output))
     stats_sink = atomic_output(args.stats) if args.stats else nullcontext(sys.stderr)
-    with atomic_output(args.output) as out_fp, stats_sink as stats_fp:
-        chunks, stats = filter_file(args.input, config, on_bad_line)
+    with (atomic_output(args.output) as out_fp, stats_sink as stats_fp,
+          open_input(args.input) as in_fp):
+        chunks, stats = filter_file(in_fp, config, on_bad_line)
         # Only kept records go to the output, as UTF-8 bytes. Closing the chunks
         # stops any workers before the outputs are cleaned up, whatever the exit.
         with closing(chunks):
@@ -205,15 +206,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _decode_endpoints(cfg: object) -> tuple[list[AnnotatorEndpoint], PromptTemplate]:
-    from .gateway import AnnotatorEndpoint
+    from .gateway import AnnotatorEndpoint, check_endpoints
     from .prompt import PromptTemplate
 
     json_object(cfg, "endpoints file", ("endpoints", "template"))
     endpoints = typed_value(cfg["endpoints"], "list", "endpoints")
     template = PromptTemplate.from_dict(cfg.get("template", {}))
-    return [
-        from_json_object(AnnotatorEndpoint, e, f"endpoints[{i}]") for i, e in enumerate(endpoints)
-    ], template
+    endpoints = [from_json_object(AnnotatorEndpoint, e, f"endpoints[{i}]")
+                 for i, e in enumerate(endpoints)]
+    check_endpoints(endpoints)
+    return endpoints, template
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -287,7 +289,7 @@ def _load_labels(path: str) -> dict[str, tuple[str, BinaryLabel]]:
         for example in iter_jsonl(fp, example_row):
             labels[example.id] = (sys.intern(example.dataset), example.gold)
     if not labels:
-        raise ValueError(f"no labeled examples in {path}")
+        raise ValueError(f"no labeled examples in {fp.name}")
     return labels
 
 

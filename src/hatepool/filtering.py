@@ -16,18 +16,18 @@ and a kept record's five fields are encoded once by :func:`_jsonl.dumps`, with n
 :class:`WebRecord` in between. :func:`filter_records` applies the same keep rule
 to records, and :meth:`WebRecord.from_dict` the same field checks.
 
-``filter`` on a regular file of more than one range (:data:`RANGE_BYTES`,
-2.5 MiB), when ``os.sched_getaffinity`` gives more than one CPU, cuts it at
-line ends once and forks one worker per CPU, but no more than there are
-ranges. Worker k of w decodes, filters and serialises ranges k, k + w, ...,
-one at a time, decoding each line once, strictly, from the range's bytes,
-and pickles each range's results down a pipe that this process alone reads,
-range i from pipe i mod w, keeping the counters, the warnings and the
-reservoirs in input order. A worker that dies fails the command; a worker
-whose command is gone fails its next write. Nothing goes through a file.
-Standard input and smaller files are filtered in this process, read as bytes
-and cut into lines as the workers cut them. Either way the output, the stats
-and every message are the same.
+``filter`` on a regular file with more than one range (:data:`RANGE_BYTES`,
+2.5 MiB) left past its offset, when ``os.sched_getaffinity`` gives more than one
+CPU, cuts the rest at line ends once and forks one worker per CPU, but no more
+than there are ranges. Worker k of w decodes, filters and serialises ranges k,
+k + w, ..., one at a time, decoding each line once, strictly, from the range's
+bytes, and pickles each range's results down a pipe that this process alone
+reads, range i from pipe i mod w, keeping the counters, the warnings and the
+reservoirs in input order. A worker that dies fails the command; a worker whose
+command is gone fails its next write. Nothing goes through a file. A pipe, an
+input with no descriptor and a file with one range left are filtered in this
+process, read as bytes and cut into lines as the workers cut them. Either way
+the output, the stats and every message are the same.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
-from ._jsonl import dumps, from_json_object, iter_jsonl, line_ends, open_input, shifted
-from ._jsonl import typed_value
+from ._jsonl import dumps, from_json_object, iter_jsonl, line_ends, shifted, typed_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -431,10 +430,10 @@ def _after_line_end(fd: int, at: int) -> int:
 
 
 def _cuts(fd: int) -> array:
-    """0, then the end of each range of about :data:`RANGE_BYTES` that tiles the file
-    open as ``fd``, each at a line end; the data between the cuts is never read."""
+    """The offset of ``fd``, then the end of each range of about :data:`RANGE_BYTES` that
+    tiles the file open as ``fd`` from there, each at a line end; nothing between is read."""
     size = os.fstat(fd).st_size
-    cuts = array("q", [0])
+    cuts = array("q", [os.lseek(fd, 0, os.SEEK_CUR)])
     while cuts[-1] < size:
         cuts.append(min(_after_line_end(fd, cuts[-1] + RANGE_BYTES - 1), size))
     return cuts
@@ -474,9 +473,9 @@ def _kept_chunks(
             yield dumps(record).encode() + b"\n", (lang,)
 
 
-def _range_result(fd: int, path: str, start: int, end: int, config: FilterConfig):
-    r"""Filter the bytes ``start`` to ``end`` of ``path``, open as ``fd``, as the
-    one-process path reads them.
+def _range_result(fd: int, name: str, start: int, end: int, config: FilterConfig):
+    r"""Filter the bytes ``start`` to ``end`` of the file named ``name``, open as ``fd``,
+    as the one-process path reads them.
 
     The range's bytes go to ``iter_jsonl`` as they are, so each line is decoded
     once, strictly, from them. Returns the range's ``FilterStats``, its
@@ -488,7 +487,7 @@ def _range_result(fd: int, path: str, start: int, end: int, config: FilterConfig
     data = b"".join(os.pread(fd, min(end - at, 1 << 30), at)
                     for at in range(start, end, 1 << 30))
     buffer = io.BytesIO(data)
-    buffer.name = path
+    buffer.name = name
     malformed: list[ValueError] = []
     stats = FilterStats()
     lines: list[bytes] = []
@@ -504,7 +503,7 @@ def _range_result(fd: int, path: str, start: int, end: int, config: FilterConfig
     return stats, line_ends(data), malformed, error, b"".join(lines), langs
 
 
-def _fork_worker(fd: int, path: str, cuts: array, first: int, step: int,
+def _fork_worker(fd: int, name: str, cuts: array, first: int, step: int,
                  config: FilterConfig, readers: list[BinaryIO]) -> int:
     """Fork a worker that pickles the :func:`_range_result` of ranges ``first``, ``first
     + step``, ... of ``cuts`` down a new pipe; append the pipe's read end to
@@ -526,7 +525,7 @@ def _fork_worker(fd: int, path: str, cuts: array, first: int, step: int,
                 os.close(reader.fileno())
             out = open(write_fd, "wb")
             for i in range(first, len(cuts) - 1, step):
-                pickle.dump(_range_result(fd, path, cuts[i], cuts[i + 1], config), out,
+                pickle.dump(_range_result(fd, name, cuts[i], cuts[i + 1], config), out,
                             pickle.HIGHEST_PROTOCOL)
                 out.flush()
         finally:
@@ -535,75 +534,74 @@ def _fork_worker(fd: int, path: str, cuts: array, first: int, step: int,
     return pid
 
 
-def _filter_workers(path: str) -> int:
-    """The most worker processes :func:`filter_file` may run on ``path``: one per CPU
-    this process may run on, for a regular file of more than one range on more than
-    one CPU; 0, to stream the input in this process, otherwise."""
-    if path == "-" or not hasattr(os, "sched_getaffinity"):
+def _filter_workers(fp: BinaryIO) -> int:
+    """The most worker processes :func:`filter_file` may run on ``fp``: one per CPU this
+    process may run on, for a regular file with more than one range left past its
+    offset, on more than one CPU; 0, to stream the input in this process, otherwise."""
+    try:
+        info, cpus = os.fstat(fp.fileno()), len(os.sched_getaffinity(0))
+    except (AttributeError, io.UnsupportedOperation):  # no CPU affinity, or no descriptor
         return 0
-    info = os.stat(path)
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size <= RANGE_BYTES:
+    if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size - fp.tell() <= RANGE_BYTES:
         return 0
     return cpus
 
 
 def filter_file(
-    path: str, config: FilterConfig, on_error
+    fp: BinaryIO, config: FilterConfig, on_error
 ) -> tuple[Iterator[tuple[bytes, Sequence[str]]], FilterStats]:
-    r""":func:`filter_records` over ``iter_jsonl`` of ``path`` (``-`` means stdin),
-    in this process or on worker processes; the kept records come as
-    :func:`write_kept` chunks.
+    r""":func:`filter_records` over ``iter_jsonl`` of the binary file ``fp`` from its
+    offset on, named ``fp.name`` in messages, in this process or on worker processes;
+    the kept records come as :func:`write_kept` chunks.
 
-    On workers, the file is cut once by :func:`_cuts`, and ``w`` workers, the
+    On workers, the file is cut once by :func:`_cuts`, from its descriptor's offset, so
+    ``fp`` must hold no bytes read ahead in a buffer, and ``w`` workers, the
     :func:`_filter_workers` but no more than the ranges, are forked by
-    :func:`_fork_worker`. This process reads range ``i`` from pipe ``i mod w``, one
-    range at a time, in input order: it calls ``on_error`` with each malformed-line
-    error, raises a range's fatal error after the errors before it, and adds up the
-    counters, with line numbers counted from the start of the file, so every
-    message is the one-process path's. A pipe that ends before the range awaited
-    from it raises ``ValueError`` naming that range. The stats are complete once
-    the iterator is exhausted; the workers are killed and reaped when it ends,
-    fails or is closed.
+    :func:`_fork_worker`, each reading that descriptor. This process reads range ``i``
+    from pipe ``i mod w``, one range at a time, in input order: it calls
+    ``on_error`` with each malformed-line error, raises a range's fatal error after
+    the errors before it, and adds up the counters, with line numbers counted from
+    the offset, so every message is the one-process path's. A pipe that ends before
+    the range awaited from it raises ``ValueError`` naming that range. The last range
+    leaves ``fp`` at its end, as reading does. The stats are complete once the iterator
+    is exhausted; the workers are killed and reaped when it ends, fails or is closed.
     """
     stats = FilterStats()
-    workers = _filter_workers(path)
-
-    def stream() -> Iterator[tuple[bytes, tuple[str]]]:
-        with open_input(path) as fp:
-            yield from _kept_chunks(fp, config, on_error, stats)
+    workers = _filter_workers(fp)
+    if not workers:
+        return _kept_chunks(fp, config, on_error, stats), stats
 
     def generate() -> Iterator[tuple[bytes, list[str]]]:
-        with open(path, "rb") as fp:
-            cuts = _cuts(fp.fileno())
-            step = min(workers, len(cuts) - 1)
-            pids, readers = [], []
-            try:
-                with _signals_held():  # the one thread: ``cli.main`` starts no OpenBLAS one
-                    for first in range(step):
-                        pids.append(_fork_worker(fp.fileno(), path, cuts, first, step, config,
-                                                 readers))
-                lines = 0
-                for i in range(len(cuts) - 1):
-                    try:
-                        part, ends, malformed, error, kept, langs = pickle.load(readers[i % step])
-                    except (EOFError, pickle.UnpicklingError):  # its worker died
-                        raise ValueError(f"{path}: a filter worker died before the result for "
-                                         f"bytes {cuts[i]}-{cuts[i + 1]} came back") from None
-                    for exc in malformed:
-                        on_error(shifted(exc, path, lines))
-                    if error is not None:
-                        raise shifted(error, path, lines)
-                    stats.add(part)
-                    lines += ends
-                    yield kept, langs
-                    del kept, langs  # freed before the next range is read
-            finally:
-                with _signals_held():
-                    for pid in pids:
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-                    for reader in readers:
-                        reader.close()
+        fd, name = fp.fileno(), fp.name
+        cuts = _cuts(fd)
+        step = min(workers, len(cuts) - 1)
+        pids, readers = [], []
+        try:
+            with _signals_held():  # the one thread: ``cli.main`` starts no OpenBLAS one
+                for first in range(step):
+                    pids.append(_fork_worker(fd, name, cuts, first, step, config, readers))
+            lines = 0
+            for i in range(len(cuts) - 1):
+                try:
+                    part, ends, malformed, error, kept, langs = pickle.load(readers[i % step])
+                except (EOFError, pickle.UnpicklingError):  # its worker died
+                    raise ValueError(f"{name}: a filter worker died before the result for "
+                                     f"bytes {cuts[i]}-{cuts[i + 1]} came back") from None
+                for exc in malformed:
+                    on_error(shifted(exc, name, lines))
+                if error is not None:
+                    raise shifted(error, name, lines)
+                stats.add(part)
+                lines += ends
+                yield kept, langs
+                del kept, langs  # freed before the next range is read
+            fp.seek(cuts[-1])
+        finally:
+            with _signals_held():
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                for reader in readers:
+                    reader.close()
 
-    return (generate() if workers else stream()), stats
+    return generate(), stats

@@ -290,6 +290,16 @@ class _Dispatcher:
             self._cond.notify_all()
 
 
+def check_endpoints(endpoints: Sequence[AnnotatorEndpoint]) -> None:
+    """Raise ``ValueError`` unless ``endpoints`` are one per ensemble member, each
+    with its own model id."""
+    if len(endpoints) != ENSEMBLE_SIZE:
+        raise ValueError(f"expected {ENSEMBLE_SIZE} endpoints, got {len(endpoints)}")
+    ids = [ep.model_id for ep in endpoints]
+    if len(set(ids)) != ENSEMBLE_SIZE:
+        raise ValueError(f"duplicate endpoint model ids: {ids}")
+
+
 def annotate_batch(
     texts: Sequence[tuple[str, str]],
     endpoints: Sequence[AnnotatorEndpoint],
@@ -307,11 +317,7 @@ def annotate_batch(
     from concurrent.futures import ThreadPoolExecutor  # kept off the read-only commands
 
     template = template or PromptTemplate()
-    if len(endpoints) != ENSEMBLE_SIZE:
-        raise ValueError(f"expected {ENSEMBLE_SIZE} endpoints, got {len(endpoints)}")
-    ids = [ep.model_id for ep in endpoints]
-    if len(set(ids)) != ENSEMBLE_SIZE:
-        raise ValueError(f"duplicate endpoint model ids: {ids}")
+    check_endpoints(endpoints)
     seen_text_ids = set()
     for text_id, _ in texts:
         if text_id in seen_text_ids:

@@ -70,16 +70,20 @@ def small_ranges(monkeypatch):
     return use
 
 
+def as_stdin(raw):
+    """A text stream named ``<stdin>`` over ``raw``, an unbuffered binary file, built as
+    CPython builds ``sys.stdin`` on POSIX, whose lines end at ``\\n`` alone."""
+    raw.name = "<stdin>"
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="\n")
+
+
 def piped(data):
-    """A text stream named ``<stdin>`` over a pipe holding ``data``, which must fit in
-    the pipe's buffer: it is written before it is read. It is built as CPython builds
-    ``sys.stdin`` on POSIX, whose lines end at ``\\n`` alone."""
+    """:func:`as_stdin` over a pipe holding ``data``, which must fit in the pipe's
+    buffer: it is written before it is read."""
     read_fd, write_fd = os.pipe()
     with open(write_fd, "wb") as fp:
         fp.write(data)
-    raw = open(read_fd, "rb", buffering=0)
-    raw.name = "<stdin>"
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="\n")
+    return as_stdin(open(read_fd, "rb", buffering=0))
 
 
 def strict_error(data, source):
@@ -108,8 +112,8 @@ class _Collect(logging.Handler):
 def run_filter(directory, workers, quotas=(), seed=0, stdin=None):
     """Exit code, kept bytes, stats bytes, and warnings and errors of ``filter`` on
     ``directory``'s ``web.jsonl`` with ``workers`` workers (0: in this process;
-    None: as many as ``filtering._filter_workers`` gives), or on ``stdin``, the
-    bytes of a pipe, if given."""
+    None: as many as ``filtering._filter_workers`` gives), or on ``stdin``, if given:
+    the bytes of a pipe, or an unbuffered binary file, which this closes."""
     path, kept, stats = (os.path.join(directory, name)
                          for name in ("web.jsonl", "kept.jsonl", "stats.json"))
     for output in (kept, stats):
@@ -125,7 +129,7 @@ def run_filter(directory, workers, quotas=(), seed=0, stdin=None):
     if workers is not None:
         filtering._filter_workers = lambda _: workers
     if stdin is not None:
-        sys.stdin = piped(stdin)
+        sys.stdin = piped(stdin) if isinstance(stdin, bytes) else as_stdin(stdin)
     try:
         code = main(args)
     finally:

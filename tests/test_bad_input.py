@@ -721,6 +721,11 @@ CONFIG_CASES = {
     "auth-token-is-a-number": ("annotate", endpoints_with(auth_token=5), "auth_token"),
     "endpoints-are-numbers": ("annotate", {"endpoints": [5, 6, 7, 8]}, "endpoint"),
     "endpoints-is-a-number": ("annotate", {"endpoints": 5}, "endpoints"),
+    # Both were refused only once the input was read, and without the file's name.
+    "three-endpoints": ("annotate", {"endpoints": ENDPOINTS["endpoints"][:3]},
+                        "expected 4 endpoints, got 3"),
+    "model-id-given-twice": ("annotate", endpoints_with(1, model_id=MODEL_IDS[0]),
+                             "duplicate endpoint model ids"),
     "url-keywords-is-a-number": ("filter", {"url_keywords": 5}, "url_keywords"),
     "url-keywords-is-text": ("filter", {"url_keywords": "forum"}, "url_keywords"),
     "whitelist-holds-a-number": ("filter", {"schema_whitelist": ["Comment", 5]},
@@ -1272,19 +1277,24 @@ def test_bad_first_row_of_the_second_chunk_is_named(command, tmp_path, caplog):
 
 
 def run_on_annotations(command, directory, data):
-    """The exit code of ``command`` on annotation ``data``, bytes read from
-    ``ann.jsonl`` or, when ``data`` is ``None``, from an empty pipe on stdin. Checks
-    that no output file was committed."""
+    """The exit code of ``command`` on annotation ``data``, as :func:`run_on_input`
+    gives it for ``ann.jsonl``."""
     (directory / "labels.jsonl").write_text(
         dumps({"id": "t0", "dataset": "AHSD", "text": "x", "gold": "Hate"}) + "\n")
     (directory / "model.json").write_text(json.dumps(SCORING_MODEL))
-    argv = ANNOTATION_COMMANDS[command]
+    return run_on_input(ANNOTATION_COMMANDS[command], directory, "ann.jsonl", data)
+
+
+def run_on_input(argv, directory, name, data):
+    """The exit code of ``argv`` with ``data``, bytes read from the input ``name`` or,
+    when ``data`` is ``None``, from an empty pipe on stdin. Checks that no output file
+    was committed."""
     saved = sys.stdin
     if data is None:
-        argv = ["-" if arg == "{ann.jsonl}" else arg for arg in argv]
+        argv = ["-" if arg == f"{{{name}}}" else arg for arg in argv]
         sys.stdin = piped(b"")
     else:
-        (directory / "ann.jsonl").write_bytes(data)
+        (directory / name).write_bytes(data)
     inputs = sorted(os.listdir(directory))
     try:
         code = run(argv, str(directory))
@@ -1317,3 +1327,15 @@ def test_empty_annotation_file_is_named(command, source, tmp_path, caplog):
     assert run_on_annotations(command, tmp_path, b"" if source == "file" else None) == 2
     messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert messages == [f"{name}: annotation file is empty"]
+
+
+@pytest.mark.parametrize("command", ["ensemble-mean", "train-meta"])
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_empty_labels_file_is_named(command, source, tmp_path, caplog):
+    # Standard input was named "-": "no labeled examples in -".
+    write_lines(tmp_path / ANNOTATIONS.name, ANNOTATIONS.rows)
+    data = b"" if source == "file" else None
+    assert run_on_input(ANNOTATION_COMMANDS[command], tmp_path, LABELS.name, data) == 2
+    name = str(tmp_path / LABELS.name) if source == "file" else "<stdin>"
+    messages = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert messages == [f"no labeled examples in {name}"]

@@ -2,10 +2,11 @@
 
 The one-process path, the worker path and the stdin path share one record loop,
 so comparing them with each other cannot catch a fault in it. Here each input
-runs through ``cli.main`` three ways, a file in this process, the same file in
-small byte ranges on two fork workers, and a pipe on stdin, and each must give
-the reference's exit code, kept bytes, stats bytes and warning and error lines
-(the lines the CLI writes to stderr, as ``(level, message)``).
+runs through ``cli.main`` four ways, a file in this process, the same file in
+small byte ranges on two fork workers, a pipe on stdin, and a file on stdin past
+a line already read from it, on two fork workers, and each must give the
+reference's exit code, kept bytes, stats bytes and warning and error lines (the
+lines the CLI writes to stderr, as ``(level, message)``).
 """
 
 import json
@@ -139,3 +140,8 @@ def test_filter_equals_the_reference(lines, ends, final_end, quotas, seed, range
             assert run_filter(directory, workers, quotas, seed) == expected, workers
         expected = filter_command(data, "<stdin>", dict(quotas), seed)
         assert run_filter(directory, 0, quotas, seed, stdin=data) == expected, "stdin"
+        with open(path, "wb") as fp:
+            fp.write(b"junk\n" + data)
+        redirected = open(path, "rb", buffering=0)
+        redirected.readline()  # as a shell's ``read`` leaves it: just past the line
+        assert run_filter(directory, 2, quotas, seed, stdin=redirected) == expected, "file"

@@ -248,6 +248,21 @@ def test_no_more_workers_than_ranges(small_ranges, monkeypatch, tmp_path):
     assert on_workers == expected and expected[0] == 0
 
 
+def test_workers_leave_stdin_at_its_end(small_ranges, tmp_path):
+    # The workers ``pread``, which moves no offset. A shell that shares the
+    # descriptor must find nothing left to read, as after the one-process path.
+    small_ranges(4096)
+    write_input(tmp_path, web_lines(8 * 4096))
+    expected = run_filter(tmp_path, 0)
+    stdin = open(tmp_path / "web.jsonl", "rb", buffering=0)
+    shared = os.dup(stdin.fileno())
+    try:
+        assert run_filter(tmp_path, 2, stdin=stdin)[:3] == expected[:3]
+        assert os.read(shared, 1) == b""
+    finally:
+        os.close(shared)
+
+
 def test_parent_memory_does_not_grow_with_the_input(small_ranges, monkeypatch, tmp_path):
     small_ranges(4096)
     monkeypatch.setattr(filtering, "_filter_workers", lambda _: 2)

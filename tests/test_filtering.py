@@ -1,3 +1,4 @@
+import io
 import os
 from urllib.parse import quote
 
@@ -17,6 +18,7 @@ from hatepool import (
 
 import filter_fixture
 import filter_oracle
+from conftest import as_stdin, piped
 
 
 def make_record(id="r", url="https://example.com/thread/1", lang="eng",
@@ -405,7 +407,7 @@ class TestSubsampleByLanguage:
 
 class TestFilterWorkers:
     """``filter_file`` streams in this process (0) unless a regular file holds more
-    than one range and there is more than one CPU to run workers on."""
+    than one range past its offset and there is more than one CPU to run workers on."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -416,31 +418,47 @@ class TestFilterWorkers:
 
     @staticmethod
     def sized_file(tmp_path, size):
+        """A file of ``size`` bytes, open for reading unbuffered."""
         path = tmp_path / "web.jsonl"
         with open(path, "wb") as fp:
             fp.truncate(size)
-        return str(path)
+        return open(path, "rb", buffering=0)
 
     def test_stdin_streams(self, cpus):
         cpus(2)
-        assert filtering._filter_workers("-") == 0
+        with piped(b"") as stdin:  # a pipe
+            assert filtering._filter_workers(stdin.buffer) == 0
 
     def test_fifo_streams(self, cpus, tmp_path):
         cpus(2)
         path = tmp_path / "web.fifo"
         os.mkfifo(path)
-        assert filtering._filter_workers(str(path)) == 0
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fp:
+            assert filtering._filter_workers(fp) == 0
 
     def test_file_of_one_range_streams(self, cpus, tmp_path):
         cpus(2)
-        assert filtering._filter_workers(self.sized_file(tmp_path, filtering.RANGE_BYTES)) == 0
+        with self.sized_file(tmp_path, filtering.RANGE_BYTES) as fp:
+            assert filtering._filter_workers(fp) == 0
 
     def test_one_cpu_streams(self, cpus, tmp_path):
         cpus(1)
-        path = self.sized_file(tmp_path, filtering.RANGE_BYTES + 1)
-        assert filtering._filter_workers(path) == 0
+        with self.sized_file(tmp_path, filtering.RANGE_BYTES + 1) as fp:
+            assert filtering._filter_workers(fp) == 0
 
     def test_larger_file_gets_one_worker_per_cpu(self, cpus, tmp_path):
         cpus(2)
-        path = self.sized_file(tmp_path, filtering.RANGE_BYTES + 1)
-        assert filtering._filter_workers(path) == 2
+        with self.sized_file(tmp_path, filtering.RANGE_BYTES + 1) as fp:
+            assert filtering._filter_workers(fp) == 2
+
+    def test_file_on_stdin_counts_from_its_offset(self, cpus, tmp_path):
+        # One range is left past the byte already read, so the file streams.
+        cpus(2)
+        raw = self.sized_file(tmp_path, filtering.RANGE_BYTES + 1)
+        raw.seek(1)
+        with as_stdin(raw) as stdin:
+            assert filtering._filter_workers(stdin.buffer) == 0
+
+    def test_input_without_descriptor_streams(self, cpus):
+        cpus(2)
+        assert filtering._filter_workers(io.BytesIO(b"x" * (filtering.RANGE_BYTES + 1))) == 0
