@@ -12,9 +12,9 @@ alike at ``\\n``, ``\\r\\n`` and a lone ``\\r`` and names the first that is not
 UTF-8. :func:`from_json_object` is the one JSON object to config decoder.
 
 Every indented JSON output (models, reports, summaries, ``filter``'s counters) is
-written by :func:`write_json`, which takes only the plain JSON types and writes its
-text as it makes it, so no output is ever held whole; a write that fails part-way
-on stdout leaves the text written so far.
+written by :func:`write_json`, which takes only the plain JSON types, and iterators
+as lists, and writes its text as it makes it, so no output is ever held whole; a
+write that fails part-way on stdout leaves the text written so far.
 """
 
 from __future__ import annotations
@@ -81,10 +81,7 @@ def _write_pretty(value: Any, out, newline: str) -> None:
                 out(f"{separator}{_encode_str(key)}: {scalar(item)}")
             separator = "," + inner
         out(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            out("[]")
-            return
+    elif kind is list or kind is tuple or hasattr(kind, "__next__"):
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
@@ -95,7 +92,7 @@ def _write_pretty(value: Any, out, newline: str) -> None:
             else:
                 out(separator + scalar(item))
             separator = "," + inner
-        out(newline + "]")
+        out("[]" if separator[0] == "[" else newline + "]")
     else:
         scalar = _SCALARS.get(kind)
         if scalar is None:
@@ -312,8 +309,10 @@ def write_json(fp: TextIO, obj: Any, path: str) -> None:
     and a joined text would be held with its UTF-8 bytes. Only the types json reads
     as themselves are written: ``dict`` with ``str`` keys, ``list``, ``tuple``,
     ``str``, ``int``, ``float``, ``bool`` and ``None``, floats as ``repr`` gives them
-    and ``NaN`` and ``±Infinity`` as json spells them. Any other type or key, a
-    subclass included, raises ``TypeError``. A value nested too deeply to encode,
+    and ``NaN`` and ``±Infinity`` as json spells them. An iterator, such as a
+    generator, is written as the list of what it yields, one item at a time, so its
+    items need never exist at once. Any other type or key, a subclass included,
+    raises ``TypeError``. A value nested too deeply to encode,
     about 1,000 levels, or one that contains itself raises
     ``ValueError("<path>: JSON nested too deeply")``. Either error comes part-way
     through: :func:`atomic_output` then commits no file, but on stdout (``-``) the
@@ -333,8 +332,10 @@ def write_json_file(path: str, obj: Any) -> None:
         write_json(fp, obj, path)
 
 
-def read_json_file(path: str, decode=None) -> Any:
-    """The JSON value in ``path`` (``-`` means stdin), or ``decode(value)`` if given.
+def read_json_file(path: str, decode=None, parse=loads) -> Any:
+    """The JSON value ``parse`` (:func:`loads` by default) gives for the text in ``path``
+    (``-`` means stdin), or ``decode(value)`` if given. The file's bytes are dropped
+    once they are decoded, so only the text is held while it is parsed.
 
     Errors count ``\\n``, ``\\r\\n`` and a lone ``\\r`` as line ends, on stdin as on a file.
     A byte that is not UTF-8 raises the error :func:`numbered_lines` gives,
@@ -351,9 +352,11 @@ def read_json_file(path: str, decode=None) -> Any:
             text = data.decode()
         except UnicodeDecodeError as exc:
             raise _not_utf8(source, line_ends(data[: exc.start]) + 1, exc) from exc
+        del data
+        # Line ends become "\n", as text mode makes them, for the line numbers.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
-            # Line ends become "\n", as text mode makes them, for the line numbers.
-            value = loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            value = parse(text)
             return value if decode is None else decode(value)
         except json.JSONDecodeError as exc:
             where = f"{source}:{exc.lineno}:{exc.colno}"

@@ -293,15 +293,34 @@ def _load_labels(path: str) -> dict[str, tuple[str, BinaryLabel]]:
     return labels
 
 
-def cmd_train_meta(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
+def _joined_features(annotations: str, labels_path: str):
+    """The model order of ``annotations``, and the (n, 8) features and the golds of its
+    rows whose id ``labels_path`` labels; the labels and rows go when it returns."""
     import numpy as np
 
     from .annotations import read_annotation_chunks
+
+    labels = _load_labels(labels_path)
+    blocks, golds = [], []
+    with open_input(annotations) as fp:
+        model_order, chunks = read_annotation_chunks(fp)
+        for chunk in chunks:
+            joined = [(row, labels[i][1]) for i, row in zip(chunk.ids, chunk.rows) if i in labels]
+            if joined:
+                rows, chunk_golds = zip(*joined)
+                blocks.append(np.array(rows, dtype=np.float64))
+                golds += chunk_golds
+    if not golds:
+        raise ValueError("annotations and labels share no ids")
+    return model_order, np.concatenate(blocks), golds
+
+
+def cmd_train_meta(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .ensemble import feature_names
     from .gbdt import MetaLearnerConfig
-    from .meta import model_to_dict, train_meta
+    from .meta import train_meta, write_model
 
     config = MetaLearnerConfig()
     if args.config:
@@ -309,23 +328,10 @@ def cmd_train_meta(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     with atomic_output(args.model_out) as out_fp:
-        labels = _load_labels(args.labels)
-        blocks, golds = [], []
-        with open_input(args.annotations) as fp:
-            model_order, chunks = read_annotation_chunks(fp)
-            for chunk in chunks:
-                joined = [(row, labels[i][1])
-                          for i, row in zip(chunk.ids, chunk.rows) if i in labels]
-                if joined:
-                    rows, chunk_golds = zip(*joined)
-                    blocks.append(np.array(rows, dtype=np.float64))
-                    golds += chunk_golds
-        if not golds:
-            raise ValueError("annotations and labels share no ids")
-        features = np.concatenate(blocks)
+        model_order, features, golds = _joined_features(args.annotations, args.labels)
         model = train_meta(features, golds, config,
                            feature_order=feature_names(sorted(model_order)))
-        write_json(out_fp, model_to_dict(model), args.model_out)
+        write_model(out_fp, model, args.model_out)
     log.info(
         "trained meta-learner on %d joined examples (%d trees + %d trees)",
         len(golds),

@@ -537,12 +537,17 @@ def _fork_worker(fd: int, name: str, cuts: array, first: int, step: int,
 def _filter_workers(fp: BinaryIO) -> int:
     """The most worker processes :func:`filter_file` may run on ``fp``: one per CPU this
     process may run on, for a regular file with more than one range left past its
-    offset, on more than one CPU; 0, to stream the input in this process, otherwise."""
+    offset and no bytes read ahead into a buffer, on more than one CPU; 0, to stream
+    the input in this process, otherwise."""
     try:
         info, cpus = os.fstat(fp.fileno()), len(os.sched_getaffinity(0))
     except (AttributeError, io.UnsupportedOperation):  # no CPU affinity, or no descriptor
         return 0
-    if cpus < 2 or not stat.S_ISREG(info.st_mode) or info.st_size - fp.tell() <= RANGE_BYTES:
+    if cpus < 2 or not stat.S_ISREG(info.st_mode):
+        return 0
+    # The workers start at the descriptor's offset, past any bytes read ahead.
+    offset = fp.tell()
+    if offset != os.lseek(fp.fileno(), 0, os.SEEK_CUR) or info.st_size - offset <= RANGE_BYTES:
         return 0
     return cpus
 
@@ -554,8 +559,9 @@ def filter_file(
     offset on, named ``fp.name`` in messages, in this process or on worker processes;
     the kept records come as :func:`write_kept` chunks.
 
-    On workers, the file is cut once by :func:`_cuts`, from its descriptor's offset, so
-    ``fp`` must hold no bytes read ahead in a buffer, and ``w`` workers, the
+    On workers, the file is cut once by :func:`_cuts`, from its descriptor's offset,
+    which :func:`_filter_workers` allows only where no bytes were read ahead into a
+    buffer, and ``w`` workers, the
     :func:`_filter_workers` but no more than the ranges, are forked by
     :func:`_fork_worker`, each reading that descriptor. This process reads range ``i``
     from pipe ``i mod w``, one range at a time, in input order: it calls

@@ -40,17 +40,24 @@ score update while fitting, step all trees and a block of
 ``_REGATHER_LEVELS`` steps drop the positions that have reached a leaf.
 Leaf values are then added to the base score one tree at a time, in tree
 order, so a row's score is the same bit for bit whatever else is in its
-block. The grower writes each tree's nodes in creation order; a model
-file's nested trees are read breadth first and written with loops, not
-recursion. Each node is checked as it is read, so a booster is never
-built from a bad file and then swept for bad values.
+block. The grower writes each tree's nodes in creation order, and a fit
+concatenates its trees' arrays once, at the end.
+
+Nested tree dicts, as a model file holds them, are read and written one
+tree at a time, with loops, not recursion, so only the flat arrays grow
+with the trees. :meth:`BoostedTrees.from_dicts` reads each tree breadth
+first into node lists before it draws the next, and then numbers the
+nodes breadth first across the trees, tree ``t``'s root as node ``t``.
+Each node is checked as it is read, so a booster is never built from a
+bad file and then swept for bad values. :meth:`BoostedTrees.iter_tree_dicts`
+builds each tree's dicts from its slice of the arrays as it is drawn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -149,53 +156,89 @@ class BoostedTrees:
         object.__setattr__(self, "_feature_span", span)
 
     @classmethod
-    def from_dicts(cls, base_score: float, trees: Sequence[Mapping], n_features: int,
+    def from_dicts(cls, base_score: float, trees: Iterable[Mapping], n_features: int,
                    train_logloss: Sequence[float] = ()) -> "BoostedTrees":
         """A booster from nested tree dicts, as :meth:`tree_dicts` gives them.
 
-        Nodes are numbered breadth first across the trees: tree ``t``'s root is node ``t``.
+        ``trees`` is read one tree at a time, so it may be an iterator that builds
+        each tree as it is drawn: only the node lists, and then the flat arrays, grow
+        with the trees. Nodes are numbered breadth first across the trees: tree
+        ``t``'s root is node ``t``.
         A split on a feature outside ``[0, n_features)``, or a number that is not
         finite, raises ``ValueError`` naming the field as its node is read.
         """
-        nodes = list(trees)
-        first, feature, threshold, value = [], [], [], []
-        # ``nodes`` grows while it is read: each split appends its children.
-        for i, node in enumerate(nodes):
-            if "value" in typed_value(node, "dict", "tree node"):
-                first.append(i)
-                feature.append(0)
-                threshold.append(math.nan)
-                value.append(float(typed_value(node["value"], "float", "value")))
-            else:
-                first.append(len(nodes))
-                index = typed_value(node["feature_index"], "int", "feature_index")
-                if not 0 <= index < n_features:
-                    raise ValueError(f"feature_index must be in [0, {n_features}), got {index}")
-                feature.append(index)
-                threshold.append(float(typed_value(node["threshold"], "float", "threshold")))
-                value.append(0.0)
-                nodes += (node["right"], node["left"])
-        return cls(base_score, np.arange(len(trees)), first, feature, threshold, value,
-                   list(train_logloss))
+        # Each tree's nodes, breadth first within the tree, then the trees in turn.
+        roots, first, feature, threshold, value = [], [], [], [], []
+        for tree in trees:
+            start = len(first)
+            roots.append(start)
+            # ``nodes`` grows while it is read: each split appends its children.
+            nodes = [tree]
+            for i, node in enumerate(nodes, start):
+                if "value" in typed_value(node, "dict", "tree node"):
+                    first.append(i)
+                    feature.append(0)
+                    threshold.append(math.nan)
+                    value.append(float(typed_value(node["value"], "float", "value")))
+                else:
+                    first.append(start + len(nodes))
+                    index = typed_value(node["feature_index"], "int", "feature_index")
+                    if not 0 <= index < n_features:
+                        raise ValueError(f"feature_index must be in [0, {n_features}), got {index}")
+                    feature.append(index)
+                    threshold.append(float(typed_value(node["threshold"], "float", "threshold")))
+                    value.append(0.0)
+                    nodes += (node["right"], node["left"])
+        first, roots = np.array(first, dtype=np.intp), np.array(roots, dtype=np.intp)
+        levels = [nodes for nodes, _ in _levels(first, roots)]
+        order = np.concatenate(levels) if levels else roots
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        return cls(base_score, np.arange(len(roots)), place[first[order]],
+                   np.array(feature, dtype=np.intp)[order], np.array(threshold)[order],
+                   np.array(value)[order], list(train_logloss))
 
-    def tree_dicts(self, roots: Sequence[int] | None = None) -> list[dict]:
-        """The trees rooted at ``roots`` (every tree by default) as nested dicts.
+    def tree_dicts(self) -> list[dict]:
+        """Every tree as a nested dict: :meth:`iter_tree_dicts` as a list."""
+        return list(self.iter_tree_dicts())
+
+    def iter_tree_dicts(self, roots: Sequence[int] | None = None) -> Iterator[dict]:
+        """The tree under each node of ``roots`` (every tree's root by default) as a
+        nested dict, built from the arrays one tree at a time as it is drawn.
 
         A leaf is ``{"value"}``, a split ``{"feature_index", "threshold", "left", "right"}``.
-        Nodes are built last to first, so a split's children, which follow it, are ready.
+        Each tree's nodes must be one slice of the arrays, as a fit lays them out; if
+        they are not, as in a booster read from dicts, copies of the arrays are put in
+        tree order first. Each tree is built from its slice last node to first, so a
+        split's children, which follow it, are ready.
         """
-        first, feature, threshold, value = (
-            array.tolist() for array in (self.first, self.feature, self.threshold, self.value)
-        )
-        nodes: list[dict] = [{}] * len(first)
-        for i in reversed(range(len(first))):
-            right = first[i]
-            if right == i:
-                nodes[i] = {"value": value[i]}
-            else:
-                nodes[i] = {"feature_index": feature[i], "threshold": threshold[i],
-                            "left": nodes[right + 1], "right": nodes[right]}
-        return [nodes[i] for i in (self.roots.tolist() if roots is None else roots)]
+        roots = self.roots if roots is None else np.asarray(roots, dtype=np.intp)
+        # The tree each node belongs to; len(roots) for a node under none of them.
+        tree = np.full(len(self.first), len(roots))
+        for nodes, trees in _levels(self.first, roots):
+            tree[nodes] = trees
+        first, feature, threshold, value = self.first, self.feature, self.threshold, self.value
+        if np.any(tree[1:] < tree[:-1]):
+            order = np.argsort(tree, kind="stable")
+            place = np.empty_like(order)
+            place[order] = np.arange(len(order))
+            first, feature, threshold, value = (place[first[order]], feature[order],
+                                                threshold[order], value[order])
+        start = 0
+        for end in np.cumsum(np.bincount(tree, minlength=len(roots))[: len(roots)]).tolist():
+            right_of, features, thresholds, values = (
+                column[start:end].tolist() for column in (first, feature, threshold, value)
+            )
+            nodes: list[dict] = [{}] * (end - start)
+            for i in reversed(range(end - start)):
+                right = right_of[i] - start
+                if right == i:
+                    nodes[i] = {"value": values[i]}
+                else:
+                    nodes[i] = {"feature_index": features[i], "threshold": thresholds[i],
+                                "left": nodes[right + 1], "right": nodes[right]}
+            yield nodes[0]
+            start = end
 
     @property
     def trees(self) -> list["TreeNode"]:
@@ -227,6 +270,18 @@ class BoostedTrees:
         if low < 0 or high >= n_features:
             bad = low if low < 0 else high
             raise ValueError(f"feature_index must be in [0, {n_features}), got {bad}")
+
+
+def _levels(first: np.ndarray, roots: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each level of the trees under ``roots``, breadth first across the trees: its
+    nodes, each split's children right first in the order of their parents, and the
+    index in ``roots`` of each node's tree."""
+    nodes, trees = roots, np.arange(len(roots))
+    while len(nodes):
+        yield nodes, trees
+        split = first[nodes] != nodes
+        right, trees = first[nodes[split]], np.repeat(trees[split], 2)
+        nodes = np.stack((right, right + 1), axis=1).ravel()
 
 
 @dataclass(frozen=True)
@@ -269,7 +324,7 @@ class TreeNode:
         return None if first is None else TreeNode(self.booster, first)
 
     def to_dict(self) -> dict:
-        return self.booster.tree_dicts([self.index])[0]
+        return next(self.booster.iter_tree_dicts([self.index]))
 
 
 def clamp_probability(p: float) -> float:
@@ -535,8 +590,8 @@ def gbdt_fit(
     base_score = math.log(base_rate / (1.0 - base_rate))
     raw = np.full(n, base_score, dtype=np.float64)
     rng = np.random.default_rng(config.seed & _SEED_MASK)
-    # The nodes of every tree so far, in the arrays of BoostedTrees.
-    roots, first, feature, threshold, value = [], [], [], [], []
+    # Each round's tree, as _grow_tree returns it.
+    trees: list[BoostedTrees] = []
     p = _clipped_probabilities(raw)
     losses = [_logloss(p, y)]
     # Column blocks: row ids sorted by each feature, equal values in
@@ -561,13 +616,14 @@ def gbdt_fit(
         if tree is not None:
             _add_leaf_values(tree, X, raw)
             p = _clipped_probabilities(raw)
-            roots.append(len(first))
-            first += (tree.first + roots[-1]).tolist()
-            feature += tree.feature.tolist()
-            threshold += tree.threshold.tolist()
-            value += tree.value.tolist()
+            trees.append(tree)
         losses.append(_logloss(p, y))
-    return BoostedTrees(base_score, roots, first, feature, threshold, value, losses)
+    # Tree t's nodes follow tree t - 1's; a child's index moves with its tree.
+    roots = np.cumsum([0] + [len(tree.first) for tree in trees])[:-1]
+    parts = [(tree.first + root, tree.feature, tree.threshold, tree.value)
+             for tree, root in zip(trees, roots)]
+    columns = [np.concatenate(column) for column in zip(*parts)] if parts else [[]] * 4
+    return BoostedTrees(base_score, roots, *columns, losses)
 
 
 def gbdt_raw_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:

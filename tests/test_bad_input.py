@@ -848,6 +848,20 @@ CONFIG_CASES = {
                                     "feature_index must be in [0, 8), got 1180591620717411303424"),
     "model-feature-order-is-text": ("ensemble", model_with(feature_order="abcdefgh"),
                                     "feature_order"),
+    # Each exited 2 with Python's own words, naming no member: "object of type 'int'
+    # has no len()", "'int' object is not iterable", "list indices must be integers or
+    # slices, not str", and "trees must be a list, got 'a'" (or, for an object, its
+    # first key).
+    "model-base-scores-is-a-number": ("ensemble", model_with(base_scores=1),
+                                      "base_scores must be a list, got 1"),
+    "model-heads-is-a-number": ("ensemble", model_with(heads=3), "heads must be a list, got 3"),
+    "model-file-is-a-list": ("ensemble", [model_with()],
+                             "model file must be an object, got a list"),
+    # Named by its type, not its text, which was most of the file.
+    "model-trees-is-an-object": ("ensemble", model_with(trees={"hate": [TREE], "neutral": []}),
+                                 "trees must be a list, got an object"),
+    "model-trees-is-text": ("ensemble", model_with(trees="ab"),
+                            "trees must be a list, got a string"),
     "baseline-section-is-a-number": ("evaluate --baseline", {"per_dataset": 5}, "per_dataset"),
     "baseline-unit-is-a-number": ("evaluate --baseline", baseline_with(per_group={"All": 5}),
                                   "per_group:All"),

@@ -248,6 +248,29 @@ def test_no_more_workers_than_ranges(small_ranges, monkeypatch, tmp_path):
     assert on_workers == expected and expected[0] == 0
 
 
+def test_a_file_read_from_through_its_buffer_streams(small_ranges, monkeypatch, tmp_path):
+    # The cuts start at the descriptor's offset, which the buffer's read-ahead has
+    # moved past the file's: on 2 workers, the bytes read ahead were never filtered.
+    small_ranges(4096)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    write_input(tmp_path, web_lines(8 * 4096))
+
+    def run():
+        with open(tmp_path / "web.jsonl", "rb") as fp:
+            fp.readline()
+            errors = []
+            chunks, stats = filtering.filter_file(fp, filtering.FilterConfig(), errors.append)
+            kept = [chunk for chunk, _ in chunks]
+            return kept, stats.to_dict(), [str(error) for error in errors]
+
+    on_workers = run()
+    monkeypatch.setattr(filtering, "_filter_workers", lambda _: 0)
+    expected = run()
+    assert b"".join(on_workers[0]) == b"".join(expected[0])
+    assert on_workers[1:] == expected[1:]
+    assert expected[1]["records_seen"] > 0 and len(expected[2]) == 3
+
+
 def test_workers_leave_stdin_at_its_end(small_ranges, tmp_path):
     # The workers ``pread``, which moves no offset. A shell that shares the
     # descriptor must find nothing left to read, as after the one-process path.

@@ -585,6 +585,62 @@ class TestTreeSerialization:
         assert preorder([tree.to_dict() for tree in booster.trees]) == preorder(trees)
 
 
+class TestOneTreeAtATime:
+    """Trees are read from an iterator and built as dicts one at a time."""
+
+    @staticmethod
+    def fitted():
+        rng = np.random.default_rng(17)
+        X = rng.random((120, 4))
+        return gbdt_fit(X, (X[:, 1] > 0.4).astype(float),
+                        MetaLearnerConfig(num_rounds=6, min_data_in_leaf=4))
+
+    def test_trees_from_an_iterator_make_the_booster_a_list_makes(self):
+        rng = np.random.default_rng(18)
+        trees = [random_tree(rng, rng.standard_normal(3), 4, int(rng.integers(6)))
+                 for _ in range(9)]
+        drawn = []
+
+        def one_at_a_time():
+            for tree in trees:
+                drawn.append(tree)
+                yield tree
+
+        listed = BoostedTrees.from_dicts(0.5, trees, 4)
+        streamed = BoostedTrees.from_dicts(0.5, one_at_a_time(), 4)
+        assert drawn == trees
+        for name in ("roots", "first", "feature", "threshold", "value"):
+            assert getattr(streamed, name).tobytes() == getattr(listed, name).tobytes()
+
+    @pytest.mark.parametrize("layout", ["fitted", "loaded"])
+    def test_every_node_builds_the_subtree_under_it(self, layout):
+        booster = self.fitted()
+        if layout == "loaded":
+            booster = BoostedTrees.from_dicts(booster.base_score, booster.tree_dicts(), 4)
+        trees = booster.tree_dicts()
+        expected = []
+        stack = list(reversed(trees))
+        while stack:  # every node's nested dict, depth first
+            node = stack.pop()
+            expected.append(node)
+            if "left" in node:
+                stack += (node["right"], node["left"])
+        got, stack = [], list(reversed(booster.trees))
+        while stack:
+            node = stack.pop()
+            got.append(node.to_dict())
+            if not node.is_leaf:
+                stack += (node.right, node.left)
+        assert got == expected
+
+    def test_tree_dicts_are_built_as_they_are_drawn(self):
+        booster = self.fitted()
+        trees = booster.iter_tree_dicts()
+        first = next(trees)
+        assert first == booster.tree_dicts()[0]
+        assert [first, *trees] == booster.tree_dicts()
+
+
 class TestReadOnlyArrays:
     @staticmethod
     def boosters():

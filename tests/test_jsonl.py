@@ -302,6 +302,16 @@ def test_write_json_refuses_what_is_not_plain(value):
     assert written(value)[0] is TypeError
 
 
+@settings(max_examples=100)
+@given(JSON_VALUES)
+def test_write_json_writes_an_iterator_as_its_list(value):
+    # A model's trees are an iterator, so no more than one tree's dicts exist at once.
+    items = list(value) if isinstance(value, (list, tuple, dict)) else [value]
+    lazy = {"a": iter(items), "b": (item for item in [items, []]), "c": map(str, items)}
+    eager = {"a": items, "b": [items, []], "c": [str(item) for item in items]}
+    assert written(lazy) == written(eager)
+
+
 def test_write_json_refuses_what_nests_too_deeply():
     looped = []
     looped.append({"a": looped})

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +27,15 @@ from hatepool import (
 )
 import hatepool.gbdt
 import hatepool.meta
+from hatepool._jsonl import read_json_file
 from hatepool.ensemble import score_rows
 from hatepool.meta import check_feature_order, model_from_dict, model_to_dict, predict_meta_many
 
-from conftest import MODEL_IDS, make_vector, random_vectors
+from conftest import MODEL_IDS, make_vector, needs_vm_hwm, random_vectors, run_measured
+from test_gbdt import random_tree
 from tree_walk_reference import gbdt_predict_proba
+
+TESTS = Path(__file__).resolve().parent
 
 
 def fast_config(seed=0):
@@ -440,3 +447,120 @@ class TestGoldenDigest:
         )
         lines = (tmp_path / "model.json").read_text("utf-8").splitlines()
         assert max(len(line) - len(line.lstrip(" ")) for line in lines) >= 50
+
+
+def random_model(n_trees, seed=0, depth=10):
+    """A model whose two heads are ``n_trees`` random trees (``random_tree``) and their
+    negation, as a fit makes the Neutral head; the trees are drawn one at a time."""
+    rng = np.random.default_rng(seed)
+    thresholds = rng.random(50)
+    trees = (random_tree(rng, thresholds, 8, depth) for _ in range(n_trees))
+    head = BoostedTrees.from_dicts(0.5, trees, 8, [0.69, 0.5])
+    return MetaLearnerModel(head, replace(head, base_score=-0.5, value=-head.value),
+                            fast_config(), tuple(f"f{i}" for i in range(8)))
+
+
+# A child's peak RSS rise, in KiB, while it saves the random model of argv[1] trees
+# to argv[2], or loads argv[2], as argv[3] says. The model is built before it is
+# measured, from trees drawn one at a time.
+MODEL_PROBE = f"""
+import sys
+sys.path.insert(0, {str(TESTS)!r})
+from test_meta import random_model
+from hatepool.meta import load_model, save_model
+n_trees, path, step = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+model = random_model(n_trees) if step == "save" else None
+before = peak_kib()
+save_model(model, path) if step == "save" else load_model(path)
+print(peak_kib() - before)
+"""
+
+
+class TestModelFileMemory:
+    """A model file is written and read one tree at a time: the nested dicts of all its
+    trees never exist at once. Measured on random-tree models of 40 and 400 trees a
+    head (about 0.6 and 6 MB), the sizes that 40 and 400 fit rounds would make."""
+
+    SIZES = (40, 400)
+
+    @staticmethod
+    def rises(tmp_path):
+        """{trees: (file bytes, save's peak rise, load's peak rise)}, the rises in bytes."""
+        rises = {}
+        for n_trees in TestModelFileMemory.SIZES:
+            path = tmp_path / f"model-{n_trees}.json"
+            steps = []
+            for step in ("save", "load"):
+                proc = run_measured(MODEL_PROBE, str(n_trees), str(path), step)
+                assert proc.returncode == 0, proc.stderr
+                steps.append(int(proc.stdout) * 1024)
+            rises[n_trees] = (path.stat().st_size, *steps)
+        return rises
+
+    @needs_vm_hwm
+    def test_peaks_do_not_hold_every_tree_as_dicts(self, tmp_path):
+        """Saving builds one tree's dicts at a time, so its peak rises by well under a
+        tenth of the file; loading holds the file's text and, while it is decoded, its
+        bytes, so its peak rises by about twice the file. Built whole, the dicts took
+        about four times the file, on top of the text."""
+        rises = self.rises(tmp_path)
+        small, large = (rises[n] for n in self.SIZES)
+        assert large[0] > 5 * 2**20 and small[0] < 2**20
+        for size, save, load in (small, large):
+            assert save < 2**20 + size / 10, (size, save)
+            assert load < 2.5 * size, (size, load)
+        assert large[2] - small[2] < 2.5 * (large[0] - small[0]), rises
+
+    def test_resaving_a_loaded_model_gives_its_bytes(self, tmp_path):
+        one, two = tmp_path / "one.json", tmp_path / "two.json"
+        save_model(random_model(30, seed=3, depth=12), str(one))
+        save_model(load_model(str(one)), str(two))
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_a_saved_model_is_read_one_tree_at_a_time(self, monkeypatch, tmp_path):
+        # ``loads`` decodes the whole text: only a text the walk refuses comes to it.
+        model = random_model(20, seed=4)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        monkeypatch.setattr(hatepool.meta, "loads", lambda text: pytest.fail("read whole"))
+        loaded = load_model(str(path))
+        for name in ("roots", "first", "feature", "threshold", "value"):
+            assert np.array_equal(getattr(loaded.hate_head, name), getattr(model.hate_head, name),
+                                  equal_nan=True)
+        assert loaded.neutral_head.negates(loaded.hate_head)
+
+    @pytest.mark.parametrize("layout", ["compact", "trees-first", "crlf", "escape", "spaced"])
+    def test_a_file_in_another_layout_loads_the_same_model(self, layout, tmp_path):
+        model = random_model(12, seed=5)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text("utf-8"))
+        text = {
+            "compact": lambda: json.dumps(payload),
+            "trees-first": lambda: json.dumps({"trees": payload.pop("trees"), **payload}),
+            "crlf": lambda: path.read_text("utf-8").replace("\n", "\r\n"),
+            "escape": lambda: json.dumps(payload, ensure_ascii=True).replace('"f1"', '"\\u00661"'),
+            "spaced": lambda: " \n" + json.dumps(payload, indent=5).replace(":", " \t: ") + "\n\n",
+        }[layout]()
+        other = tmp_path / "other.json"
+        other.write_bytes(text.encode())
+        save_model(load_model(str(other)), str(other))
+        assert other.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("tail", ["]}", '], "x": 1}', "]} 5", "], []]}"])
+    def test_a_file_the_walk_refuses_gives_the_whole_reads_error(self, tail, tmp_path):
+        # A file cut short, one with a member after ``trees``, one with extra data,
+        # and one with three heads: the error is the one json or the checks give.
+        path = tmp_path / "model.json"
+        save_model(random_model(3, seed=6), str(path))
+        text = path.read_text("utf-8").rstrip()
+        assert text.endswith("]\n}")
+        path.write_text(text[: -len("]\n}")] + tail)
+        try:  # the whole text decoded, then read as a decoded file is
+            expected = read_json_file(str(path), model_from_dict)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                load_model(str(path))
+        else:
+            loaded = load_model(str(path))
+            assert np.array_equal(loaded.hate_head.first, expected.hate_head.first)
